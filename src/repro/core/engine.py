@@ -34,7 +34,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.common.address import line_base, words_of_line
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
@@ -49,9 +48,9 @@ from repro.core.thread_state import ThreadStateRegisters
 from repro.engine import Scheduler, Signal
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
-from repro.mem.image import MemoryImage
+from repro.mem.image import MemoryImage, rebase_line
 from repro.mem.tagstore import LineMeta
-from repro.mem.wpq import DPO, LOGHDR, LPO, WB, PersistOp
+from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 
 
 @dataclass
@@ -112,7 +111,7 @@ class AsapEngine:
             fast: elide persist-op payloads and undo snapshots - valid only
                 when the run has no crash window and no observer, because
                 nothing then ever reads the PM image. All control flow,
-                structure occupancy, and timing are unchanged; the
+                structure occupancy, and timing are shared; the
                 differential-identity gate holds the two modes to identical
                 RunResult stats (docs/PERF.md).
         """
@@ -154,20 +153,14 @@ class AsapEngine:
         #: orders their acceptance.
         self._line_lpo_inflight: Dict[int, List[int]] = {}
         self._line_lpo_waiters: Dict[int, Deque] = {}
-        #: fast path only: line -> {entry rid: (core, entry seq, entry,
-        #: slot)} for every live CLPtr slot tracking that line, so
+        #: line -> {entry rid: (core, entry seq, entry, slot)} for every
+        #: live CLPtr slot tracking that line, so
         #: ``_try_issue_dpos_for_line`` avoids scanning every core's CL
-        #: List. Sorting by (core, entry seq) replays the reference scan
-        #: order exactly (see :mod:`repro.core.cl_list`).
-        self._slots_by_line: Optional[Dict[int, Dict[int, tuple]]] = (
-            {} if fast else None
-        )
+        #: List. Sorting by (core, entry seq) replays the "cores ascending,
+        #: entries in insertion order" scan order exactly (see
+        #: :mod:`repro.core.cl_list`).
+        self._slots_by_line: Dict[int, Dict[int, tuple]] = {}
         self._dpo_distance = config.asap.dpo_distance
-        if fast and self.params.dpo_coalescing:
-            # Instance-level shadow: every internal caller picks up the
-            # flattened scan; the class method (the reference path and the
-            # coalescing-off ablation) is untouched.
-            self._coalescing_scan = self._coalescing_scan_fast
         #: commit listeners, e.g. the recovery oracle
         self.on_commit: List[Callable[[int], None]] = []
         self._quiescent_waiters: List[Callable[[], None]] = []
@@ -285,7 +278,7 @@ class AsapEngine:
         if entry is None:
             raise SimulationError(f"missing CL entry for {rid} at asap_end")
         entry.state = RegionState.DONE  # Fig. 4 transition (2)
-        self._drain_entry(entry, thread)
+        self._coalescing_scan(entry, thread)  # Done: drains every slot
         if entry.drained:
             self._finish_at_l1(entry, thread)
         # Asynchronous commit: execution proceeds immediately.
@@ -306,25 +299,59 @@ class AsapEngine:
 
         The functional write applies immediately; persistence machinery may
         delay retirement (``done``) on structural stalls only.
+
+        One frame covers the happy path of a region write (owner in {None,
+        this region}, a free or existing CLPtr slot). A cross-region owner
+        or a slot stall takes the general pipeline
+        (:meth:`_region_write` -> :meth:`_capture_dependence` ->
+        :meth:`_ensure_slot` -> :meth:`_after_slot`), which makes the same
+        decisions step by step.
         """
-        if self.fast:
-            self._write_fast(thread, addr, values, done)
-            return
-        line = line_base(addr)
-        pm = self.hierarchy.is_persistent(line)
-        old_snapshot = None
-        if pm and thread.active_rid is not None and not self.fast:
-            old_snapshot = {w: self.volatile.read_word(w) for w in words_of_line(line)}
-        self.volatile.write_range(addr, values)
+        line = addr & ~63
+        hierarchy = self.hierarchy
         rid = thread.active_rid
+        if rid is None or not hierarchy.is_persistent(line):
+            self.volatile.write_range(addr, values)
+            hierarchy.access(thread.core_id, addr, True, lambda meta: done())
+            return
+        old_snapshot = None if self.fast else self.volatile.line_words(line)
+        self.volatile.write_range(addr, values)
 
         def after_access(meta: LineMeta) -> None:
-            if not pm or rid is None:
-                done()
+            owner = meta.owner_rid
+            if owner is not None and owner != rid:
+                # Cross-region owner: dependence capture (possibly a stall
+                # or a stale-tag cleanup).
+                self._region_write(thread, rid, meta, old_snapshot, done)
                 return
-            self._region_write(thread, rid, meta, old_snapshot, done)
+            entry = self.cl_lists[thread.core_id]._entries.get(rid)
+            if entry is None:
+                raise SimulationError(f"no CL entry for active region {rid}")
+            slots = entry.slots
+            slot = slots.get(line)
+            if slot is None:
+                if len(slots) >= entry.max_slots:
+                    # Slot stall: parks, applies pressure, rescans.
+                    self._ensure_slot(thread, rid, meta, old_snapshot, done)
+                    return
+                slot = self._open_slot(thread, entry, line)
+            entry.write_counter += 1
+            slot.last_write_stamp = entry.write_counter
+            slot.data_version += 1
+            slot.pending = True
+            slot.eager_backlog += 1
+            if owner is None:  # first write by this region
 
-        self.hierarchy.access(thread.core_id, addr, True, after_access)
+                def finish() -> None:
+                    self._coalescing_scan(entry, thread)
+                    done()
+
+                self._initiate_lpo(thread, rid, meta, old_snapshot, finish)
+            else:
+                self._coalescing_scan(entry, thread)
+                done()
+
+        hierarchy.access(thread.core_id, addr, True, after_access)
 
     def read(
         self,
@@ -334,175 +361,26 @@ class AsapEngine:
         done: Callable[[list], None],
     ) -> None:
         """A load by ``thread``; ``done`` receives the word values."""
-        if self.fast:
-            self._read_fast(thread, addr, nwords, done)
-            return
-        line = line_base(addr)
-        pm = self.hierarchy.is_persistent(line)
-        rid = thread.active_rid
-
-        def after_access(meta: LineMeta) -> None:
-            def deliver() -> None:
-                values = [
-                    self.volatile.read_word(addr + 8 * i) for i in range(nwords)
-                ]
-                done(values)
-
-            if pm and rid is not None:
-                # Sec. 4.6.3: reads also capture data dependences.
-                self._capture_dependence(thread, rid, meta, deliver)
-            else:
-                deliver()
-
-        self.hierarchy.access(thread.core_id, addr, False, after_access)
-
-    # -- the flattened fast-core pipeline ----------------------------------
-    #
-    # One frame for the happy path of a region write (free CLPtr slot, no
-    # cross-region owner) instead of the reference's
-    # write -> _region_write -> _capture_dependence -> _ensure_slot ->
-    # _after_slot -> _initiate_lpo chain. Every non-happy case falls back
-    # to the reference helpers, so stall behaviour, dependence capture,
-    # and chain ordering are byte-identical (the differential gate checks
-    # this end to end); payloads/snapshots are elided as everywhere in
-    # fast mode.
-
-    def _write_fast(self, thread: AsapThread, addr: int, values, done) -> None:
-        line = addr & ~63
         hierarchy = self.hierarchy
-        pm = hierarchy.is_persistent(line)
-        self.volatile.write_range(addr, values)
+        pm = hierarchy.is_persistent(addr & ~63)
         rid = thread.active_rid
-        if not pm or rid is None:
-            hierarchy.access(thread.core_id, addr, True, lambda meta: done())
-            return
-
-        def after_access(meta: LineMeta) -> None:
-            owner = meta.owner_rid
-            if owner is not None and owner != rid:
-                # Cross-region owner: dependence capture (possibly a stall
-                # or a stale-tag cleanup) - reference pipeline.
-                self._region_write(thread, rid, meta, None, done)
-                return
-            entry = self.cl_lists[thread.core_id]._entries.get(rid)
-            if entry is None:
-                raise SimulationError(f"no CL entry for active region {rid}")
-            slots = entry.slots
-            slot = slots.get(line)
-            if slot is None:
-                if len(slots) >= entry.max_slots:
-                    # Slot stall: reference pipeline (parks, applies
-                    # pressure, rescans).
-                    self._ensure_slot(thread, rid, meta, None, done)
-                    return
-                entry.pressure = False
-                slot = CLSlot(line=line)
-                slots[line] = slot
-                self._slots_by_line.setdefault(line, {})[rid] = (
-                    thread.core_id,
-                    entry.seq,
-                    entry,
-                    slot,
-                )
-            entry.write_counter += 1
-            slot.last_write_stamp = entry.write_counter
-            slot.data_version += 1
-            slot.pending = True
-            slot.eager_backlog += 1
-            if owner is None:  # first write by this region
-                self._initiate_lpo_fast(thread, rid, meta, entry, done)
-            else:
-                self._coalescing_scan(entry, thread)
-                done()
-
-        hierarchy.access(thread.core_id, addr, True, after_access)
-
-    def _initiate_lpo_fast(
-        self,
-        thread: AsapThread,
-        rid: int,
-        meta: LineMeta,
-        entry: CLEntry,
-        done,
-    ) -> None:
-        """First-write LPO, unchained case (the fast write path diverts
-        owned lines before getting here, so there is no uncommitted
-        previous writer)."""
-        meta.lock_count += 1
-        meta.owner_rid = rid
-        line = meta.line
-        slot_idx, entry_addr, record, opened, sealed = thread.log.append(
-            rid, line, chained=False
-        )
-        if sealed is not None:
-            self._seal_record(sealed, rid)
-
-        def issue() -> None:
-            def accepted(op: PersistOp) -> None:
-                record.confirm(slot_idx)
-                self._lpo_accepted(op, thread)
-                self._lpo_chain_advance(line)
-
-            op = PersistOp(
-                kind=LPO,
-                target_line=entry_addr,
-                data_line=line,
-                payload=None,
-                rid=rid,
-                on_complete=accepted,
-            )
-            self.stats.lpos_initiated += 1
-            self._submit_lpo_ordered(op, line)
-            self._coalescing_scan(entry, thread)
-            done()
-
-        if opened:
-            self.lh_wpq_for(record.header_addr).acquire(record, issue)
-        else:
-            issue()
-
-    def _read_fast(self, thread: AsapThread, addr: int, nwords: int, done) -> None:
-        line = addr & ~63
-        hierarchy = self.hierarchy
-        pm = hierarchy.is_persistent(line)
-        rid = thread.active_rid
-        words = self.volatile._words
+        volatile = self.volatile
 
         def after_access(meta: LineMeta) -> None:
             if pm and rid is not None:
                 owner = meta.owner_rid
                 if owner is not None and owner != rid:
+                    # Sec. 4.6.3: reads also capture data dependences.
                     self._capture_dependence(
                         thread,
                         rid,
                         meta,
-                        lambda: done(
-                            [words.get(addr + 8 * i, 0) for i in range(nwords)]
-                        ),
+                        lambda: done(volatile.read_words(addr, nwords)),
                     )
                     return
-            done([words.get(addr + 8 * i, 0) for i in range(nwords)])
+            done(volatile.read_words(addr, nwords))
 
         hierarchy.access(thread.core_id, addr, False, after_access)
-
-    def _coalescing_scan_fast(self, entry: CLEntry, thread: AsapThread) -> None:
-        """Flattened :meth:`_coalescing_scan` for the fast core (coalescing
-        enabled): the same boolean as :meth:`_dpo_ready` per slot, with the
-        cheap rejections first and the tag lookup last. Pure reads, so the
-        reordering cannot change the outcome."""
-        done_state = entry.state is RegionState.DONE
-        pressure = entry.pressure
-        threshold = entry.write_counter - self._dpo_distance
-        tags_get = self.hierarchy.tags.get
-        for slot in entry.slots.values():
-            if not slot.pending or slot.dpo_inflight:
-                continue
-            if not (done_state or pressure) and slot.last_write_stamp > threshold:
-                continue
-            meta = tags_get(slot.line)
-            if meta is not None and meta.lock_count > 0:
-                continue  # LPO still in flight
-            self._initiate_dpo(entry, slot, thread)
 
     # -- the region-write pipeline ----------------------------------------
 
@@ -584,18 +462,23 @@ class AsapEngine:
                     lambda: self._ensure_slot(thread, rid, meta, old_snapshot, done)
                 )
                 return
-            entry.pressure = False
-            slot = entry.add_slot(meta.line)
-            if self._slots_by_line is not None:
-                self._slots_by_line.setdefault(meta.line, {})[entry.rid] = (
-                    thread.core_id,
-                    entry.seq,
-                    entry,
-                    slot,
-                )
-            if self.observer is not None:
-                self.observer.slot_opened(self, entry, meta.line)
+            slot = self._open_slot(thread, entry, meta.line)
         self._after_slot(thread, rid, entry, slot, meta, old_snapshot, done)
+
+    def _open_slot(self, thread: AsapThread, entry: CLEntry, line: int) -> CLSlot:
+        """Track ``line`` in a free CLPtr slot (the caller checked one is
+        free) and index it for :meth:`_try_issue_dpos_for_line`."""
+        entry.pressure = False
+        slot = entry.add_slot(line)
+        self._slots_by_line.setdefault(line, {})[entry.rid] = (
+            thread.core_id,
+            entry.seq,
+            entry,
+            slot,
+        )
+        if self.observer is not None:
+            self.observer.slot_opened(self, entry, line)
+        return slot
 
     def _after_slot(
         self,
@@ -665,10 +548,7 @@ class AsapEngine:
             if self.fast:
                 payload = None
             else:
-                payload = {
-                    entry_addr + (w - line): old_snapshot.get(w, 0)
-                    for w in words_of_line(line)
-                }
+                payload = rebase_line(old_snapshot, entry_addr)
                 payload[record.header_addr] = rid
                 payload[record.header_word_addr(slot_idx)] = record.slot_word(
                     slot_idx
@@ -809,25 +689,14 @@ class AsapEngine:
         self._try_issue_dpos_for_line(line)
 
     def _try_issue_dpos_for_line(self, line: int) -> None:
-        if self._slots_by_line is not None:
-            bucket = self._slots_by_line.get(line)
-            if not bucket:
-                return
-            for core, seq, entry, slot in sorted(bucket.values()):
-                if self._dpo_ready(entry, slot):
-                    thread = self.threads.get(entry.rid >> 32)
-                    if thread is not None:
-                        self._initiate_dpo(entry, slot, thread)
+        bucket = self._slots_by_line.get(line)
+        if not bucket:
             return
-        for cl in self.cl_lists:
-            for entry in list(cl.entries()):
-                slot = entry.slot_for(line)
-                if slot is None:
-                    continue
-                if self._dpo_ready(entry, slot):
-                    thread = self.threads.get(entry.rid >> 32)
-                    if thread is not None:
-                        self._initiate_dpo(entry, slot, thread)
+        for core, seq, entry, slot in sorted(bucket.values()):
+            if self._dpo_ready(entry, slot):
+                thread = self.threads.get(entry.rid >> 32)
+                if thread is not None:
+                    self._initiate_dpo(entry, slot, thread)
 
     # -- DPO path -----------------------------------------------------------
 
@@ -856,23 +725,40 @@ class AsapEngine:
         return distance >= self.config.asap.dpo_distance
 
     def _coalescing_scan(self, entry: CLEntry, thread: AsapThread) -> None:
-        for slot in list(entry.slots.values()):
-            if self._dpo_ready(entry, slot):
-                self._initiate_dpo(entry, slot, thread)
+        """Initiate a DPO for every slot :meth:`_dpo_ready` accepts (at
+        ``asap_end``, when the entry is Done, that is every slot whose LPO
+        has completed).
 
-    def _drain_entry(self, entry: CLEntry, thread: AsapThread) -> None:
-        """asap_end: initiate DPOs for every slot whose LPO has completed."""
-        for slot in list(entry.slots.values()):
-            if self._dpo_ready(entry, slot):
-                self._initiate_dpo(entry, slot, thread)
+        With coalescing on, the per-slot test is :meth:`_dpo_ready`
+        flattened, cheap rejections first and the tag lookup last; the
+        tests are pure reads, so their order cannot change the outcome.
+        Initiating a DPO only schedules its submission, so the slot dict
+        cannot change under the loop.
+        """
+        if not self.params.dpo_coalescing:
+            # No-Opt ablation: eager DPO on every write.
+            for slot in entry.slots.values():
+                if self._dpo_ready(entry, slot):
+                    self._initiate_dpo(entry, slot, thread)
+            return
+        done_state = entry.state is RegionState.DONE
+        pressure = entry.pressure
+        threshold = entry.write_counter - self._dpo_distance
+        tags_get = self.hierarchy.tags.get
+        for slot in entry.slots.values():
+            if not slot.pending or slot.dpo_inflight:
+                continue
+            if not (done_state or pressure) and slot.last_write_stamp > threshold:
+                continue
+            meta = tags_get(slot.line)
+            if meta is not None and meta.lock_count > 0:
+                continue  # LPO still in flight
+            self._initiate_dpo(entry, slot, thread)
 
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsapThread) -> None:
         line = slot.line
         meta = self.hierarchy.tags.get(line)
-        if self.fast:
-            payload = None
-        else:
-            payload = {w: self.volatile.read_word(w) for w in words_of_line(line)}
+        payload = None if self.fast else self.volatile.line_words(line)
         version = slot.data_version
         if not self.params.dpo_coalescing and slot.eager_backlog > 1:
             # No-Opt ablation: one DPO per write. All but the newest are
@@ -939,12 +825,11 @@ class AsapEngine:
 
     def _clear_slot(self, entry: CLEntry, slot: CLSlot, thread: AsapThread) -> None:
         entry.clear_slot(slot.line)
-        if self._slots_by_line is not None:
-            bucket = self._slots_by_line.get(slot.line)
-            if bucket is not None:
-                bucket.pop(entry.rid, None)
-                if not bucket:
-                    del self._slots_by_line[slot.line]
+        bucket = self._slots_by_line.get(slot.line)
+        if bucket is not None:
+            bucket.pop(entry.rid, None)
+            if not bucket:
+                del self._slots_by_line[slot.line]
         cl = self.cl_lists[thread.core_id]
         cl.slot_waiters.wake_one()
         if entry.state is RegionState.DONE and entry.drained:
@@ -1065,7 +950,7 @@ class AsapEngine:
             ]
             if mine:
                 for entry in mine:
-                    self._drain_entry(entry, thread)
+                    self._coalescing_scan(entry, thread)
                 self.scheduler.after(25, try_drain)
                 return
             thread.regs = ThreadStateRegisters.restore(saved)

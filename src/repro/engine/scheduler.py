@@ -8,115 +8,17 @@ cycle. Callbacks scheduled for the same cycle run in scheduling order
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
 
 
-@dataclass(order=True)
-class Event:
+class _Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)``; ``seq`` is assigned by the
-    scheduler and guarantees FIFO order among same-cycle events.
-    """
-
-    time: int
-    seq: int
-    fn: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; cheap (lazy deletion)."""
-        self.cancelled = True
-
-
-class Scheduler:
-    """A deterministic discrete-event scheduler with an integer clock."""
-
-    def __init__(self):
-        self._queue: list[Event] = []
-        self._seq = 0
-        self.now: int = 0
-        self._running = False
-
-    def __len__(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)
-
-    def at(self, time: int, fn: Callable[[], Any]) -> Event:
-        """Schedule ``fn`` to run at absolute cycle ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past (now={self.now}, time={time})"
-            )
-        ev = Event(int(time), self._seq, fn)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev
-
-    def after(self, delay: int, fn: Callable[[], Any]) -> Event:
-        """Schedule ``fn`` to run ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self.at(self.now + int(delay), fn)
-
-    def peek_time(self) -> Optional[int]:
-        """Return the cycle of the next pending event, or None when idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
-
-    def step(self) -> bool:
-        """Run the next event. Returns False when the queue is empty."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            if ev.time < self.now:
-                raise SimulationError("event queue time went backwards")
-            self.now = ev.time
-            ev.fn()
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the event queue.
-
-        Args:
-            until: stop once the clock would pass this cycle (events at
-                exactly ``until`` still run).
-            max_events: safety valve against runaway simulations.
-
-        Returns:
-            The number of events executed.
-        """
-        executed = 0
-        while True:
-            nxt = self.peek_time()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                break
-            if max_events is not None and executed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; possible livelock"
-                )
-            self.step()
-            executed += 1
-        if until is not None and self.now < until:
-            # Idle until the bound (the next event, if any, is beyond it).
-            self.now = until
-        return executed
-
-
-class _FastEvent:
-    """A scheduled callback, slimmed for the bucket queue.
-
-    Buckets are FIFO lists keyed by cycle, so no ``seq`` is needed for
-    ordering; ``time`` is kept because the WPQ's expedite logic reads the
-    pending drain event's deadline. Duck-type compatible with
-    :class:`Event` for every consumer in the tree (``cancel``/``time``).
+    ``time`` is kept because the WPQ's expedite logic reads the pending
+    drain event's deadline; ordering needs no sequence number, because
+    each cycle's bucket is already a FIFO list.
     """
 
     __slots__ = ("time", "fn", "cancelled")
@@ -127,33 +29,32 @@ class _FastEvent:
         self.cancelled = False
 
     def cancel(self) -> None:
+        """Prevent the event from firing; cheap (lazy deletion)."""
         self.cancelled = True
 
 
-class FastScheduler(Scheduler):
-    """A bucket-queue scheduler with the same ordering semantics.
+class Scheduler:
+    """A deterministic discrete-event scheduler with an integer clock.
 
-    Same-cycle events dominate the event mix (a completed access wakes its
-    dependents at the same cycle), so the reference heap pays an ``Event``
-    comparison per push/pop for an ordering that is almost always "append".
-    This variant keeps one FIFO list per distinct cycle and a heap of the
-    distinct cycles only. Buckets drain via a cursor, so appends during
-    drain (an event at ``now`` scheduling another event at ``now``) land
-    behind the cursor exactly as a larger ``seq`` would in the heap - the
-    (time, scheduling-order) execution order is identical to
-    :class:`Scheduler`, which the differential-identity gate
-    (``tests/integration/test_vectorized_diff.py``) checks end to end.
+    A bucket queue: one FIFO list per distinct cycle, plus a heap of the
+    distinct cycles. The heap orders plain ints, so no Python-level
+    comparison runs per push or pop; that, not batching, is where the
+    win over a heap of ``(time, seq)`` event objects comes from - most
+    scheduled cycles hold a single event.
 
-    The heap's top time is only popped once its bucket is exhausted:
-    popping early would pin the head and let a later ``at(t')`` with
-    ``now <= t' < head`` be mis-ordered behind it.
+    Buckets drain via a cursor, so an event at ``now`` that schedules
+    another event at ``now`` lands behind the cursor and runs after every
+    event already queued for that cycle. A cycle's time is only popped
+    from the heap once its bucket is exhausted: popping early would pin
+    the head and let a later ``at(t')`` with ``now <= t' < head`` be
+    mis-ordered behind it.
     """
 
     def __init__(self):
-        super().__init__()
-        self._buckets: dict[int, list[_FastEvent]] = {}
+        self._buckets: dict[int, list[_Event]] = {}
         self._cursors: dict[int, int] = {}
         self._times: list[int] = []
+        self.now: int = 0
 
     def __len__(self) -> int:
         return sum(
@@ -163,13 +64,14 @@ class FastScheduler(Scheduler):
             if not ev.cancelled
         )
 
-    def at(self, time: int, fn: Callable[[], Any]) -> _FastEvent:
+    def at(self, time: int, fn: Callable[[], Any]) -> _Event:
+        """Schedule ``fn`` to run at absolute cycle ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past (now={self.now}, time={time})"
             )
         time = int(time)
-        ev = _FastEvent(time, fn)
+        ev = _Event(time, fn)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [ev]
@@ -178,14 +80,15 @@ class FastScheduler(Scheduler):
             bucket.append(ev)
         return ev
 
-    def after(self, delay: int, fn: Callable[[], Any]) -> _FastEvent:
+    def after(self, delay: int, fn: Callable[[], Any]) -> _Event:
+        """Schedule ``fn`` to run ``delay`` cycles from now."""
         # Full body instead of delegating to at(): after() runs once per
         # event and the extra frame is measurable. delay >= 0 implies the
         # no-scheduling-in-the-past invariant.
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         time = self.now + int(delay)
-        ev = _FastEvent(time, fn)
+        ev = _Event(time, fn)
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [ev]
@@ -195,6 +98,7 @@ class FastScheduler(Scheduler):
         return ev
 
     def peek_time(self) -> Optional[int]:
+        """Return the cycle of the next pending event, or None when idle."""
         while self._times:
             t = self._times[0]
             bucket = self._buckets[t]
@@ -212,6 +116,7 @@ class FastScheduler(Scheduler):
         return None
 
     def step(self) -> bool:
+        """Run the next event. Returns False when the queue is empty."""
         t = self.peek_time()
         if t is None:
             return False
@@ -224,14 +129,20 @@ class FastScheduler(Scheduler):
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Fused drain loop: one bucket at a time, no per-event peeking.
+        """Drain the event queue, one bucket at a time.
 
-        Firing order is exactly :meth:`step` in a loop (the tie-break
-        cursor semantics are shared); this override only removes the
-        per-event ``peek_time``/dict-lookup overhead of the generic
-        ``run``. Event callbacks may append to the current bucket (the
-        length is re-read after every fire) and schedule arbitrary future
-        cycles (the heap is consulted only between buckets).
+        Args:
+            until: stop once the clock would pass this cycle (events at
+                exactly ``until`` still run).
+            max_events: safety valve against runaway simulations.
+
+        Returns:
+            The number of events executed.
+
+        Firing order is exactly :meth:`step` in a loop. Callbacks may
+        append to the current bucket (its length is re-read after every
+        fire) and schedule any future cycle (the heap is consulted only
+        between buckets).
         """
         executed = 0
         buckets = self._buckets
@@ -267,5 +178,6 @@ class FastScheduler(Scheduler):
                 executed += 1
                 n = len(bucket)
         if until is not None and self.now < until:
+            # Idle until the bound (the next event, if any, is beyond it).
             self.now = until
         return executed

@@ -72,8 +72,9 @@ class RunSpec:
     config: Optional[SystemConfig] = None
     params: Optional[WorkloadParams] = None
     sanitize: bool = False
-    #: run on the payload-free fast simulation core; ignored (reference
-    #: machine) when ``sanitize`` is set, since observers need the slow path
+    #: elide payloads, oracle and observers (``Machine(fast_path=True)``);
+    #: ignored (reference machine) when ``sanitize`` is set, since the
+    #: sanitizer is an observer
     fast: bool = False
     builder: str = ""
     builder_kwargs: Tuple[Tuple[str, object], ...] = ()

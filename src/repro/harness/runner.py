@@ -127,9 +127,10 @@ def run_once(
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
-        fast: use the payload-free fast simulation core. Sanitizing forces
-            the reference machine - the sanitizer is an observer, and the
-            fast core's entry condition is "no observer, no crash window"
+        fast: elide payloads, the commit oracle and observers
+            (``Machine(fast_path=True)``). Sanitizing forces the reference
+            machine - the sanitizer is an observer, and the payload-free
+            mode's entry condition is "no observer, no crash window"
             (docs/PERF.md).
     """
     if sanitize is None:

@@ -57,7 +57,6 @@ class Channel:
         pm_image: MemoryImage,
         wpq_entries: int,
         apply_payloads: bool = True,
-        indexed: bool = False,
         drain_gate: Optional[DrainArbiter] = None,
     ):
         self.index = index
@@ -73,7 +72,6 @@ class Channel:
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
             fifo_backpressure=timing.mem.wpq_fifo_backpressure,
             apply_payloads=apply_payloads,
-            indexed=indexed,
             drain_gate=drain_gate,
         )
 
@@ -109,7 +107,6 @@ class MemorySystem:
                 pm_image,
                 config.memory.wpq_entries,
                 apply_payloads=not fast,
-                indexed=fast,
                 drain_gate=self.drain_arbiter,
             )
             for i in range(config.memory.num_channels)

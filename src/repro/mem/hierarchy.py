@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
@@ -103,26 +102,21 @@ class CacheHierarchy:
             self.llc_mshrs = None
             self._mshr_free_waiters = None
 
-        #: fast path only: line -> set of private-level CacheArrays holding
-        #: it, so an LLC eviction invalidates just those instead of probing
-        #: all 2 x num_cores arrays. Invalidations on distinct arrays
-        #: commute, so the set's iteration order is irrelevant to the
-        #: simulated outcome.
-        self._private_holders: Optional[dict] = {} if fast else None
-        if fast:
-            # Latencies are constant for the machine's lifetime (the
-            # TimingModel precomputes them from the frozen config), so the
-            # inlined access path reads plain attributes.
-            self._lat_l1 = self.timing.l1_latency()
-            self._lat_l2 = self.timing.l2_latency()
-            self._lat_llc = self.timing.llc_latency()
-            self._lat_mem = (
-                self.timing.memory_read_latency(False),
-                self.timing.memory_read_latency(True),
-            )
-            # Shadow the class method on the instance: every consumer goes
-            # through self.access, the reference path is untouched.
-            self.access = self._access_fast
+        #: line -> set of private-level CacheArrays holding it, so an LLC
+        #: eviction invalidates just those instead of probing all
+        #: 2 x num_cores arrays. Invalidations on distinct arrays commute,
+        #: so the set's iteration order is irrelevant to the outcome.
+        self._private_holders: dict = {}
+        # Latencies are constant for the machine's lifetime (the
+        # TimingModel precomputes them from the frozen config), so the
+        # access path reads plain attributes.
+        self._lat_l1 = self.timing.l1_latency()
+        self._lat_l2 = self.timing.l2_latency()
+        self._lat_llc = self.timing.llc_latency()
+        self._lat_mem = (
+            self.timing.memory_read_latency(False),
+            self.timing.memory_read_latency(True),
+        )
 
         #: scheme hooks (Sec. 5.3); set by the ASAP engine when active.
         self.evict_hook: Optional[EvictHook] = None
@@ -170,52 +164,11 @@ class CacheHierarchy:
         without re-counting. The pre-fix model re-entered ``access`` on a
         locked-set stall and inflated ``accesses`` plus the per-level
         hit/miss counters once per retry.
-        """
-        line = line_base(addr)
-        self.accesses += 1
-        pbit = self.is_persistent(line)
-        if self.l1[core_id].lookup(line):
-            meta = self.tags.ensure(line, pbit)
-            if is_write:
-                meta.dirty = True
-                meta.version += 1
-            self.scheduler.after(self.timing.l1_latency(), lambda: done(meta))
-            return
-        if self.l2[core_id].lookup(line):
-            level, latency = _L2, self.timing.l2_latency()
-        elif self.llc.lookup(line):
-            level, latency = _LLC, self.timing.llc_latency()
-        elif self.llc_mshrs is not None:
-            self._miss_to_memory(core_id, line, pbit, is_write, done)
-            return
-        else:
-            level, latency = _MEM, 0
-        meta = self.tags.ensure(line, pbit)
-        if level == _MEM:
-            # Legacy immediate-fill fetch (mshrs_per_cache == 0).
-            self.llc_misses += 1
-            latency = self.timing.memory_read_latency(pbit)
-            if pbit:
-                self.memory.count_pm_read(line)
-            if pbit and self.reload_hook is not None:
-                owner, extra = self.reload_hook(line)
-                latency += extra
-                if owner is not None:
-                    meta.owner_rid = owner
-        if is_write:
-            meta.dirty = True
-            meta.version += 1
-        self._fill_and_finish(level, core_id, line, latency, meta, done)
 
-    def _access_fast(
-        self,
-        core_id: int,
-        addr: int,
-        is_write: bool,
-        done: Callable[[LineMeta], None],
-    ) -> None:
-        """Inlined :meth:`access` for the fast core: one frame for the
-        whole L1-hit path, identical statistics and fill/evict order."""
+        The L1 probe is inlined (one frame for the whole hit path); the
+        array's hit/miss counters move exactly as ``CacheArray.lookup``
+        would move them.
+        """
         line = addr & ~63
         self.accesses += 1
         l1 = self.l1[core_id]
@@ -230,18 +183,17 @@ class CacheHierarchy:
             self.scheduler.after(self._lat_l1, lambda: done(meta))
             return
         l1.misses += 1
-        self._miss_fast(core_id, line, is_write, done)
+        self._miss(core_id, line, is_write, done)
 
-    def _miss_fast(
+    def _miss(
         self,
         core_id: int,
         line: int,
         is_write: bool,
         done: Callable[[LineMeta], None],
     ) -> None:
-        """L1-missed remainder of the fast lookup: inlined L2/LLC probes
-        with precomputed latencies, then the shared miss/fill machinery
-        (statistics counted at exactly the reference path's points)."""
+        """L1-missed remainder of :meth:`access`: inlined L2/LLC probes,
+        then the shared miss/fill machinery."""
         pbit = self.is_persistent(line)
         l2 = self.l2[core_id]
         s2 = l2._sets[(line >> 6) % l2._num_sets]
@@ -266,6 +218,7 @@ class CacheHierarchy:
                 level, latency = _MEM, 0
         meta = self.tags.ensure(line, pbit)
         if level == _MEM:
+            # Legacy immediate-fill fetch (mshrs_per_cache == 0).
             self.llc_misses += 1
             latency = self._lat_mem[pbit]
             if pbit:
@@ -355,7 +308,7 @@ class CacheHierarchy:
             self._stall_on_mshrs(core_id, line, is_write, done)
             return
         self.llc_misses += 1
-        latency = self.timing.memory_read_latency(pbit)
+        latency = self._lat_mem[pbit]
         if pbit:
             self.memory.count_pm_read(line)
         meta = self.tags.ensure(line, pbit)
@@ -404,13 +357,13 @@ class CacheHierarchy:
         pbit = self.is_persistent(line)
         if self.l1[core_id].contains(line):
             self.l1[core_id].touch(line)
-            level, latency = _L1, self.timing.l1_latency()
+            level, latency = _L1, self._lat_l1
         elif self.l2[core_id].contains(line):
             self.l2[core_id].touch(line)
-            level, latency = _L2, self.timing.l2_latency()
+            level, latency = _L2, self._lat_l2
         elif self.llc.contains(line):
             self.llc.touch(line)
-            level, latency = _LLC, self.timing.llc_latency()
+            level, latency = _LLC, self._lat_llc
         else:
             self._miss_to_memory(core_id, line, pbit, is_write, done)
             return
@@ -457,18 +410,17 @@ class CacheHierarchy:
         """Insert into a private level; victims just lose presence there."""
         victim = array.insert(line)
         holders = self._private_holders
-        if holders is not None:
-            if victim is not None:
-                vset = holders.get(victim)
-                if vset is not None:
-                    vset.discard(array)
-                    if not vset:
-                        del holders[victim]
-            lset = holders.get(line)
-            if lset is None:
-                holders[line] = {array}
-            else:
-                lset.add(array)
+        if victim is not None:
+            vset = holders.get(victim)
+            if vset is not None:
+                vset.discard(array)
+                if not vset:
+                    del holders[victim]
+        lset = holders.get(line)
+        if lset is None:
+            holders[line] = {array}
+        else:
+            lset.add(array)
 
     def _fill_llc(self, line: int) -> None:
         victim = self.llc.insert(line)
@@ -477,14 +429,8 @@ class CacheHierarchy:
 
     def _evict_from_llc(self, victim: int) -> None:
         """A line leaves the hierarchy: enforce inclusion, write back, spill."""
-        if self._private_holders is not None:
-            for array in self._private_holders.pop(victim, ()):
-                array.invalidate(victim)
-        else:
-            for array in self.l1:
-                array.invalidate(victim)
-            for array in self.l2:
-                array.invalidate(victim)
+        for array in self._private_holders.pop(victim, ()):
+            array.invalidate(victim)
         meta = self.tags.drop(victim)
         if meta is None:
             return
@@ -535,8 +481,7 @@ class CacheHierarchy:
 
     def drop_line(self, line: int) -> None:
         """Remove a line everywhere without writeback (test helper)."""
-        if self._private_holders is not None:
-            self._private_holders.pop(line, None)
+        self._private_holders.pop(line, None)
         for array in self.l1:
             array.invalidate(line)
         for array in self.l2:

@@ -6,11 +6,14 @@ words read as zero, which matches zero-initialised simulated memory.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, List, Mapping
 
 from repro.common.address import line_base, split_words, words_of_line
 from repro.common.errors import SimulationError
-from repro.common.units import WORD_BYTES
+from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
+
+#: nonzero bits of a misaligned word address (``&`` beats ``%`` here)
+_WORD_MASK = WORD_BYTES - 1
 
 
 class MemoryImage:
@@ -25,13 +28,13 @@ class MemoryImage:
 
     def read_word(self, addr: int) -> int:
         """Read the word at ``addr`` (must be 8-byte aligned)."""
-        if addr % WORD_BYTES:
+        if addr & _WORD_MASK:
             raise SimulationError(f"unaligned word read at {addr:#x}")
         return self._words.get(addr, 0)
 
     def write_word(self, addr: int, value: int) -> None:
         """Write the word at ``addr`` (must be 8-byte aligned)."""
-        if addr % WORD_BYTES:
+        if addr & _WORD_MASK:
             raise SimulationError(f"unaligned word write at {addr:#x}")
         self._words[addr] = value
 
@@ -39,25 +42,55 @@ class MemoryImage:
         """Read every word overlapping ``[addr, addr+nbytes)``."""
         return tuple(self.read_word(w) for w in split_words(addr, nbytes))
 
+    def read_words(self, addr: int, n: int) -> List[int]:
+        """Read ``n`` consecutive words starting at ``addr`` (8-byte
+        aligned; checking ``addr`` covers every word after it)."""
+        if addr & _WORD_MASK:
+            raise SimulationError(f"unaligned word read at {addr:#x}")
+        get = self._words.get
+        return [get(w, 0) for w in range(addr, addr + n * WORD_BYTES, WORD_BYTES)]
+
     def write_range(self, addr: int, values: Iterable[int]) -> None:
-        """Write consecutive words starting at ``addr``'s containing word."""
-        base = addr & ~(WORD_BYTES - 1)
+        """Write consecutive words starting at ``addr``'s containing word.
+
+        The base is aligned down by construction, so no word needs a check.
+        """
+        base = addr & ~_WORD_MASK
+        words = self._words
         for i, value in enumerate(values):
-            self.write_word(base + i * WORD_BYTES, value)
+            words[base + i * WORD_BYTES] = value
+
+    def line_words(self, addr: int) -> Dict[int, int]:
+        """Snapshot every word of the cache line containing ``addr`` as
+        {word addr: value}, zeros included - the payload of a persist op
+        that rewrites the whole line."""
+        base = addr & ~(CACHE_LINE_BYTES - 1)
+        get = self._words.get
+        return {
+            w: get(w, 0) for w in range(base, base + CACHE_LINE_BYTES, WORD_BYTES)
+        }
 
     def read_line(self, addr: int) -> Dict[int, int]:
         """Snapshot the cache line containing ``addr`` as {word addr: value}.
 
         Only materialised words are returned; absent words are zero.
         """
+        base = addr & ~(CACHE_LINE_BYTES - 1)
+        words = self._words
         return {
-            w: self._words[w] for w in words_of_line(addr) if w in self._words
+            w: words[w]
+            for w in range(base, base + CACHE_LINE_BYTES, WORD_BYTES)
+            if w in words
         }
 
     def apply(self, payload: Mapping[int, int]) -> None:
-        """Apply a {word addr: value} payload (e.g. a drained persist op)."""
-        for addr, value in payload.items():
-            self.write_word(addr, value)
+        """Apply a {word addr: value} payload (e.g. a drained persist op).
+
+        Every word is checked before any is written."""
+        for addr in payload:
+            if addr & _WORD_MASK:
+                raise SimulationError(f"unaligned word write at {addr:#x}")
+        self._words.update(payload)
 
     def apply_line_exact(self, line_addr: int, payload: Mapping[int, int]) -> None:
         """Overwrite a full cache line with ``payload``.
@@ -88,32 +121,6 @@ class MemoryImage:
         return all(self.read_word(a) == other.read_word(a) for a in addrs)
 
 
-class FastMemoryImage(MemoryImage):
-    """A :class:`MemoryImage` without per-word alignment checks.
-
-    Functionally identical on well-formed traffic (the framework only ever
-    issues word-aligned addresses; the full test suite runs against the
-    checked image). The fast simulation path uses this for the volatile
-    image because ``read_word``/``write_word`` are the two most-called
-    functions in the profile and the modulo guard plus f-string machinery
-    dominates their cost. Misaligned addresses silently truncate here
-    instead of raising - acceptable only because the reference path, which
-    every workload also runs under in CI, still raises.
-    """
-
-    def read_word(self, addr: int) -> int:
-        return self._words.get(addr, 0)
-
-    def write_word(self, addr: int, value: int) -> None:
-        self._words[addr] = value
-
-    def write_range(self, addr: int, values: Iterable[int]) -> None:
-        base = addr & ~(WORD_BYTES - 1)
-        words = self._words
-        for i, value in enumerate(values):
-            words[base + i * WORD_BYTES] = value
-
-
 def snapshot_line(image: MemoryImage, addr: int) -> Dict[int, int]:
     """Snapshot the full cache line containing ``addr`` from ``image``.
 
@@ -121,3 +128,9 @@ def snapshot_line(image: MemoryImage, addr: int) -> Dict[int, int]:
     the payload format carried by persist operations.
     """
     return image.read_line(line_base(addr))
+
+
+def rebase_line(words: Mapping[int, int], to: int) -> Dict[int, int]:
+    """Re-key a line snapshot onto the line at ``to`` (a log entry), keeping
+    each word's offset within the line."""
+    return {to + (w & (CACHE_LINE_BYTES - 1)): v for w, v in words.items()}

@@ -149,7 +149,6 @@ class WritePendingQueue:
         lazy_drain_multiplier: int = 1,
         fifo_backpressure: bool = True,
         apply_payloads: bool = True,
-        indexed: bool = False,
         drain_gate: Optional[DrainArbiter] = None,
     ):
         """
@@ -172,12 +171,6 @@ class WritePendingQueue:
             apply_payloads: False on the fast path - drained entries are
                 not applied to the PM image (the run cannot crash, so the
                 image is never read; timing and stats are unaffected).
-            indexed: maintain per-line / per-rid victim indexes so the
-                targeted drops (:meth:`drop_data_ops_for_line`,
-                :meth:`drop_log_ops_for_rid`) avoid scanning the whole
-                queue. Fast-path only: the reference machine keeps the
-                plain predicate scan so its behaviour (and its cost, the
-                benchmark's denominator) is untouched.
             drain_gate: shared :class:`DrainArbiter` serializing write
                 service across channels (legacy lockstep model). The
                 drain loop then splits each interval into the lazy slack
@@ -197,16 +190,14 @@ class WritePendingQueue:
         self._lazy_multiplier = max(1, lazy_drain_multiplier)
         self._fifo_backpressure = fifo_backpressure
         self._apply_payloads = apply_payloads
-        self._indexed = indexed
-        #: accepted DPO/WB entries by target line, in acceptance (FIFO)
+        #: victim indexes, so the targeted drops
+        #: (:meth:`drop_data_ops_for_line`, :meth:`drop_log_ops_for_rid`)
+        #: find their victims without scanning the whole queue.
+        #: Accepted DPO/WB entries by target line, in acceptance (FIFO)
         #: order - the dict-of-dicts mirrors ``_entries`` ordering exactly
-        self._data_by_line: Optional[Dict[int, Dict[int, PersistOp]]] = (
-            {} if indexed else None
-        )
+        self._data_by_line: Dict[int, Dict[int, PersistOp]] = {}
         #: accepted LPO/LOGHDR entries by owning rid, acceptance order
-        self._log_by_rid: Optional[Dict[int, Dict[int, PersistOp]]] = (
-            {} if indexed else None
-        )
+        self._log_by_rid: Dict[int, Dict[int, PersistOp]] = {}
         #: queued entries someone is waiting to drain (a pending flush
         #: forces full-rate draining - fences push writes through)
         self._flush_pending = 0
@@ -303,8 +294,7 @@ class WritePendingQueue:
     def _accept(self, op: PersistOp) -> None:
         op.accepted_at = self._scheduler.now
         self._entries[op.op_id] = op
-        if self._indexed:
-            self._index_add(op)
+        self._index_add(op)
         if op.on_drain is not None:
             self._flush_pending += 1
             # A flush arriving mid-lazy-interval expedites the drain loop.
@@ -396,8 +386,7 @@ class WritePendingQueue:
         if not self._entries:
             return
         _, op = self._entries.popitem(last=False)
-        if self._indexed:
-            self._index_remove(op)
+        self._index_remove(op)
         if self._apply_payloads:
             self._pm_image.apply(op.materialized_payload())
         self.drained += 1
@@ -448,24 +437,13 @@ class WritePendingQueue:
     def drop_data_ops_for_line(self, line: int, exclude_op_id: Optional[int] = None) -> int:
         """DPO dropping (Sec. 5.1): remove queued DPO/WB ops targeting
         ``line``, except ``exclude_op_id``. Semantically identical to the
-        equivalent :meth:`drop_where` call; an indexed queue finds the
+        equivalent :meth:`drop_where` call, but the line index finds the
         victims in O(answer) instead of scanning every entry."""
-        if self._data_by_line is not None:
-            bucket = self._data_by_line.get(line)
-            if bucket is None:
-                victims = []
-            else:
-                victims = [
-                    op for op in bucket.values() if op.op_id != exclude_op_id
-                ]
+        bucket = self._data_by_line.get(line)
+        if bucket is None:
+            victims = []
         else:
-            victims = [
-                op
-                for op in self._entries.values()
-                if op.kind in (DPO, WB)
-                and op.target_line == line
-                and op.op_id != exclude_op_id
-            ]
+            victims = [op for op in bucket.values() if op.op_id != exclude_op_id]
         if not victims and not self._pending:
             return 0
         return self._finish_drops(
@@ -478,15 +456,8 @@ class WritePendingQueue:
     def drop_log_ops_for_rid(self, rid: int) -> int:
         """LPO dropping (Sec. 5.1): remove queued LPO/LOGHDR ops of a
         committed region. Indexed counterpart of the predicate scan."""
-        if self._log_by_rid is not None:
-            bucket = self._log_by_rid.get(rid)
-            victims = list(bucket.values()) if bucket else []
-        else:
-            victims = [
-                op
-                for op in self._entries.values()
-                if op.rid == rid and op.kind in (LPO, LOGHDR)
-            ]
+        bucket = self._log_by_rid.get(rid)
+        victims = list(bucket.values()) if bucket else []
         if not victims and not self._pending:
             return 0
         return self._finish_drops(
@@ -501,8 +472,7 @@ class WritePendingQueue:
         full predicate, then refill freed entries."""
         for op in victims:
             del self._entries[op.op_id]
-            if self._indexed:
-                self._index_remove(op)
+            self._index_remove(op)
             op.dropped = True
             self.dropped += 1
             if self.observer is not None:
@@ -565,4 +535,6 @@ class WritePendingQueue:
             _, op = self._entries.popitem(last=False)
             self._pm_image.apply(op.materialized_payload())
             count += 1
+        self._data_by_line.clear()
+        self._log_by_rid.clear()
         return count

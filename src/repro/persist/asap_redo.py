@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.core.dependence import DependenceList
@@ -51,6 +51,7 @@ from repro.core.log import UndoLog
 from repro.core.rid import local_rid_of, pack_rid, previous_rid
 from repro.core.states import RegionState
 from repro.engine import Signal
+from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -359,10 +360,7 @@ class AsapRedoLogging(PersistenceScheme):
 
         def after_access(meta) -> None:
             def deliver() -> None:
-                values = [
-                    self.machine.volatile.read_word(addr + 8 * i)
-                    for i in range(nwords)
-                ]
+                values = self.machine.volatile.read_words(addr, nwords)
                 if redirect:
                     # reads of modified data are redirected to the log
                     # (Sec. 2.3)
@@ -433,11 +431,9 @@ class AsapRedoLogging(PersistenceScheme):
             region.values[line] = None
             payload = None
         else:
-            logged = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+            logged = self.machine.volatile.line_words(line)
             region.values[line] = logged
-            payload = {entry_addr + (w - line): v for w, v in logged.items()}
+            payload = rebase_line(logged, entry_addr)
             payload[record.header_addr] = region.rid
             payload[record.header_word_addr(slot)] = line
         region.outstanding_lpos += 1

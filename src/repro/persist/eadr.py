@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.rid import pack_rid
 from repro.persist.base import PersistenceScheme, SchemeThread
@@ -95,21 +95,14 @@ class EadrLogging(PersistenceScheme):
             # Fast mode keeps the membership (first-write detection) but
             # skips the snapshot: no crash window means no rollback reads.
             thread.undo[line] = (
-                None
-                if self.fast
-                else {
-                    w: self.machine.volatile.read_word(w)
-                    for w in words_of_line(line)
-                }
+                None if self.fast else self.machine.volatile.line_words(line)
             )
         self.machine.volatile.write_range(addr, values)
         self.machine.hierarchy.access(thread.core_id, addr, True, lambda meta: done())
 
     def read(self, thread: _EadrThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         def after(meta) -> None:
-            done([
-                self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)
-            ])
+            done(self.machine.volatile.read_words(addr, nwords))
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after)
 
@@ -124,9 +117,8 @@ class EadrLogging(PersistenceScheme):
             if self.machine.page_table.is_persistent(word):
                 pm.write_word(word, value)
         for thread in self._threads():
-            for line, old_words in thread.undo.items():
-                for w in words_of_line(line):
-                    pm.write_word(w, old_words.get(w, 0))
+            for old_words in thread.undo.values():
+                pm.apply(old_words)
 
     def _threads(self):
         for executor in self.machine.executors:

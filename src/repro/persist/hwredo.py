@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
 from repro.core.rid import pack_rid
+from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -128,12 +129,7 @@ class HardwareRedoLogging(PersistenceScheme):
                 # A later region re-logged the line: its DPO supersedes ours.
                 self.dpos_filtered += 1
                 continue
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-                }
+            payload = None if self.fast else self.machine.volatile.line_words(line)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -203,13 +199,11 @@ class HardwareRedoLogging(PersistenceScheme):
                     rid=thread.rid,
                 )
             )
-        if self.fast:
-            payload = None
-        else:
-            payload = {
-                entry_addr + (w - line): self.machine.volatile.read_word(w)
-                for w in words_of_line(line)
-            }
+        payload = (
+            None
+            if self.fast
+            else rebase_line(self.machine.volatile.line_words(line), entry_addr)
+        )
         thread.outstanding_lpos += 1
         self._last_writer[line] = thread.rid
 
@@ -241,7 +235,7 @@ class HardwareRedoLogging(PersistenceScheme):
         redirect = thread.nest_depth > 0 and line in thread.write_set
 
         def after(meta) -> None:
-            values = [self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)]
+            values = self.machine.volatile.read_words(addr, nwords)
             if redirect:
                 self.machine.scheduler.after(
                     self.READ_REDIRECT_PENALTY, lambda: done(values)

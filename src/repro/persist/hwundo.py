@@ -35,10 +35,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
 from repro.core.rid import pack_rid
+from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -147,9 +148,7 @@ class HardwareUndoLogging(PersistenceScheme):
         first_write = pm and in_region and line not in thread.lines
         old_snapshot = None
         if first_write and not self.fast:
-            old_snapshot = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+            old_snapshot = self.machine.volatile.line_words(line)
         self.machine.volatile.write_range(addr, values)
 
         def after_access(meta) -> None:
@@ -180,10 +179,7 @@ class HardwareUndoLogging(PersistenceScheme):
         if self.fast:
             payload = None
         else:
-            payload = {
-                entry_addr + (w - line): old_snapshot.get(w, 0)
-                for w in words_of_line(line)
-            }
+            payload = rebase_line(old_snapshot, entry_addr)
             payload[record.header_addr] = thread.rid
             payload[record.header_word_addr(slot)] = line
         thread.outstanding += 1
@@ -245,12 +241,7 @@ class HardwareUndoLogging(PersistenceScheme):
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT
         ls.dirty = False
-        if self.fast:
-            payload = None
-        else:
-            payload = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+        payload = None if self.fast else self.machine.volatile.line_words(line)
         meta = self.machine.hierarchy.tags.get(line)
         if meta is not None:
             meta.dirty = False
@@ -278,6 +269,6 @@ class HardwareUndoLogging(PersistenceScheme):
 
     def read(self, thread: _HwUndoThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         def after(meta) -> None:
-            done([self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)])
+            done(self.machine.volatile.read_words(addr, nwords))
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after)

@@ -50,6 +50,6 @@ class NoPersistence(PersistenceScheme):
 
     def read(self, thread: SchemeThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         def after(meta) -> None:
-            done([self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)])
+            done(self.machine.volatile.read_words(addr, nwords))
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after)

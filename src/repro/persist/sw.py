@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Set
 
-from repro.common.address import line_base, words_of_line
+from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
 from repro.core.rid import pack_rid
+from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -112,12 +113,7 @@ class SoftwareLogging(PersistenceScheme):
                 after_fence()
 
         for line in lines:
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-                }
+            payload = None if self.fast else self.machine.volatile.line_words(line)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -169,9 +165,7 @@ class SoftwareLogging(PersistenceScheme):
         )
         old_snapshot = None
         if need_log and not self.fast:
-            old_snapshot = {
-                w: self.machine.volatile.read_word(w) for w in words_of_line(line)
-            }
+            old_snapshot = self.machine.volatile.line_words(line)
         self.machine.volatile.write_range(addr, values)
         if pm and in_region:
             thread.write_set.add(line)
@@ -195,13 +189,7 @@ class SoftwareLogging(PersistenceScheme):
                         rid=thread.rid,
                     )
                 )
-            if self.fast:
-                payload = None
-            else:
-                payload = {
-                    entry_addr + (w - line): old_snapshot.get(w, 0)
-                    for w in words_of_line(line)
-                }
+            payload = None if self.fast else rebase_line(old_snapshot, entry_addr)
             # clwb + mfence: the store retires only once the log entry is
             # inside the persistence domain - the software critical path.
             def log_persisted(_op) -> None:
@@ -225,6 +213,6 @@ class SoftwareLogging(PersistenceScheme):
 
     def read(self, thread: _SwThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         def after(meta) -> None:
-            done([self.machine.volatile.read_word(addr + 8 * i) for i in range(nwords)])
+            done(self.machine.volatile.read_words(addr, nwords))
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after)

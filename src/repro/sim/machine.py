@@ -6,10 +6,10 @@ from typing import Callable, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import SystemConfig
-from repro.engine import FastScheduler, Scheduler
+from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
-from repro.mem.image import FastMemoryImage, MemoryImage
+from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme
 from repro.runtime.heap import PageTable, PersistentHeap, VolatileHeap
 from repro.runtime.locks import SimLock
@@ -34,20 +34,19 @@ class Machine:
     ):
         """
         Args:
-            fast_path: build the payload-free fast simulation core - no
-                observers, no crash window, no commit oracle. Produces
-                RunResult stats identical to the reference machine (the
-                differential-identity gate enforces this) at a fraction of
-                the cost; crash injection, recovery, ``--sanitize`` and
+            fast_path: elide what only inspection reads - no persist-op
+                payloads or undo snapshots, no PM-image application, no
+                commit oracle, no observers. Every structure and the event
+                order are shared, so RunResult stats are identical to the
+                reference machine (the differential-identity gate enforces
+                this); crash injection, recovery, ``--sanitize`` and
                 ``--explain`` all require the reference machine
                 (docs/PERF.md).
         """
         self.config = config
         self.fast_path = fast_path
-        self.scheduler = FastScheduler() if fast_path else Scheduler()
-        self.volatile = (
-            FastMemoryImage("volatile") if fast_path else MemoryImage("volatile")
-        )
+        self.scheduler = Scheduler()
+        self.volatile = MemoryImage("volatile")
         self.pm_image = MemoryImage("pm")
         self.page_table = PageTable()
         self.heap = PersistentHeap(config.address_space, self.page_table)

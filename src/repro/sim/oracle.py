@@ -32,17 +32,14 @@ class CommitOracle:
 
     def record_write(self, rid: int, addr: int, values) -> None:
         """Called by the executor for every in-region PM store."""
-        writes = self._region_writes.setdefault(rid, {})
         base = addr & ~7
-        for i, value in enumerate(values):
-            word = base + 8 * i
-            writes[word] = value
-            self.tracked_words.add(word)
+        words = range(base, base + 8 * len(values), 8)
+        self._region_writes.setdefault(rid, {}).update(zip(words, values))
+        self.tracked_words.update(words)
 
     def on_commit(self, rid: int) -> None:
         """The scheme reports ``rid`` durable: fold its writes in."""
-        for word, value in self._region_writes.get(rid, {}).items():
-            self.committed.write_word(word, value)
+        self.committed.apply(self._region_writes.get(rid, {}))
         self.committed_rids.add(rid)
 
     def region_write_set(self, rid: int) -> Dict[int, int]:

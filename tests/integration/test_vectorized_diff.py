@@ -1,20 +1,24 @@
-"""The differential-identity gate for the fast simulation core.
+"""The differential-identity gate for the payload-free mode.
 
-The fast core (``fast_path=True``) elides payload snapshots, observer
-dispatch, and the commit oracle, and swaps in the bucket-queue scheduler -
-but it must be *indistinguishable* from the reference machine in every
-:class:`~repro.sim.stats.RunResult` field. This suite pins that contract:
+Both cores are one simulator: the same scheduler, memory image, indexes
+and hot paths. ``fast_path=True`` only elides what inspection reads -
+payload snapshots, PM-image application, the commit oracle and observer
+dispatch - and must be *indistinguishable* from the reference machine in
+every :class:`~repro.sim.stats.RunResult` field. This suite pins that
+contract:
 
 * every Table 3 workload under every registered scheme (contended small
   machine, so stalls/backpressure/dropping all fire),
 * two cells at the harness's default quick scale,
 * every fuzz-corpus regression schedule,
+* the wiring: ``fast`` toggles payload, oracle and observer elision
+  and nothing else,
 * and the routing rules: ``sanitize`` (and the explain/race tooling,
   which needs observer slots) always gets the reference machine, while
   the ``fast`` flag on :class:`~repro.harness.parallel.RunSpec` reaches
   :func:`~repro.harness.runner.build_machine`.
 
-Any divergence here is a bug in the fast path, never an accepted delta -
+Any divergence here is a bug in the elision, never an accepted delta -
 see docs/PERF.md.
 """
 
@@ -25,12 +29,12 @@ from dataclasses import asdict, replace as dc_replace
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.engine import FastScheduler, Scheduler
+from repro.engine import Scheduler
 from repro.harness import runner
 from repro.harness.fuzz import build_machine as fuzz_build_machine
 from repro.harness.fuzz import install_case, load_corpus_entry
 from repro.harness.parallel import RunSpec, run_cell
-from repro.mem.image import FastMemoryImage
+from repro.mem.image import MemoryImage
 from repro.persist import make_scheme, scheme_names
 from repro.sim.machine import Machine
 from repro.workloads import (
@@ -193,13 +197,28 @@ def test_corpus_case_matches_reference(path):
 
 
 def test_fast_machine_wiring():
+    # One core: both machines build the same structures ...
     fast = runner.build_machine("Q", "asap", _config(), _params(), fast=True)
-    assert fast.fast_path
-    assert type(fast.scheduler) is FastScheduler
-    assert isinstance(fast.volatile, FastMemoryImage)
     ref = runner.build_machine("Q", "asap", _config(), _params(), fast=False)
-    assert not ref.fast_path
-    assert type(ref.scheduler) is Scheduler
+    assert fast.fast_path and not ref.fast_path
+    for machine in (fast, ref):
+        assert type(machine.scheduler) is Scheduler
+        assert type(machine.volatile) is MemoryImage
+        assert type(machine.pm_image) is MemoryImage
+    # ... and the flag toggles only payload and oracle elision.
+    for machine, elide in ((fast, True), (ref, False)):
+        assert machine.scheme.fast is elide
+        assert machine.scheme.engine.fast is elide
+        assert machine.hierarchy.fast is elide
+        assert all(
+            ch.wpq._apply_payloads is not elide for ch in machine.memory.channels
+        )
+        assert (machine.oracle.on_commit in machine.scheme.on_commit) is not elide
+    fast_result, ref_result = fast.run(), ref.run()
+    assert asdict(fast_result) == asdict(ref_result)
+    # The elided state stays empty: no PM image, no committed image.
+    assert len(fast.pm_image) == 0 and not fast.oracle.committed_rids
+    assert len(ref.pm_image) > 0 and ref.oracle.committed_rids
 
 
 def test_sanitize_forces_reference_machine(monkeypatch):
@@ -215,9 +234,9 @@ def test_sanitize_forces_reference_machine(monkeypatch):
     runner.run_once("Q", "asap", _config(), _params(), sanitize=True, fast=True)
     machine = built["machine"]
     assert machine.fast_path is False
-    assert type(machine.scheduler) is Scheduler
-    # The sanitizer did attach (it needs the reference observer slots).
+    # The sanitizer did attach: observers run on the reference machine only.
     assert machine.hierarchy.observer is not None
+    assert machine.scheme.engine.observer is not None
 
 
 def test_runspec_fast_flag_routing(monkeypatch):
@@ -261,4 +280,4 @@ def test_explain_tooling_stays_on_reference_machine():
     case.ordered_line_log_persists = True
     machine = fuzz_build_machine(case)
     assert machine.fast_path is False
-    assert type(machine.scheduler) is Scheduler
+    assert all(ch.wpq._apply_payloads for ch in machine.memory.channels)

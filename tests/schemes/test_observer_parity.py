@@ -1,0 +1,94 @@
+"""Observer parity on the ASAP engine's one write path.
+
+The happy path of a region write (owner in {None, this region}, a free
+or existing CLPtr slot) runs in a single frame of ``AsapEngine.write``.
+Its observer calls sit behind ``observer is not None``, so an observed
+run must still report every slot, LPO and DPO the engine counts.
+"""
+
+from repro.common.observe import SimObserver
+from repro.common.params import SystemConfig
+from repro.core import cl_list, engine as engine_module
+from repro.persist import make_scheme
+from repro.sim.machine import Machine
+from repro.sim.ops import Begin, End, Read, Write
+
+REGIONS = 12
+LINES_PER_REGION = 3
+
+
+class CountingObserver(SimObserver):
+    def __init__(self):
+        self.slots = []
+        self.lpos_initiated = 0
+        self.lpos_logged = 0
+        self.dpos_initiated = 0
+
+    def slot_opened(self, engine, entry, line):
+        self.slots.append((entry.rid, line))
+
+    def lpo_initiated(self, engine, rid, line, entry_addr):
+        self.lpos_initiated += 1
+
+    def lpo_logged(self, engine, rid, line):
+        self.lpos_logged += 1
+
+    def dpo_initiated(self, engine, rid, line):
+        self.dpos_initiated += 1
+
+
+def test_observer_sees_every_happy_path_event(monkeypatch):
+    created = []
+
+    def counting_slot(line):
+        slot = real_slot(line=line)
+        created.append(slot)
+        return slot
+
+    real_slot = cl_list.CLSlot
+    monkeypatch.setattr(cl_list, "CLSlot", counting_slot)
+
+    def off_happy_path(*args, **kwargs):
+        raise AssertionError("write left the happy path")
+
+    # Neither a cross-region owner nor a slot stall may occur.
+    monkeypatch.setattr(engine_module.AsapEngine, "_region_write", off_happy_path)
+    monkeypatch.setattr(engine_module.AsapEngine, "_ensure_slot", off_happy_path)
+
+    machine = Machine(SystemConfig.small(), make_scheme("asap"))
+    engine = machine.scheme.engine
+    observer = CountingObserver()
+    engine.observer = observer
+    base = machine.heap.alloc(64 * REGIONS * LINES_PER_REGION)
+
+    def worker(env):
+        # One thread, fresh lines per region: no line is ever owned by
+        # another region. Each line is written twice (open a slot, then
+        # hit it) and read back inside its region.
+        for r in range(REGIONS):
+            yield Begin()
+            for i in range(LINES_PER_REGION):
+                addr = base + 64 * (r * LINES_PER_REGION + i)
+                yield Write(addr, [r, i])
+                yield Write(addr + 8, [r + i])
+                (value,) = yield Read(addr, 1)
+                assert value == r
+            yield End()
+
+    machine.spawn(worker)
+    result = machine.run()
+
+    stats = engine.stats
+    assert result.regions_completed == REGIONS
+    assert stats.commits == REGIONS
+    assert stats.dep_captures == 0
+    assert stats.lpos_initiated == REGIONS * LINES_PER_REGION
+    assert observer.lpos_initiated == stats.lpos_initiated
+    assert observer.lpos_logged == stats.lpos_initiated
+    assert stats.dpos_initiated > 0
+    assert observer.dpos_initiated == stats.dpos_initiated
+    # One slot_opened event per slot the engine opened, none repeated.
+    assert len(created) > 0
+    assert len(observer.slots) == len(created)
+    assert len(set(observer.slots)) == len(observer.slots)
+    assert [line for _, line in observer.slots] == [slot.line for slot in created]

@@ -117,3 +117,103 @@ def test_len_counts_live_events():
     assert len(s) == 2
     ev.cancel()
     assert len(s) == 1
+
+
+# -- bucket-queue invariants every run depends on ---------------------------
+
+
+def test_cancelled_last_event_does_not_advance_clock():
+    # A cancelled drain tick can be the queue's last entry; the final
+    # clock value is part of every RunResult.
+    for drain in ("run", "step"):
+        s = Scheduler()
+        s.at(5, lambda: None)
+        s.at(9, lambda: None).cancel()
+        if drain == "run":
+            assert s.run() == 1
+        else:
+            while s.step():
+                pass
+        assert s.now == 5
+        assert len(s) == 0
+
+
+def test_event_scheduled_at_now_during_drain_runs_after_queued_ones():
+    s = Scheduler()
+    seen = []
+
+    def first():
+        seen.append("first")
+        s.after(0, lambda: seen.append("nested"))
+
+    s.at(3, first)
+    s.at(3, lambda: seen.append("second"))
+    s.at(3, lambda: seen.append("third"))
+    s.run()
+    assert seen == ["first", "second", "third", "nested"]
+    assert s.now == 3
+
+
+def test_event_before_head_scheduled_during_drain_runs_first():
+    # now <= t' < head: the new cycle must run before the pending head,
+    # whether it lands in the current cycle's bucket or a new one.
+    s = Scheduler()
+    seen = []
+
+    def first():
+        seen.append(("first", s.now))
+        s.at(7, lambda: seen.append(("inserted", s.now)))
+        s.at(5, lambda: seen.append(("same-cycle", s.now)))
+
+    s.at(5, first)
+    s.at(10, lambda: seen.append(("head", s.now)))
+    s.run()
+    assert seen == [
+        ("first", 5),
+        ("same-cycle", 5),
+        ("inserted", 7),
+        ("head", 10),
+    ]
+
+
+def test_event_before_head_scheduled_between_steps_runs_first():
+    s = Scheduler()
+    seen = []
+    s.at(5, lambda: seen.append(5))
+    s.at(10, lambda: seen.append(10))
+    assert s.step()
+    s.at(6, lambda: seen.append(6))
+    assert s.peek_time() == 6
+    s.run()
+    assert seen == [5, 6, 10]
+
+
+def test_run_until_idles_clock_to_bound():
+    s = Scheduler()
+    assert s.run(until=50) == 0
+    assert s.now == 50
+    s.at(60, lambda: None)
+    assert s.run(until=100) == 1
+    assert s.now == 100
+    # The bound is inclusive: an event at exactly ``until`` runs.
+    seen = []
+    s.at(120, lambda: seen.append(s.now))
+    s.at(121, lambda: seen.append(s.now))
+    assert s.run(until=120) == 1
+    assert seen == [120]
+    assert s.now == 120
+
+
+def test_max_events_counts_only_fired_events():
+    s = Scheduler()
+    for t in range(3):
+        s.at(t, lambda: None)
+    s.at(1, lambda: None).cancel()
+    assert s.run(max_events=3) == 3
+
+    s = Scheduler()
+    for t in range(3):
+        s.at(t, lambda: None)
+    with pytest.raises(SimulationError, match="max_events=2"):
+        s.run(max_events=2)
+    assert s.now == 1

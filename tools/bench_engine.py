@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Benchmark the fast simulation core against the reference machine.
+"""Benchmark the payload-free mode against the reference machine.
 
 Runs the Fig. 7 cell matrix (every Table 3 workload at 64 B and 2 KB
 region sizes, under SW/HWRedo/HWUndo/ASAP/NP) twice per cell - once on
-the reference machine and once on the payload-free fast core - and
-writes ``BENCH_engine.json`` with per-cell wall times, simulated-ops
-throughput, and speedups.
+the reference machine and once with payloads, oracle and observers
+elided (``fast=True``) - and writes ``BENCH_engine.json`` with per-cell
+wall times, simulated-ops throughput, and speedups.
 
 The headline number is the *total-time-weighted* speedup (total reference
 seconds over total fast seconds): a per-cell geomean would let the many
@@ -148,10 +148,10 @@ def main(argv=None) -> int:
     )
     if report["divergences"]:
         # The benchmark doubles as a differential smoke test; a divergence
-        # means the fast core is broken, so fail loudly and name the cells.
+        # means the elision is broken, so fail loudly and name the cells.
         bad = [c for c in report["cells"] if not c["identical_stats"]]
         print(
-            f"ERROR: fast core diverged from the reference machine in "
+            f"ERROR: payload-free run diverged from the reference machine in "
             f"{len(bad)} cell(s):",
             file=sys.stderr,
         )
