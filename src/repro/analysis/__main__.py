@@ -93,8 +93,6 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_races(args) -> int:
-    from dataclasses import replace as dc_replace
-
     from repro.analysis.races import detect_in_case, detect_in_workload
     from repro.analysis.report import races_report
     from repro.harness.runner import default_config, default_params
@@ -113,22 +111,10 @@ def _cmd_races(args) -> int:
             )
         for path in paths:
             case, _meta = load_corpus_entry(path)
-            if args.legacy_backpressure:
-                case = dc_replace(case, fifo_backpressure=False)
-            if args.legacy_line_order:
-                case = dc_replace(case, ordered_line_log_persists=False)
             results.append(detect_in_case(case, source=path))
     else:
         names = args.workloads or workload_names()
-        config = default_config(
-            quick=not args.full,
-            ordered_line_log_persists=not args.legacy_line_order,
-        )
-        if args.legacy_backpressure:
-            config = dc_replace(
-                config,
-                memory=dc_replace(config.memory, wpq_fifo_backpressure=False),
-            )
+        config = default_config(quick=not args.full)
         params = default_params(quick=not args.full)
         for name in names:
             results.append(
@@ -208,18 +194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="append",
         default=None,
         help="race-detect one corpus JSON case (repeatable)",
-    )
-    races.add_argument(
-        "--legacy-backpressure",
-        action="store_true",
-        help="analyse under the pre-fix WPQ backpressure model (the "
-        "wpq-fifo ordering edge drops out; expects findings)",
-    )
-    races.add_argument(
-        "--legacy-line-order",
-        action="store_true",
-        help="analyse under the pre-fix same-line log-persist model (the "
-        "line-chain ordering edge drops out; expects findings)",
     )
     races.add_argument("--json", metavar="FILE")
     races.add_argument("--strict", action="store_true")

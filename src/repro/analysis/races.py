@@ -2,7 +2,7 @@
 
 Both real bugs this repo has shipped fixes for - the cross-thread
 commit-ordering violation (fixed by FIFO WPQ backpressure) and the
-same-line undo-chain loss (fixed by ``ordered_line_log_persists``) - are
+same-line undo-chain loss (fixed by per-line LPO ordering) - are
 instances of one bug class: *conflicting persists with no
 durability-ordering edge between them*. Each was found by sweeping
 thousands of crash points through the differential fuzzer. This module
@@ -20,7 +20,7 @@ How it works:
 2. :func:`build_graph` turns the trace into a happens-before DAG whose
    nodes are accepted persist ops and whose edges are only the orderings
    the scheme *guarantees* - as declared by
-   :meth:`~repro.persist.base.PersistenceScheme.ordering_edges` (the
+   :attr:`~repro.persist.base.PersistenceScheme.ORDERING_EDGES` (the
    per-channel WPQ FIFO admission chain, the per-line log-persist chain,
    LockBit log-before-data gating, Dependence-List commit/marker gating).
    On top of the guaranteed edges, the pass uses *trace-order pruning*:
@@ -38,7 +38,7 @@ How it works:
 A finding is ``CONFIRMED`` when the trace itself shows an
 acceptance-order inversion (the ops became durable in the opposite of
 submission/chain order), or when directed crash replay inside the window
-produces a recovery divergence or a defensively-skipped undo chain.
+produces a recovery divergence.
 Otherwise it is ``PLAUSIBLE`` and the witness tells the fuzzer where to
 look. Under the default (fixed) configuration every ASAP ordering edge
 is in force and the detector reports zero findings across the workload
@@ -653,10 +653,9 @@ def detect_in_case(case, source: Optional[str] = None) -> RacesResult:
     machine = build_machine(case)
     tracer = RaceTracer().attach(machine)
     cycles = machine.run().cycles
-    edges = machine.scheme.ordering_edges(machine.config)
     return analyze_trace(
         tracer,
-        edges,
+        machine.scheme.ORDERING_EDGES,
         cycles,
         scheme=case.scheme,
         source=source or f"case({case.scheme}, wpq={case.wpq_entries})",
@@ -678,9 +677,9 @@ def detect_in_workload(
     )
     tracer = RaceTracer().attach(machine)
     cycles = machine.run().cycles
-    edges = machine.scheme.ordering_edges(machine.config)
     return analyze_trace(
-        tracer, edges, cycles, scheme=scheme, source=workload
+        tracer, machine.scheme.ORDERING_EDGES, cycles, scheme=scheme,
+        source=workload,
     )
 
 
@@ -702,15 +701,12 @@ class VerifyOutcome:
 def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOutcome:
     """Replay the witness: crash inside the window, check for divergence.
 
-    Three confirmation signals, strongest first:
+    Two confirmation signals, strongest first:
 
     * the finding was already ``CONFIRMED`` by an observed inversion -
       zero extra runs;
     * a directed crash point fails the differential recovery check
-      (committed data lost or recovery nondeterministic);
-    * recovery *defensively skipped* restores of the finding's line (the
-      hardened undo-chain path): the broken chain durably materialised,
-      so the race is real even though recovery survived it.
+      (committed data lost or recovery nondeterministic).
     """
     from repro.harness.fuzz import build_machine
     from repro.recovery import crash_machine, recover, verify_recovery
@@ -722,14 +718,10 @@ def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOut
         {max(1, c) for c in (lo, (lo + hi) // 2, hi, hi + 1, lo + 1)}
     )[:max_points]
     runs = 0
-    lines_of_interest = {
-        finding.site_a.get("data_line"),
-        finding.site_b.get("data_line"),
-    }
     for cycle in points:
         machine = build_machine(case)
         state = crash_machine(machine, at_cycle=cycle)
-        image, report = recover(state)
+        image, _report = recover(state)
         runs += 1
         verdict = verify_recovery(machine, image)
         if not verdict.ok:
@@ -738,20 +730,6 @@ def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOut
                 CONFIRMED,
                 runs,
                 f"crash at cycle {cycle}: {verdict.explain()}",
-            )
-        skipped = [
-            d
-            for d in getattr(report, "skipped_restores", [])
-            if d.get("line") in lines_of_interest
-        ]
-        if skipped:
-            return VerifyOutcome(
-                finding,
-                CONFIRMED,
-                runs,
-                f"crash at cycle {cycle}: recovery defensively skipped "
-                f"{len(skipped)} restore(s) of the racing line - the "
-                "broken undo chain durably materialised",
             )
     return VerifyOutcome(
         finding,

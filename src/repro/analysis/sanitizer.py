@@ -270,7 +270,7 @@ class Sanitizer(SimObserver):
             )
         self._mshr_inflight.add(line)
         mshrs = hierarchy.llc_mshrs
-        if mshrs is not None and len(mshrs) > mshrs.capacity:
+        if len(mshrs) > mshrs.capacity:
             self._flag(
                 "ASAP-S003",
                 f"{mshrs.name} holds {len(mshrs)} outstanding misses "

@@ -29,9 +29,9 @@ class SimObserver:
         """``op`` arrived at ``wpq`` (may be backpressured before entry).
 
         Submission order per channel is the arrival order the FIFO
-        admission guarantee (``wpq_fifo_backpressure``) turns into an
-        acceptance order; the race detector keys its per-channel
-        happens-before edges off this event."""
+        admission guarantee turns into an acceptance order; the race
+        detector keys its per-channel happens-before edges off this
+        event."""
 
     def wpq_accepted(self, wpq, op) -> None:
         """``op`` entered ``wpq`` (the ADR durability point)."""
@@ -92,14 +92,14 @@ class SimObserver:
     def lpo_deferred(self, engine, rid, line) -> None:
         """An LPO was held at the controller behind an earlier uncommitted
         writer's in-flight LPO for the same line (the per-line
-        chain-ordering rule, ``AsapParams.ordered_line_log_persists``)."""
+        chain-ordering rule, ``AsapEngine._submit_lpo_ordered``)."""
 
     def lpo_chained(self, engine, rid, line, prev_owner) -> None:
         """Region ``rid``'s log entry for ``line`` is mid-chain: its
         logged "old value" is uncommitted data of ``prev_owner``. Fired at
-        LPO initiation whether or not ``ordered_line_log_persists`` will
-        actually order the two entries' durability - the race detector
-        uses it to enumerate conflicting same-line log persists."""
+        LPO initiation, before the chain-ordering rule orders the two
+        entries' durability - the race detector uses it to enumerate
+        conflicting same-line log persists."""
 
     def lpo_logged(self, engine, rid, line) -> None:
         """The WPQ accepted the LPO: ``line``'s old value is durable."""

@@ -83,12 +83,6 @@ class MemoryParams:
     numa_remote_channels: tuple = ()
     #: latency multiplier applied to remote channels' persist path
     numa_remote_multiplier: float = 1.0
-    #: WPQ backpressure admits ops in arrival order and exposes them to
-    #: LPO/DPO dropping. False restores the pre-fix model in which a
-    #: backpressured persist op could be overtaken by later same-line ops
-    #: and escape dropping - the cross-thread commit-ordering hazard the
-    #: crash fuzzer demonstrates. Keep True outside regression tests.
-    wpq_fifo_backpressure: bool = True
     #: Miss Status Holding Registers per cache array (each core's L1 and
     #: L2, and the shared LLC). A primary LLC miss allocates a register at
     #: every level it missed in and starts one memory fetch; secondary
@@ -96,10 +90,7 @@ class MemoryParams:
     #: arrival order, when the fill completes; a primary miss that finds
     #: no free register stalls the requesting core until a fill frees one.
     #: ``1`` reproduces a classic blocking cache (one outstanding fetch
-    #: system-wide - the fig10-overlap experiment's comparator). ``0``
-    #: selects the legacy pre-MSHR functional model (lines installed
-    #: immediately at access time, no outstanding-miss tracking), kept for
-    #: regression demos recorded under the old timing.
+    #: system-wide - the fig10-overlap experiment's comparator).
     mshrs_per_cache: int = 16
     #: Channels drain their WPQs concurrently - each PM device services
     #: writes independently. False serializes write service across all
@@ -114,10 +105,10 @@ class MemoryParams:
             raise ConfigError("WPQ must have at least one entry")
         if self.pm_latency_multiplier <= 0:
             raise ConfigError("pm_latency_multiplier must be positive")
-        if self.mshrs_per_cache < 0:
+        if self.mshrs_per_cache < 1:
             raise ConfigError(
-                "mshrs_per_cache must be >= 0 (0 selects the legacy "
-                "blocking hierarchy)"
+                f"mshrs_per_cache must be >= 1, got {self.mshrs_per_cache} "
+                "(1 is the blocking-cache comparator)"
             )
 
     @property
@@ -161,15 +152,6 @@ class AsapParams:
     lpo_dropping: bool = True
     dpo_coalescing: bool = True
     dpo_dropping: bool = True
-    #: Same-line log persists become durable in dependence-chain order: a
-    #: region's LPO for line L is held at the memory controller until every
-    #: earlier uncommitted writer of L has a durable log entry for L. False
-    #: restores the pre-fix model in which chained entries could persist
-    #: out of order across channels, leaving recovery an incomplete undo
-    #: chain whose restore corrupts committed state (the ROADMAP repro at
-    #: crash cycle 1085). Keep True outside regression tests; see
-    #: docs/RECOVERY.md.
-    ordered_line_log_persists: bool = True
 
     def __post_init__(self):
         if self.cl_list_entries <= 0 or self.clptr_slots <= 0:

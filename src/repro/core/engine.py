@@ -142,8 +142,8 @@ class AsapEngine:
             num_channels, self.params.bloom_filter_bits, self.params.bloom_hashes
         )
         self.threads: Dict[int, AsapThread] = {}
-        #: per-line LPO ordering (``AsapParams.ordered_line_log_persists``):
-        #: for each line with LPOs submitted but not yet accepted/dropped, a
+        #: per-line LPO ordering (:meth:`_submit_lpo_ordered`): for each
+        #: line with LPOs submitted but not yet accepted/dropped, a
         #: ``[channel_index, count]`` token, plus the FIFO of later same-line
         #: LPOs held back. Submission order equals dependence-chain order
         #: (first writes take ownership under dependence capture), so
@@ -599,24 +599,16 @@ class AsapEngine:
         region's own DPO (and hence its commit) behind it.
 
         One refinement keeps the common case free: when the in-flight
-        entry sits on the *same channel* (and backpressure is FIFO), the
-        channel itself already orders their acceptance - equal MC hop,
+        entry sits on the *same channel*, the channel itself already orders their acceptance - equal MC hop,
         FIFO scheduler ties, FIFO admission - so the dependent issues
         immediately and merely rides the in-flight token. Only chains
         whose entries interleave across channels (the actual hazard) pay
         a deferral.
         """
-        if not self.params.ordered_line_log_persists:
-            self.memory.issue_persist(op)
-            return
         channel = self.memory.channel_for_line(op.target_line)
         inflight = self._line_lpo_inflight.get(line)
         if inflight is not None:
-            if (
-                inflight[0] == channel.index
-                and self.memory.config.memory.wpq_fifo_backpressure
-                and not self._line_lpo_waiters.get(line)
-            ):
+            if inflight[0] == channel.index and not self._line_lpo_waiters.get(line):
                 inflight[1] += 1
                 self.memory.issue_persist(op)
                 return
@@ -632,8 +624,6 @@ class AsapEngine:
         """One of a line's in-flight LPOs resolved; when the whole in-flight
         group has (all its entries durable or superseded), release the next
         waiter."""
-        if not self.params.ordered_line_log_persists:
-            return
         inflight = self._line_lpo_inflight.get(line)
         if inflight is None:
             return

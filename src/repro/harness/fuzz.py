@@ -39,7 +39,8 @@ import random
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.params import SystemConfig
+from repro.common.errors import ConfigError
+from repro.common.params import MemoryParams, SystemConfig
 from repro.persist import make_scheme
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
@@ -66,12 +67,11 @@ class FuzzCase:
     #: per-thread cycle delays consumed one per executed op (Compute
     #: jitter); exhausted lists mean no further delays
     jitter: List[List[int]] = field(default_factory=list)
-    #: False replays the pre-fix WPQ backpressure model (regression/
-    #: shrinker self-tests only)
+    #: accepted only as True, for callers that still pin them: the pre-fix
+    #: WPQ backpressure and same-line log-persist models they once
+    #: selected are gone (tests re-open those ordering edges with the
+    #: ``reopen_edge`` fault hook in tests/faults.py). Not serialised.
     fifo_backpressure: bool = True
-    #: False replays the pre-fix same-line log-persist model, in which a
-    #: dependence chain's log entries for one line could become durable
-    #: out of order (regression demos only; docs/RECOVERY.md)
     ordered_line_log_persists: bool = True
     #: crash fractions (of total cycles) this case is known to be
     #: sensitive to; corpus replay sweeps these in addition to the
@@ -89,6 +89,22 @@ class FuzzCase:
     workload: Optional[str] = None
     workload_params: Optional[dict] = None
 
+    def __post_init__(self):
+        for name, edge in (
+            ("fifo_backpressure", "wpq-fifo"),
+            ("ordered_line_log_persists", "line-chain"),
+        ):
+            if getattr(self, name) is not True:
+                raise ConfigError(
+                    f"{name}={getattr(self, name)!r} selected a removed "
+                    f"pre-fix model; re-open the {edge!r} ordering edge "
+                    f"with the test-only reopen_edge({edge!r}) fault hook "
+                    "(tests/faults.py) instead"
+                )
+        if self.mshrs_per_cache is not None:
+            # the config's own domain check (>= 1), at load time
+            MemoryParams(mshrs_per_cache=self.mshrs_per_cache)
+
     # -- serialisation (the corpus format) ---------------------------------
 
     def to_json(self) -> dict:
@@ -97,8 +113,6 @@ class FuzzCase:
             "threads": self.threads,
             "wpq_entries": self.wpq_entries,
             "jitter": self.jitter,
-            "fifo_backpressure": self.fifo_backpressure,
-            "ordered_line_log_persists": self.ordered_line_log_persists,
             "crash_fracs": self.crash_fracs,
             "mshrs_per_cache": self.mshrs_per_cache,
         }
@@ -229,15 +243,7 @@ def install_case(machine, case: FuzzCase) -> None:
 
 def build_machine(case: FuzzCase) -> Machine:
     """Instantiate the case's program on the case's machine config."""
-    config = SystemConfig.small(
-        wpq_entries=case.wpq_entries,
-        ordered_line_log_persists=case.ordered_line_log_persists,
-    )
-    if not case.fifo_backpressure:
-        config = dc_replace(
-            config,
-            memory=dc_replace(config.memory, wpq_fifo_backpressure=False),
-        )
+    config = SystemConfig.small(wpq_entries=case.wpq_entries)
     if case.mshrs_per_cache is not None:
         config = dc_replace(
             config,
@@ -392,8 +398,6 @@ def mutate_case(
         threads=threads,
         wpq_entries=rng.choice((base.wpq_entries, base.wpq_entries, 2, 3, 4, 8)),
         jitter=jitter,
-        fifo_backpressure=base.fifo_backpressure,
-        ordered_line_log_persists=base.ordered_line_log_persists,
     )
 
 
@@ -561,8 +565,6 @@ def run_fuzz(
     crash_points: int = 3,
     schemes: Tuple[str, ...] = SCHEMES,
     shrink: bool = True,
-    fifo_backpressure: bool = True,
-    ordered_line_log_persists: bool = True,
     mshrs_per_cache: Optional[int] = None,
     corpus: Optional[List[FuzzCase]] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -593,10 +595,6 @@ def run_fuzz(
             case = mutate_case(rng.choice(pool), rng, scheme=scheme)
         else:
             case = generate_case(seed, index, scheme)
-        if not fifo_backpressure:
-            case = dc_replace(case, fifo_backpressure=False)
-        if not ordered_line_log_persists:
-            case = dc_replace(case, ordered_line_log_persists=False)
         if mshrs_per_cache is not None:
             case = dc_replace(case, mshrs_per_cache=mshrs_per_cache)
         index += 1
@@ -742,9 +740,15 @@ def save_corpus_entry(case: FuzzCase, path: str, description: str = "") -> None:
 
 
 def load_corpus_entry(path: str) -> Tuple[FuzzCase, dict]:
+    """Read one corpus file; a file pinning a removed model (a ``false``
+    ordering flag, ``mshrs_per_cache: 0``) raises :class:`ConfigError`
+    naming the file."""
     with open(path) as fh:
         data = json.load(fh)
-    return FuzzCase.from_json(data), data
+    try:
+        return FuzzCase.from_json(data), data
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # -- CLI -------------------------------------------------------------------
@@ -782,19 +786,6 @@ def main(argv=None) -> int:
         help="report failures without delta-debugging them",
     )
     parser.add_argument(
-        "--legacy-backpressure",
-        action="store_true",
-        help="fuzz the pre-fix WPQ backpressure model (expects failures; "
-        "kept for shrinker demos and regression archaeology)",
-    )
-    parser.add_argument(
-        "--legacy-line-order",
-        action="store_true",
-        help="fuzz the pre-fix same-line log-persist model (hardened "
-        "recovery defensively skips broken undo chains, so this is "
-        "expected to stay clean; see docs/RECOVERY.md)",
-    )
-    parser.add_argument(
         "--save-failures",
         metavar="DIR",
         default=None,
@@ -821,8 +812,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="directed mode: race-detect each --corpus case in one "
         "instrumented run, then verify each finding's witness with a "
-        "few targeted crash replays instead of random sweeping "
-        "(combine with --legacy-* to reproduce the pinned bugs)",
+        "few targeted crash replays instead of random sweeping",
     )
     args = parser.parse_args(argv)
 
@@ -836,10 +826,6 @@ def main(argv=None) -> int:
         cases: List[Tuple[str, FuzzCase]] = []
         for path in sorted(glob.glob(os.path.join(corpus_dir, "*.json"))):
             case, _meta = load_corpus_entry(path)
-            if args.legacy_backpressure:
-                case = dc_replace(case, fifo_backpressure=False)
-            if args.legacy_line_order:
-                case = dc_replace(case, ordered_line_log_persists=False)
             if args.mshrs is not None:
                 case = dc_replace(case, mshrs_per_cache=args.mshrs)
             if args.scheme != "both" and case.scheme != args.scheme:
@@ -863,16 +849,10 @@ def main(argv=None) -> int:
 
         for path in sorted(glob.glob(os.path.join(args.corpus, "*.json"))):
             case, _meta = load_corpus_entry(path)
-            # corpus entries may pin a legacy model or an MSHR stress
-            # count; fuzz the current model (--mshrs re-pins uniformly)
+            # corpus entries may pin an MSHR stress count; fuzz the
+            # default hierarchy (--mshrs re-pins uniformly)
             corpus_cases.append(
-                dc_replace(
-                    case,
-                    fifo_backpressure=True,
-                    ordered_line_log_persists=True,
-                    crash_fracs=[],
-                    mshrs_per_cache=None,
-                )
+                dc_replace(case, crash_fracs=[], mshrs_per_cache=None)
             )
 
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
@@ -882,8 +862,6 @@ def main(argv=None) -> int:
         crash_points=args.points,
         schemes=schemes,
         shrink=not args.no_shrink,
-        fifo_backpressure=not args.legacy_backpressure,
-        ordered_line_log_persists=not args.legacy_line_order,
         mshrs_per_cache=args.mshrs,
         corpus=corpus_cases,
         progress=lambda msg: print(f"  {msg}", file=sys.stderr, flush=True),

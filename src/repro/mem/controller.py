@@ -70,7 +70,6 @@ class Channel:
             on_drain=self._count_drain,
             drain_watermark=timing.mem.wpq_drain_watermark,
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
-            fifo_backpressure=timing.mem.wpq_fifo_backpressure,
             apply_payloads=apply_payloads,
             drain_gate=drain_gate,
         )

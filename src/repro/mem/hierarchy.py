@@ -35,7 +35,7 @@ _LOCKED_SET_RETRY = 16
 
 #: fill depth of a classified access: how far down the hierarchy the probe
 #: went before hitting (every level above the hit level is filled).
-_L1, _L2, _LLC, _MEM = 0, 1, 2, 3
+_L1, _L2, _LLC = 0, 1, 2
 
 #: evict_hook(meta, wb_op): wb_op is the eviction writeback persist op when
 #: the line was dirty (the hook may attach completion callbacks to it before
@@ -78,29 +78,18 @@ class CacheHierarchy:
         ]
         self.llc = CacheArray("LLC", config.l3, locked)
 
-        # Non-blocking mode (mshrs_per_cache > 0): per-array MSHR files.
-        # The LLC file owns the outstanding fetches (one per line, with
-        # the merged waiters); private-level files model each core's
-        # bounded outstanding-miss tracking. mshrs_per_cache == 0 keeps
-        # the legacy model: lines are installed immediately at access
-        # time and only the completion callback is delayed.
+        # Per-array MSHR files. The LLC file owns the outstanding fetches
+        # (one per line, with the merged waiters); private-level files
+        # model each core's bounded outstanding-miss tracking.
         mshrs = config.memory.mshrs_per_cache
-        if mshrs > 0:
-            self.l1_mshrs: Optional[List[MSHRFile]] = [
-                MSHRFile(f"MSHR-L1[{i}]", mshrs)
-                for i in range(config.num_cores)
-            ]
-            self.l2_mshrs: Optional[List[MSHRFile]] = [
-                MSHRFile(f"MSHR-L2[{i}]", mshrs)
-                for i in range(config.num_cores)
-            ]
-            self.llc_mshrs: Optional[MSHRFile] = MSHRFile("MSHR-LLC", mshrs)
-            self._mshr_free_waiters: Optional[WaitQueue] = WaitQueue(scheduler)
-        else:
-            self.l1_mshrs = None
-            self.l2_mshrs = None
-            self.llc_mshrs = None
-            self._mshr_free_waiters = None
+        self.l1_mshrs: List[MSHRFile] = [
+            MSHRFile(f"MSHR-L1[{i}]", mshrs) for i in range(config.num_cores)
+        ]
+        self.l2_mshrs: List[MSHRFile] = [
+            MSHRFile(f"MSHR-L2[{i}]", mshrs) for i in range(config.num_cores)
+        ]
+        self.llc_mshrs = MSHRFile("MSHR-LLC", mshrs)
+        self._mshr_free_waiters = WaitQueue(scheduler)
 
         #: line -> set of private-level CacheArrays holding it, so an LLC
         #: eviction invalidates just those instead of probing all
@@ -152,12 +141,11 @@ class CacheHierarchy:
     ) -> None:
         """Perform a load/store.
 
-        On a hit (and in the legacy ``mshrs_per_cache == 0`` model, on any
-        access) functional presence state is updated immediately and only
-        ``done(meta)`` is delayed by the access latency. In the
-        non-blocking model an LLC miss instead allocates an MSHR, the line
-        is installed when the memory fill lands, and every requester that
-        merged into the fetch completes at that point.
+        On a hit functional presence state is updated immediately and only
+        ``done(meta)`` is delayed by the access latency. An LLC miss
+        instead allocates an MSHR, the line is installed when the memory
+        fill lands, and every requester that merged into the fetch
+        completes at that point.
 
         The logical access is classified and counted exactly once here;
         structural stalls (locked sets, MSHR exhaustion) retry internally
@@ -209,25 +197,11 @@ class CacheHierarchy:
                 s3.move_to_end(line)
                 llc.hits += 1
                 level, latency = _LLC, self._lat_llc
-            elif self.llc_mshrs is not None:
+            else:
                 llc.misses += 1
                 self._miss_to_memory(core_id, line, pbit, is_write, done)
                 return
-            else:
-                llc.misses += 1
-                level, latency = _MEM, 0
         meta = self.tags.ensure(line, pbit)
-        if level == _MEM:
-            # Legacy immediate-fill fetch (mshrs_per_cache == 0).
-            self.llc_misses += 1
-            latency = self._lat_mem[pbit]
-            if pbit:
-                self.memory.count_pm_read(line)
-            if pbit and self.reload_hook is not None:
-                owner, extra = self.reload_hook(line)
-                latency += extra
-                if owner is not None:
-                    meta.owner_rid = owner
         if is_write:
             meta.dirty = True
             meta.version += 1
@@ -247,8 +221,6 @@ class CacheHierarchy:
         fills are the only step a fully LPO-locked set can stall - so only
         the fills retry (inserts are idempotent), never the accounting."""
         try:
-            if level == _MEM:
-                self._fill_llc(line)
             if level >= _LLC:
                 self._fill(self.l2[core_id], line)
             if level >= _L2:
@@ -276,7 +248,7 @@ class CacheHierarchy:
         is_write: bool,
         done: Callable[[LineMeta], None],
     ) -> None:
-        """LLC miss in the non-blocking hierarchy (``mshrs_per_cache > 0``).
+        """LLC miss: the hierarchy's only path to memory.
 
         Primary miss: allocate an MSHR at every missed level and start the
         memory fetch. Secondary miss: merge - the one in-flight fetch

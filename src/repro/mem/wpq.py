@@ -33,7 +33,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
-from repro.engine import Scheduler, WaitQueue
+from repro.engine import Scheduler
 from repro.mem.image import MemoryImage
 
 _op_ids = itertools.count()
@@ -82,8 +82,8 @@ class PersistOp:
     submitted_at: Optional[int] = None
     accepted_at: Optional[int] = None
     dropped: bool = False
-    #: True when the op waited in the submission queue (or, legacy mode,
-    #: parked) before acceptance - i.e. acceptance was NOT immediate
+    #: True when the op waited in the submission queue before acceptance -
+    #: i.e. acceptance was NOT immediate
     backpressured: bool = False
 
     def materialized_payload(self) -> Dict[int, int]:
@@ -147,7 +147,6 @@ class WritePendingQueue:
         on_drain: Optional[Callable[[PersistOp], None]] = None,
         drain_watermark: int = 0,
         lazy_drain_multiplier: int = 1,
-        fifo_backpressure: bool = True,
         apply_payloads: bool = True,
         drain_gate: Optional[DrainArbiter] = None,
     ):
@@ -162,12 +161,6 @@ class WritePendingQueue:
                 writes behind reads - entries drain lazily (every
                 ``write_service * lazy_drain_multiplier`` cycles) and thus
                 linger long enough for LPO/DPO dropping to find them.
-            fifo_backpressure: admit backpressured ops in arrival order and
-                expose them to ``drop_where``. False restores the pre-fix
-                behaviour (parked ops may be overtaken by later submissions
-                and are invisible to dropping) - kept only so the fuzzer
-                and regression tests can demonstrate the commit-ordering
-                hazard that behaviour caused.
             apply_payloads: False on the fast path - drained entries are
                 not applied to the PM image (the run cannot crash, so the
                 image is never read; timing and stats are unaffected).
@@ -188,7 +181,6 @@ class WritePendingQueue:
         self._on_drain = on_drain
         self._drain_watermark = max(0, min(drain_watermark, capacity - 1))
         self._lazy_multiplier = max(1, lazy_drain_multiplier)
-        self._fifo_backpressure = fifo_backpressure
         self._apply_payloads = apply_payloads
         #: victim indexes, so the targeted drops
         #: (:meth:`drop_data_ops_for_line`, :meth:`drop_log_ops_for_rid`)
@@ -205,8 +197,6 @@ class WritePendingQueue:
         #: backpressured ops awaiting admission, in arrival order (the
         #: MC-side submission queue; not yet in the persistence domain)
         self._pending: Deque[PersistOp] = deque()
-        #: legacy (non-FIFO) backpressure path only
-        self._backpressure = WaitQueue(scheduler)
         self._draining = False
         self._drain_event = None
         self._drain_gate = drain_gate
@@ -249,15 +239,6 @@ class WritePendingQueue:
             op.submitted_at = self._scheduler.now
             if self.observer is not None:
                 self.observer.wpq_submitted(self, op)
-        if not self._fifo_backpressure:
-            # Legacy mode: closures park on a wait queue; a submission that
-            # races a freed slot can overtake them (the ordering bug).
-            if not self.full:
-                self._accept(op)
-            else:
-                op.backpressured = True
-                self._backpressure.park(lambda: self.submit(op))
-            return
         if self.full or self._pending:
             op.backpressured = True
             self._pending.append(op)
@@ -400,9 +381,6 @@ class WritePendingQueue:
             cb(op)
         if self._pending:
             self._admit_pending()
-        if not self._fifo_backpressure:
-            # Only the legacy backpressure mode parks waiters here.
-            self._backpressure.wake_one()
         if not self._draining and self._entries:  # _ensure_draining, inline
             if self._drain_gate is None:
                 self._draining = True
@@ -502,12 +480,8 @@ class WritePendingQueue:
                     cb, op.on_drain = op.on_drain, None
                     cb(op)
             self._pending = survivors
-        if victims:
-            if self._pending:
-                self._admit_pending()
-            if not self._fifo_backpressure:
-                for _ in victims:
-                    self._backpressure.wake_one()
+        if victims and self._pending:
+            self._admit_pending()
         return len(victims) + dropped_pending
 
     def queued_ops(self):

@@ -29,11 +29,10 @@ log-record headers piggyback on LPO payloads instead of a dedicated
 LH-WPQ (the undo engine models that structure already).
 
 The per-line log-persist ordering rule of the undo schemes
-(``AsapParams.ordered_line_log_persists``; docs/RECOVERY.md) is **not
-applicable** here and is deliberately not wired in: redo recovery replays
-only regions whose commit marker persisted, and a marker is issued only
-after every LPO of the region has been *accepted* and every dependency
-has committed - so a replayed entry's logged (new) value is durable by
+(``"line-chain"``; docs/RECOVERY.md) is **not applicable** here and is
+deliberately not wired in: redo recovery replays only regions whose
+commit marker persisted, and a marker is issued only after every LPO of
+the region has been *accepted* and every dependency has committed - so a replayed entry's logged (new) value is durable by
 construction, and unmarked regions' entries are ignored no matter in
 what order they persisted. There is no cross-region undo chain to keep
 complete.

@@ -2,11 +2,9 @@
 
 All of the paper's machinery lives in :mod:`repro.core`; this class maps
 the generic :class:`~repro.persist.base.PersistenceScheme` interface onto
-it and forwards commit notifications and crash flushes. That includes the
-per-line log-persist ordering rule (``ordered_line_log_persists``,
-enforced in :meth:`AsapEngine._submit_lpo_ordered`): the crash snapshot
-records whether it was active so recovery knows which chain-completeness
-guarantees the surviving log carries (docs/RECOVERY.md).
+it and forwards commit notifications and crash flushes. The per-line
+log-persist ordering rule recovery relies on is enforced in
+:meth:`AsapEngine._submit_lpo_ordered` (docs/RECOVERY.md).
 """
 
 from __future__ import annotations

@@ -15,16 +15,15 @@ import abc
 from typing import Callable, FrozenSet, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.common.params import SystemConfig
     from repro.sim.machine import Machine
 
 #: The ordering-edge kinds a scheme may guarantee between persist
 #: operations (docs/RACES.md has the full semantics):
 #:
 #: - ``"wpq-fifo"``: same-channel persists are accepted in submission
-#:   order (requires ``MemoryParams.wpq_fifo_backpressure``).
+#:   order (the WPQ's FIFO backpressure admission).
 #: - ``"line-chain"``: chained same-line log persists are accepted in
-#:   chain order (requires ``AsapParams.ordered_line_log_persists``).
+#:   chain order (the engines' per-line LPO ordering).
 #: - ``"lockbit-gate"``: a line's LPO is accepted before any DPO/WB of
 #:   that line is submitted (the LockBit log-before-data protocol).
 #: - ``"dep-commit-gate"``: a region commits only after all its persists
@@ -143,25 +142,6 @@ class PersistenceScheme(abc.ABC):
     def crash_flush(self) -> None:
         """Flush scheme-private persistence-domain state to the PM image
         (the machine flushes the WPQs itself)."""
-
-    # -- ordering self-description -----------------------------------------------
-
-    def ordering_edges(self, config: "SystemConfig") -> FrozenSet[str]:
-        """The ordering guarantees in force under ``config``.
-
-        Starts from the class-level :attr:`ORDERING_EDGES` and removes the
-        guarantees whose enabling knob is off: ``"wpq-fifo"`` needs
-        ``config.memory.wpq_fifo_backpressure`` and ``"line-chain"`` needs
-        ``config.asap.ordered_line_log_persists``. Both pinned historical
-        bugs were exactly these edges missing (ROADMAP PR 3 / PR 5), which
-        is why the race detector keys off this method, not the class attr.
-        """
-        edges = set(self.ORDERING_EDGES)
-        if not config.memory.wpq_fifo_backpressure:
-            edges.discard("wpq-fifo")
-        if not config.asap.ordered_line_log_persists:
-            edges.discard("line-chain")
-        return frozenset(edges)
 
     # -- helpers -----------------------------------------------------------------
 

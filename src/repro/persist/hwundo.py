@@ -19,10 +19,10 @@ Modelled on Proteus [61] as described in Secs. 2.3 and 6.3:
 * LPO dropping is applied where possible (Sec. 5.1 notes Proteus does
   this too), though with drain-completion a committing region's LPOs have
   already left the queue, so in practice its log traffic reaches PM;
-* same-line log persists are ordered (``ordered_line_log_persists``): two
-  concurrently-executing regions that write the same line place their log
-  entries in different records - potentially on different channels - so
-  nothing else orders the entries' drains. The scheme holds a later LPO
+* same-line log persists are ordered: two concurrently-executing
+  regions that write the same line place their log entries in different
+  records - potentially on different channels - so nothing else orders
+  the entries' drains. The scheme holds a later LPO
   for a line at the controller until the earlier one has drained (or was
   dropped), the drain-granularity analogue of the ASAP engine's
   acceptance-granularity rule (docs/RECOVERY.md). HWUndo tracks no
@@ -216,9 +216,6 @@ class HardwareUndoLogging(PersistenceScheme):
         entry for the same line is still in flight. ``on_drain`` also
         fires for dropped ops, so the chain always advances.
         """
-        if not self.machine.config.asap.ordered_line_log_persists:
-            self.machine.memory.issue_persist(op)
-            return
         if self._line_lpo_inflight.get(line):
             self.lpo_order_delays += 1
             self._line_lpo_waiters.setdefault(line, deque()).append(op)
@@ -227,8 +224,6 @@ class HardwareUndoLogging(PersistenceScheme):
         self.machine.memory.issue_persist(op)
 
     def _lpo_chain_advance(self, line: int) -> None:
-        if not self.machine.config.asap.ordered_line_log_persists:
-            return
         waiters = self._line_lpo_waiters.get(line)
         if waiters:
             nxt = waiters.popleft()

@@ -15,9 +15,8 @@ rollback).
 
 :mod:`repro.recovery.explain` replays recovery with every decision point
 observed (``asap-repro recover --explain``): the scan, the derived undo
-order, per-line chain validation, and each restore applied or
-defensively skipped - as a narrative and a schema-validated JSON trace
-(docs/RECOVERY.md).
+order, and each restore applied - as a narrative and a schema-validated
+JSON trace (docs/RECOVERY.md).
 """
 
 from repro.recovery.crash import CrashState, crash_machine

@@ -12,8 +12,7 @@ What does not: caches, the volatile image, thread state registers, the CL
 Lists, and the DRAM OwnerRID buffer (execution-time metadata only).
 Persist ops still *backpressured at the controller* (not yet accepted
 into a WPQ) are also lost - the asymmetry behind the incomplete-undo-
-chain bug, and why the snapshot records whether the crashed machine
-enforced ``ordered_line_log_persists`` (docs/RECOVERY.md).
+chain bug the per-line LPO ordering rule prevents (docs/RECOVERY.md).
 """
 
 from __future__ import annotations
@@ -45,11 +44,6 @@ class CrashState:
     log_kind: str = "undo"
     #: redo only: thread id -> [(marker base, slots, stride)]
     marker_directory: Dict[int, List[tuple]] = field(default_factory=dict)
-    #: whether the crashed machine enforced the per-line chain-ordering
-    #: rule (``AsapParams.ordered_line_log_persists``). When False the
-    #: surviving log carries no chain-completeness guarantee and recovery
-    #: validates undo chains defensively (docs/RECOVERY.md).
-    ordered_line_log_persists: bool = True
 
 
 def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashState:
@@ -90,5 +84,4 @@ def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashStat
         flushed_wpq_entries=flushed,
         log_kind="redo" if marker_directory else "undo",
         marker_directory=marker_directory,
-        ordered_line_log_persists=machine.config.asap.ordered_line_log_persists,
     )

@@ -6,9 +6,8 @@ image or it does not. This module makes its reasoning inspectable: an
 :class:`ExplainObserver` (the recovery-side twin of the simulator's
 ``SimObserver`` hook idiom) records every decision point of
 :func:`repro.recovery.recover.recover` - the scan, the derived undo
-order, each line's chain validation, and every restore applied or
-defensively skipped - into a structured, deterministic JSON trace, plus a
-human narrative rendered from the same data.
+order, and every restore applied - into a structured, deterministic JSON
+trace, plus a human narrative rendered from the same data.
 
 The trace format is versioned (:data:`SCHEMA_VERSION`) and validated by
 :func:`validate_trace` against :data:`TRACE_SCHEMA` (a small hand-rolled
@@ -26,7 +25,7 @@ from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
 from repro.recovery.recover import RecoveryObserver, RecoveryReport, recover
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: the trace's shape: field -> (type, required). "list[dict]" values are
 #: checked per-element against the nested spec in :data:`_NESTED`.
@@ -34,13 +33,10 @@ TRACE_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "schema_version": (int, True),
     "log_kind": (str, True),
     "crash_cycle": (int, True),
-    "ordered_line_log_persists": (bool, True),
-    "defensive": (bool, True),
     "uncommitted": (list, True),  # [rid, ...]
     "dependence_entries": (list, True),  # persisted Dependence List
     "order": (list, True),  # undo/replay order, [rid, ...]
     "records": (list, True),
-    "chains": (list, True),
     "decisions": (list, True),
     "summary": (dict, True),
 }
@@ -51,24 +47,16 @@ _NESTED: Dict[str, Dict[str, Tuple[type, bool]]] = {
         "header_addr": (int, True),
         "entries": (list, True),  # [{line, entry_addr, chained}]
     },
-    "chains": {
-        "line": (int, True),
-        "writers": (list, True),  # undo order (dependents first)
-        "complete": (bool, True),
-        "reason": (str, False),
-    },
     "decisions": {
         "step": (int, True),
-        "action": (str, True),  # "restore" | "skip"
+        "action": (str, True),  # "restore"
         "rid": (int, True),
         "line": (int, True),
         "entry_addr": (int, True),
-        "reason": (str, False),
     },
     "summary": {
         "undone_rids": (list, True),
         "restored_lines": (int, True),
-        "skipped_lines": (int, True),
         "records_scanned": (int, True),
         "records_matched": (int, True),
         "estimated_cycles": (int, True),
@@ -93,7 +81,7 @@ def validate_trace(trace: dict) -> List[str]:
                 f"field {key!r} is {type(trace[key]).__name__}, "
                 f"expected {typ.__name__}"
             )
-    for key in ("records", "chains", "decisions"):
+    for key in ("records", "decisions"):
         spec = _NESTED[key]
         for i, item in enumerate(trace.get(key) or []):
             if not isinstance(item, dict):
@@ -131,7 +119,6 @@ class ExplainObserver(RecoveryObserver):
 
     def __init__(self):
         self.records: List[dict] = []
-        self.chains: List[dict] = []
         self.decisions: List[dict] = []
         self.order: List[int] = []
         self.dependence_entries: List[dict] = []
@@ -162,17 +149,6 @@ class ExplainObserver(RecoveryObserver):
             {"rid": e["rid"], "deps": sorted(e["deps"])} for e in entries
         ]
 
-    def chain_checked(self, line: int, writers: List[int], complete: bool,
-                      reason: str) -> None:
-        self.chains.append(
-            {
-                "line": line,
-                "writers": list(writers),
-                "complete": complete,
-                "reason": reason,
-            }
-        )
-
     def restore_applied(self, rid: int, line: int, entry_addr: int) -> None:
         self._step += 1
         self.decisions.append(
@@ -185,33 +161,16 @@ class ExplainObserver(RecoveryObserver):
             }
         )
 
-    def restore_skipped(self, rid: int, line: int, entry_addr: int,
-                        reason: str) -> None:
-        self._step += 1
-        self.decisions.append(
-            {
-                "step": self._step,
-                "action": "skip",
-                "rid": rid,
-                "line": line,
-                "entry_addr": entry_addr,
-                "reason": reason,
-            }
-        )
-
     def marker_found(self, rid: int, seq: int) -> None:
         self.markers.append({"rid": rid, "seq": seq})
 
     # -- trace assembly ----------------------------------------------------
 
-    def trace(self, state: CrashState, report: RecoveryReport,
-              defensive: bool) -> dict:
+    def trace(self, state: CrashState, report: RecoveryReport) -> dict:
         out = {
             "schema_version": SCHEMA_VERSION,
             "log_kind": state.log_kind,
             "crash_cycle": state.crash_cycle,
-            "ordered_line_log_persists": state.ordered_line_log_persists,
-            "defensive": defensive,
             "uncommitted": self.uncommitted
             or sorted(e["rid"] for e in state.dependence_entries),
             "dependence_entries": self.dependence_entries
@@ -221,12 +180,10 @@ class ExplainObserver(RecoveryObserver):
             ],
             "order": self.order,
             "records": self.records,
-            "chains": self.chains,
             "decisions": self.decisions,
             "summary": {
                 "undone_rids": list(report.undone_rids),
                 "restored_lines": report.restored_lines,
-                "skipped_lines": report.skipped_lines,
                 "records_scanned": report.records_scanned,
                 "records_matched": report.records_matched,
                 "estimated_cycles": report.estimated_cycles,
@@ -238,29 +195,21 @@ class ExplainObserver(RecoveryObserver):
 
 
 def explain_recovery(
-    state: CrashState, defensive: bool = True
+    state: CrashState,
 ) -> Tuple[MemoryImage, RecoveryReport, dict]:
     """Run :func:`~repro.recovery.recover.recover` with an
     :class:`ExplainObserver` attached; returns the recovered image, the
     report, and the (schema-valid, deterministic) trace."""
     observer = ExplainObserver()
-    image, report = recover(state, defensive=defensive, observer=observer)
-    return image, report, observer.trace(state, report, defensive)
+    image, report = recover(state, observer=observer)
+    return image, report, observer.trace(state, report)
 
 
 def render_narrative(trace: dict) -> str:
     """The trace as a step-by-step human-readable recovery story."""
     lines: List[str] = []
     kind = trace["log_kind"]
-    lines.append(
-        f"crash at cycle {trace['crash_cycle']} ({kind} log, "
-        + (
-            "ordered same-line log persists"
-            if trace["ordered_line_log_persists"]
-            else "LEGACY unordered same-line log persists"
-        )
-        + ")"
-    )
+    lines.append(f"crash at cycle {trace['crash_cycle']} ({kind} log)")
     unc = trace["uncommitted"]
     lines.append(
         f"dependence list: {len(unc)} uncommitted region(s) "
@@ -286,33 +235,17 @@ def render_narrative(trace: dict) -> str:
             f"  record @{rec['header_addr']:#x} rid {rec['rid']:#x}: "
             f"entries [{ent or 'none confirmed'}]"
         )
-    for chain in trace["chains"]:
-        verdict = "complete" if chain["complete"] else "BROKEN"
-        lines.append(
-            f"chain for line {chain['line']:#x}: writers "
-            f"{[hex(w) for w in chain['writers']]} -> {verdict}"
-        )
-        if chain["reason"]:
-            lines.append(f"    {chain['reason']}")
     for d in trace["decisions"]:
-        if d["action"] == "restore":
-            lines.append(
-                f"step {d['step']}: restore line {d['line']:#x} from log "
-                f"entry @{d['entry_addr']:#x} (region {d['rid']:#x})"
-            )
-        else:
-            lines.append(
-                f"step {d['step']}: SKIP line {d['line']:#x} "
-                f"(region {d['rid']:#x}): {d.get('reason', '')}"
-            )
+        lines.append(
+            f"step {d['step']}: restore line {d['line']:#x} from log "
+            f"entry @{d['entry_addr']:#x} (region {d['rid']:#x})"
+        )
     s = trace["summary"]
     tail = (
         f"done: {len(s['undone_rids'])} region(s) processed, "
-        f"{s['restored_lines']} line(s) restored"
+        f"{s['restored_lines']} line(s) restored, "
+        f"~{s['estimated_cycles']} cycles"
     )
-    if s["skipped_lines"]:
-        tail += f", {s['skipped_lines']} line(s) defensively left untouched"
-    tail += f", ~{s['estimated_cycles']} cycles"
     if "consistent" in s:
         tail += (
             "; verified CONSISTENT" if s["consistent"] else "; INCONSISTENT"
@@ -358,28 +291,13 @@ def main(argv=None) -> int:
         help="write the structured recovery trace as JSON to FILE "
         "('-' for stdout)",
     )
-    parser.add_argument(
-        "--legacy-line-order",
-        action="store_true",
-        help="run the case under the pre-fix same-line log-persist model",
-    )
-    parser.add_argument(
-        "--no-defensive",
-        action="store_true",
-        help="disable recovery's chain-completeness validation (reproduces "
-        "the raw pre-fix corruption on legacy images)",
-    )
     args = parser.parse_args(argv)
-
-    from dataclasses import replace as dc_replace
 
     from repro.harness.fuzz import build_machine, load_corpus_entry
     from repro.recovery.crash import crash_machine
     from repro.recovery.verify import verify_recovery
 
     case, _meta = load_corpus_entry(args.case)
-    if args.legacy_line_order:
-        case = dc_replace(case, ordered_line_log_persists=False)
     frac = args.crash_frac
     if frac is None:
         frac = case.crash_fracs[0] if case.crash_fracs else 0.5
@@ -388,9 +306,7 @@ def main(argv=None) -> int:
     at_cycle = max(1, int(total * frac))
     machine = build_machine(case)
     state = crash_machine(machine, at_cycle=at_cycle)
-    image, report, trace = explain_recovery(
-        state, defensive=not args.no_defensive
-    )
+    image, report, trace = explain_recovery(state)
     verdict = verify_recovery(machine, image)
     trace["summary"]["consistent"] = verdict.ok
 

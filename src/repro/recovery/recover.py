@@ -11,24 +11,18 @@ Steps, exactly as described:
    dependents first, so that a line written by a chain of uncommitted
    regions unwinds to the value the last *committed* region gave it.
 
-Invariants this module relies on (and defends; docs/RECOVERY.md):
+Invariants this module relies on (docs/RECOVERY.md):
 
 * **Confirmed-entry rule**: a durable header never names an entry whose
   logged value is not itself durable (the LH-WPQ seals headers lazily and
   only over confirmed slots), so every ``(header word, entry line)`` pair
   recovery reads is internally consistent.
-* **Per-line chain completeness** (``ordered_line_log_persists``): if a
-  region's log entry for line L is durable, every earlier *uncommitted*
-  writer of L in the dependence chain has a durable entry for L too. Step
-  3 is only correct under this invariant - the entry restored last for L
-  (the chain's earliest uncommitted writer's) is the only one whose "old
-  value" predates the whole uncommitted chain. Images crashed under the
-  legacy pre-fix model (``CrashState.ordered_line_log_persists`` False)
-  do not carry the invariant; for those, :func:`recover` validates each
-  line's chain via the durable :data:`~repro.core.log.CHAIN_BIT` flags
-  and *skips* (with a diagnostic) every restore of a line whose chain is
-  broken - the LockBit protocol guarantees PM still holds the committed
-  value in exactly that case, so skipping never makes the image worse.
+* **Per-line chain completeness** (the engines' per-line LPO ordering):
+  if a region's log entry for line L is durable, every earlier
+  *uncommitted* writer of L in the dependence chain has a durable entry
+  for L too. Step 3 is only correct under this invariant - the entry
+  restored last for L (the chain's earliest uncommitted writer's) is the
+  only one whose "old value" predates the whole uncommitted chain.
 """
 
 from __future__ import annotations
@@ -62,17 +56,8 @@ class RecoveryObserver:
     def order_computed(self, order: List[int], entries: List[dict]) -> None:
         """The undo (or replay) order was derived from the crash state."""
 
-    def chain_checked(self, line: int, writers: List[int], complete: bool,
-                      reason: str) -> None:
-        """Line ``line``'s undo chain was validated; ``writers`` is its
-        durable uncommitted writers in undo (dependents-first) order."""
-
     def restore_applied(self, rid: int, line: int, entry_addr: int) -> None:
         """A logged old value was installed over ``line``."""
-
-    def restore_skipped(self, rid: int, line: int, entry_addr: int,
-                        reason: str) -> None:
-        """A restore was defensively skipped (broken chain)."""
 
     def region_processed(self, rid: int) -> None:
         """All of ``rid``'s records were handled (undone or replayed)."""
@@ -89,10 +74,6 @@ class RecoveryReport:
     restored_lines: int = 0
     records_scanned: int = 0
     records_matched: int = 0
-    #: restores defensively skipped because the line's undo chain was
-    #: incomplete (legacy images only; each item is a diagnostic dict
-    #: ``{"line", "rid", "entry_addr", "reason"}``)
-    skipped_restores: List[dict] = field(default_factory=list)
 
     #: simple cost model for the software recovery pass (cycles): one PM
     #: line read per scanned record header, one read + one write per
@@ -104,11 +85,6 @@ class RecoveryReport:
     @property
     def undone_count(self) -> int:
         return len(self.undone_rids)
-
-    @property
-    def skipped_lines(self) -> int:
-        """Distinct lines whose restores were defensively skipped."""
-        return len({d["line"] for d in self.skipped_restores})
 
     @property
     def estimated_cycles(self) -> int:
@@ -205,59 +181,8 @@ def _scan_logs(
     return found
 
 
-def _broken_chain_lines(
-    state: CrashState,
-    order: List[int],
-    logs: Dict[int, List[Tuple[int, int, bool]]],
-    observer: Optional[RecoveryObserver] = None,
-) -> Dict[int, Tuple[int, str]]:
-    """Per-line chain validation for legacy (pre-fix) crash images.
-
-    For each line the final restored value is the one installed *last* in
-    undo order - the chain's earliest durable uncommitted writer. If that
-    writer's entry is ``chained`` (its predecessor was uncommitted when it
-    logged) and the writer still has live uncommitted dependencies, the
-    predecessor's entry for the line should have been durable too but is
-    not: the chain is broken, and the "old value" about to be installed is
-    data that never durably existed. (If none of the writer's deps is
-    still uncommitted, every region it read from committed, so its logged
-    value is committed data and the restore is sound.)
-
-    Returns {line: (earliest_durable_rid, reason)} for the broken lines -
-    **all** restores of such a line must be skipped, as one unit: the
-    LockBit protocol kept every chained DPO for the line out of PM while
-    any same-line LPO was unaccepted, so PM still holds the value the last
-    committed writer gave it, and leaving it untouched is consistent.
-    """
-    uncommitted = {e["rid"] for e in state.dependence_entries}
-    deps_of = {e["rid"]: set(e["deps"]) for e in state.dependence_entries}
-    by_line: Dict[int, List[Tuple[int, bool]]] = {}
-    for rid in order:
-        for data_line, _entry_addr, chained in logs.get(rid, ()):
-            by_line.setdefault(data_line, []).append((rid, chained))
-    broken: Dict[int, Tuple[int, str]] = {}
-    for line, writers in sorted(by_line.items()):
-        earliest_rid, earliest_chained = writers[-1]  # installed last
-        live_deps = sorted(deps_of.get(earliest_rid, set()) & uncommitted)
-        complete = not (earliest_chained and live_deps)
-        reason = ""
-        if not complete:
-            reason = (
-                f"entry of region {earliest_rid} is mid-chain (CHAIN_BIT) "
-                f"but no durable predecessor entry for line {line:#x} "
-                f"exists among its live dependencies {live_deps}"
-            )
-            broken[line] = (earliest_rid, reason)
-        if observer is not None:
-            observer.chain_checked(
-                line, [w for w, _c in writers], complete, reason
-            )
-    return broken
-
-
 def recover(
     state: CrashState,
-    defensive: bool = True,
     observer: Optional[RecoveryObserver] = None,
 ) -> Tuple[MemoryImage, RecoveryReport]:
     """Run recovery; returns the repaired PM image and a report.
@@ -266,15 +191,6 @@ def recover(
     (Sec. 5.5) or the replay procedure of the asap_redo extension. The
     input image is not modified; recovery works on a copy, as a real
     implementation would only write whole restored lines.
-
-    ``defensive`` (default on) validates per-line undo-chain completeness
-    before restoring. On images crashed under the fixed scheme this never
-    fires (the ordering rule makes every durable chain complete); on
-    legacy images (``state.ordered_line_log_persists`` False) it skips
-    restores of lines whose chain is broken instead of installing values
-    that never durably existed - see :func:`_broken_chain_lines`. Pass
-    ``defensive=False`` to reproduce the raw pre-fix corruption in
-    regression demos.
     """
     if state.log_kind == "redo":
         return recover_redo(state, observer=observer)
@@ -287,27 +203,11 @@ def recover(
     if observer is not None:
         observer.order_computed(order, state.dependence_entries)
     logs = _scan_logs(state, uncommitted, report, observer=observer)
-    broken: Dict[int, Tuple[int, str]] = {}
-    if defensive and not state.ordered_line_log_persists:
-        broken = _broken_chain_lines(state, order, logs, observer=observer)
     for rid in order:
         # Undo this region: restore each logged line's old value. Within a
         # region a line is logged at most once (first write), so record
         # order is irrelevant.
         for data_line, entry_addr, _chained in logs.get(rid, ()):
-            if data_line in broken:
-                reason = broken[data_line][1]
-                report.skipped_restores.append(
-                    {
-                        "line": data_line,
-                        "rid": rid,
-                        "entry_addr": entry_addr,
-                        "reason": reason,
-                    }
-                )
-                if observer is not None:
-                    observer.restore_skipped(rid, data_line, entry_addr, reason)
-                continue
             payload = {
                 data_line + off: image.read_word(entry_addr + off)
                 for off in range(0, CACHE_LINE_BYTES, WORD_BYTES)

@@ -10,11 +10,7 @@ holds. This single comparison implies:
   the surviving set is dependence-closed.
 
 It also implies the recovery-side invariant of docs/RECOVERY.md:
-recovery must never make a consistent image worse. A defensively
-*skipped* restore (broken undo chain on a legacy image; see
-``repro.recovery.recover``) passes this check precisely because PM still
-holds the committed value on the affected line - the oracle comparison
-would catch a skip that was merely cautious rather than correct.
+recovery must never make a consistent image worse.
 """
 
 from __future__ import annotations

@@ -36,9 +36,8 @@ class RunResult:
     dram_writes: int
     llc_misses: int
     cache_accesses: int
-    #: secondary misses merged into an in-flight MSHR fetch (0 under the
-    #: legacy ``mshrs_per_cache == 0`` hierarchy, which has no fetches to
-    #: merge into)
+    #: secondary misses merged into an in-flight MSHR fetch (one fetch
+    #: answers them all, so merged misses are not in ``llc_misses``)
     mshr_merges: int
     wpq_peak_occupancy: int
     #: structural-stall counters (which capacity limits were hit and how

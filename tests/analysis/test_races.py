@@ -4,7 +4,8 @@ The acceptance bar, straight from the detector's design goals:
 
 * both pinned regression bugs (the PR 3 cross-thread commit-ordering
   race and the PR 5 same-line undo-chain loss) are reported as
-  ``CONFIRMED`` findings when their legacy config flag is flipped back,
+  ``CONFIRMED`` findings when the ``reopen_edge`` fault hook re-opens
+  the ordering edge that fixed them,
 * zero findings under the default (fixed) configuration - on the same
   corpus cases and across every bundled workload, and
 * the fuzzer's directed mode verifies every witness in far fewer
@@ -13,7 +14,6 @@ The acceptance bar, straight from the detector's design goals:
 
 import glob
 import os
-from dataclasses import replace as dc_replace
 
 import pytest
 
@@ -23,11 +23,11 @@ from repro.analysis.races import (
     detect_in_workload,
     verify_finding,
 )
-from repro.common.params import SystemConfig
 from repro.harness.fuzz import load_corpus_entry, run_directed
 from repro.harness.runner import default_config, default_params
 from repro.persist import make_scheme, scheme_names
 from repro.workloads import workload_names
+from tests.faults import reopen_edge
 
 CORPUS_DIR = os.path.join(
     os.path.dirname(__file__), os.pardir, "property", "corpus"
@@ -66,34 +66,36 @@ def test_asap_declares_all_four_hardware_edges():
 
 
 def test_legacy_flags_drop_the_matching_edge():
-    scheme = make_scheme("asap")
-    fixed = SystemConfig.small()
-    assert scheme.ordering_edges(fixed) == scheme.ORDERING_EDGES
-
-    no_fifo = dc_replace(
-        fixed, memory=dc_replace(fixed.memory, wpq_fifo_backpressure=False)
-    )
-    assert "wpq-fifo" not in scheme.ordering_edges(no_fifo)
-    assert "line-chain" in scheme.ordering_edges(no_fifo)
-
-    no_chain = SystemConfig.small(ordered_line_log_persists=False)
-    assert "line-chain" not in scheme.ordering_edges(no_chain)
-    assert "wpq-fifo" in scheme.ordering_edges(no_chain)
+    # the fault hook is the only way left to remove an edge
+    fixed = {name: make_scheme(name).ORDERING_EDGES for name in scheme_names()}
+    with reopen_edge("wpq-fifo"):
+        assert "wpq-fifo" not in make_scheme("asap").ORDERING_EDGES
+        assert "line-chain" in make_scheme("asap").ORDERING_EDGES
+        assert "wpq-fifo" not in make_scheme("asap_redo").ORDERING_EDGES
+    with reopen_edge("line-chain"):
+        assert "line-chain" not in make_scheme("asap").ORDERING_EDGES
+        assert "wpq-fifo" in make_scheme("asap").ORDERING_EDGES
+        assert "line-chain" not in make_scheme("hwundo").ORDERING_EDGES
+    # leaving the block restores every declaration
+    assert {n: make_scheme(n).ORDERING_EDGES for n in scheme_names()} == fixed
+    with pytest.raises(ValueError):
+        with reopen_edge("sync-commit"):
+            pass
 
 
 # -- the two pinned bugs must be rediscovered ------------------------------
 
 
-def _legacy_case(path, **flags):
+def _corpus_case(path):
     case, _meta = load_corpus_entry(path)
-    return dc_replace(case, **flags)
+    return case
 
 
 def test_detector_confirms_cross_thread_commit_race():
     # PR 3's bug: without WPQ FIFO backpressure a later thread's commit
     # can become durable before an earlier thread's data persist.
-    case = _legacy_case(CROSS_THREAD, fifo_backpressure=False)
-    result = detect_in_case(case, source="cross-thread")
+    with reopen_edge("wpq-fifo"):
+        result = detect_in_case(_corpus_case(CROSS_THREAD), source="cross-thread")
     rules = {f.rule_id for f in result.findings}
     assert "ASAP-R001" in rules
     finding = next(f for f in result.findings if f.rule_id == "ASAP-R001")
@@ -107,8 +109,8 @@ def test_detector_confirms_cross_thread_commit_race():
 def test_detector_confirms_same_line_undo_chain_loss():
     # PR 5's bug: without ordered same-line log persists the second LPO
     # of an undo chain can be accepted before the first.
-    case = _legacy_case(LINE_CHAIN, ordered_line_log_persists=False)
-    result = detect_in_case(case, source="line-chain")
+    with reopen_edge("line-chain"):
+        result = detect_in_case(_corpus_case(LINE_CHAIN), source="line-chain")
     rules = {f.rule_id for f in result.findings}
     assert "ASAP-R002" in rules
     finding = next(f for f in result.findings if f.rule_id == "ASAP-R002")
@@ -118,10 +120,11 @@ def test_detector_confirms_same_line_undo_chain_loss():
 def test_confirmed_findings_need_no_extra_runs():
     # an in-trace acceptance inversion is its own proof: verification
     # must short-circuit without any directed replays
-    case = _legacy_case(CROSS_THREAD, fifo_backpressure=False)
-    result = detect_in_case(case)
-    finding = next(f for f in result.findings if f.rule_id == "ASAP-R001")
-    outcome = verify_finding(case, finding)
+    case = _corpus_case(CROSS_THREAD)
+    with reopen_edge("wpq-fifo"):
+        result = detect_in_case(case)
+        finding = next(f for f in result.findings if f.rule_id == "ASAP-R001")
+        outcome = verify_finding(case, finding)
     assert outcome.status == CONFIRMED
     assert outcome.runs_used == 0
 
@@ -134,9 +137,6 @@ def test_confirmed_findings_need_no_extra_runs():
 )
 def test_corpus_cases_clean_under_default_config(path):
     case, _meta = load_corpus_entry(path)
-    case = dc_replace(
-        case, fifo_backpressure=True, ordered_line_log_persists=True
-    )
     result = detect_in_case(case, source=os.path.basename(path))
     assert result.ok, [f.to_dict() for f in result.findings]
     assert result.nodes > 0, "tracer saw no persist ops - attach regressed?"
@@ -183,21 +183,14 @@ def test_workloads_clean_under_default_config(workload, scheme):
 
 
 def test_directed_mode_confirms_both_bugs_under_budget():
-    cases = [
-        (
-            "cross-thread",
-            _legacy_case(CROSS_THREAD, fifo_backpressure=False),
-        ),
-        (
-            "line-chain",
-            _legacy_case(LINE_CHAIN, ordered_line_log_persists=False),
-        ),
-    ]
-    report = run_directed(cases)
-    assert report.confirmed >= 2
-    assert not report.ok
-    assert report.runs < UNDIRECTED_CI_BUDGET
-    rules = {o["rule_id"] for o in report.outcomes}
+    reports = []
+    for edge, path in (("wpq-fifo", CROSS_THREAD), ("line-chain", LINE_CHAIN)):
+        with reopen_edge(edge):
+            reports.append(run_directed([(edge, _corpus_case(path))]))
+    assert sum(r.confirmed for r in reports) >= 2
+    assert not any(r.ok for r in reports)
+    assert sum(r.runs for r in reports) < UNDIRECTED_CI_BUDGET
+    rules = {o["rule_id"] for r in reports for o in r.outcomes}
     assert {"ASAP-R001", "ASAP-R002"} <= rules
 
 

@@ -60,6 +60,18 @@ def test_bad_axis_name_exits_2(capsys):
     assert "lh_wpq_entries" in capsys.readouterr().err  # the suggestion
 
 
+def test_mshrs_zero_axis_exits_2_before_any_run(capsys, monkeypatch):
+    import repro.explore.cli as cli
+
+    def no_runs(*_a, **_k):
+        raise AssertionError("a sweep point ran before validation failed")
+
+    monkeypatch.setattr(cli, "explore", no_runs)
+    rc = main(["--axis", "mshrs=0,16", "--workloads", "HM", "--no-cache"])
+    assert rc == 2
+    assert "mshrs_per_cache must be >= 1" in capsys.readouterr().err
+
+
 # -- end-to-end: grid sweep, artifacts, cache contract -----------------------
 
 

@@ -1,9 +1,10 @@
 """The interleaving-aware crash fuzzer, tested against itself.
 
 Three contracts: campaigns are deterministic per seed; the current code
-survives a small campaign across both schemes; and - run against the
-preserved pre-fix WPQ model - the fuzzer *finds* the historical bug from
-the corpus seeds and shrinks it to a minimal still-failing schedule.
+survives a small campaign across both schemes; and - with the pre-fix WPQ
+admission re-opened by the ``reopen_edge`` fault hook - the fuzzer
+*finds* the historical bug from the corpus seeds and shrinks it to a
+minimal still-failing schedule.
 """
 
 import json
@@ -11,10 +12,10 @@ import os
 import subprocess
 import sys
 
-CORPUS_DIR = os.path.join(
-    os.path.dirname(__file__), os.pardir, "property", "corpus"
-)
+import pytest
 
+from repro.common.errors import ConfigError
+from repro.harness import fuzz
 from repro.harness.fuzz import (
     FuzzCase,
     case_failures,
@@ -26,6 +27,11 @@ from repro.harness.fuzz import (
     save_corpus_entry,
     shrink_case,
 )
+from tests.faults import reopen_edge
+
+CORPUS_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, "property", "corpus"
+)
 
 ROADMAP_UNDO_THREADS = [
     [[(0, False, 0)], [(1, False, 0), (3, False, 0)],
@@ -34,11 +40,11 @@ ROADMAP_UNDO_THREADS = [
 ]
 
 
-def legacy_case(**kw):
+def roadmap_case(**kw):
     kw.setdefault("scheme", "asap")
     kw.setdefault("threads", ROADMAP_UNDO_THREADS)
     kw.setdefault("wpq_entries", 4)
-    return FuzzCase(fifo_backpressure=False, **kw)
+    return FuzzCase(**kw)
 
 
 def test_generation_is_deterministic():
@@ -71,17 +77,16 @@ def test_campaign_is_deterministic():
 
 def test_fuzzer_finds_the_prefix_bug_from_corpus_seeds():
     # Corpus-seeded mutation must rediscover the historical hazard when
-    # fuzzing the preserved pre-fix backpressure model.
-    report = run_fuzz(
-        seed=0,
-        budget=80,
-        crash_points=0,
-        schemes=("asap",),
-        shrink=False,
-        fifo_backpressure=False,
-        corpus=[FuzzCase(scheme="asap", threads=ROADMAP_UNDO_THREADS,
-                         wpq_entries=4)],
-    )
+    # the pre-fix backpressure admission is re-opened.
+    with reopen_edge("wpq-fifo"):
+        report = run_fuzz(
+            seed=0,
+            budget=80,
+            crash_points=0,
+            schemes=("asap",),
+            shrink=False,
+            corpus=[roadmap_case()],
+        )
     assert not report.ok, "fuzzer failed to rediscover the pre-fix bug"
     assert any("committed values missing" in f for f in report.failures)
 
@@ -92,21 +97,23 @@ def test_shrinker_on_the_original_prefix_schedule():
     # original is already hypothesis-minimal, so "minimal" here means no
     # larger - and every single-element removal must flip it to passing,
     # which is what the fixed-point guarantees.)
-    case = legacy_case()
+    case = roadmap_case()
 
     def still_fails(c):
         return bool(case_failures(c, crash_points=0))
 
-    assert still_fails(case)
-    minimal = shrink_case(case, still_fails)
-    assert still_fails(minimal)
+    with reopen_edge("wpq-fifo"):
+        assert still_fails(case)
+        minimal = shrink_case(case, still_fails)
+        assert still_fails(minimal)
     assert minimal.size <= case.size
+    assert not still_fails(minimal)  # the fixed model survives it
 
 
 def test_shrinker_removes_padding():
     # Pad the known-minimal schedule with an irrelevant third thread and
     # jitter; the shrinker must strip at least the padding back off.
-    padded = legacy_case(
+    padded = roadmap_case(
         threads=ROADMAP_UNDO_THREADS + [[[(9, False, 3)], [(10, False, 4)]]],
         jitter=[[], [], [0, 60]],
     )
@@ -114,11 +121,12 @@ def test_shrinker_removes_padding():
     def still_fails(c):
         return bool(case_failures(c, crash_points=0))
 
-    assert still_fails(padded)
-    minimal = shrink_case(padded, still_fails)
-    assert still_fails(minimal)
+    with reopen_edge("wpq-fifo"):
+        assert still_fails(padded)
+        minimal = shrink_case(padded, still_fails)
+        assert still_fails(minimal)
     assert len(minimal.threads) == 2
-    assert minimal.size <= legacy_case().size
+    assert minimal.size <= roadmap_case().size
 
 
 def test_mutation_preserves_wellformedness():
@@ -147,8 +155,10 @@ def test_corpus_save_load_round_trip(tmp_path):
     assert meta["example"].startswith("@example(")
 
 
-def test_cli_exit_codes():
-    # clean campaign -> 0; legacy campaign seeded by the corpus -> 1
+def test_cli_exit_codes(capsys):
+    # clean campaign -> 0; campaign seeded by the corpus with the pre-fix
+    # backpressure re-opened -> 1 (in-process: the hook patches classes,
+    # which a subprocess would not see)
     env_cmd = [sys.executable, "-m", "repro.harness.cli"]
     clean = subprocess.run(
         env_cmd + ["fuzz", "--seed", "0", "--budget", "6", "--points", "1"],
@@ -158,14 +168,37 @@ def test_cli_exit_codes():
     assert "CLEAN" in clean.stdout
     # budget sized to re-find the pinned backpressure bug from the
     # current corpus seed pool (grows as entries are added)
-    failing = subprocess.run(
-        env_cmd + ["fuzz", "--seed", "0", "--budget", "80", "--points", "0",
-                   "--scheme", "asap", "--legacy-backpressure", "--no-shrink",
-                   "--corpus", CORPUS_DIR],
-        capture_output=True, text=True,
-    )
-    assert failing.returncode == 1, failing.stdout + failing.stderr
-    assert "FAILURES" in failing.stdout
+    with reopen_edge("wpq-fifo"):
+        rc = fuzz.main(["--seed", "0", "--budget", "80", "--points", "0",
+                        "--scheme", "asap", "--no-shrink",
+                        "--corpus", CORPUS_DIR])
+    out = capsys.readouterr().out
+    assert rc == 1, out
+    assert "FAILURES" in out
+
+
+@pytest.mark.parametrize(
+    "edge,rule",
+    [(None, None), ("wpq-fifo", "ASAP-R001"), ("line-chain", "ASAP-R002")],
+)
+def test_directed_cli_confirms_each_reopened_edge(capsys, edge, rule):
+    # The positive control behind the CI directed-fuzz step: each hook
+    # makes `fuzz --from-races` exit 1 with a CONFIRMED finding of its
+    # rule; the fixed model exits 0.
+    argv = ["--from-races", "--corpus", CORPUS_DIR]
+    if edge is None:
+        rc = fuzz.main(argv)
+    else:
+        with reopen_edge(edge):
+            rc = fuzz.main(argv)
+    captured = capsys.readouterr()
+    if edge is None:
+        assert rc == 0, captured.out
+        assert "no races" in captured.out
+    else:
+        assert rc == 1, captured.out
+        assert "CONFIRMED" in captured.out
+        assert f"{rule} -> CONFIRMED" in captured.err
 
 
 def test_example_line_is_pasteable():
@@ -179,7 +212,39 @@ def test_example_line_is_pasteable():
 
 
 def test_check_no_crash_flags_the_legacy_bug():
-    assert check_no_crash(legacy_case())
-    fixed = FuzzCase(scheme="asap", threads=ROADMAP_UNDO_THREADS,
-                     wpq_entries=4)
-    assert check_no_crash(fixed) == []
+    with reopen_edge("wpq-fifo"):
+        assert check_no_crash(roadmap_case())
+    assert check_no_crash(roadmap_case()) == []
+
+
+@pytest.mark.parametrize("flag", ["fifo_backpressure", "ordered_line_log_persists"])
+def test_removed_model_flags_accept_only_true(flag):
+    # the two compat fields exist only so callers pinning True keep
+    # working; False would select a model that no longer exists
+    assert getattr(roadmap_case(**{flag: True}), flag) is True
+    with pytest.raises(ConfigError, match="reopen_edge"):
+        roadmap_case(**{flag: False})
+
+
+def test_to_json_omits_removed_model_flags():
+    data = roadmap_case().to_json()
+    assert "fifo_backpressure" not in data
+    assert "ordered_line_log_persists" not in data
+
+
+@pytest.mark.parametrize(
+    "pin,match",
+    [
+        ({"fifo_backpressure": False}, "reopen_edge"),
+        ({"ordered_line_log_persists": False}, "reopen_edge"),
+        ({"mshrs_per_cache": 0}, ">= 1"),
+    ],
+)
+def test_corpus_file_pinning_a_removed_model_is_rejected(tmp_path, pin, match):
+    data = roadmap_case().to_json()
+    data.update(pin)
+    path = tmp_path / "stale-entry.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=match) as err:
+        load_corpus_entry(str(path))
+    assert str(path) in str(err.value)

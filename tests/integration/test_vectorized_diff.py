@@ -128,16 +128,6 @@ def test_fast_matches_reference_single_mshr(workload, scheme):
     assert fast == ref
 
 
-@pytest.mark.parametrize("workload,scheme", [("HM", "asap"), ("BT", "sw")])
-def test_fast_matches_reference_legacy_blocking(workload, scheme):
-    # mshrs_per_cache=0 keeps the pre-MSHR immediate-fill model selectable;
-    # the fast core must mirror it too.
-    config = _memory_variant(_config(), mshrs_per_cache=0)
-    ref, fast = _pair(workload, scheme, config, _params())
-    assert ref["mshr_merges"] == 0
-    assert fast == ref
-
-
 @pytest.mark.parametrize("workload,scheme", [("Q", "asap"), ("HM", "asap_redo")])
 def test_fast_matches_reference_serialized_drains(workload, scheme):
     # The legacy lockstep-drain comparator (one write-bus token across all
@@ -175,14 +165,9 @@ def test_corpus_case_matches_reference(path):
     # Corpus schedules are adversarial by construction (each once broke
     # the model); they must not tell the two cores apart either.
     case, _ = load_corpus_entry(path)
-    case.fifo_backpressure = True
-    case.ordered_line_log_persists = True
     results = []
     for fast in (False, True):
-        config = SystemConfig.small(
-            wpq_entries=case.wpq_entries,
-            ordered_line_log_persists=case.ordered_line_log_persists,
-        )
+        config = SystemConfig.small(wpq_entries=case.wpq_entries)
         if case.mshrs_per_cache is not None:
             config = dc_replace(
                 config,

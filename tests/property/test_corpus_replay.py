@@ -33,11 +33,8 @@ def test_corpus_is_not_empty():
 )
 def test_corpus_entry_replays_clean(path):
     case, meta = load_corpus_entry(path)
-    # corpus entries always replay against the *current* (fixed) model,
-    # even if saved from a legacy-mode campaign; pinned crash_fracs are
-    # swept on top of the generic crash points (see case_failures)
-    case.fifo_backpressure = True
-    case.ordered_line_log_persists = True
+    # pinned crash_fracs are swept on top of the generic crash points
+    # (see case_failures)
     failures = case_failures(case, crash_points=3)
     assert failures == [], (
         f"{os.path.basename(path)} regressed: {failures}\n"

@@ -70,12 +70,12 @@ def test_wpq_invariants_under_random_schedules(script, capacity, watermark, lazy
         assert q.drained + q.dropped <= q.accepted
     s.run()
     # every submitted op eventually drains, is dropped (accepted or still
-    # backpressured), or remains parked/queued
+    # backpressured), or remains pending/queued
     assert (
-        q.drained + q.dropped + q.dropped_pending + len(q._backpressure) + len(q)
+        q.drained + q.dropped + q.dropped_pending + q.pending_count + len(q)
         == submitted
     )
-    assert len(q) == 0 or q.accepted < submitted  # queue empties unless parked
+    assert len(q) == 0 and q.pending_count == 0  # the run drains everything
 
 
 @settings(max_examples=8, deadline=None)

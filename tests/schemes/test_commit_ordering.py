@@ -8,8 +8,6 @@ thread's region commits last, and whatever got dropped, coalesced, or
 overtaken on the way.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.common.params import SystemConfig
@@ -17,6 +15,7 @@ from repro.harness.fuzz import FuzzCase, check_no_crash
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, Compute, End, Lock, Read, Unlock, Write
+from tests.faults import reopen_edge
 
 NUM_LINES = 12
 
@@ -127,11 +126,11 @@ def test_redo_commits_respect_dependence_order():
 
 
 def test_legacy_backpressure_reproduces_the_fixed_bug():
-    # Regression tripwire in the other direction: the pre-fix WPQ model
-    # (kept behind MemoryParams.wpq_fifo_backpressure=False for shrinker
-    # demos) must still lose the committed value on the original schedule.
-    # If this starts passing, the legacy flag no longer models the old
-    # hazard and the fuzzer's shrinker self-test loses its known failure.
+    # Regression tripwire in the other direction: the pre-fix WPQ
+    # admission (re-opened by the reopen_edge("wpq-fifo") fault hook)
+    # must still lose the committed value on the original schedule. If
+    # this starts passing, the hook no longer models the old hazard and
+    # the fuzzer's shrinker self-test loses its known failure.
     case = FuzzCase(
         scheme="asap",
         threads=[
@@ -140,19 +139,9 @@ def test_legacy_backpressure_reproduces_the_fixed_bug():
             [[(0, False, 0), (2, False, 0)], [(6, False, 0)], [(4, True, 1)]],
         ],
         wpq_entries=4,
-        fifo_backpressure=False,
     )
-    failures = check_no_crash(case)
-    assert failures, "legacy mode no longer reproduces the pre-fix hazard"
+    with reopen_edge("wpq-fifo"):
+        failures = check_no_crash(case)
+    assert failures, "the hook no longer reproduces the pre-fix hazard"
     assert "committed values missing" in failures[0]
-
-
-def test_fifo_flag_reaches_the_wpq():
-    config = SystemConfig.small()
-    config = dataclasses.replace(
-        config, memory=dataclasses.replace(config.memory,
-                                           wpq_fifo_backpressure=False))
-    m = Machine(config, make_scheme("asap"))
-    assert all(not ch.wpq._fifo_backpressure for ch in m.memory.channels)
-    m2 = Machine(SystemConfig.small(), make_scheme("asap"))
-    assert all(ch.wpq._fifo_backpressure for ch in m2.memory.channels)
+    assert check_no_crash(case) == []

@@ -11,12 +11,12 @@ installs it over the committed value.
 
 Covered here:
 
-* the fix (``AsapParams.ordered_line_log_persists``): the pinned ROADMAP
+* the fix (per-line LPO ordering at the controller): the pinned ROADMAP
   schedule recovers consistently at every swept crash point, and the
   deferral counters show the ordering actually engaged;
-* the regression demo: the legacy flag plus ``defensive=False`` recovery
-  reproduces the corruption bit-for-bit, and hardened recovery
-  neutralizes it by skipping the broken chain;
+* the regression demo: re-opening the ordering with the
+  ``reopen_edge("line-chain")`` fault hook reproduces the corruption
+  bit-for-bit;
 * chain shapes: same-line chains of length 2-4, single- and
   cross-thread, on 1- and 2-entry WPQs;
 * the HWUndo analogue (drain-granularity ordering, scheme-level stat).
@@ -34,6 +34,7 @@ from repro.persist import make_scheme
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Write
+from tests.faults import reopen_edge
 
 #: the ROADMAP falsifying example: one thread, four regions; regions
 #: 2..4 form an uncommitted chain rewriting line 1 near the crash point
@@ -54,11 +55,11 @@ def roadmap_case(**overrides):
     )
 
 
-def crash_and_recover(case, crash_frac, defensive=True):
+def crash_and_recover(case, crash_frac):
     total = build_machine(case).run().cycles
     m = build_machine(case)
     state = crash_machine(m, at_cycle=max(1, int(total * crash_frac)))
-    image, report = recover(state, defensive=defensive)
+    image, report = recover(state)
     return verify_recovery(m, image), report, state
 
 
@@ -84,44 +85,26 @@ def test_ordering_engages_on_pinned_repro():
 
 
 def test_legacy_flag_disables_ordering():
-    m = build_machine(roadmap_case(ordered_line_log_persists=False))
-    m.run()
+    # the pre-fix model is reachable only through the test fault hook
+    with reopen_edge("line-chain"):
+        m = build_machine(roadmap_case())
+        m.run()
     assert m.scheme.engine.stats.lpo_order_delays == 0
-
-
-def test_crash_state_records_ordering_mode():
-    _v, _r, fixed_state = crash_and_recover(roadmap_case(), 0.5)
-    assert fixed_state.ordered_line_log_persists is True
-    _v, _r, legacy_state = crash_and_recover(
-        roadmap_case(ordered_line_log_persists=False), 0.5
-    )
-    assert legacy_state.ordered_line_log_persists is False
 
 
 # -- the regression demo -----------------------------------------------------
 
 
 def test_legacy_model_corrupts_without_defensive_recovery():
-    """Pre-fix model + pre-hardening recovery = the original bug: the
-    committed 0x1 on line 1 is overwritten by a never-durable 0x0."""
-    case = roadmap_case(ordered_line_log_persists=False)
-    verdict, report, _state = crash_and_recover(
-        case, ROADMAP_CRASH_FRAC, defensive=False
-    )
+    """Pre-fix ordering + recovery = the original bug: the committed 0x1
+    on line 1 is overwritten by a never-durable 0x0."""
+    with reopen_edge("line-chain"):
+        verdict, _report, _state = crash_and_recover(
+            roadmap_case(), ROADMAP_CRASH_FRAC
+        )
     assert not verdict.ok
-    assert report.skipped_restores == []
     (addr, expect, got) = verdict.mismatches[0]
     assert (expect, got) == (1, 0)
-
-
-def test_hardened_recovery_neutralizes_legacy_corruption():
-    """Same crash image, defensive recovery: the broken chain is skipped
-    (diagnosed in the report) and the image stays consistent."""
-    case = roadmap_case(ordered_line_log_persists=False)
-    verdict, report, _state = crash_and_recover(case, ROADMAP_CRASH_FRAC)
-    assert verdict.ok, verdict.explain()
-    assert report.skipped_lines == 1
-    assert "CHAIN_BIT" in report.skipped_restores[0]["reason"]
 
 
 def test_corpus_entry_matches_pinned_schedule():
@@ -178,11 +161,8 @@ def test_same_line_chains_recover_consistently(length, num_threads, wpq_entries)
 # -- the HWUndo analogue -----------------------------------------------------
 
 
-def hwundo_machine(ordered):
-    m = Machine(
-        SystemConfig.small(wpq_entries=4, ordered_line_log_persists=ordered),
-        make_scheme("hwundo"),
-    )
+def hwundo_machine():
+    m = Machine(SystemConfig.small(wpq_entries=4), make_scheme("hwundo"))
     m.heap.alloc(512)
     return m
 
@@ -220,7 +200,7 @@ def submit_pair(m, issued):
 
 
 def test_hwundo_holds_second_same_line_lpo_until_drain():
-    m = hwundo_machine(ordered=True)
+    m = hwundo_machine()
     issued = []
     submit_pair(m, issued)
     assert issued == [1]  # op 2 held at the controller
@@ -230,9 +210,10 @@ def test_hwundo_holds_second_same_line_lpo_until_drain():
 
 
 def test_hwundo_legacy_flag_disables_gate():
-    m = hwundo_machine(ordered=False)
+    m = hwundo_machine()
     issued = []
-    submit_pair(m, issued)
+    with reopen_edge("line-chain"):
+        submit_pair(m, issued)
     assert issued == [1, 2]  # both in flight at once: the pre-fix model
     assert m.scheme.lpo_order_delays == 0
 
@@ -241,7 +222,7 @@ def test_hwundo_concurrent_same_line_regions_still_commit():
     """No-deadlock end-to-end check: unlocked same-line regions on two
     threads run to commit with the gate armed."""
     m = Machine(
-        SystemConfig.small(wpq_entries=1, ordered_line_log_persists=True),
+        SystemConfig.small(wpq_entries=1),
         make_scheme("hwundo"),
     )
     a = m.heap.alloc(512)

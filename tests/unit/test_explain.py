@@ -6,6 +6,7 @@ import os
 from repro.harness.fuzz import build_machine, load_corpus_entry
 from repro.recovery import crash_machine, explain_recovery, validate_trace, verify_recovery
 from repro.recovery.explain import SCHEMA_VERSION, render_narrative
+from tests.faults import reopen_edge
 
 CORPUS = os.path.join(
     os.path.dirname(__file__), "..", "property", "corpus",
@@ -13,12 +14,8 @@ CORPUS = os.path.join(
 )
 
 
-def crash_corpus_case(legacy=False):
-    from dataclasses import replace as dc_replace
-
+def crash_corpus_case():
     case, _meta = load_corpus_entry(CORPUS)
-    if legacy:
-        case = dc_replace(case, ordered_line_log_persists=False)
     total = build_machine(case).run().cycles
     m = build_machine(case)
     state = crash_machine(m, at_cycle=int(total * case.crash_fracs[0]))
@@ -43,34 +40,24 @@ def test_explain_matches_plain_recovery():
     """The observer must not perturb recovery's result."""
     from repro.recovery import recover
 
-    _m, state = crash_corpus_case(legacy=True)
+    m, state = crash_corpus_case()
     plain_image, plain_report = recover(state)
     explained_image, report, trace = explain_recovery(state)
     assert sorted(plain_image.items()) == sorted(explained_image.items())
-    assert plain_report.skipped_restores == report.skipped_restores
-    assert trace["summary"]["skipped_lines"] == report.skipped_lines
-
-
-def test_trace_records_skip_decisions_on_legacy_image():
-    m, state = crash_corpus_case(legacy=True)
-    image, _report, trace = explain_recovery(state)
-    assert verify_recovery(m, image).ok
-    assert trace["ordered_line_log_persists"] is False
-    skips = [d for d in trace["decisions"] if d["action"] == "skip"]
-    assert skips and all("CHAIN_BIT" in d["reason"] for d in skips)
-    broken = [c for c in trace["chains"] if not c["complete"]]
-    assert {c["line"] for c in broken} == {d["line"] for d in skips}
+    assert plain_report.restored_lines == report.restored_lines
+    assert trace["summary"]["restored_lines"] == report.restored_lines
+    assert verify_recovery(m, explained_image).ok
 
 
 def test_narrative_renders_every_decision():
-    _m, state = crash_corpus_case(legacy=True)
+    _m, state = crash_corpus_case()
     _image, _report, trace = explain_recovery(state)
     text = render_narrative(trace)
-    assert "LEGACY" in text
     assert "undo order" in text
+    assert trace["decisions"], "the pinned crash point restores nothing?"
     for d in trace["decisions"]:
         assert f"step {d['step']}" in text
-    assert "defensively left untouched" in text
+    assert f"{trace['summary']['restored_lines']} line(s) restored" in text
 
 
 def test_validate_trace_flags_malformed_traces():
@@ -99,6 +86,8 @@ def test_recover_cli_smoke(tmp_path, capsys):
 def test_recover_cli_reports_legacy_corruption(capsys):
     from repro.recovery.explain import main
 
-    rc = main(["--case", CORPUS, "--legacy-line-order", "--no-defensive"])
+    # in-process: the fault hook patches classes a subprocess cannot see
+    with reopen_edge("line-chain"):
+        rc = main(["--case", CORPUS])
     assert rc == 1
     assert "INCONSISTENT" in capsys.readouterr().out

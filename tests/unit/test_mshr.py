@@ -155,25 +155,6 @@ def test_parked_miss_that_finds_line_resident_completes_as_hit():
     assert h.l1[1].contains(PM_BASE + 64)
 
 
-# -- legacy immediate-fill model (mshrs_per_cache = 0) -----------------------
-
-
-def test_legacy_blocking_model_fills_at_access_time():
-    cfg, s, mem, h = build(mshrs=0)
-    assert h.llc_mshrs is None
-    first = start_access(h, s, 0, PM_BASE)
-    # the line is already resident (installed at access time), so the
-    # second core scores an instant LLC hit and completes *before* the
-    # first requester's fetch latency elapses - the fidelity bug the
-    # non-blocking hierarchy fixes, kept selectable for old demos
-    second = start_access(h, s, 1, PM_BASE)
-    s.run()
-    assert h.llc_misses == 1
-    assert h.mshr_merges == 0
-    assert second["time"] == mem.timing.llc_latency()
-    assert second["time"] < first["time"]
-
-
 def test_nonblocking_default_makes_secondary_miss_wait_for_fill():
     cfg, s, mem, h = build()
     first = start_access(h, s, 0, PM_BASE)
@@ -191,7 +172,7 @@ def _same_set_distinct_line(cfg, base):
     return base + sets * 64
 
 
-@pytest.mark.parametrize("mshrs", [None, 0])
+@pytest.mark.parametrize("mshrs", [None, 1])
 def test_locked_set_retry_counts_access_once(mshrs):
     cfg, s, mem, h = build(mshrs=mshrs, assoc1=True)
     victim_line = PM_BASE

@@ -50,6 +50,14 @@ def test_memory_params_validation():
         MemoryParams(pm_latency_multiplier=0)
 
 
+def test_mshrs_per_cache_must_be_at_least_one():
+    # 1 is the blocking-cache comparator; there is no pre-MSHR mode below it
+    for bad in (0, -1):
+        with pytest.raises(ConfigError, match=r">= 1.*1 is the blocking"):
+            MemoryParams(mshrs_per_cache=bad)
+    assert MemoryParams(mshrs_per_cache=1).mshrs_per_cache == 1
+
+
 def test_effective_pm_latencies_scale():
     m = MemoryParams(pm_latency_multiplier=4)
     assert m.effective_pm_read_latency == 4 * MemoryParams().pm_read_latency

@@ -53,7 +53,7 @@ def test_undo_order_independent_regions_any_order():
 # -- _scan_logs ----------------------------------------------------------------
 
 
-def make_state(pm, log_dir, deps=(), markers=None, ordered=True):
+def make_state(pm, log_dir, deps=(), markers=None):
     return CrashState(
         pm_image=pm,
         dependence_entries=list(deps),
@@ -61,7 +61,6 @@ def make_state(pm, log_dir, deps=(), markers=None, ordered=True):
         entries_per_record=7,
         marker_directory=markers or {},
         log_kind="redo" if markers else "undo",
-        ordered_line_log_persists=ordered,
     )
 
 
@@ -162,91 +161,38 @@ def test_recover_no_uncommitted_is_identity():
     assert report.undone_count == 0
 
 
-# -- defensive chain validation (legacy images) ---------------------------------
-
-
-def _broken_chain_state(ordered):
-    """rid 13 (chained to uncommitted rid 12) has the only durable entry
-    for line PM; rid 12's entry for PM was lost at the crash - the broken
-    undo chain of docs/RECOVERY.md."""
-    pm = MemoryImage()
-    pm.write_word(PM, 300)  # current (from region 13)
-    write_record(pm, LOG, 12, [])  # header durable, entry for PM lost
-    write_record(pm, LOG + 512, 13, [(PM, [200, 0, 0, 0, 0, 0, 0, 0], True)])
-    return pm, make_state(
-        pm,
-        {0: [(LOG, 2, 512)]},
-        deps=[entry(12), entry(13, deps=[12])],
-        ordered=ordered,
-    )
-
-
-def test_defensive_skips_broken_chain_on_legacy_image():
-    pm, state = _broken_chain_state(ordered=False)
-    image, report = recover(state)
-    # rid 13's "old value" 200 never durably existed: leave PM alone
-    assert image.read_word(PM) == 300
-    assert report.restored_lines == 0
-    assert report.skipped_lines == 1
-    assert report.skipped_restores[0]["line"] == PM
-    assert report.skipped_restores[0]["rid"] == 13
-    assert "CHAIN_BIT" in report.skipped_restores[0]["reason"]
-
-
-def test_defensive_false_reproduces_raw_corruption():
-    pm, state = _broken_chain_state(ordered=False)
-    image, report = recover(state, defensive=False)
-    assert image.read_word(PM) == 200  # the never-durable value
-    assert report.skipped_restores == []
+# -- chained entries ------------------------------------------------------------
 
 
 def test_defensive_trusts_ordered_images():
-    """Under the fixed scheme "earliest durable writer is chained" happens
-    legitimately whenever the predecessor committed (its log is freed at
-    commit), so the validation must not fire on ordered images."""
-    pm, state = _broken_chain_state(ordered=True)
+    """rid 13 (chained to uncommitted rid 12) holds the only durable entry
+    for line PM. Under per-line LPO ordering "earliest durable writer is
+    chained" happens legitimately whenever the predecessor's entry was
+    superseded or freed, so recovery restores it."""
+    pm = MemoryImage()
+    pm.write_word(PM, 300)  # current (from region 13)
+    write_record(pm, LOG, 12, [])
+    write_record(pm, LOG + 512, 13, [(PM, [200, 0, 0, 0, 0, 0, 0, 0], True)])
+    state = make_state(
+        pm, {0: [(LOG, 2, 512)]}, deps=[entry(12), entry(13, deps=[12])]
+    )
     image, report = recover(state)
     assert image.read_word(PM) == 200
     assert report.restored_lines == 1
-    assert report.skipped_restores == []
 
 
 def test_defensive_restores_when_chained_predecessor_committed():
     """Chained bit set but every dependency already committed: the logged
-    old value is committed data, so the restore is sound even on a
-    legacy image."""
+    old value is committed data, so the restore is sound."""
     pm = MemoryImage()
     pm.write_word(PM, 300)
     # rid 12 (13's predecessor) committed before the crash: it is not in
     # the dependence list and its log record was freed
     write_record(pm, LOG, 13, [(PM, [200, 0, 0, 0, 0, 0, 0, 0], True)])
-    state = make_state(
-        pm, {0: [(LOG, 1, 512)]}, deps=[entry(13, deps=[12])], ordered=False
-    )
+    state = make_state(pm, {0: [(LOG, 1, 512)]}, deps=[entry(13, deps=[12])])
     image, report = recover(state)
     assert image.read_word(PM) == 200
-    assert report.skipped_restores == []
-
-
-def test_defensive_skip_covers_whole_line():
-    """A broken chain skips *every* restore of that line, not just the
-    earliest writer's - partial unwinding would mix chain generations."""
-    pm = MemoryImage()
-    pm.write_word(PM, 300)
-    write_record(pm, LOG, 12, [])  # entry for PM lost
-    write_record(pm, LOG + 512, 13, [(PM, [200, 0, 0, 0, 0, 0, 0, 0], True)])
-    write_record(pm, LOG + 1024, 14, [(PM, [250, 0, 0, 0, 0, 0, 0, 0], True)])
-    state = make_state(
-        pm,
-        {0: [(LOG, 3, 512)]},
-        deps=[entry(12), entry(13, deps=[12]), entry(14, deps=[13])],
-        ordered=False,
-    )
-    image, report = recover(state)
-    assert image.read_word(PM) == 300
-    assert report.restored_lines == 0
-    assert {d["rid"] for d in report.skipped_restores} == {13, 14}
-    assert report.skipped_lines == 1
+    assert report.restored_lines == 1
 
 
 # -- recover_redo ---------------------------------------------------------------------

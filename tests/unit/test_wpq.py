@@ -6,6 +6,7 @@ from repro.common.errors import SimulationError
 from repro.engine import Scheduler
 from repro.mem.image import MemoryImage
 from repro.mem.wpq import DPO, LPO, PersistOp, WritePendingQueue
+from tests.faults import reopen_edge
 
 PM = 0x1000_0000_0000
 
@@ -248,14 +249,15 @@ def test_pending_ops_not_flushed_on_crash():
 
 
 def test_legacy_backpressure_mode_still_available():
-    # The pre-fix model is kept behind a flag for the fuzzer's shrinker
-    # demos; it must park rather than queue, and hide pending ops.
-    s = Scheduler()
-    img = MemoryImage("pm")
-    q = WritePendingQueue("q", s, 1, lambda: 1000, img,
-                          fifo_backpressure=False)
-    s.at(0, lambda: q.submit(op(line=PM, rid=1)))
-    s.at(0, lambda: q.submit(op(line=PM + 64, rid=2)))
-    s.run(until=2)
-    assert q.pending_count == 0  # parked as a closure, invisible
-    assert q.drop_where(lambda o: o.rid == 2) == 0  # ...and undroppable
+    # The pre-fix model lives on only as the reopen_edge("wpq-fifo") test
+    # hook (the shrinker's known bug); it must park rather than queue,
+    # and hide parked ops from dropping.
+    with reopen_edge("wpq-fifo"):
+        s, img, q = make_wpq(capacity=1, service=1000)
+        s.at(0, lambda: q.submit(op(line=PM, rid=1)))
+        s.at(0, lambda: q.submit(op(line=PM + 64, rid=2)))
+        s.run(until=2)
+        assert q.pending_count == 0  # parked as a closure, invisible
+        assert q.drop_where(lambda o: o.rid == 2) == 0  # ...and undroppable
+        s.run()
+    assert img.read_word(PM + 64) == 1  # woken by the drain, then accepted
