@@ -718,8 +718,9 @@ def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOut
         {max(1, c) for c in (lo, (lo + hi) // 2, hi, hi + 1, lo + 1)}
     )[:max_points]
     runs = 0
+    # one sweep machine: crash snapshots leave it resumable
+    machine = build_machine(case)
     for cycle in points:
-        machine = build_machine(case)
         state = crash_machine(machine, at_cycle=cycle)
         image, _report = recover(state)
         runs += 1

@@ -55,8 +55,7 @@ class BloomFilter:
         )
 
     def clear(self) -> None:
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
+        self._bits[:] = bytes(len(self._bits))
         self.clears += 1
 
 

@@ -74,13 +74,12 @@ class LogHeaderWPQ:
             self.release(addr)
         return len(victims)
 
-    def flush_to_pm(self, pm_image: MemoryImage) -> int:
-        """Crash path: write every held header to persistent memory."""
+    def flush_to_pm(self, image: MemoryImage) -> int:
+        """Crash path: write every held header into ``image`` (a copy of
+        PM); the LH-WPQ itself is untouched."""
         for record in self._entries.values():
-            pm_image.apply(record.header_payload())
-        count = len(self._entries)
-        self._entries.clear()
-        return count
+            image.apply(record.header_payload())
+        return len(self._entries)
 
     def records(self):
         return iter(self._entries.values())

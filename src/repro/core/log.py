@@ -178,8 +178,10 @@ class UndoLog:
         if num_records <= 0:
             raise SimulationError("segment must hold at least one record")
         self.segments.append((base_addr, num_records))
-        for i in range(num_records):
-            self._free_slots.append(base_addr + i * self.record_stride)
+        stride = self.record_stride
+        self._free_slots.extend(
+            range(base_addr, base_addr + num_records * stride, stride)
+        )
 
     def _allocate_slot(self) -> int:
         if not self._free_slots:
@@ -252,6 +254,6 @@ class UndoLog:
 
     def all_slot_addrs(self):
         """Yield every record-slot header address (recovery scans these)."""
+        stride = self.record_stride
         for base, num_records in self.segments:
-            for i in range(num_records):
-                yield base + i * self.record_stride
+            yield from range(base, base + num_records * stride, stride)

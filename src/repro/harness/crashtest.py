@@ -88,10 +88,12 @@ def run_crashtest(
     report = CrashTestReport(workload=workload, scheme=scheme)
     total = build()[0].run().cycles
     report.total_cycles = total
+    # crash snapshots leave the machine resumable: one sweep machine
+    # visits every (ascending) point
+    machine, wl = build()
     for i in range(points):
         cycle = max(1, ((i + 1) * total) // (points + 1))
         report.crash_cycles.append(cycle)
-        machine, wl = build()
         state = crash_machine(machine, at_cycle=cycle)
         image, rec_report = recover(state)
         image2, _ = recover(state)  # determinism probe

@@ -259,9 +259,13 @@ def build_machine(case: FuzzCase) -> Machine:
 # -- checks (the differential oracle) --------------------------------------
 
 
-def check_no_crash(case: FuzzCase) -> List[str]:
-    """Run to completion; PM must equal the oracle's committed image."""
-    m = build_machine(case)
+def check_no_crash(case: FuzzCase, machine: Optional[Machine] = None) -> List[str]:
+    """Run to completion; PM must equal the oracle's committed image.
+
+    ``machine`` (default: a fresh build of ``case``) is left finished, so
+    a caller can read the clean run's length from its ``result()``.
+    """
+    m = machine or build_machine(case)
     m.run()
     failures: List[str] = []
     uncommitted = m.oracle.uncommitted_rids()
@@ -273,9 +277,17 @@ def check_no_crash(case: FuzzCase) -> List[str]:
     return failures
 
 
-def check_crash(case: FuzzCase, at_cycle: int) -> List[str]:
-    """Crash at ``at_cycle``; recovery must match the oracle's image."""
-    m = build_machine(case)
+def check_crash(
+    case: FuzzCase, at_cycle: int, machine: Optional[Machine] = None
+) -> List[str]:
+    """Crash at ``at_cycle``; recovery must match the oracle's image.
+
+    ``machine`` (default: a fresh build of ``case``) may be a sweep
+    machine already snapshotted at earlier cycles: a crash snapshot
+    leaves the machine resumable, so one machine serves every point of
+    an ascending sweep.
+    """
+    m = machine or build_machine(case)
     state = crash_machine(m, at_cycle=at_cycle)
     image, _report = recover(state)
     image2, _ = recover(state)
@@ -295,16 +307,21 @@ def case_failures(case: FuzzCase, crash_points: int = 0) -> List[str]:
     ``crash_points`` evenly-spaced ones - corpus entries record the exact
     crash fraction their historical failure needed.
     """
-    failures = list(check_no_crash(case))
+    clean = build_machine(case)
+    failures = list(check_no_crash(case, clean))
+    # the points divide the clean run's length: the cycle its last thread
+    # finished, not the (later) cycle its queues drained
+    total = clean.result().cycles
+    del clean  # released before the sweep machine is built
     if crash_points > 0 or case.crash_fracs:
-        total = build_machine(case).run().cycles
         cycles = {
             max(1, ((i + 1) * total) // (crash_points + 1))
             for i in range(crash_points)
         }
         cycles.update(max(1, int(total * frac)) for frac in case.crash_fracs)
+        sweep = build_machine(case)
         for cycle in sorted(cycles):
-            failures.extend(check_crash(case, cycle))
+            failures.extend(check_crash(case, cycle, sweep))
     return failures
 
 
@@ -602,18 +619,22 @@ def run_fuzz(
         report.schemes.append(scheme)
         report.wpq_sizes.append(case.wpq_entries)
 
-        failures = check_no_crash(case)
+        clean = build_machine(case)
+        failures = check_no_crash(case, clean)
         report.runs += 1
+        total = clean.result().cycles  # as in case_failures
+        del clean
         crashed_failures: List[str] = []
         if not failures and crash_points > 0:
-            total = build_machine(case).run().cycles
+            sweep = build_machine(case)
             for i in range(crash_points):
                 if report.runs >= budget and report.cases > 1:
                     break
                 cycle = max(1, ((i + 1) * total) // (crash_points + 1))
-                crashed_failures.extend(check_crash(case, cycle))
+                crashed_failures.extend(check_crash(case, cycle, sweep))
                 report.runs += 1
                 report.crash_points_checked += 1
+            del sweep
         failures.extend(crashed_failures)
 
         if failures:

@@ -5,7 +5,8 @@ The substrate separates *function* from *timing*:
 * :class:`~repro.mem.image.MemoryImage` holds actual word values. The
   machine keeps two: the volatile image (what the CPUs see) and the PM
   image (what survives a crash). The PM image is only updated by WPQ
-  drains and by the persistence-domain flush performed on a crash.
+  drains; a crash snapshot applies the persistence-domain flush to a
+  copy of it.
 * The cache hierarchy and memory controllers provide latencies and
   occupancy (queueing/backpressure) but never store data values; data
   payloads are snapshotted into persist operations when those are created.

@@ -38,7 +38,6 @@ class TrafficStats:
     )
     pm_reads: int = 0
     dram_writes: int = 0
-    crash_flush_writes: int = 0
 
     @property
     def pm_writes(self) -> int:
@@ -168,14 +167,11 @@ class MemorySystem:
 
     # -- crash -------------------------------------------------------------
 
-    def flush_persistence_domain(self) -> int:
-        """Flush every WPQ to the PM image (ADR on power failure)."""
-        flushed = 0
-        for ch in self.channels:
-            n = ch.wpq.flush_to_pm()
-            ch.stats.crash_flush_writes += n
-            flushed += n
-        return flushed
+    def flush_persistence_domain(self, image: MemoryImage) -> int:
+        """Flush every WPQ, channel by channel, into ``image`` (ADR on
+        power failure); the queues are untouched. Returns the number of
+        entries flushed."""
+        return sum(ch.wpq.flush_to_pm(image) for ch in self.channels)
 
     # -- aggregate statistics -----------------------------------------------
 

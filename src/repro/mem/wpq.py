@@ -494,21 +494,19 @@ class WritePendingQueue:
 
     # -- crash -------------------------------------------------------------
 
-    def flush_to_pm(self) -> int:
-        """Persistence-domain flush: apply every queued entry in order.
+    def flush_to_pm(self, image: MemoryImage) -> int:
+        """Persistence-domain flush into ``image``: apply every queued
+        entry in FIFO order.
 
-        Models ADR draining the WPQ on power failure. Returns the number of
-        entries flushed. The queue is left empty; no callbacks fire (the
-        machine is dead). Backpressured ops are *not* flushed: they never
-        entered the persistence domain, so their writes are lost with the
-        caches - which is safe precisely because their ``on_complete`` has
-        not fired and no one was told they persisted.
+        Models ADR draining the WPQ on power failure, onto a copy of PM
+        (crash snapshots are non-destructive): the queue, its indexes and
+        callbacks are left untouched, so the run can continue. Callable
+        payloads (log-record headers) are materialised now. Returns the
+        number of entries flushed. Backpressured ops are *not* flushed:
+        they never entered the persistence domain, so their writes are
+        lost with the caches - which is safe precisely because their
+        ``on_complete`` has not fired and no one was told they persisted.
         """
-        count = 0
-        while self._entries:
-            _, op = self._entries.popitem(last=False)
-            self._pm_image.apply(op.materialized_payload())
-            count += 1
-        self._data_by_line.clear()
-        self._log_by_rid.clear()
-        return count
+        for op in self._entries.values():
+            image.apply(op.materialized_payload())
+        return len(self._entries)

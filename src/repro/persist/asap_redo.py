@@ -50,7 +50,7 @@ from repro.core.log import UndoLog
 from repro.core.rid import local_rid_of, pack_rid, previous_rid
 from repro.core.states import RegionState
 from repro.engine import Signal
-from repro.mem.image import rebase_line
+from repro.mem.image import MemoryImage, rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -485,7 +485,7 @@ class AsapRedoLogging(PersistenceScheme):
             return
         self.machine.scheduler.after(100, lambda: self.when_quiescent(done))
 
-    def crash_flush(self) -> None:
+    def crash_flush(self, image: MemoryImage) -> None:
         """Nothing beyond the WPQs: headers and markers ride persist ops."""
 
     def dependence_snapshot(self) -> List[dict]:

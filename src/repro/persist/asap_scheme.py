@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.core.engine import AsapEngine, AsapThread
+from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme, SchemeThread
 
 
@@ -87,10 +88,10 @@ class AsapScheme(PersistenceScheme):
 
     # -- crash support (Sec. 5.5) ------------------------------------------
 
-    def crash_flush(self) -> None:
-        """Flush the LH-WPQs to the PM image (the ADR crash path)."""
+    def crash_flush(self, image: MemoryImage) -> None:
+        """Flush the LH-WPQs into ``image`` (the ADR crash path)."""
         for lh in self.engine.lh_wpqs:
-            lh.flush_to_pm(self.machine.pm_image)
+            lh.flush_to_pm(image)
 
     def dependence_snapshot(self) -> List[dict]:
         """The persisted Dependence List contents used by recovery."""

@@ -6,7 +6,8 @@ when the instruction may retire. Synchronous-commit schemes delay ``End``'s
 ``done``; ASAP never does.
 
 Schemes also expose commit notifications (for the recovery oracle) and a
-``crash()`` hook that flushes their share of the persistence domain.
+``crash_flush(image)`` hook that flushes their share of the persistence
+domain into a crash snapshot's copy of PM.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import abc
 from typing import Callable, FrozenSet, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.mem.image import MemoryImage
     from repro.sim.machine import Machine
 
 #: The ordering-edge kinds a scheme may guarantee between persist
@@ -139,9 +141,10 @@ class PersistenceScheme(abc.ABC):
         """
         done()
 
-    def crash_flush(self) -> None:
-        """Flush scheme-private persistence-domain state to the PM image
-        (the machine flushes the WPQs itself)."""
+    def crash_flush(self, image: MemoryImage) -> None:
+        """Flush scheme-private persistence-domain state into ``image``,
+        a copy of PM that already holds the flushed WPQs; the scheme's
+        own state is left untouched."""
 
     # -- helpers -----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from typing import Callable, Dict, Optional
 from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.core.rid import pack_rid
+from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme, SchemeThread
 
 
@@ -108,17 +109,16 @@ class EadrLogging(PersistenceScheme):
 
     # -- crash ----------------------------------------------------------------------
 
-    def crash_flush(self) -> None:
+    def crash_flush(self, image: MemoryImage) -> None:
         """The battery flushes every dirty line: durable state = volatile
         state, with in-flight regions rolled back from their in-cache
         logs (which the battery flushes too)."""
-        pm = self.machine.pm_image
         for word, value in self.machine.volatile.items():
             if self.machine.page_table.is_persistent(word):
-                pm.write_word(word, value)
+                image.write_word(word, value)
         for thread in self._threads():
             for old_words in thread.undo.values():
-                pm.apply(old_words)
+                image.apply(old_words)
 
     def _threads(self):
         for executor in self.machine.executors:

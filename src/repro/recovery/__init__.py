@@ -1,8 +1,11 @@
 """Crash injection and post-crash recovery (Sec. 5.5).
 
-:func:`~repro.recovery.crash.crash_machine` stops a run at an arbitrary
-cycle and performs the persistence-domain flush (WPQs, LH-WPQs, active
-Dependence List entries). :func:`~repro.recovery.recover.recover` then
+:func:`~repro.recovery.crash.crash_machine` advances a run to an
+arbitrary cycle and snapshots what a power failure there leaves behind:
+the persistence-domain flush (WPQs, LH-WPQs, active Dependence List
+entries) is applied to a copy of the PM image, and the machine itself is
+neither stopped nor flushed, so it can be resumed to a later crash point
+or to the end. :func:`~repro.recovery.recover.recover` then
 replays the paper's recovery procedure on the surviving PM image: build
 the dependence DAG from the persisted Dependence List, derive the reverse
 happens-before order, locate every uncommitted region's log records, and

@@ -1,4 +1,4 @@
-"""Crash injection: stop the machine and flush the persistence domain.
+"""Crash injection: a non-destructive snapshot of what survives power loss.
 
 What survives a crash (Sec. 4.1, Sec. 5.5):
 
@@ -13,6 +13,10 @@ Lists, and the DRAM OwnerRID buffer (execution-time metadata only).
 Persist ops still *backpressured at the controller* (not yet accepted
 into a WPQ) are also lost - the asymmetry behind the incomplete-undo-
 chain bug the per-line LPO ordering rule prevents (docs/RECOVERY.md).
+
+The snapshot leaves the machine untouched: the persistence-domain flush
+is applied to a copy of the PM image, so one machine can be advanced
+through ascending crash points, snapshotted at each, and run to the end.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.common.errors import SimulationError
 from repro.mem.image import MemoryImage
 from repro.sim.machine import Machine
 
@@ -28,7 +33,7 @@ from repro.sim.machine import Machine
 class CrashState:
     """Everything recovery may look at after power is lost."""
 
-    #: deep copy of persistent memory after the persistence-domain flush
+    #: copy of persistent memory with the persistence-domain flush applied
     pm_image: MemoryImage
     #: persisted Dependence List entries: [{rid, state, deps}, ...]
     dependence_entries: List[dict]
@@ -47,17 +52,24 @@ class CrashState:
 
 
 def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashState:
-    """Run ``machine`` until ``at_cycle`` (or from its current state) and
-    pull the plug.
+    """Advance ``machine`` to ``at_cycle`` (or keep its current state) and
+    snapshot what a power failure there would leave behind.
 
-    Returns the :class:`CrashState` recovery operates on. The machine is
-    marked crashed; executors stop issuing ops.
+    Returns the :class:`CrashState` recovery operates on. Its PM image is
+    a copy with the persistence-domain flush applied: queued WPQ entries
+    in FIFO order, then the scheme's own flush. The machine itself is not
+    modified, so it can be resumed to a later crash point or to the end.
     """
     if at_cycle is not None:
+        if at_cycle < machine.scheduler.now:
+            raise SimulationError(
+                f"cannot crash at cycle {at_cycle}: the machine is already "
+                f"at cycle {machine.scheduler.now}"
+            )
         machine.run(until=at_cycle)
-    machine.crashed = True
-    flushed = machine.memory.flush_persistence_domain()
-    machine.scheme.crash_flush()
+    image = machine.pm_image.copy()
+    flushed = machine.memory.flush_persistence_domain(image)
+    machine.scheme.crash_flush(image)
 
     dependence_entries: List[dict] = []
     log_directory: Dict[int, List[tuple]] = {}
@@ -76,7 +88,7 @@ def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashStat
         marker_directory = scheme.marker_directory()
 
     return CrashState(
-        pm_image=machine.pm_image.copy(),
+        pm_image=image,
         dependence_entries=dependence_entries,
         log_directory=log_directory,
         entries_per_record=entries_per_record,

@@ -75,7 +75,7 @@ class ThreadExecutor:
         self.machine.scheduler.after(0, lambda: self._step(None))
 
     def _step(self, result) -> None:
-        if self.machine.crashed or self.finished:
+        if self.finished:
             return
         try:
             op = self._gen.send(result)

@@ -70,7 +70,7 @@ class Machine:
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
         self._next_thread_id = 0
-        self.crashed = False
+        self._started = False
 
     # -- workload wiring -----------------------------------------------------
 
@@ -130,15 +130,19 @@ class Machine:
         until: Optional[int] = None,
         max_events: int = 200_000_000,
     ) -> RunResult:
-        """Start every thread and drain the event queue.
+        """Run the event queue up to ``until`` (default: until it drains).
 
-        Returns the :class:`RunResult` with cycles, region latencies, and
-        PM traffic. Raises on deadlock (threads unfinished, no events).
+        The first call starts every thread; later calls resume from the
+        current clock, so ``run(until=a)`` then ``run()`` is one ``run()``
+        cut in two. Returns the :class:`RunResult` as of the stop. Raises
+        on deadlock (threads unfinished, no events left).
         """
-        for executor in self.executors:
-            executor.start()
+        if not self._started:
+            self._started = True
+            for executor in self.executors:
+                executor.start()
         self.scheduler.run(until=until, max_events=max_events)
-        if until is None and not self.crashed:
+        if until is None:
             unfinished = [e.thread_id for e in self.executors if not e.finished]
             if unfinished:
                 raise SimulationError(

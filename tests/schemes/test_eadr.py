@@ -65,8 +65,10 @@ def test_eadr_crash_is_durable_and_atomic():
     state = crash_machine(m)
     # battery flush: committed region 1's write is durable, region 2's
     # writes rolled back from the in-cache log
-    assert m.pm_image.read_word(a) == 1
-    assert m.pm_image.read_word(a + 64) == 0
+    assert state.pm_image.read_word(a) == 1
+    assert state.pm_image.read_word(a + 64) == 0
+    # the flush went into the snapshot; the live PM image is untouched
+    assert m.pm_image.read_word(a) == 100
     image, _ = recover(state)  # no dependence entries: recovery is a no-op
     assert verify_recovery(m, image).ok
 

@@ -64,10 +64,13 @@ def test_flush_persistence_domain():
     cfg, s, pm, mem = build()
     s.at(0, lambda: mem.issue_persist(PersistOp(DPO, PM, PM, {PM: 7})))
     s.run(until=mem.timing.mc_hop())
-    flushed = mem.flush_persistence_domain()
+    image = pm.copy()
+    flushed = mem.flush_persistence_domain(image)
     assert flushed == 1
-    assert pm.read_word(PM) == 7
-    assert sum(ch.stats.crash_flush_writes for ch in mem.channels) == 1
+    assert image.read_word(PM) == 7
+    # the queues are untouched: the DPO is still queued, live PM unchanged
+    assert mem.queued_dpo_for(PM) is not None
+    assert pm.read_word(PM) == 0
 
 
 def test_dram_write_accounting():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness.runner import default_config, default_params, run_once
+from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme, SchemeThread
 from repro.sim.stats import RunResult
 
@@ -113,7 +114,9 @@ def test_scheme_base_defaults():
     scheme.fence(thread, lambda: calls.append("fence"))
     scheme.migrate(thread, 3, lambda: calls.append("migrate"))
     scheme.when_quiescent(lambda: calls.append("quiescent"))
-    scheme.crash_flush()  # default no-op
+    image = MemoryImage("pm")
+    scheme.crash_flush(image)  # default no-op
+    assert list(image.items()) == []
     assert calls == ["fence", "migrate", "quiescent"]
     assert thread.core_id == 3
     seen = []

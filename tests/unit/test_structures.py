@@ -194,4 +194,6 @@ def test_lh_wpq_flush_writes_headers():
     assert lh.flush_to_pm(img) == 1
     assert img.read_word(0x1000) == 42
     assert img.read_word(0x1008) == 0x9000
-    assert len(lh) == 0
+    # the LH-WPQ is untouched: the header is still held
+    assert len(lh) == 1
+    assert list(lh.records()) == [record]

@@ -99,10 +99,16 @@ def test_flush_to_pm_applies_everything_in_order():
     s.at(0, lambda: q.submit(op(payload={PM: 1})))
     s.at(0, lambda: q.submit(op(payload={PM: 2})))
     s.run(until=5)
-    flushed = q.flush_to_pm()
+    snapshot = img.copy()
+    flushed = q.flush_to_pm(snapshot)
     assert flushed == 2
-    assert img.read_word(PM) == 2  # FIFO order: the later write wins
-    assert len(q) == 0
+    assert snapshot.read_word(PM) == 2  # FIFO order: the later write wins
+    # the queue is untouched: both entries still drain to the live PM image
+    assert len(q) == 2
+    assert img.read_word(PM) == 0
+    s.run()
+    assert q.drained == 2
+    assert img.read_word(PM) == 2
 
 
 def test_lazy_drain_below_watermark():
@@ -243,9 +249,13 @@ def test_pending_ops_not_flushed_on_crash():
     s.at(0, lambda: q.submit(op(line=PM, payload={PM: 1})))
     s.at(0, lambda: q.submit(op(line=PM + 64, payload={PM + 64: 2})))
     s.run(until=2)
-    assert q.flush_to_pm() == 1  # only the accepted entry is in ADR
-    assert img.read_word(PM) == 1
-    assert img.read_word(PM + 64) == 0
+    snapshot = img.copy()
+    assert q.flush_to_pm(snapshot) == 1  # only the accepted entry is in ADR
+    assert snapshot.read_word(PM) == 1
+    assert snapshot.read_word(PM + 64) == 0
+    # the queue is untouched: the entry stays queued, the op backpressured
+    assert len(q) == 1
+    assert q.pending_count == 1
 
 
 def test_legacy_backpressure_mode_still_available():
