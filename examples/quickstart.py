@@ -10,12 +10,23 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Machine, SystemConfig, make_scheme
+from repro.common.observe import SimObserver
 from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
+
+
+class CommitLog(SimObserver):
+    """Records (cycle, region id) each time a region becomes durable."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.entries = []
+
+    def region_committed(self, source, rid):
+        self.entries.append((self.machine.scheduler.now, rid))
 
 
 def main():
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
-    engine = machine.scheme.engine
 
     # asap_malloc: allocate persistent data (page-table bit set -> PBit)
     account_a = machine.heap.alloc(64)
@@ -24,10 +35,7 @@ def main():
     machine.bootstrap_write(account_b, [1000])
     lock = machine.new_lock("accounts")
 
-    commit_log = []
-    engine.on_commit.append(
-        lambda rid: commit_log.append((machine.scheduler.now, rid))
-    )
+    commit_log = machine.observe(CommitLog(machine)).entries
 
     def transfer_worker(env, amount):
         """Move `amount` from A to B, five times, atomically each time."""

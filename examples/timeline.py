@@ -20,7 +20,7 @@ REGIONS = 6
 
 def run_traced(scheme_name):
     machine = Machine(SystemConfig.small(), make_scheme(scheme_name))
-    tracer = Tracer(machine, trace_persists=False)
+    tracer = Tracer(machine)
     a = machine.heap.alloc(64 * REGIONS)
 
     def worker(env):

@@ -51,9 +51,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.analysis.rules import Violation, get_rule
+from repro.analysis.rules import get_rule
 from repro.common.observe import SimObserver
 from repro.mem.wpq import DPO, LPO, WB
 
@@ -120,24 +121,20 @@ class RaceTracer(SimObserver):
     """Records the persist-op trace one instrumented run produces.
 
     Attach with :meth:`attach` (the :class:`~repro.analysis.Sanitizer`
-    idiom): the tracer takes every observer hook point - WPQs, cache
-    hierarchy, the ASAP engine or scheme, and the machine's locks. Race
-    tracing is a dedicated run; observer slots are single-valued.
+    idiom): the tracer subscribes to every hook point of the machine and
+    may share the run with other subscribers.
     """
 
     def __init__(self):
         self.machine = None
         self.nodes: List[PersistNode] = []
         self._node_of_op: Dict[int, PersistNode] = {}
-        self._channel_of_wpq: Dict[int, int] = {}
         #: (prev_rid, dep_rid, line) same-line undo-chain conflicts
         self.chains: List[Tuple[int, int, int]] = []
         #: rid -> rids it depends on (Dependence-List captures)
         self.deps: Dict[int, Set[int]] = {}
         #: op_id -> (rid, commit_seq) for redo commit markers in flight
         self._marker_ops: Dict[int, Tuple[int, int]] = {}
-        #: rid -> commit cycle
-        self.commits: Dict[int, int] = {}
         #: lock name -> [(thread, acquire cycle)] hand-off history
         self.lock_order: Dict[str, List[Tuple[int, int]]] = {}
         #: line -> cycle the in-flight memory fetch started (MSHR allocate)
@@ -152,20 +149,14 @@ class RaceTracer(SimObserver):
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine) -> "RaceTracer":
-        from repro.core.engine import AsapEngine
-
+        """Keep ``machine`` for the clock and subscribe to it."""
         self.machine = machine
-        for channel in machine.memory.channels:
-            channel.wpq.observer = self
-            self._channel_of_wpq[id(channel.wpq)] = channel.index
-        machine.hierarchy.observer = self
-        machine.scheme.observer = self
-        engine = getattr(machine.scheme, "engine", None)
-        if isinstance(engine, AsapEngine):
-            engine.observer = self
-        for lock in machine.locks:
-            lock.observer = self
+        machine.observe(self)
         return self
+
+    @cached_property
+    def _channel_of_wpq(self) -> Dict[int, int]:
+        return {id(ch.wpq): ch.index for ch in self.machine.memory.channels}
 
     def _now(self) -> int:
         return self.machine.scheduler.now if self.machine is not None else 0
@@ -212,9 +203,8 @@ class RaceTracer(SimObserver):
         self.events += 1
         self.deps.setdefault(rid, set()).add(owner)
 
-    def region_committed(self, engine, rid) -> None:
+    def region_committed(self, source, rid) -> None:
         self.events += 1
-        self.commits[rid] = self._now()
 
     def marker_issued(self, scheme, rid, seq, op) -> None:
         self.events += 1
@@ -411,19 +401,6 @@ class RaceFinding:
             **({"source": self.source} if self.source else {}),
             **({"schedule": self.schedule} if self.schedule else {}),
         }
-
-    def to_violation(self) -> Violation:
-        return Violation(
-            rule_id=self.rule_id,
-            message=f"[{self.status}] {self.message}",
-            cycle=self.window[0],
-            source=self.source,
-            details={
-                "site_a": self.site_a,
-                "site_b": self.site_b,
-                "window": list(self.window),
-            },
-        )
 
 
 @dataclass
@@ -634,16 +611,6 @@ def analyze_trace(
 # ---------------------------------------------------------------------------
 # entry points: fuzz cases and workloads
 # ---------------------------------------------------------------------------
-
-
-def trace_case(case) -> Tuple[RaceTracer, int]:
-    """One instrumented run of a fuzz case; returns (tracer, cycles)."""
-    from repro.harness.fuzz import build_machine
-
-    machine = build_machine(case)
-    tracer = RaceTracer().attach(machine)
-    result = machine.run()
-    return tracer, result.cycles
 
 
 def detect_in_case(case, source: Optional[str] = None) -> RacesResult:

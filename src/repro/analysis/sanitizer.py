@@ -1,13 +1,12 @@
 """Runtime invariant sanitizer: checks ASAP's WAL contract on live events.
 
-The sanitizer is a :class:`~repro.common.SimObserver` wired into the
-machine's hook points (``AsapEngine.observer``, each WPQ's and Dependence
-List's ``observer``, the cache hierarchy's ``observer``). It keeps a small
-mirror of the protocol state - which regions are active, which (region,
-line) pairs have durable log entries, which regions each region depends
-on - and raises :class:`~repro.common.errors.SanitizerError` (or collects
-a :class:`~repro.analysis.rules.Violation`) the moment an event breaks one
-of the S-rules:
+The sanitizer is a :class:`~repro.common.SimObserver` subscribed to every
+hook point of the machine (``Machine.observe``), under any scheme. It
+keeps a small mirror of the protocol state - which regions are active,
+which (region, line) pairs have durable log entries, which regions each
+region depends on - and raises :class:`~repro.common.errors.SanitizerError`
+(or collects a :class:`~repro.analysis.rules.Violation`) the moment an
+event breaks one of the S-rules:
 
 * ASAP-S001 log-before-data: a DPO/WB for an uncommitted region's line is
   accepted into a WPQ although the line's log entry is not durable yet,
@@ -78,24 +77,9 @@ class Sanitizer(SimObserver):
     # -- wiring ------------------------------------------------------------
 
     def attach(self, machine) -> "Sanitizer":
-        """Install this sanitizer on every hook point of ``machine``.
-
-        WPQ and cache-hierarchy hooks apply to any scheme; engine and
-        Dependence List hooks additionally apply when the scheme exposes an
-        :class:`~repro.core.engine.AsapEngine`.
-        """
-        from repro.core.engine import AsapEngine
-
+        """Keep ``machine`` for the clock and subscribe to it."""
         self._machine = machine
-        for channel in machine.memory.channels:
-            channel.wpq.observer = self
-        machine.hierarchy.observer = self
-        engine = getattr(machine.scheme, "engine", None)
-        if isinstance(engine, AsapEngine):
-            engine.observer = self
-            for dl in engine.dep_lists:
-                dl.observer = self
-        machine.sanitizer = self
+        machine.observe(self)
         return self
 
     # -- engine events -----------------------------------------------------
@@ -104,6 +88,8 @@ class Sanitizer(SimObserver):
         self.events_checked += 1
         self._active.add(rid)
         self._deps.setdefault(rid, set())
+        if not hasattr(engine, "cl_lists"):  # asap_redo keeps no CL Lists
+            return
         cl = engine.cl_lists[thread.core_id]
         if len(cl) > cl.max_entries:
             self._flag(
@@ -154,7 +140,7 @@ class Sanitizer(SimObserver):
                 rid=rid,
                 line=line,
             )
-        for lh in engine.lh_wpqs:
+        for lh in getattr(engine, "lh_wpqs", ()):  # nor LH-WPQs
             if len(lh) > lh.capacity:
                 self._flag(
                     "ASAP-S003",
@@ -169,7 +155,7 @@ class Sanitizer(SimObserver):
         self.events_checked += 1
         self._logged.add((rid, line))
 
-    def region_committed(self, engine, rid) -> None:
+    def region_committed(self, source, rid) -> None:
         self.events_checked += 1
         outstanding = {
             dep for dep in self._deps.get(rid, ()) if dep not in self._committed

@@ -1,19 +1,23 @@
-"""Lightweight observation hooks for the simulated machine.
+"""The observer bus: the one way to watch a simulated machine.
 
-The core and memory layers each expose an optional ``observer`` attribute
-(default ``None``) and notify it at a handful of well-defined event points.
-:class:`SimObserver` is the no-op base: every method does nothing, so the
-hot paths pay one ``is not None`` test when observation is off and a plain
-method call when it is on.
+Each structure that reports events (WPQs, cache hierarchy, ASAP engine,
+Dependence Lists, scheme, locks, thread executors) is a *hook point*: it
+lists the events it fires in ``OBSERVED`` and holds one ``observer``
+slot, which only :meth:`repro.sim.machine.Machine.observe` fills. The
+slot holds ``None`` when no subscriber handles one of those events, the
+subscriber itself when one does, and a fan-out when several do, so the
+hot paths pay one ``is not None`` test when nobody listens.
 
-The runtime invariant sanitizer (:mod:`repro.analysis.sanitizer`) is the
-primary consumer; tests may subclass this to record event traces. This
-module lives in :mod:`repro.common` so that :mod:`repro.core` and
-:mod:`repro.mem` can reference the protocol without importing the analysis
+:class:`SimObserver` is the no-op base every subscriber extends. It
+lives in :mod:`repro.common` so that :mod:`repro.core` and
+:mod:`repro.mem` can reference it without importing the analysis
 package (which imports them).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache, partial
+from typing import Optional, Sequence
 
 
 class SimObserver:
@@ -107,8 +111,9 @@ class SimObserver:
     def dpo_initiated(self, engine, rid, line) -> None:
         """A Data Persist Operation for ``line`` was sent towards a WPQ."""
 
-    def region_committed(self, engine, rid) -> None:
-        """Fig. 4 transition (4): the region became durable."""
+    def region_committed(self, source, rid) -> None:
+        """Fig. 4 transition (4): the region became durable. The only commit
+        event; every scheme fires it (``source``: its engine or itself)."""
 
     def log_freed(self, engine, rid, records) -> None:
         """The committed region's log records returned to the free pool."""
@@ -133,3 +138,40 @@ class SimObserver:
 
     def lock_released(self, lock, thread_id) -> None:
         """``thread_id`` released ``lock``."""
+
+    # -- thread executor (sim/executor.py) ---------------------------------
+
+    def begin_retired(self, executor, rid) -> None:
+        """A top-level ``Begin`` of ``executor``'s thread retired."""
+
+    def end_retired(self, executor, rid) -> None:
+        """A top-level ``End`` retired: execution proceeds past region
+        ``rid``, which under an asynchronous scheme is not yet durable."""
+
+
+#: every event a hook point may fire
+EVENTS = frozenset(name for name in vars(SimObserver) if not name.startswith("_"))
+
+
+@lru_cache(maxsize=None)
+def handled(cls: type) -> frozenset:
+    """The events subscriber class ``cls`` overrides (no-ops do not count)."""
+    return frozenset(e for e in EVENTS if getattr(cls, e) is not vars(SimObserver)[e])
+
+
+def slot_for(events: Sequence[str], subscribers: Sequence) -> Optional[SimObserver]:
+    """What the slot of a hook point firing ``events`` holds."""
+    interested = [s for s in subscribers if not handled(type(s)).isdisjoint(events)]
+    if len(interested) <= 1:
+        return interested[0] if interested else None
+    fan_out = SimObserver()
+    for event in events:
+        handlers = [getattr(s, event) for s in interested if event in handled(type(s))]
+        if handlers:
+            setattr(fan_out, event, partial(_broadcast, handlers))
+    return fan_out
+
+
+def _broadcast(handlers, *args) -> None:
+    for handler in handlers:
+        handler(*args)

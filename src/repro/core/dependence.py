@@ -49,6 +49,8 @@ class DependenceEntry:
 class DependenceList:
     """One channel's Dependence List."""
 
+    OBSERVED = ("dep_entry_opened", "dep_entry_removed")
+
     def __init__(self, channel_index: int, scheduler: Scheduler, entries: int, dep_slots: int):
         self.channel_index = channel_index
         self.max_entries = entries

@@ -94,6 +94,12 @@ class AsapThread:
 class AsapEngine:
     """The full ASAP mechanism for one machine."""
 
+    OBSERVED = (
+        "region_begun", "region_ended", "dep_captured", "slot_opened",
+        "lpo_initiated", "lpo_deferred", "lpo_chained", "lpo_logged",
+        "dpo_initiated", "region_committed", "log_freed",
+    )
+
     def __init__(
         self,
         config: SystemConfig,
@@ -109,11 +115,11 @@ class AsapEngine:
             pm_alloc: allocates persistent memory (used for log buffers and
                 log growth); provided by the runtime heap.
             fast: elide persist-op payloads and undo snapshots - valid only
-                when the run has no crash window and no observer, because
-                nothing then ever reads the PM image. All control flow,
-                structure occupancy, and timing are shared; the
-                differential-identity gate holds the two modes to identical
-                RunResult stats (docs/PERF.md).
+                when the run has no crash window and no payload-reading
+                subscriber, because nothing then ever reads the PM image.
+                All control flow, structure occupancy, and timing are
+                shared; the differential-identity gate holds the two modes
+                to identical RunResult stats (docs/PERF.md).
         """
         self.config = config
         self.fast = fast
@@ -161,11 +167,8 @@ class AsapEngine:
         #: :mod:`repro.core.cl_list`).
         self._slots_by_line: Dict[int, Dict[int, tuple]] = {}
         self._dpo_distance = config.asap.dpo_distance
-        #: commit listeners, e.g. the recovery oracle
-        self.on_commit: List[Callable[[int], None]] = []
         self._quiescent_waiters: List[Callable[[], None]] = []
-        #: optional :class:`SimObserver` (the runtime invariant sanitizer)
-        self.observer: Optional[SimObserver] = None
+        self.observer: Optional[SimObserver] = None  # wired by Machine.observe
 
         hierarchy.evict_hook = self._on_llc_evict
         hierarchy.reload_hook = self._on_pm_reload
@@ -872,8 +875,6 @@ class AsapEngine:
         signal = thread.commit_signals.pop(rid, None)
         if signal is not None:
             signal.fire()
-        for listener in self.on_commit:
-            listener(rid)
         if self.uncommitted_count() == 0:
             # Safe point to clear the Bloom filters (Sec. 5.3).
             for ch in range(len(self.dep_lists)):

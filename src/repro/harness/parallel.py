@@ -72,9 +72,9 @@ class RunSpec:
     config: Optional[SystemConfig] = None
     params: Optional[WorkloadParams] = None
     sanitize: bool = False
-    #: elide payloads, oracle and observers (``Machine(fast_path=True)``);
+    #: elide payloads and the oracle (``Machine(fast_path=True)``);
     #: ignored (reference machine) when ``sanitize`` is set, since the
-    #: sanitizer is an observer
+    #: sanitizer checks the reference machine only
     fast: bool = False
     builder: str = ""
     builder_kwargs: Tuple[Tuple[str, object], ...] = ()

@@ -127,16 +127,16 @@ def run_once(
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
-        fast: elide payloads, the commit oracle and observers
+        fast: elide payloads and the commit oracle
             (``Machine(fast_path=True)``). Sanitizing forces the reference
-            machine - the sanitizer is an observer, and the payload-free
-            mode's entry condition is "no observer, no crash window"
-            (docs/PERF.md).
+            machine - the payload-free mode's entry condition is "no
+            payload-reading subscriber, no crash window", and the
+            sanitizer checks the reference machine only (docs/PERF.md).
     """
     if sanitize is None:
         sanitize = sanitize_default()
     if sanitize:
-        fast = False  # observers require the reference (slow) path
+        fast = False  # the sanitizer checks the reference machine
     machine = build_machine(workload, scheme, config, params, fast=fast)
     if sanitize:
         from repro.analysis.sanitizer import Sanitizer

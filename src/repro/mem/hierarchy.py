@@ -47,6 +47,11 @@ ReloadHook = Callable[[int], Tuple[Optional[int], int]]
 class CacheHierarchy:
     """Timing and metadata lifecycle for all cache levels."""
 
+    OBSERVED = (
+        "line_evicted", "mshr_allocated", "mshr_merged", "mshr_filled",
+        "mshr_stalled",
+    )
+
     def __init__(
         self,
         config: SystemConfig,

@@ -137,6 +137,8 @@ class DrainArbiter:
 class WritePendingQueue:
     """Finite FIFO of :class:`PersistOp` with a self-paced drain loop."""
 
+    OBSERVED = ("wpq_submitted", "wpq_accepted", "wpq_drained", "wpq_dropped")
+
     def __init__(
         self,
         name: str,

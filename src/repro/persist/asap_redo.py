@@ -113,6 +113,12 @@ class AsapRedoLogging(PersistenceScheme):
     #: writeback is attempted (shared lazy-window rationale with HWRedo)
     REDO_DPO_DELAY = 1500
 
+    OBSERVED = (
+        "region_begun", "region_ended", "dep_captured", "lpo_initiated",
+        "lpo_logged", "dpo_initiated", "marker_issued", "marker_accepted",
+        "region_committed",
+    )
+
     def __init__(self):
         super().__init__()
         self.dep_lists: List[DependenceList] = []
@@ -162,6 +168,9 @@ class AsapRedoLogging(PersistenceScheme):
 
     def dep_list_for(self, rid: int) -> DependenceList:
         return self.dep_lists[local_rid_of(rid) % len(self.dep_lists)]
+
+    def hook_points(self) -> list:
+        return [self, *self.dep_lists]
 
     # -- regions -----------------------------------------------------------------
 
@@ -253,8 +262,6 @@ class AsapRedoLogging(PersistenceScheme):
                 self.observer.marker_accepted(self, rid, seq, op)
             self.dep_list_for(rid).remove_entry(rid)
             self._notify_commit(rid)
-            if self.observer is not None:
-                self.observer.region_committed(self, rid)
             signal = thread.commit_signals.pop(rid, None)
             if signal is not None:
                 signal.fire()

@@ -2,8 +2,8 @@
 
 All of the paper's machinery lives in :mod:`repro.core`; this class maps
 the generic :class:`~repro.persist.base.PersistenceScheme` interface onto
-it and forwards commit notifications and crash flushes. The per-line
-log-persist ordering rule recovery relies on is enforced in
+it and forwards crash flushes; the engine fires the commit events. The
+per-line log-persist ordering rule recovery relies on is enforced in
 :meth:`AsapEngine._submit_lpo_ordered` (docs/RECOVERY.md).
 """
 
@@ -47,7 +47,9 @@ class AsapScheme(PersistenceScheme):
             pm_alloc=machine.heap.alloc,
             fast=self.fast,
         )
-        self.engine.on_commit.append(self._notify_commit)
+
+    def hook_points(self) -> list:
+        return [self.engine, *self.engine.dep_lists]
 
     @property
     def stats(self):

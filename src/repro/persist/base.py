@@ -5,15 +5,16 @@ write, fence) in continuation-passing style: the ``done`` callback fires
 when the instruction may retire. Synchronous-commit schemes delay ``End``'s
 ``done``; ASAP never does.
 
-Schemes also expose commit notifications (for the recovery oracle) and a
-``crash_flush(image)`` hook that flushes their share of the persistence
-domain into a crash snapshot's copy of PM.
+Schemes also fire the ``region_committed`` observer event (the commit
+oracle subscribes to it) and expose a ``crash_flush(image)`` hook that
+flushes their share of the persistence domain into a crash snapshot's
+copy of PM.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, FrozenSet, List, Optional, TYPE_CHECKING
+from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mem.image import MemoryImage
@@ -72,14 +73,12 @@ class PersistenceScheme(abc.ABC):
     #: and the detector checks that declaration against observed traces.
     ORDERING_EDGES: FrozenSet[str] = frozenset()
 
+    #: the observer events this scheme fires (see :meth:`hook_points`)
+    OBSERVED = ("region_committed",)
+
     def __init__(self):
         self.machine: Optional["Machine"] = None
-        #: optional :class:`repro.common.observe.SimObserver` notified of
-        #: scheme-level events (markers, redo LPOs, dependences).
-        self.observer = None
-        #: listeners called with a packed region id when a region becomes
-        #: durable (commits); the machine's oracle subscribes here.
-        self.on_commit: List[Callable[[int], None]] = []
+        self.observer = None  # wired by Machine.observe
         #: mirrors ``machine.fast_path`` after attach: schemes elide
         #: persist-op payloads and undo snapshots when set (docs/PERF.md)
         self.fast = False
@@ -90,6 +89,11 @@ class PersistenceScheme(abc.ABC):
         """Bind the scheme to a machine (images, hierarchy, controllers)."""
         self.machine = machine
         self.fast = getattr(machine, "fast_path", False)
+
+    def hook_points(self) -> list:
+        """The scheme's structures that fire observer events; each class
+        declares them in ``OBSERVED``."""
+        return [self]
 
     @abc.abstractmethod
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
@@ -149,5 +153,5 @@ class PersistenceScheme(abc.ABC):
     # -- helpers -----------------------------------------------------------------
 
     def _notify_commit(self, rid: int) -> None:
-        for listener in self.on_commit:
-            listener(rid)
+        if self.observer is not None:
+            self.observer.region_committed(self, rid)

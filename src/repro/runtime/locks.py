@@ -24,6 +24,8 @@ class SimLock:
 
     _next_id = 0
 
+    OBSERVED = ("lock_acquired", "lock_released")
+
     def __init__(self, scheduler: Scheduler, name: Optional[str] = None):
         self._scheduler = scheduler
         self.name = name or f"lock{SimLock._next_id}"

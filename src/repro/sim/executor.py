@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class ThreadExecutor:
     """Drives one generator of ops through the machine."""
 
+    OBSERVED = ("begin_retired", "end_retired")
+
     def __init__(self, machine: "Machine", thread_id: int, core_id: int, gen_fn):
         self.machine = machine
         self.thread_id = thread_id
@@ -36,6 +38,7 @@ class ThreadExecutor:
         self._gen: Optional[Iterator] = None
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
+        self.observer = None  # wired by Machine.observe
         # region accounting
         self._region_depth = 0
         self._region_start: Optional[int] = None
@@ -63,7 +66,7 @@ class ThreadExecutor:
 
         Service workloads register a request's arrival cycle under this id
         *before* yielding the region, so the durable-commit notification
-        (``scheme.on_commit``) can be matched back to the request.
+        (``region_committed``) can be matched back to the request.
         """
         return pack_rid(self.thread_id, self._local_region + 1)
 
@@ -175,19 +178,29 @@ class ThreadExecutor:
 
     def _do_begin(self) -> None:
         self._region_depth += 1
-        if self._region_depth == 1:
+        opening_top_level = self._region_depth == 1
+        if opening_top_level:
             self._local_region += 1
             self._region_start = self.machine.scheduler.now
-        self.machine.scheme.begin(self.scheme_thread, lambda: self._charge_and_step())
+
+        def after_begin() -> None:
+            if opening_top_level and self.observer is not None:
+                self.observer.begin_retired(self, self.current_rid)
+            self._charge_and_step()
+
+        self.machine.scheme.begin(self.scheme_thread, after_begin)
 
     def _do_end(self) -> None:
         if self._region_depth <= 0:
             raise SimulationError(f"thread {self.thread_id}: End without Begin")
+        rid = self.current_rid
         self._region_depth -= 1
         closing_top_level = self._region_depth == 0
 
         def after_end() -> None:
             if closing_top_level:
+                if self.observer is not None:
+                    self.observer.end_retired(self, rid)
                 self.regions_completed += 1
                 self.region_cycles_total += (
                     self.machine.scheduler.now - self._region_start

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.common.errors import SimulationError
+from repro.common.observe import SimObserver, slot_for
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
@@ -36,12 +37,11 @@ class Machine:
         Args:
             fast_path: elide what only inspection reads - no persist-op
                 payloads or undo snapshots, no PM-image application, no
-                commit oracle, no observers. Every structure and the event
-                order are shared, so RunResult stats are identical to the
-                reference machine (the differential-identity gate enforces
-                this); crash injection, recovery, ``--sanitize`` and
-                ``--explain`` all require the reference machine
-                (docs/PERF.md).
+                commit oracle. Every structure and the event order are
+                shared, so RunResult stats are identical to the reference
+                machine (the differential-identity gate enforces this);
+                crash injection, recovery and every payload-reading
+                subscriber require the reference machine (docs/PERF.md).
         """
         self.config = config
         self.fast_path = fast_path
@@ -65,18 +65,32 @@ class Machine:
         self.scheme = scheme
         self.oracle = CommitOracle()
         scheme.attach(self)
-        if not fast_path:
-            scheme.on_commit.append(self.oracle.on_commit)
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
+        self.observers: List[SimObserver] = []
         self._next_thread_id = 0
         self._started = False
+        if not fast_path:
+            self.observe(self.oracle)
+
+    def observe(self, subscriber: SimObserver) -> SimObserver:
+        """Subscribe ``subscriber`` to every hook point, now and later;
+        subscribers share the run in subscription order."""
+        self.observers.append(subscriber)
+        points = [ch.wpq for ch in self.memory.channels] + [self.hierarchy]
+        for point in points + self.scheme.hook_points() + self.locks + self.executors:
+            self._wire(point)
+        return subscriber
+
+    def _wire(self, point) -> None:
+        point.observer = slot_for(type(point).OBSERVED, self.observers)
 
     # -- workload wiring -----------------------------------------------------
 
     def new_lock(self, name: Optional[str] = None) -> SimLock:
         lock = SimLock(self.scheduler, name)
         self.locks.append(lock)
+        self._wire(lock)
         return lock
 
     def spawn(self, gen_fn: Callable, core_id: Optional[int] = None) -> ThreadExecutor:
@@ -93,6 +107,7 @@ class Machine:
             core_id = thread_id % self.config.num_cores
         executor = ThreadExecutor(self, thread_id, core_id, gen_fn)
         self.executors.append(executor)
+        self._wire(executor)
         return executor
 
     def bootstrap_write(self, addr: int, values) -> None:

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from typing import Dict, Set
 
+from repro.common.observe import SimObserver
 from repro.mem.image import MemoryImage
 
 
-class CommitOracle:
-    """Tracks per-region write-sets and the durable ("committed") image."""
+class CommitOracle(SimObserver):
+    """Tracks per-region write-sets and the durable ("committed") image.
+
+    The reference machine subscribes it to its own commit events."""
 
     def __init__(self):
         self.committed = MemoryImage("oracle-committed")
@@ -37,7 +40,7 @@ class CommitOracle:
         self._region_writes.setdefault(rid, {}).update(zip(words, values))
         self.tracked_words.update(words)
 
-    def on_commit(self, rid: int) -> None:
+    def region_committed(self, source, rid: int) -> None:
         """The scheme reports ``rid`` durable: fold its writes in."""
         self.committed.apply(self._region_writes.get(rid, {}))
         self.committed_rids.add(rid)

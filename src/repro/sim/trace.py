@@ -1,14 +1,12 @@
 """Optional event tracing: a timeline of what the machine did.
 
-Attach a :class:`Tracer` to a machine before running and it records region
-lifecycles (begin / end-retired / committed) and persist-op completions,
-with cycle stamps. Used by the timeline tests to assert *when* things
-happen (e.g. End retires before commit under ASAP, after it under
-HWUndo), by the trace-dump CLI, and handy when debugging a scheme.
-
-The tracer hooks the executor layer (region events) and the scheme's
-commit notifications; persist-op events come from a WPQ accept/drain
-shim. Overhead is one list append per event; leave it off for benchmarks.
+A :class:`Tracer` subscribes to a machine before it runs and records,
+under any scheme, region lifecycles (begin / end retired / committed)
+and persist-op acceptances and drains, with cycle stamps. Used by the
+timeline tests to assert *when* things happen (e.g. End retires before
+commit under ASAP, at commit under HWUndo), by ``examples/timeline.py``,
+and handy when debugging a scheme. Overhead is one list append per
+event; leave it off for benchmarks.
 """
 
 from __future__ import annotations
@@ -16,8 +14,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING
+from functools import cached_property
+from typing import Dict, List, Optional, TYPE_CHECKING
 
+from repro.common.observe import SimObserver
 from repro.core.rid import unpack_rid
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,7 +29,6 @@ END = "end"
 COMMIT = "commit"
 PERSIST_ACCEPT = "persist_accept"
 PERSIST_DRAIN = "persist_drain"
-PERSIST_DROP = "persist_drop"
 
 
 @dataclass(frozen=True)
@@ -45,97 +44,45 @@ class TraceEvent:
         return f"@{self.cycle:>8} {self.kind:<14}{rid} {self.detail}".rstrip()
 
 
-class Tracer:
+class Tracer(SimObserver):
     """Records a machine's timeline. Attach before :meth:`Machine.run`."""
 
-    def __init__(self, machine: "Machine", trace_persists: bool = True):
+    def __init__(self, machine: "Machine"):
         self.machine = machine
         self.events: List[TraceEvent] = []
-        self._attach_regions()
-        if trace_persists:
-            self._attach_persists()
+        machine.observe(self)
 
-    # -- hooks ---------------------------------------------------------------
+    # -- events --------------------------------------------------------------
 
-    def _attach_regions(self) -> None:
-        """Wrap the scheme's begin/end so events stamp at *retirement*.
+    def begin_retired(self, executor, rid) -> None:
+        self._record(BEGIN, thread_id=executor.thread_id, rid=rid)
 
-        ``END`` at the cycle the instruction stream proceeds past the
-        region - which is what makes synchronous vs asynchronous commit
-        visible as a commit-minus-end lag of zero vs positive.
-        """
-        from repro.core.rid import pack_rid
+    def end_retired(self, executor, rid) -> None:
+        # The instruction stream proceeds past the region here, which is
+        # what makes synchronous vs asynchronous commit visible as a
+        # commit-minus-end lag of zero vs positive.
+        self._record(END, thread_id=executor.thread_id, rid=rid)
 
-        machine = self.machine
-        scheme = machine.scheme
-        machine.scheme.on_commit.append(
-            lambda rid: self._record(COMMIT, rid=rid)
-        )
-        original_begin = scheme.begin
-        original_end = scheme.end
-        tracer = self
+    def region_committed(self, source, rid) -> None:
+        self._record(COMMIT, rid=rid)
 
-        def traced_begin(thread, done):
-            top_level = thread.nest_depth == 0
+    def wpq_accepted(self, wpq, op) -> None:
+        self._persist(PERSIST_ACCEPT, wpq, op)
 
-            def retired():
-                if top_level:
-                    tracer._record(
-                        BEGIN,
-                        thread_id=thread.thread_id,
-                        rid=pack_rid(thread.thread_id, thread.regions_begun),
-                    )
-                done()
+    def wpq_drained(self, wpq, op) -> None:
+        self._persist(PERSIST_DRAIN, wpq, op)
 
-            original_begin(thread, retired)
+    @cached_property
+    def _channel_of_wpq(self) -> Dict[int, int]:
+        return {id(ch.wpq): ch.index for ch in self.machine.memory.channels}
 
-        def traced_end(thread, done):
-            top_level = thread.nest_depth == 1
-            rid = pack_rid(thread.thread_id, thread.regions_begun)
-
-            def retired():
-                if top_level:
-                    tracer._record(END, thread_id=thread.thread_id, rid=rid)
-                done()
-
-            original_end(thread, retired)
-
-        scheme.begin = traced_begin
-        scheme.end = traced_end
-
-    def _attach_persists(self) -> None:
-        for channel in self.machine.memory.channels:
-            wpq = channel.wpq
-            original_accept = wpq._accept
-            original_drain_hook = wpq._on_drain
-            tracer = self
-
-            def traced_accept(op, _orig=original_accept, ch=channel.index):
-                tracer._record(
-                    PERSIST_ACCEPT, rid=op.rid, detail=f"{op.kind} ch{ch}"
-                )
-                _orig(op)
-
-            def traced_drain(op, _orig=original_drain_hook, ch=channel.index):
-                tracer._record(
-                    PERSIST_DRAIN, rid=op.rid, detail=f"{op.kind} ch{ch}"
-                )
-                if _orig is not None:
-                    _orig(op)
-
-            wpq._accept = traced_accept
-            wpq._on_drain = traced_drain
+    def _persist(self, kind: str, wpq, op) -> None:
+        detail = f"{op.kind} ch{self._channel_of_wpq[id(wpq)]}"
+        self._record(kind, rid=op.rid, detail=detail)
 
     def _record(self, kind: str, thread_id=None, rid=None, detail="") -> None:
-        self.events.append(
-            TraceEvent(
-                cycle=self.machine.scheduler.now,
-                kind=kind,
-                thread_id=thread_id,
-                rid=rid,
-                detail=detail,
-            )
-        )
+        now = self.machine.scheduler.now
+        self.events.append(TraceEvent(now, kind, thread_id, rid, detail))
 
     # -- queries -----------------------------------------------------------------
 

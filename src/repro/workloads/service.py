@@ -21,7 +21,7 @@ This module adds that regime on top of the existing PM-backed stores:
   contended-lock x persist-ordering interaction.
 * **Latency recording**: GET latency is recorded when the last read
   retires; PUT latency when the request's atomic region becomes
-  *durable* (the scheme's ``on_commit`` notification), not when ``End``
+  *durable* (the ``region_committed`` observer event), not when ``End``
   retires - for asynchronous-persistence schemes these differ by design.
 * **Fixed-bucket histogram**: latencies land in log-spaced buckets (8
   sub-buckets per octave, <= 12.5% relative error) so percentiles are
@@ -42,6 +42,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
+from repro.common.observe import SimObserver
 from repro.sim.machine import Machine
 from repro.sim.ops import Compute
 from repro.workloads.base import Workload, WorkloadParams, register
@@ -187,14 +188,14 @@ class LatencyHistogram:
 # -- recorder --------------------------------------------------------------
 
 
-class ServiceRecorder:
-    """Per-request latency bookkeeping attached to a running machine.
+class ServiceRecorder(SimObserver):
+    """Per-request latency bookkeeping subscribed to a running machine.
 
     PUT requests register their upcoming region id before yielding it;
-    the scheme's durable-commit notification resolves the id back to the
-    arrival cycle. GET latencies are recorded inline by the worker. The
-    commit hook fires identically on the reference and fast cores, so the
-    filled-in ``RunResult`` fields pass the differential-identity gate.
+    the durable-commit event resolves the id back to the arrival cycle.
+    GET latencies are recorded inline by the worker. The commit event
+    fires identically on the reference and fast cores, so the filled-in
+    ``RunResult`` fields pass the differential-identity gate.
     """
 
     def __init__(self, machine: Machine, params: ServiceParams):
@@ -206,7 +207,7 @@ class ServiceRecorder:
     def register(self, rid: int, arrival: int) -> None:
         self.pending[rid] = arrival
 
-    def on_commit(self, rid: int) -> None:
+    def region_committed(self, source, rid: int) -> None:
         arrival = self.pending.pop(rid, None)
         if arrival is not None:
             self.record(self.machine.scheduler.now - arrival)
@@ -295,7 +296,7 @@ class ServiceWorkload(Workload):
                 raise ConfigError("only one service tenant per machine")
             recorder = ServiceRecorder(machine, params)
             machine.service_recorder = recorder
-            machine.scheme.on_commit.append(recorder.on_commit)
+            machine.observe(recorder)
         self.recorder = recorder
 
         num_threads = params.num_threads

@@ -153,8 +153,7 @@ def test_tracer_records_miss_windows():
         os.path.join(CORPUS_DIR, "undo-miss-in-flight-mshr1.json")
     )
     machine = build_machine(case)
-    tracer = RaceTracer()
-    tracer.attach(machine)
+    tracer = RaceTracer().attach(machine)
     total = machine.run().cycles
     assert tracer.miss_windows, "no MSHR fetch windows recorded"
     for line, start, end, waiters in tracer.miss_windows:

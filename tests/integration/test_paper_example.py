@@ -14,6 +14,7 @@ from repro.core.rid import pack_rid
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Lock, Read, Unlock, Write
+from repro.sim.trace import COMMIT, Tracer
 
 
 def build():
@@ -34,8 +35,7 @@ def test_fig6_walkthrough():
     r1 = pack_rid(0, 1)
     r2 = pack_rid(1, 1)
     observations = {}
-    commit_order = []
-    eng.on_commit.append(commit_order.append)
+    tracer = Tracer(m)
 
     def thread1(env):
         yield Lock(x)
@@ -72,6 +72,7 @@ def test_fig6_walkthrough():
     assert observations["r2_sees"] == 101
     assert observations["owner_after_A2"] == r2
     assert r1 in observations["r2_deps"]
+    commit_order = [e.rid for e in tracer.of_kind(COMMIT)]
     # Fig. 6g/h: R1 commits first, then (its dependence cleared) R2
     assert commit_order.index(r1) < commit_order.index(r2)
     assert eng.stats.commits == 2
@@ -89,8 +90,7 @@ def test_fig2a_scenario_is_prevented():
     m, eng = build()
     x_addr = m.heap.alloc(64)
     y_addr = m.heap.alloc(64)
-    commit_order = []
-    eng.on_commit.append(commit_order.append)
+    tracer = Tracer(m)
 
     def thread(env):
         yield Begin()
@@ -102,4 +102,5 @@ def test_fig2a_scenario_is_prevented():
 
     m.spawn(thread)
     m.run()
+    commit_order = [e.rid for e in tracer.of_kind(COMMIT)]
     assert commit_order == [pack_rid(0, 1), pack_rid(0, 2)]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.persist import make_scheme
+from repro.persist import make_scheme, scheme_names
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Write
 from repro.sim.trace import BEGIN, COMMIT, END, PERSIST_ACCEPT, PERSIST_DRAIN, Tracer
@@ -25,8 +25,9 @@ def run_traced(scheme, regions=6, **kwargs):
     return m, tracer
 
 
-def test_trace_records_all_region_events():
-    m, tracer = run_traced("asap")
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_trace_records_all_region_events(scheme):
+    m, tracer = run_traced(scheme)
     assert len(tracer.of_kind(BEGIN)) == 6
     assert len(tracer.of_kind(END)) == 6
     assert len(tracer.of_kind(COMMIT)) == 6

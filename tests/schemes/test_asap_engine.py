@@ -9,6 +9,7 @@ from repro.core.states import RegionState
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
+from repro.sim.trace import COMMIT, Tracer
 
 
 def make(scheme_kwargs=None, **small_kwargs):
@@ -39,8 +40,7 @@ def test_end_retires_before_commit():
 def test_control_dependence_orders_same_thread_commits():
     m, eng = make()
     a = m.heap.alloc(256)
-    commit_order = []
-    eng.on_commit.append(lambda rid: commit_order.append(rid))
+    tracer = Tracer(m)
 
     def worker(env):
         for i in range(5):
@@ -50,6 +50,7 @@ def test_control_dependence_orders_same_thread_commits():
 
     m.spawn(worker)
     m.run()
+    commit_order = [e.rid for e in tracer.of_kind(COMMIT)]
     assert commit_order == sorted(commit_order)
     assert len(commit_order) == 5
 
@@ -64,8 +65,7 @@ def test_data_dependence_across_threads():
     m, eng = make(wpq_entries=1)
     a = m.heap.alloc(64 * 8)
     lock = m.new_lock()
-    commit_order = []
-    eng.on_commit.append(lambda rid: commit_order.append(rid))
+    tracer = Tracer(m)
 
     def producer(env):
         yield Lock(lock)
@@ -89,6 +89,7 @@ def test_data_dependence_across_threads():
     m.run()
     assert m.volatile.read_word(a) == 42
     # whichever region consumed must commit after the producer
+    commit_order = [e.rid for e in tracer.of_kind(COMMIT)]
     producer_rid, consumer_rid = pack_rid(0, 1), pack_rid(1, 1)
     if commit_order.index(consumer_rid) < commit_order.index(producer_rid):
         pytest.fail(f"consumer committed before producer: {commit_order}")

@@ -8,6 +8,7 @@ from repro.persist import make_scheme
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
+from repro.sim.trace import COMMIT, Tracer
 from repro.workloads import WorkloadParams, get_workload, workload_names
 
 
@@ -19,25 +20,23 @@ def make(**kwargs):
 def test_end_is_asynchronous():
     m, a = make()
     t = {}
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    tracer = Tracer(m)
 
     def worker(env):
         yield Begin()
         yield Write(a, [1])
         yield End()
-        t["commits_at_end"] = len(commits)
+        t["commits_at_end"] = len(tracer.of_kind(COMMIT))
 
     m.spawn(worker)
     m.run()
     assert t["commits_at_end"] == 0
-    assert len(commits) == 1
+    assert len(tracer.of_kind(COMMIT)) == 1
 
 
 def test_commit_order_follows_control_dependence():
     m, a = make()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    tracer = Tracer(m)
 
     def worker(env):
         for i in range(5):
@@ -47,14 +46,14 @@ def test_commit_order_follows_control_dependence():
 
     m.spawn(worker)
     m.run()
+    commits = [e.rid for e in tracer.of_kind(COMMIT)]
     assert commits == sorted(commits)
 
 
 def test_data_dependence_across_threads():
     m, a = make(wpq_entries=1)
     lock = m.new_lock()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    tracer = Tracer(m)
 
     def producer(env):
         yield Lock(lock)
@@ -77,6 +76,7 @@ def test_data_dependence_across_threads():
     m.spawn(consumer)
     m.run()
     assert m.volatile.read_word(a) == 42
+    commits = [e.rid for e in tracer.of_kind(COMMIT)]
     p, c = pack_rid(0, 1), pack_rid(1, 1)
     assert commits.index(p) < commits.index(c)
 
@@ -112,17 +112,16 @@ def test_in_place_updates_carry_logged_values_only():
 
 def test_fence_blocks_until_marker_durable():
     m, a = make()
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    tracer = Tracer(m)
     t = {}
 
     def worker(env):
         yield Begin()
         yield Write(a, [1])
         yield End()
-        t["at_end"] = len(commits)
+        t["at_end"] = len(tracer.of_kind(COMMIT))
         yield Fence()
-        t["at_fence"] = len(commits)
+        t["at_fence"] = len(tracer.of_kind(COMMIT))
 
     m.spawn(worker)
     m.run()

@@ -6,6 +6,7 @@ from repro.common.params import SystemConfig
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Read, Write
+from repro.sim.trace import COMMIT, Tracer
 
 SCHEMES = ["np", "sw", "hwundo", "hwredo", "asap", "asap_redo"]
 
@@ -48,22 +49,21 @@ def test_inner_end_does_not_trigger_commit(scheme):
     m = Machine(SystemConfig.small(), make_scheme(scheme))
     a = m.heap.alloc(128)
     seen = {}
-    commits = []
-    m.scheme.on_commit.append(commits.append)
+    tracer = Tracer(m)
 
     def worker(env):
         yield Begin()
         yield Begin()
         yield Write(a, [1])
         yield End()  # inner end: no commit machinery
-        seen["after_inner"] = len(commits)
+        seen["after_inner"] = len(tracer.of_kind(COMMIT))
         yield Write(a + 64, [2])
         yield End()
 
     m.spawn(worker)
     m.run()
     assert seen["after_inner"] == 0
-    assert len(commits) == 1
+    assert len(tracer.of_kind(COMMIT)) == 1
 
 
 def test_deeply_nested_regions():

@@ -123,10 +123,10 @@ def test_oracle_tracks_commit_order():
     r1, r2 = pack_rid(0, 1), pack_rid(0, 2)
     oracle.record_write(r1, 0x1000, [10])
     oracle.record_write(r2, 0x1000, [20])
-    oracle.on_commit(r1)
+    oracle.region_committed(None, r1)
     assert oracle.committed.read_word(0x1000) == 10
     assert oracle.uncommitted_rids() == [r2]
-    oracle.on_commit(r2)
+    oracle.region_committed(None, r2)
     assert oracle.committed.read_word(0x1000) == 20
 
 
@@ -134,7 +134,7 @@ def test_oracle_mismatches():
     oracle = CommitOracle()
     r = pack_rid(0, 1)
     oracle.record_write(r, 0x1000, [5])
-    oracle.on_commit(r)
+    oracle.region_committed(None, r)
     img = MemoryImage()
     diffs = oracle.mismatches(img)
     assert diffs == [(0x1000, 5, 0)]

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.common.params import SystemConfig
 from repro.harness.runner import default_config, default_params, run_once
 from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme, SchemeThread
+from repro.sim.machine import Machine
 from repro.sim.stats import RunResult
+from repro.sim.trace import COMMIT, Tracer
 
 
 def make_result(**overrides):
@@ -119,10 +122,9 @@ def test_scheme_base_defaults():
     assert list(image.items()) == []
     assert calls == ["fence", "migrate", "quiescent"]
     assert thread.core_id == 3
-    seen = []
-    scheme.on_commit.append(seen.append)
+    tracer = Tracer(Machine(SystemConfig.small(), scheme))
     scheme._notify_commit(42)
-    assert seen == [42]
+    assert [e.rid for e in tracer.of_kind(COMMIT)] == [42]
 
 
 def test_stall_breakdown_reported_for_asap():
