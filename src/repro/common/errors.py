@@ -42,6 +42,19 @@ class DeadlockError(SimulationError):
     """Every runnable thread is blocked and no event can unblock them."""
 
 
+class CellError(ReproError):
+    """One cell of an experiment's run matrix raised.
+
+    The message names the cell (key, scheme, workload, cache token); the
+    cell's own exception is the ``__cause__``.
+    """
+
+    def __init__(self, message: str, key, cache_token: str):
+        self.key = key
+        self.cache_token = cache_token
+        super().__init__(message)
+
+
 class AnalysisError(ReproError):
     """The correctness-analysis tooling itself could not proceed.
 

@@ -195,22 +195,12 @@ class AsapEngine:
         """``asap_init()``: allocate the log buffer, set up the registers."""
         if thread_id in self.threads:
             raise SimulationError(f"thread {thread_id} already registered")
-        record_stride = (1 + self.params.log_data_entries_per_record) * 64
-        num_records = max(
-            1, self.params.initial_log_entries // self.params.log_data_entries_per_record
-        )
-        base = self.pm_alloc(num_records * record_stride)
+        log = UndoLog.allocate(thread_id, self.params, self.pm_alloc)
+        base, num_records = log.segments[0]
         regs = ThreadStateRegisters(
             thread_id=thread_id,
             log_address=base,
-            log_size=num_records * record_stride,
-        )
-        log = UndoLog(
-            thread_id,
-            base,
-            num_records,
-            self.params.log_data_entries_per_record,
-            grow_fn=self.pm_alloc,
+            log_size=num_records * log.record_stride,
         )
         thread = AsapThread(thread_id, core_id, regs, log)
         self.threads[thread_id] = thread

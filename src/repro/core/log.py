@@ -24,6 +24,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.errors import LogOverflowError, SimulationError
+from repro.common.params import AsapParams
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
 
 #: low bit of a header slot word: the logged line's previous writer was an
@@ -171,6 +172,18 @@ class UndoLog:
         self._records_of: Dict[int, List[LogRecord]] = {}  # rid -> all records
         self.overflows = 0
         self._add_segment(base_addr, num_records)
+
+    @classmethod
+    def allocate(
+        cls, thread_id: int, params: AsapParams, alloc: Callable[[int], int]
+    ) -> "UndoLog":
+        """A thread's log area of ``params.initial_log_entries`` entries,
+        in whole records. ``alloc`` allocates PM for it now and again on
+        each overflow."""
+        per_record = params.log_data_entries_per_record
+        num_records = max(1, params.initial_log_entries // per_record)
+        base = alloc(num_records * (1 + per_record) * CACHE_LINE_BYTES)
+        return cls(thread_id, base, num_records, per_record, grow_fn=alloc)
 
     # -- space management ----------------------------------------------------
 

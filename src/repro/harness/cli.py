@@ -224,11 +224,12 @@ def main(argv=None) -> int:
         return 0
     if args.experiment == "crashtest":
         from repro.harness.crashtest import run_crashtest
+        from repro.persist import recoverable_schemes
 
         targets = args.workloads or workload_names()
         failed = False
         for name in targets:
-            for scheme in ("asap", "asap_redo"):
+            for scheme in recoverable_schemes():
                 report = run_crashtest(workload=name, scheme=scheme)
                 print(report.summary())
                 failed = failed or not report.ok

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import MemoryParams, SystemConfig
-from repro.persist import make_scheme
+from repro.persist import make_scheme, recoverable_schemes
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, Compute, End, Lock, Read, Unlock, Write
@@ -54,7 +54,15 @@ NUM_LINES = 12
 #: cross-thread-visible RMW (read the owner's value, XOR, write back)
 FuzzOp = Tuple[int, bool, int]
 
-SCHEMES = ("asap", "asap_redo")
+#: the fuzzed schemes: every registered scheme that declares a
+#: ``RECOVERY`` procedure
+SCHEMES = tuple(recoverable_schemes())
+
+#: the property test a shrunk case pastes onto, by recovery procedure
+_PROPERTY_TESTS = {
+    "undo": "tests/property/test_prop_recovery.py",
+    "redo": "tests/property/test_prop_redo.py",
+}
 
 
 @dataclass
@@ -163,11 +171,7 @@ class FuzzCase:
                 f"# workload-backed case: {self.workload} "
                 f"{self.workload_params!r} (replay via the corpus)"
             )
-        test = (
-            "tests/property/test_prop_recovery.py"
-            if self.scheme == "asap"
-            else "tests/property/test_prop_redo.py"
-        )
+        test = _PROPERTY_TESTS[make_scheme(self.scheme).RECOVERY]
         note = ""
         if any(d for j in self.jitter for d in j):
             note = (
@@ -269,7 +273,7 @@ def check_no_crash(case: FuzzCase, machine: Optional[Machine] = None) -> List[st
     m.run()
     failures: List[str] = []
     uncommitted = m.oracle.uncommitted_rids()
-    if case.scheme == "asap" and uncommitted:
+    if uncommitted:
         failures.append(f"regions never committed: {uncommitted}")
     mismatches = m.oracle.mismatches(m.pm_image)
     if mismatches:
@@ -798,7 +802,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--scheme",
-        choices=["asap", "asap_redo", "both"],
+        choices=[*SCHEMES, "both"],
         default="both",
     )
     parser.add_argument(

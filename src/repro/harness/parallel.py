@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import repro
-from repro.common.errors import ConfigError
+from repro.common.errors import CellError, ConfigError
 from repro.common.params import SystemConfig
 from repro.sim.stats import RunResult
 from repro.workloads import WorkloadParams
@@ -202,6 +202,22 @@ def run_cell(spec: RunSpec) -> CellResult:
     )
 
 
+def _run_named(spec: RunSpec, run: Callable[[], CellResult]) -> CellResult:
+    """``run()``, with any exception re-raised as a :class:`CellError`
+    naming ``spec``."""
+    try:
+        return run()
+    except Exception as exc:
+        token = spec.cache_token()
+        raise CellError(
+            f"cell {spec.key!r} failed (scheme {spec.scheme!r}, workload "
+            f"{spec.workload!r}, cache token {token}): "
+            f"{type(exc).__name__}: {exc}",
+            key=spec.key,
+            cache_token=token,
+        ) from exc
+
+
 class ResultCache:
     """Content-addressed on-disk cache of :class:`CellResult` pickles.
 
@@ -281,6 +297,9 @@ def execute(
     process pool; completion order is nondeterministic but the returned
     mapping (and therefore everything assembled from it) is ordered by
     the spec list, so results are identical for any job count.
+
+    A cell that raises aborts the run with a :class:`CellError` that
+    names it.
     """
     specs = list(specs)
     if len({s.key for s in specs}) != len(specs):
@@ -306,7 +325,7 @@ def execute(
 
     if jobs <= 1 or len(pending) <= 1:
         for spec in pending:
-            cell = run_cell(spec)
+            cell = _run_named(spec, lambda: run_cell(spec))
             if cache is not None:
                 cache.put(spec, cell)
             finish(spec, cell)
@@ -315,7 +334,7 @@ def execute(
             futures = {pool.submit(run_cell, spec): spec for spec in pending}
             for future in as_completed(futures):
                 spec = futures[future]
-                cell = future.result()
+                cell = _run_named(spec, future.result)
                 if cache is not None:
                     cache.put(spec, cell)
                 finish(spec, cell)

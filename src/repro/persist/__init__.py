@@ -6,6 +6,8 @@ Scheme     Commit discipline
 ``np``     no persistency at all (upper bound)
 ``sw``     software undo logging; log flush+fence on the critical path per
            first write, data flushes + fence at region end
+``sw_dpo_only`` the Fig. 1 "DPO Only" variant of ``sw``: no logging, just the
+           end-of-region data flushes and fence
 ``hwundo`` hardware undo logging, synchronous commit: wait for all LPOs and
            DPOs at region end (Proteus-style)
 ``hwredo`` hardware redo logging, synchronous commit: wait for LPOs at
@@ -18,7 +20,8 @@ Scheme     Commit discipline
            ops, WAL entirely in cache, large battery requirement)
 =========  ==================================================================
 
-Use :func:`make_scheme` to construct one by name.
+Use :func:`make_scheme` to construct one by name, and
+:func:`recoverable_schemes` for the ones that model crash recovery.
 """
 
 from repro.persist.base import PersistenceScheme, SchemeThread
@@ -56,6 +59,12 @@ def scheme_names():
     return sorted(_SCHEMES)
 
 
+def recoverable_schemes():
+    """Names of the schemes that declare a ``RECOVERY`` procedure, in
+    :func:`scheme_names` order: the ones a crash can be recovered on."""
+    return [name for name in scheme_names() if make_scheme(name).RECOVERY]
+
+
 __all__ = [
     "PersistenceScheme",
     "SchemeThread",
@@ -68,4 +77,5 @@ __all__ = [
     "EadrLogging",
     "make_scheme",
     "scheme_names",
+    "recoverable_schemes",
 ]

@@ -47,12 +47,17 @@ from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.core.dependence import DependenceList
 from repro.core.log import UndoLog
-from repro.core.rid import local_rid_of, pack_rid, previous_rid
+from repro.core.rid import local_rid_of, previous_rid
 from repro.core.states import RegionState
 from repro.engine import Signal
-from repro.mem.image import MemoryImage, rebase_line
+from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
-from repro.persist.base import PersistenceScheme, SchemeThread
+from repro.persist.base import (
+    READ_REDIRECT_PENALTY,
+    REDO_DPO_DELAY,
+    PersistenceScheme,
+    SchemeThread,
+)
 
 #: marker slots per thread (circular; reuse is safe because markers of
 #: freed logs are no-ops at recovery)
@@ -96,7 +101,6 @@ class _RedoThread(SchemeThread):
         self.log = log
         self.marker_base = marker_base
         self.active: Optional[_RedoRegion] = None
-        self.last_rid: Optional[int] = None
         self.commit_signals: Dict[int, Signal] = {}
 
 
@@ -109,9 +113,7 @@ class AsapRedoLogging(PersistenceScheme):
     #: in-place writes before commit) and the per-line chain rule
     ORDERING_EDGES = frozenset({"wpq-fifo", "marker-gate", "dep-commit-gate"})
 
-    #: cycles committed data may linger cached before its in-place
-    #: writeback is attempted (shared lazy-window rationale with HWRedo)
-    REDO_DPO_DELAY = 1500
+    RECOVERY = "redo"
 
     OBSERVED = (
         "region_begun", "region_ended", "dep_captured", "lpo_initiated",
@@ -148,18 +150,8 @@ class AsapRedoLogging(PersistenceScheme):
         machine.hierarchy.reload_hook = None
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        params = self.machine.config.asap
-        stride = (1 + params.log_data_entries_per_record) * 64
-        num_records = max(
-            1, params.initial_log_entries // params.log_data_entries_per_record
-        )
-        base = self.machine.heap.alloc(num_records * stride)
-        log = UndoLog(
-            thread_id,
-            base,
-            num_records,
-            params.log_data_entries_per_record,
-            grow_fn=self.machine.heap.alloc,
+        log = UndoLog.allocate(
+            thread_id, self.machine.config.asap, self.machine.heap.alloc
         )
         marker_base = self.machine.heap.alloc(_MARKER_SLOTS * CACHE_LINE_BYTES)
         thread = _RedoThread(thread_id, core_id, log, marker_base)
@@ -174,19 +166,12 @@ class AsapRedoLogging(PersistenceScheme):
 
     # -- regions -----------------------------------------------------------------
 
-    def begin(self, thread: _RedoThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth > 1:
-            done()
-            return
-        thread.regions_begun += 1
-        rid = pack_rid(thread.thread_id, thread.regions_begun)
+    def begin_region(self, thread: _RedoThread, done: Callable[[], None]) -> None:
+        rid = thread.rid
         dl = self.dep_list_for(rid)
         if dl.full:
-            thread.nest_depth -= 1
-            thread.regions_begun -= 1
             dl.entry_stalls += 1
-            dl.entry_waiters.park(lambda: self.begin(thread, done))
+            dl.entry_waiters.park(lambda: self.begin_region(thread, done))
             return
         entry = dl.open_entry(rid)
         prev = previous_rid(rid)
@@ -197,19 +182,12 @@ class AsapRedoLogging(PersistenceScheme):
         region = _RedoRegion(rid)
         self.regions[rid] = region
         thread.active = region
-        thread.last_rid = rid
         thread.commit_signals[rid] = Signal(self.machine.scheduler)
         if self.observer is not None:
             self.observer.region_begun(self, thread, rid)
         done()
 
-    def end(self, thread: _RedoThread, done: Callable[[], None]) -> None:
-        if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
-        thread.nest_depth -= 1
-        if thread.nest_depth > 0:
-            done()
-            return
+    def end_region(self, thread: _RedoThread, done: Callable[[], None]) -> None:
         region = thread.active
         if region is None:
             raise SimulationError("no active region at asap_end")
@@ -278,7 +256,7 @@ class AsapRedoLogging(PersistenceScheme):
                         )
             # Lazy in-place updates, then log reclamation.
             self.machine.scheduler.after(
-                self.REDO_DPO_DELAY,
+                REDO_DPO_DELAY,
                 lambda: self._issue_post_commit_dpos(region, thread),
             )
 
@@ -371,7 +349,9 @@ class AsapRedoLogging(PersistenceScheme):
                     # reads of modified data are redirected to the log
                     # (Sec. 2.3)
                     self.reads_redirected += 1
-                    self.machine.scheduler.after(12, lambda: done(values))
+                    self.machine.scheduler.after(
+                        READ_REDIRECT_PENALTY, lambda: done(values)
+                    )
                 else:
                     done(values)
 
@@ -421,15 +401,7 @@ class AsapRedoLogging(PersistenceScheme):
     def _issue_lpo(self, thread: _RedoThread, region: _RedoRegion, line: int) -> None:
         slot, entry_addr, record, _opened, sealed = thread.log.append(region.rid, line)
         if sealed is not None:
-            self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=LOGHDR,
-                    target_line=sealed.header_addr,
-                    data_line=sealed.header_addr,
-                    payload=sealed.header_payload,
-                    rid=region.rid,
-                )
-            )
+            self._persist_header(sealed, region.rid, sealed.header_payload)
         if self.fast:
             # Payload-free mode: region.values is only ever read as a DPO
             # payload, so a None placeholder keeps the control flow (which
@@ -480,7 +452,7 @@ class AsapRedoLogging(PersistenceScheme):
     # -- fence / quiescence / crash -----------------------------------------------------
 
     def fence(self, thread: _RedoThread, done: Callable[[], None]) -> None:
-        rid = thread.last_rid
+        rid = thread.rid
         if rid is None or rid not in thread.commit_signals:
             done()
             return
@@ -491,9 +463,6 @@ class AsapRedoLogging(PersistenceScheme):
             done()
             return
         self.machine.scheduler.after(100, lambda: self.when_quiescent(done))
-
-    def crash_flush(self, image: MemoryImage) -> None:
-        """Nothing beyond the WPQs: headers and markers ride persist ops."""
 
     def dependence_snapshot(self) -> List[dict]:
         snap: List[dict] = []

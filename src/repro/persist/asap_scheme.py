@@ -32,6 +32,8 @@ class AsapScheme(PersistenceScheme):
         {"wpq-fifo", "line-chain", "lockbit-gate", "dep-commit-gate"}
     )
 
+    RECOVERY = "undo"
+
     def __init__(self):
         super().__init__()
         self.engine: Optional[AsapEngine] = None
@@ -55,18 +57,27 @@ class AsapScheme(PersistenceScheme):
     def stats(self):
         return self.engine.stats if self.engine else None
 
+    def stall_counts(self) -> Dict[str, int]:
+        engine = self.engine
+        return {
+            "cl_entry": sum(cl.entry_stalls for cl in engine.cl_lists),
+            "cl_slot": sum(cl.slot_stalls for cl in engine.cl_lists),
+            "dep_entry": sum(dl.entry_stalls for dl in engine.dep_lists),
+            "dep_slot": sum(dl.dep_stalls for dl in engine.dep_lists),
+            "lh_wpq": sum(lh.stalls for lh in engine.lh_wpqs),
+        }
+
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         engine_thread = self.engine.register_thread(thread_id, core_id)
         return _AsapSchemeThread(thread_id, core_id, engine_thread)
 
+    # The engine keeps region nesting in the thread-state registers, as
+    # the hardware does, so ASAP replaces the template's begin/end.
+
     def begin(self, thread: _AsapSchemeThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
         self.engine.begin(thread.engine_thread, done)
 
     def end(self, thread: _AsapSchemeThread, done: Callable[[], None]) -> None:
-        thread.nest_depth -= 1
         self.engine.end(thread.engine_thread, done)
 
     def write(self, thread: _AsapSchemeThread, addr: int, values, done: Callable[[], None]) -> None:

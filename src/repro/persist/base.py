@@ -5,18 +5,26 @@ write, fence) in continuation-passing style: the ``done`` callback fires
 when the instruction may retire. Synchronous-commit schemes delay ``End``'s
 ``done``; ASAP never does.
 
-Schemes also fire the ``region_committed`` observer event (the commit
-oracle subscribes to it) and expose a ``crash_flush(image)`` hook that
-flushes their share of the persistence domain into a crash snapshot's
-copy of PM.
+:class:`PersistenceScheme` is a template: it owns region nesting and rid
+assignment, and calls the scheme's ``begin_region``/``end_region`` only
+for top-level regions. Schemes also fire the ``region_committed``
+observer event (the commit oracle subscribes to it), expose a
+``crash_flush(image)`` hook that flushes their share of the persistence
+domain into a crash snapshot's copy of PM, and declare the recovery
+procedure their crash images need in ``RECOVERY``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, List, Optional, TYPE_CHECKING
+
+from repro.common.errors import SimulationError
+from repro.core.rid import pack_rid
+from repro.mem.wpq import LOGHDR, PersistOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.log import LogRecord, UndoLog
     from repro.mem.image import MemoryImage
     from repro.sim.machine import Machine
 
@@ -46,6 +54,15 @@ EDGE_KINDS = frozenset(
     }
 )
 
+#: Redo-logging model parameters shared by ``hwredo`` and ``asap_redo``:
+#: cycles a committed region's data may linger in DRAM/cache before its
+#: in-place writeback is attempted (the commit-time DPO lazy window) ...
+REDO_DPO_DELAY = 1500
+#: ... and extra cycles when a read inside a region targets a line the
+#: region has already logged: redo logging redirects such reads to the
+#: log (Sec. 2.3), adding an indirection on the load path.
+READ_REDIRECT_PENALTY = 12
+
 
 class SchemeThread:
     """Base per-thread scheme state; schemes subclass or use as-is."""
@@ -57,10 +74,20 @@ class SchemeThread:
         self.nest_depth = 0
         #: regions begun by this thread (used as a LocalRID for oracle ids)
         self.regions_begun = 0
+        #: packed rid of the current (or last) top-level region
+        self.rid: Optional[int] = None
 
 
 class PersistenceScheme(abc.ABC):
-    """Interface implemented by NP, SW, HWUndo, HWRedo, and ASAP."""
+    """Template for every scheme (Sec. 6.3 baselines, ASAP, extensions).
+
+    A scheme overrides :meth:`write` and the top-level region hooks
+    :meth:`begin_region`/:meth:`end_region`; :meth:`read`, :meth:`fence`,
+    :meth:`migrate`, :meth:`when_quiescent` and :meth:`crash_flush` have
+    plain defaults. It declares ``ORDERING_EDGES``, ``OBSERVED`` and
+    ``RECOVERY``, and overrides :meth:`hook_points` when other structures
+    fire its events.
+    """
 
     #: evaluation name ("np", "sw", "hwundo", "hwredo", "asap")
     name: str = "abstract"
@@ -68,13 +95,22 @@ class PersistenceScheme(abc.ABC):
     #: the durability-ordering guarantees this scheme provides between
     #: persist operations, as a subset of :data:`EDGE_KINDS`. This is the
     #: scheme's self-description for the happens-before race detector
-    #: (:mod:`repro.analysis.races`) - and the first concrete piece of the
-    #: pluggable-scheme interface: a new scheme declares what it orders,
-    #: and the detector checks that declaration against observed traces.
+    #: (:mod:`repro.analysis.races`): a new scheme declares what it
+    #: orders, and the detector checks that declaration against observed
+    #: traces.
     ORDERING_EDGES: FrozenSet[str] = frozenset()
 
     #: the observer events this scheme fires (see :meth:`hook_points`)
     OBSERVED = ("region_committed",)
+
+    #: the recovery procedure this scheme's crash images need: ``"undo"``
+    #: (roll uncommitted regions back), ``"redo"`` (replay marked
+    #: regions), or None when crash recovery is not modelled. Crash
+    #: snapshots, the crash fuzzer and the crash sweep key off it.
+    RECOVERY: Optional[str] = None
+
+    #: scheme-internal counters carried into ``RunResult.scheme_stats``
+    stats = None
 
     def __init__(self):
         self.machine: Optional["Machine"] = None
@@ -95,28 +131,54 @@ class PersistenceScheme(abc.ABC):
         declares them in ``OBSERVED``."""
         return [self]
 
-    @abc.abstractmethod
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         """``asap_init`` equivalent: create per-thread scheme state."""
+        return SchemeThread(thread_id, core_id)
 
     # -- the five ops ----------------------------------------------------------
 
-    @abc.abstractmethod
     def begin(self, thread: SchemeThread, done: Callable[[], None]) -> None:
-        """Open an atomic region."""
+        """Open an atomic region; nested regions flatten into the
+        outermost one (Sec. 4.5)."""
+        thread.nest_depth += 1
+        if thread.nest_depth > 1:
+            done()
+            return
+        thread.regions_begun += 1
+        thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
+        self.begin_region(thread, done)
 
-    @abc.abstractmethod
     def end(self, thread: SchemeThread, done: Callable[[], None]) -> None:
         """Close the current atomic region; ``done`` fires when execution
         may proceed past the region (NOT necessarily when it commits)."""
+        if thread.nest_depth <= 0:
+            raise SimulationError("end without begin")
+        thread.nest_depth -= 1
+        if thread.nest_depth > 0:
+            done()
+            return
+        self.end_region(thread, done)
+
+    def begin_region(self, thread: SchemeThread, done: Callable[[], None]) -> None:
+        """Open a top-level region; ``thread.rid`` already names it."""
+        done()
+
+    def end_region(self, thread: SchemeThread, done: Callable[[], None]) -> None:
+        """Close a top-level region. The default commits it at once."""
+        self._notify_commit(thread.rid)
+        done()
 
     @abc.abstractmethod
     def write(self, thread: SchemeThread, addr: int, values, done: Callable[[], None]) -> None:
         """Store words at ``addr`` (all within one cache line)."""
 
-    @abc.abstractmethod
     def read(self, thread: SchemeThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         """Load ``nwords`` words at ``addr``; ``done`` receives the values."""
+
+        def after(meta) -> None:
+            done(self.machine.volatile.read_words(addr, nwords))
+
+        self.machine.hierarchy.access(thread.core_id, addr, False, after)
 
     def fence(self, thread: SchemeThread, done: Callable[[], None]) -> None:
         """Block until the thread's last region is durable.
@@ -150,8 +212,38 @@ class PersistenceScheme(abc.ABC):
         a copy of PM that already holds the flushed WPQs; the scheme's
         own state is left untouched."""
 
+    def dependence_snapshot(self) -> List[dict]:
+        """The persisted Dependence List entries recovery orders by."""
+        return []
+
+    def thread_logs(self) -> Dict[int, "UndoLog"]:
+        """Thread id -> the log whose record slots recovery scans."""
+        return {}
+
+    def marker_directory(self) -> Dict[int, List[tuple]]:
+        """Redo only: thread id -> [(marker base, slots, stride)]."""
+        return {}
+
+    def stall_counts(self) -> Dict[str, int]:
+        """Structural-stall counters for ``RunResult.stall_breakdown``."""
+        return {}
+
     # -- helpers -----------------------------------------------------------------
 
     def _notify_commit(self, rid: int) -> None:
         if self.observer is not None:
             self.observer.region_committed(self, rid)
+
+    def _persist_header(self, sealed: "LogRecord", rid: int, payload) -> None:
+        """Persist a sealed log record's header line (no wait). ``payload``
+        is the caller's: a dict, or the record's bound ``header_payload``
+        to read the header when the op is flushed."""
+        self.machine.memory.issue_persist(
+            PersistOp(
+                kind=LOGHDR,
+                target_line=sealed.header_addr,
+                data_line=sealed.header_addr,
+                payload=payload,
+                rid=rid,
+            )
+        )

@@ -22,11 +22,9 @@ from their in-cache logs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.common.address import line_base
-from repro.common.errors import SimulationError
-from repro.core.rid import pack_rid
 from repro.mem.image import MemoryImage
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -34,7 +32,6 @@ from repro.persist.base import PersistenceScheme, SchemeThread
 class _EadrThread(SchemeThread):
     def __init__(self, thread_id: int, core_id: int):
         super().__init__(thread_id, core_id)
-        self.rid: Optional[int] = None
         #: in-cache undo log of the active region: line -> old words
         self.undo: Dict[int, Dict[int, int]] = {}
 
@@ -63,25 +60,16 @@ class EadrLogging(PersistenceScheme):
 
     # -- regions -------------------------------------------------------------
 
-    def begin(self, thread: _EadrThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
-            thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
-            thread.undo.clear()
+    def begin_region(self, thread: _EadrThread, done: Callable[[], None]) -> None:
+        thread.undo.clear()
         done()
 
-    def end(self, thread: _EadrThread, done: Callable[[], None]) -> None:
-        if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
-        thread.nest_depth -= 1
-        if thread.nest_depth == 0:
-            # Everything the region wrote is already inside the (cache)
-            # persistence domain: the region is durable the instant the
-            # in-cache log is dropped. Commit is free and immediate.
-            thread.undo.clear()
-            self._notify_commit(thread.rid)
-        done()
+    def end_region(self, thread: _EadrThread, done: Callable[[], None]) -> None:
+        # Everything the region wrote is already inside the (cache)
+        # persistence domain: the region is durable the instant the
+        # in-cache log is dropped. Commit is free and immediate.
+        thread.undo.clear()
+        super().end_region(thread, done)
 
     # -- accesses ----------------------------------------------------------------
 
@@ -100,12 +88,6 @@ class EadrLogging(PersistenceScheme):
             )
         self.machine.volatile.write_range(addr, values)
         self.machine.hierarchy.access(thread.core_id, addr, True, lambda meta: done())
-
-    def read(self, thread: _EadrThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
-        def after(meta) -> None:
-            done(self.machine.volatile.read_words(addr, nwords))
-
-        self.machine.hierarchy.access(thread.core_id, addr, False, after)
 
     # -- crash ----------------------------------------------------------------------
 

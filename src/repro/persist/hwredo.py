@@ -22,19 +22,21 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.common.address import line_base
-from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
-from repro.core.rid import pack_rid
 from repro.mem.image import rebase_line
-from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
-from repro.persist.base import PersistenceScheme, SchemeThread
+from repro.mem.wpq import DPO, LPO, PersistOp
+from repro.persist.base import (
+    READ_REDIRECT_PENALTY,
+    REDO_DPO_DELAY,
+    PersistenceScheme,
+    SchemeThread,
+)
 
 
 class _HwRedoThread(SchemeThread):
     def __init__(self, thread_id: int, core_id: int, log: UndoLog):
         super().__init__(thread_id, core_id)
         self.log = log
-        self.rid: Optional[int] = None
         #: line -> True when the line was written again after its LPO
         self.write_set: Dict[int, bool] = {}
         self.outstanding_lpos = 0
@@ -59,38 +61,18 @@ class HardwareRedoLogging(PersistenceScheme):
         self._quiescent_waiters = []
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        params = self.machine.config.asap
-        stride = (1 + params.log_data_entries_per_record) * 64
-        num_records = max(
-            1, params.initial_log_entries // params.log_data_entries_per_record
-        )
-        base = self.machine.heap.alloc(num_records * stride)
-        log = UndoLog(
-            thread_id,
-            base,
-            num_records,
-            params.log_data_entries_per_record,
-            grow_fn=self.machine.heap.alloc,
+        log = UndoLog.allocate(
+            thread_id, self.machine.config.asap, self.machine.heap.alloc
         )
         return _HwRedoThread(thread_id, core_id, log)
 
     # -- regions ---------------------------------------------------------------
 
-    def begin(self, thread: _HwRedoThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
-            thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
-            thread.write_set.clear()
+    def begin_region(self, thread: _HwRedoThread, done: Callable[[], None]) -> None:
+        thread.write_set.clear()
         done()
 
-    def end(self, thread: _HwRedoThread, done: Callable[[], None]) -> None:
-        if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
-        thread.nest_depth -= 1
-        if thread.nest_depth > 0:
-            done()
-            return
+    def end_region(self, thread: _HwRedoThread, done: Callable[[], None]) -> None:
         # Re-log every line whose final value postdates its LPO.
         for line, rewritten in thread.write_set.items():
             if rewritten:
@@ -114,14 +96,10 @@ class HardwareRedoLogging(PersistenceScheme):
         # expires supersedes the pending DPO entirely.
         self._outstanding_async += 1
         self.machine.scheduler.after(
-            self.REDO_DPO_DELAY,
+            REDO_DPO_DELAY,
             lambda: self._issue_post_commit_dpos(rid, lines, thread),
         )
         resume()
-
-    #: cycles a committed region's data may linger in DRAM/cache before its
-    #: in-place writeback is attempted (the commit-time DPO lazy window)
-    REDO_DPO_DELAY = 1500
 
     def _issue_post_commit_dpos(self, rid: int, lines, thread: _HwRedoThread) -> None:
         for line in lines:
@@ -190,15 +168,7 @@ class HardwareRedoLogging(PersistenceScheme):
         slot, entry_addr, record, _opened, sealed = thread.log.append(thread.rid, line)
         record.confirm(slot)  # synchronous schemes persist entries in order
         if sealed is not None:
-            self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=LOGHDR,
-                    target_line=sealed.header_addr,
-                    data_line=sealed.header_addr,
-                    payload=sealed.header_payload(),
-                    rid=thread.rid,
-                )
-            )
+            self._persist_header(sealed, thread.rid, sealed.header_payload())
         payload = (
             None
             if self.fast
@@ -225,11 +195,6 @@ class HardwareRedoLogging(PersistenceScheme):
             )
         )
 
-    #: extra cycles when a read inside a region targets a line the region
-    #: has already logged: redo logging redirects such reads to the log
-    #: (Sec. 2.3), adding an indirection on the load path.
-    READ_REDIRECT_PENALTY = 12
-
     def read(self, thread: _HwRedoThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
         line = line_base(addr)
         redirect = thread.nest_depth > 0 and line in thread.write_set
@@ -238,7 +203,7 @@ class HardwareRedoLogging(PersistenceScheme):
             values = self.machine.volatile.read_words(addr, nwords)
             if redirect:
                 self.machine.scheduler.after(
-                    self.READ_REDIRECT_PENALTY, lambda: done(values)
+                    READ_REDIRECT_PENALTY, lambda: done(values)
                 )
             else:
                 done(values)

@@ -36,11 +36,9 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
 from repro.common.address import line_base
-from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
-from repro.core.rid import pack_rid
 from repro.mem.image import rebase_line
-from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
+from repro.mem.wpq import DPO, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
 #: per-line persistence state within the current region
@@ -61,7 +59,6 @@ class _HwUndoThread(SchemeThread):
     def __init__(self, thread_id: int, core_id: int, log: UndoLog):
         super().__init__(thread_id, core_id)
         self.log = log
-        self.rid: Optional[int] = None
         self.lines: Dict[int, _LineState] = {}
         self.outstanding = 0  # LPO + DPO drains still pending
         self.resume: Optional[Callable[[], None]] = None
@@ -87,38 +84,18 @@ class HardwareUndoLogging(PersistenceScheme):
         self.lpo_order_delays = 0
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        params = self.machine.config.asap
-        stride = (1 + params.log_data_entries_per_record) * 64
-        num_records = max(
-            1, params.initial_log_entries // params.log_data_entries_per_record
-        )
-        base = self.machine.heap.alloc(num_records * stride)
-        log = UndoLog(
-            thread_id,
-            base,
-            num_records,
-            params.log_data_entries_per_record,
-            grow_fn=self.machine.heap.alloc,
+        log = UndoLog.allocate(
+            thread_id, self.machine.config.asap, self.machine.heap.alloc
         )
         return _HwUndoThread(thread_id, core_id, log)
 
     # -- regions ---------------------------------------------------------------
 
-    def begin(self, thread: _HwUndoThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
-            thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
-            thread.lines.clear()
+    def begin_region(self, thread: _HwUndoThread, done: Callable[[], None]) -> None:
+        thread.lines.clear()
         done()
 
-    def end(self, thread: _HwUndoThread, done: Callable[[], None]) -> None:
-        if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
-        thread.nest_depth -= 1
-        if thread.nest_depth > 0:
-            done()
-            return
+    def end_region(self, thread: _HwUndoThread, done: Callable[[], None]) -> None:
         # Flush rewritten lines whose DPO already drained.
         for line, ls in thread.lines.items():
             if ls.state == _CLEAN and ls.dirty:
@@ -167,15 +144,7 @@ class HardwareUndoLogging(PersistenceScheme):
         slot, entry_addr, record, _opened, sealed = thread.log.append(thread.rid, line)
         record.confirm(slot)
         if sealed is not None:
-            self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=LOGHDR,
-                    target_line=sealed.header_addr,
-                    data_line=sealed.header_addr,
-                    payload=sealed.header_payload(),
-                    rid=thread.rid,
-                )
-            )
+            self._persist_header(sealed, thread.rid, sealed.header_payload())
         if self.fast:
             payload = None
         else:
@@ -261,9 +230,3 @@ class HardwareUndoLogging(PersistenceScheme):
                 on_drain=dpo_drained,
             )
         )
-
-    def read(self, thread: _HwUndoThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
-        def after(meta) -> None:
-            done(self.machine.volatile.read_words(addr, nwords))
-
-        self.machine.hierarchy.access(thread.core_id, addr, False, after)

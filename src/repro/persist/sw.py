@@ -18,9 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Set
 
 from repro.common.address import line_base
-from repro.common.errors import SimulationError
 from repro.core.log import UndoLog
-from repro.core.rid import pack_rid
 from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
@@ -37,7 +35,6 @@ class _SwThread(SchemeThread):
         self.write_set: Set[int] = set()
         #: lines already logged by the current region (coalescing)
         self.logged: Set[int] = set()
-        self.rid: Optional[int] = None
 
 
 class SoftwareLogging(PersistenceScheme):
@@ -55,39 +52,19 @@ class SoftwareLogging(PersistenceScheme):
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         log = None
         if not self.dpo_only:
-            params = self.machine.config.asap
-            stride = (1 + params.log_data_entries_per_record) * 64
-            num_records = max(
-                1, params.initial_log_entries // params.log_data_entries_per_record
-            )
-            base = self.machine.heap.alloc(num_records * stride)
-            log = UndoLog(
-                thread_id,
-                base,
-                num_records,
-                params.log_data_entries_per_record,
-                grow_fn=self.machine.heap.alloc,
+            log = UndoLog.allocate(
+                thread_id, self.machine.config.asap, self.machine.heap.alloc
             )
         return _SwThread(thread_id, core_id, log)
 
     # -- regions ---------------------------------------------------------------
 
-    def begin(self, thread: _SwThread, done: Callable[[], None]) -> None:
-        thread.nest_depth += 1
-        if thread.nest_depth == 1:
-            thread.regions_begun += 1
-            thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
-            thread.write_set.clear()
-            thread.logged.clear()
+    def begin_region(self, thread: _SwThread, done: Callable[[], None]) -> None:
+        thread.write_set.clear()
+        thread.logged.clear()
         done()
 
-    def end(self, thread: _SwThread, done: Callable[[], None]) -> None:
-        if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
-        thread.nest_depth -= 1
-        if thread.nest_depth > 0:
-            done()
-            return
+    def end_region(self, thread: _SwThread, done: Callable[[], None]) -> None:
         self._flush_data(thread, done)
 
     def _flush_data(self, thread: _SwThread, done: Callable[[], None]) -> None:
@@ -180,15 +157,7 @@ class SoftwareLogging(PersistenceScheme):
             if sealed is not None:
                 # A filled record's header is written out (persist, no wait:
                 # the entry flush below already orders after it per channel).
-                self.machine.memory.issue_persist(
-                    PersistOp(
-                        kind=LOGHDR,
-                        target_line=sealed.header_addr,
-                        data_line=sealed.header_addr,
-                        payload=sealed.header_payload(),
-                        rid=thread.rid,
-                    )
-                )
+                self._persist_header(sealed, thread.rid, sealed.header_payload())
             payload = None if self.fast else rebase_line(old_snapshot, entry_addr)
             # clwb + mfence: the store retires only once the log entry is
             # inside the persistence domain - the software critical path.
@@ -210,9 +179,3 @@ class SoftwareLogging(PersistenceScheme):
             )
 
         self.machine.hierarchy.access(thread.core_id, addr, True, after_access)
-
-    def read(self, thread: _SwThread, addr: int, nwords: int, done: Callable[[list], None]) -> None:
-        def after(meta) -> None:
-            done(self.machine.volatile.read_words(addr, nwords))
-
-        self.machine.hierarchy.access(thread.core_id, addr, False, after)

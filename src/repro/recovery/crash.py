@@ -44,8 +44,8 @@ class CrashState:
     crash_cycle: int = 0
     #: WPQ entries flushed by ADR (diagnostics only)
     flushed_wpq_entries: int = 0
-    #: "undo" (ASAP) or "redo" (the asap_redo extension): selects the
-    #: recovery procedure
+    #: the scheme's declared ``RECOVERY`` ("undo" when it declares none):
+    #: selects the recovery procedure
     log_kind: str = "undo"
     #: redo only: thread id -> [(marker base, slots, stride)]
     marker_directory: Dict[int, List[tuple]] = field(default_factory=dict)
@@ -67,33 +67,26 @@ def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashStat
                 f"at cycle {machine.scheduler.now}"
             )
         machine.run(until=at_cycle)
+    scheme = machine.scheme
     image = machine.pm_image.copy()
     flushed = machine.memory.flush_persistence_domain(image)
-    machine.scheme.crash_flush(image)
+    scheme.crash_flush(image)
 
-    dependence_entries: List[dict] = []
     log_directory: Dict[int, List[tuple]] = {}
-    marker_directory: Dict[int, List[tuple]] = {}
     entries_per_record = machine.config.asap.log_data_entries_per_record
-    scheme = machine.scheme
-    if hasattr(scheme, "dependence_snapshot"):
-        dependence_entries = scheme.dependence_snapshot()
-    if hasattr(scheme, "thread_logs"):
-        for tid, log in scheme.thread_logs().items():
-            log_directory[tid] = [
-                (base, num, log.record_stride) for base, num in log.segments
-            ]
-            entries_per_record = log.entries_per_record
-    if hasattr(scheme, "marker_directory"):
-        marker_directory = scheme.marker_directory()
+    for tid, log in scheme.thread_logs().items():
+        log_directory[tid] = [
+            (base, num, log.record_stride) for base, num in log.segments
+        ]
+        entries_per_record = log.entries_per_record
 
     return CrashState(
         pm_image=image,
-        dependence_entries=dependence_entries,
+        dependence_entries=scheme.dependence_snapshot(),
         log_directory=log_directory,
         entries_per_record=entries_per_record,
         crash_cycle=machine.scheduler.now,
         flushed_wpq_entries=flushed,
-        log_kind="redo" if marker_directory else "undo",
-        marker_directory=marker_directory,
+        log_kind=scheme.RECOVERY or "undo",
+        marker_directory=scheme.marker_directory(),
     )

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.common.errors import RecoveryError
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
 from repro.core.log import decode_slot_word
-from repro.mem.image import MemoryImage
+from repro.mem.image import MemoryImage, rebase_line
 from repro.recovery.crash import CrashState
 
 
@@ -181,6 +181,26 @@ def _scan_logs(
     return found
 
 
+def _restore_region(
+    image: MemoryImage,
+    rid: int,
+    entries,
+    report: RecoveryReport,
+    observer: Optional[RecoveryObserver],
+) -> None:
+    """Install each of ``rid``'s logged lines in place (the old values
+    for undo, the new ones for redo) and count the region as processed
+    in ``report.undone_rids``."""
+    for data_line, entry_addr, _chained in entries:
+        image.apply(rebase_line(image.line_words(entry_addr), data_line))
+        report.restored_lines += 1
+        if observer is not None:
+            observer.restore_applied(rid, data_line, entry_addr)
+    report.undone_rids.append(rid)
+    if observer is not None:
+        observer.region_processed(rid)
+
+
 def recover(
     state: CrashState,
     observer: Optional[RecoveryObserver] = None,
@@ -207,18 +227,7 @@ def recover(
         # Undo this region: restore each logged line's old value. Within a
         # region a line is logged at most once (first write), so record
         # order is irrelevant.
-        for data_line, entry_addr, _chained in logs.get(rid, ()):
-            payload = {
-                data_line + off: image.read_word(entry_addr + off)
-                for off in range(0, CACHE_LINE_BYTES, WORD_BYTES)
-            }
-            image.apply(payload)
-            report.restored_lines += 1
-            if observer is not None:
-                observer.restore_applied(rid, data_line, entry_addr)
-        report.undone_rids.append(rid)
-        if observer is not None:
-            observer.region_processed(rid)
+        _restore_region(image, rid, logs.get(rid, ()), report, observer)
     return image, report
 
 
@@ -266,16 +275,5 @@ def recover_redo(
     logs = _scan_logs(state, committed, report, observer=observer)
     # 3. Replay in commit order: later regions' values overwrite earlier.
     for _seq, rid in markers:
-        for data_line, entry_addr, _chained in logs.get(rid, ()):
-            payload = {
-                data_line + off: image.read_word(entry_addr + off)
-                for off in range(0, CACHE_LINE_BYTES, WORD_BYTES)
-            }
-            image.apply(payload)
-            report.restored_lines += 1
-            if observer is not None:
-                observer.restore_applied(rid, data_line, entry_addr)
-        report.undone_rids.append(rid)  # "processed", for redo
-        if observer is not None:
-            observer.region_processed(rid)
+        _restore_region(image, rid, logs.get(rid, ()), report, observer)
     return image, report

@@ -69,16 +69,8 @@ class RunResult:
         stalls = {
             "locked_set": machine.hierarchy.locked_set_stalls,
             "mshr": machine.hierarchy.mshr_stalls,
+            **machine.scheme.stall_counts(),
         }
-        engine = getattr(machine.scheme, "engine", None)
-        if engine is not None:
-            stalls.update(
-                cl_entry=sum(cl.entry_stalls for cl in engine.cl_lists),
-                cl_slot=sum(cl.slot_stalls for cl in engine.cl_lists),
-                dep_entry=sum(dl.entry_stalls for dl in engine.dep_lists),
-                dep_slot=sum(dl.dep_stalls for dl in engine.dep_lists),
-                lh_wpq=sum(lh.stalls for lh in engine.lh_wpqs),
-            )
         result = RunResult(
             scheme=machine.scheme.name,
             cycles=max(finish_cycles) if finish_cycles else machine.scheduler.now,
@@ -97,7 +89,7 @@ class RunResult:
                 (ch.wpq.peak_occupancy for ch in machine.memory.channels), default=0
             ),
             stall_breakdown=stalls,
-            scheme_stats=getattr(machine.scheme, "stats", None),
+            scheme_stats=machine.scheme.stats,
         )
         recorder = getattr(machine, "service_recorder", None)
         if recorder is not None:

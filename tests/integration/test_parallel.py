@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import CellError, ConfigError
 from repro.harness.parallel import (
     CellResult,
     ResultCache,
@@ -78,6 +78,29 @@ def test_execute_parallel_identical_to_serial():
 def test_execute_rejects_duplicate_keys():
     with pytest.raises(ConfigError):
         execute([_spec(), _spec()])
+
+
+def _raising_builder(**_kwargs):
+    raise RuntimeError("builder exploded")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_cell_names_itself(jobs):
+    bad = RunSpec(
+        key=("bad", jobs),
+        workload="HM",
+        scheme="asap",
+        builder=f"{__name__}:_raising_builder",
+    )
+    with pytest.raises(CellError) as err:
+        execute([_spec(), bad], jobs=jobs)
+    message = str(err.value)
+    for part in (repr(bad.key), "'asap'", "'HM'", bad.cache_token()):
+        assert part in message
+    assert err.value.key == bad.key
+    assert err.value.cache_token == bad.cache_token()
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert "builder exploded" in str(err.value.__cause__)
 
 
 def test_execute_reports_progress_in_order():

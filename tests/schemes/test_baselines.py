@@ -113,7 +113,7 @@ def test_hwredo_dpo_filter_on_hot_lines():
 def test_hwredo_read_redirect_penalty(monkeypatch):
     """Reads of already-logged lines pay the log-redirect indirection:
     the same trace runs measurably slower than with the penalty zeroed."""
-    from repro.persist.hwredo import HardwareRedoLogging
+    from repro.persist import hwredo
 
     def with_reread(m, a):
         for i in range(20):
@@ -125,9 +125,9 @@ def test_hwredo_read_redirect_penalty(monkeypatch):
                 yield Read(a, 1)
             yield End()
 
-    monkeypatch.setattr(HardwareRedoLogging, "READ_REDIRECT_PENALTY", 0)
+    monkeypatch.setattr(hwredo, "READ_REDIRECT_PENALTY", 0)
     _, plain, _ = run("hwredo", with_reread)
-    monkeypatch.setattr(HardwareRedoLogging, "READ_REDIRECT_PENALTY", 12)
+    monkeypatch.setattr(hwredo, "READ_REDIRECT_PENALTY", 12)
     _, redirected, _ = run("hwredo", with_reread)
     assert redirected.cycles > plain.cycles
 

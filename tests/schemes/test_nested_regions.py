@@ -3,12 +3,12 @@
 import pytest
 
 from repro.common.params import SystemConfig
-from repro.persist import make_scheme
+from repro.persist import make_scheme, scheme_names
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Read, Write
 from repro.sim.trace import COMMIT, Tracer
 
-SCHEMES = ["np", "sw", "hwundo", "hwredo", "asap", "asap_redo"]
+SCHEMES = scheme_names()
 
 
 def run_nested(scheme, depth=3):
@@ -44,7 +44,7 @@ def test_nested_region_is_atomic_as_a_whole(scheme):
     assert len(writes) == 3  # one word per depth level
 
 
-@pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_inner_end_does_not_trigger_commit(scheme):
     m = Machine(SystemConfig.small(), make_scheme(scheme))
     a = m.heap.alloc(128)
