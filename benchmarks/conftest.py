@@ -52,10 +52,14 @@ def quick():
     return bench_quick()
 
 
-def run_figure(benchmark, run_fn, **kwargs):
-    """Run a figure regeneration exactly once under the benchmark timer."""
-    kwargs.setdefault("jobs", bench_jobs())
-    result = benchmark.pedantic(lambda: run_fn(**kwargs), rounds=1, iterations=1)
+def run_figure(benchmark, plan_fn, **kwargs):
+    """Plan and execute a figure regeneration exactly once under the
+    benchmark timer."""
+    result = benchmark.pedantic(
+        lambda: plan_fn(**kwargs).execute(jobs=bench_jobs()),
+        rounds=1,
+        iterations=1,
+    )
     print()
     print(result.to_table())
     if "GeoMean" in result.rows:

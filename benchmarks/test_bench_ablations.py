@@ -6,7 +6,7 @@ from repro.harness.experiments import ablations
 
 
 def test_dpo_distance(benchmark):
-    result = run_figure(benchmark, ablations.run_dpo_distance)
+    result = run_figure(benchmark, ablations.plan_dpo_distance)
     dpos = result.rows["DPOs initiated"]
     # d=1 issues many more DPOs; beyond 2 the curve is flat (the paper's
     # "no benefit beyond four")
@@ -15,7 +15,7 @@ def test_dpo_distance(benchmark):
 
 
 def test_wpq_capacity(benchmark):
-    result = run_figure(benchmark, ablations.run_wpq_size)
+    result = run_figure(benchmark, ablations.plan_wpq_size)
     asap = result.rows["ASAP"]
     # ASAP sustains throughput with a 2-entry persistence-domain buffer
     assert asap["wpq=2"] > 0.95 * asap["wpq=32"]
@@ -26,7 +26,7 @@ def test_wpq_capacity(benchmark):
 
 
 def test_bloom_filter(benchmark):
-    result = run_figure(benchmark, ablations.run_bloom)
+    result = run_figure(benchmark, ablations.plan_bloom)
     good = result.rows["1KB filter"]
     bad = result.rows["1-bit filter"]
     # the spill path fires and the buffer finds the owners
@@ -38,7 +38,7 @@ def test_bloom_filter(benchmark):
 
 
 def test_fence_batching(benchmark):
-    result = run_figure(benchmark, ablations.run_fence_batching)
+    result = run_figure(benchmark, ablations.plan_fence_batching)
     row = result.rows["throughput"]
     # per-region fencing forfeits most of the async-commit win; batching
     # recovers it (Sec. 5.2's guidance)

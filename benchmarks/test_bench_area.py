@@ -8,6 +8,6 @@ from repro.harness.experiments import area
 
 
 def test_area(benchmark):
-    result = run_figure(benchmark, area.run)
+    result = run_figure(benchmark, area.plan)
     cells = result.rows["measured"]
     assert cells["total %"] < 3.0

@@ -6,7 +6,7 @@ from repro.harness.experiments import corun
 
 
 def test_corun(benchmark, quick):
-    result = run_figure(benchmark, corun.run, quick=quick)
+    result = run_figure(benchmark, corun.plan, quick=quick)
     gm = result.rows["GeoMean"]
     # without the Sec. 5.1 optimizations, co-run throughput drops and PM
     # write volume (inverse lifetime) balloons

@@ -6,7 +6,7 @@ from repro.harness.experiments import eadr_cmp
 
 
 def test_eadr(benchmark, workloads, quick):
-    result = run_figure(benchmark, eadr_cmp.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, eadr_cmp.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     # ASAP achieves eADR's (= near-NP) performance...
     assert gm["ASAP/eADR throughput"] > 0.9

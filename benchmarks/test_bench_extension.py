@@ -5,7 +5,7 @@ from repro.harness.experiments import extension
 
 
 def test_extension(benchmark, workloads, quick):
-    result = run_figure(benchmark, extension.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, extension.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     # the paper's Sec. 3 design rationale: with asynchronous commit, undo
     # logging is at least as fast and far cheaper in PM traffic

@@ -8,7 +8,7 @@ from repro.harness.experiments import fig1
 
 
 def test_fig1(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig1.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig1.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     assert gm["DPO Only"] < 1.0
     assert gm["LPO & DPO"] < gm["DPO Only"]

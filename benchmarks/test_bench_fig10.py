@@ -9,7 +9,7 @@ from repro.harness.experiments import fig10
 
 
 def test_fig10(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig10.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig10.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     for m in (1, 2, 4, 16):
         assert gm[f"ASAP@{m}x"] > gm[f"HWUndo@{m}x"], m

@@ -8,7 +8,7 @@ from repro.harness.experiments import fig7
 
 
 def test_fig7(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig7.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig7.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     # every hardware scheme beats SW; ASAP beats both sync-commit schemes;
     # NP bounds ASAP from above (within measurement slack)

@@ -8,7 +8,7 @@ from repro.harness.experiments import fig8
 
 
 def test_fig8(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig8.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig8.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     assert gm["SW"] > gm["HWUndo"]
     assert gm["SW"] > gm["HWRedo"]

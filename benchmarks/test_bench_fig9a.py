@@ -8,7 +8,7 @@ from repro.harness.experiments import fig9a
 
 
 def test_fig9a(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig9a.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig9a.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     assert gm["ASAP-No-Opt"] > gm["ASAP+C"] > gm["ASAP+C+LP"] >= gm["ASAP"]
     # Q gains the most from DPO dropping (Sec. 7.2's callout)

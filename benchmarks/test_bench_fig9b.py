@@ -8,7 +8,7 @@ from repro.harness.experiments import fig9b
 
 
 def test_fig9b(benchmark, workloads, quick):
-    result = run_figure(benchmark, fig9b.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, fig9b.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     # ASAP generates the least PM write traffic; SW the most; redo beats
     # undo (its DRAM-filtered post-commit DPOs) - the paper's ordering

@@ -9,7 +9,7 @@ from repro.harness.experiments import lhwpq
 
 
 def test_lhwpq(benchmark, workloads, quick):
-    result = run_figure(benchmark, lhwpq.run, quick=quick, workloads=workloads)
+    result = run_figure(benchmark, lhwpq.plan, quick=quick, workloads=workloads)
     gm = result.rows["GeoMean"]
     # shrinking the LH-WPQ costs something but not everything...
     assert 0.3 < gm["ASAP16/ASAP128"] < 1.02

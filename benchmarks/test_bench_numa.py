@@ -5,7 +5,7 @@ from repro.harness.experiments import numa
 
 
 def test_numa(benchmark, quick):
-    result = run_figure(benchmark, numa.run, quick=quick)
+    result = run_figure(benchmark, numa.plan, quick=quick)
     gm = result.rows["GeoMean"]
     # ASAP is markedly more robust to remote persist latency than the
     # synchronous-commit schemes at every remote multiplier...

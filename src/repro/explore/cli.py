@@ -247,7 +247,7 @@ def main(argv=None) -> int:
             jobs=max(1, args.jobs),
             cache=cache,
             progress=_progress(not args.no_progress),
-            sanitize=True if args.sanitize else None,
+            sanitize=args.sanitize,
         )
     except ReproError as exc:
         print(f"explore: {exc}", file=sys.stderr)

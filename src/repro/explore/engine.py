@@ -23,7 +23,7 @@ from repro.explore.drivers import Driver
 from repro.explore.space import Point, SweepSpace
 from repro.harness.experiment import geomean
 from repro.harness.parallel import ProgressFn, ResultCache, RunSpec, execute
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.runner import default_config, default_params
 from repro.sim.stats import RunResult
 
 #: runaway-driver backstop: a driver that keeps proposing gets cut off here
@@ -125,7 +125,6 @@ def point_specs(
     points: List[Point],
     config: Optional[SystemConfig] = None,
     params=None,
-    sanitize: Optional[bool] = None,
 ) -> List[RunSpec]:
     """The ``RunSpec`` cells for ``points`` x ``space.workloads``.
 
@@ -136,7 +135,6 @@ def point_specs(
     """
     config = config if config is not None else default_config(True)
     params = params if params is not None else default_params(True)
-    sanitize = resolve_sanitize(sanitize)
     specs = []
     for point in points:
         point_config, point_params = space.materialize(point, config, params)
@@ -148,7 +146,6 @@ def point_specs(
                     scheme=space.scheme,
                     config=point_config,
                     params=point_params,
-                    sanitize=sanitize,
                 )
             )
     return specs
@@ -164,7 +161,7 @@ def explore(
     progress: Optional[ProgressFn] = None,
     config: Optional[SystemConfig] = None,
     params=None,
-    sanitize: Optional[bool] = None,
+    sanitize: bool = False,
 ) -> ExplorationResult:
     """Run one exploration to completion.
 
@@ -177,7 +174,6 @@ def explore(
     obj = get_objective(objective)
     base_config = config if config is not None else default_config(quick)
     base_params = params if params is not None else default_params(quick)
-    sanitize = resolve_sanitize(sanitize)
     result = ExplorationResult(space=space, driver=driver.name, objective=obj)
     evaluated: Dict[Point, float] = {}
 
@@ -187,10 +183,10 @@ def explore(
             break
         # drop in-batch duplicates, preserving first occurrence
         batch = list(dict.fromkeys(batch))
-        specs = point_specs(
-            space, batch, config=base_config, params=base_params, sanitize=sanitize
+        specs = point_specs(space, batch, config=base_config, params=base_params)
+        cells = execute(
+            specs, jobs=jobs, cache=cache, progress=progress, sanitize=sanitize
         )
-        cells = execute(specs, jobs=jobs, cache=cache, progress=progress)
         for point in batch:
             per_workload = {
                 wl: cells[(point, wl)].result for wl in space.workloads

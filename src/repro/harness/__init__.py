@@ -1,8 +1,10 @@
 """The experiment harness: regenerate every table and figure.
 
-Each experiment module declares its run matrix as a list of
-:class:`~repro.harness.parallel.RunSpec` cells (``plan()``) and exposes
-``run(quick=..., jobs=..., cache=...)`` returning an
+Each experiment module exports one function, ``plan(quick=...,
+workloads=...)``, returning a :class:`~repro.harness.parallel.Plan`: its
+run matrix as a list of :class:`~repro.harness.parallel.RunSpec` cells
+plus an ``assemble`` step. ``plan(...).execute(jobs=..., cache=...,
+sanitize=...)`` yields an
 :class:`~repro.harness.experiment.ExperimentResult` whose rows mirror the
 paper's plot series, plus the paper's reference numbers so the output
 reads as a paper-vs-measured comparison. Cells execute serially or across
@@ -22,13 +24,7 @@ from repro.harness.parallel import (
     execute,
     run_cell,
 )
-from repro.harness.runner import (
-    default_config,
-    default_params,
-    run_once,
-    sanitize_default,
-    set_sanitize_default,
-)
+from repro.harness.runner import default_config, default_params, run_once
 
 __all__ = [
     "ExperimentResult",
@@ -36,8 +32,6 @@ __all__ = [
     "run_once",
     "default_config",
     "default_params",
-    "sanitize_default",
-    "set_sanitize_default",
     "RunSpec",
     "CellResult",
     "Plan",

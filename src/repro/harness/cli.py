@@ -185,11 +185,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.sanitize:
-        from repro.harness import runner
-
-        runner.set_sanitize_default(True)
-
     jobs = max(1, args.jobs)
     cache = None
     if not args.no_cache:
@@ -206,10 +201,11 @@ def main(argv=None) -> int:
         from repro.area import estimate_area
 
         workloads = args.workloads or ["BN", "HM", "Q"]
-        common = dict(quick=not args.full, workloads=workloads, jobs=jobs, cache=cache)
-        f7 = fig7.run(sizes=[64], **common)
-        f8 = fig8.run(sizes=[64], **common)
-        f9 = fig9b.run(**common)
+        common = dict(quick=not args.full, workloads=workloads)
+        execute_kwargs = dict(jobs=jobs, cache=cache, sanitize=args.sanitize)
+        f7 = fig7.plan(sizes=[64], **common).execute(**execute_kwargs)
+        f8 = fig8.plan(sizes=[64], **common).execute(**execute_kwargs)
+        f9 = fig9b.plan(**common).execute(**execute_kwargs)
         area_pct = estimate_area().total_overhead * 100
         gm7, gm8, gm9 = f7.rows["GeoMean"], f8.rows["GeoMean"], f9.rows["GeoMean"]
         print("headline claims (paper -> measured, geomean over "
@@ -242,15 +238,13 @@ def main(argv=None) -> int:
             parser.error(f"unknown experiment {name!r}; choose from {sorted(REGISTRY)}")
         start = time.time()
         hits_before = cache.hits if cache else 0
-        kwargs = dict(
-            quick=not args.full,
+        plan = REGISTRY[name](quick=not args.full, workloads=args.workloads)
+        result = plan.execute(
             jobs=jobs,
             cache=cache,
             progress=_make_progress(name, not args.no_progress),
+            sanitize=args.sanitize,
         )
-        if args.workloads:
-            kwargs["workloads"] = args.workloads
-        result = REGISTRY[name](**kwargs)
         results = result if isinstance(result, list) else [result]
         for r in results:
             print(r.to_table())

@@ -18,24 +18,25 @@ from repro.harness.experiments import (
     serve_bench,
 )
 
-#: experiment name -> run(quick=...) callable returning an
+#: experiment name -> plan(quick=..., workloads=...) returning a Plan whose
+#: execute(jobs=..., cache=..., progress=..., sanitize=...) yields an
 #: ExperimentResult or a list of them
 REGISTRY = {
-    "fig1": fig1.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9a": fig9a.run,
-    "fig9b": fig9b.run,
-    "fig10": fig10.run,
-    "fig10_overlap": fig10_overlap.run,
-    "lhwpq": lhwpq.run,
-    "area": area.run,
-    "ablations": ablations.run,
-    "extension": extension.run,
-    "numa": numa.run,
-    "corun": corun.run,
-    "eadr": eadr_cmp.run,
-    "serve-bench": serve_bench.run,
+    "fig1": fig1.plan,
+    "fig7": fig7.plan,
+    "fig8": fig8.plan,
+    "fig9a": fig9a.plan,
+    "fig9b": fig9b.plan,
+    "fig10": fig10.plan,
+    "fig10_overlap": fig10_overlap.plan,
+    "lhwpq": lhwpq.plan,
+    "area": area.plan,
+    "ablations": ablations.plan,
+    "extension": extension.plan,
+    "numa": numa.plan,
+    "corun": corun.plan,
+    "eadr": eadr_cmp.plan,
+    "serve-bench": serve_bench.plan,
 }
 
 __all__ = ["REGISTRY"]

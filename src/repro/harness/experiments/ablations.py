@@ -26,7 +26,6 @@ from dataclasses import replace
 from repro.common.params import CacheParams, SystemConfig
 from repro.harness.experiment import ExperimentResult
 from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import resolve_sanitize
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Fence, Read, Write
@@ -100,16 +99,14 @@ def _fence_machine(batch: int = 0):
     return machine
 
 
-def plan_dpo_distance(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan_dpo_distance(quick: bool = True, workloads=None) -> Plan:
     """DPO initiations and PM traffic vs coalescing distance (d=4 = 1.0)."""
-    sanitize = resolve_sanitize(sanitize)
     specs = [
         RunSpec(
             key=("dpo", d),
             builder=_HOT_SUMMARY,
             builder_kwargs=(("dpo_distance", d),),
             extras=(("dpos_initiated", "scheme.engine.stats.dpos_initiated"),),
-            sanitize=sanitize,
         )
         for d in DISTANCES
     ]
@@ -136,7 +133,7 @@ def plan_dpo_distance(quick: bool = True, workloads=None, sanitize=None) -> Plan
     return Plan(specs, assemble)
 
 
-def plan_wpq_size(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan_wpq_size(quick: bool = True, workloads=None) -> Plan:
     """Throughput vs ADR-protected WPQ capacity, per scheme, at 8x PM.
 
     The interesting finding is a *non*-finding: ASAP sustains its full
@@ -145,7 +142,6 @@ def plan_wpq_size(quick: bool = True, workloads=None, sanitize=None) -> Plan:
     contrast the paper draws against eADR/BBB-style designs (Sec. 8),
     which buy the same latency hiding with large batteries.
     """
-    sanitize = resolve_sanitize(sanitize)
     schemes = ("asap", "hwundo", "sw")
     specs = [
         RunSpec(
@@ -156,7 +152,6 @@ def plan_wpq_size(quick: bool = True, workloads=None, sanitize=None) -> Plan:
                 ("scheme", scheme),
                 ("wpq_entries", n),
             ),
-            sanitize=sanitize,
         )
         for scheme in schemes
         for n in WPQ_SIZES
@@ -187,7 +182,7 @@ def plan_wpq_size(quick: bool = True, workloads=None, sanitize=None) -> Plan:
     return Plan(specs, assemble)
 
 
-def plan_bloom(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan_bloom(quick: bool = True, workloads=None) -> Plan:
     """The Sec. 5.3 spill path under LLC pressure.
 
     A tiny LLC plus a saturated WPQ keeps regions uncommitted while their
@@ -195,7 +190,6 @@ def plan_bloom(quick: bool = True, workloads=None, sanitize=None) -> Plan:
     filter + DRAM buffer. Reported: spills, buffer hits, false positives
     with the paper's 1 KB filter vs a degenerate 1-bit one.
     """
-    sanitize = resolve_sanitize(sanitize)
     points = [("1KB filter", 8 * 1024), ("1-bit filter", 1)]
     specs = [
         RunSpec(
@@ -212,7 +206,6 @@ def plan_bloom(quick: bool = True, workloads=None, sanitize=None) -> Plan:
                 ("hits", "scheme.engine.spill.hits"),
                 ("false_positives", "scheme.engine.spill.false_positives"),
             ),
-            sanitize=sanitize,
         )
         for label, bits in points
     ]
@@ -238,7 +231,7 @@ def plan_bloom(quick: bool = True, workloads=None, sanitize=None) -> Plan:
     return Plan(specs, assemble)
 
 
-def plan_fence_batching(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan_fence_batching(quick: bool = True, workloads=None) -> Plan:
     """Sec. 5.2's guidance, swept: fence per batch of K regions.
 
     The paper advises calling ``asap_fence()`` once per *batch* of updates
@@ -246,14 +239,12 @@ def plan_fence_batching(quick: bool = True, workloads=None, sanitize=None) -> Pl
     the batch size shows the cost curve: per-region fencing forfeits most
     of the asynchronous-commit win; even small batches recover it.
     """
-    sanitize = resolve_sanitize(sanitize)
     batch_sizes = [1, 4, 16, 0]  # 0 = never fence
     specs = [
         RunSpec(
             key=("fence", k),
             builder=_FENCE,
             builder_kwargs=(("batch", k),),
-            sanitize=sanitize,
         )
         for k in batch_sizes
     ]
@@ -281,44 +272,14 @@ def plan_fence_batching(quick: bool = True, workloads=None, sanitize=None) -> Pl
     return Plan(specs, assemble)
 
 
-def _execute(planner, quick, workloads, jobs, cache, progress, sanitize):
-    return planner(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )
-
-
-def run_dpo_distance(
-    quick=True, workloads=None, jobs=1, cache=None, progress=None, sanitize=None
-) -> ExperimentResult:
-    return _execute(plan_dpo_distance, quick, workloads, jobs, cache, progress, sanitize)
-
-
-def run_wpq_size(
-    quick=True, workloads=None, jobs=1, cache=None, progress=None, sanitize=None
-) -> ExperimentResult:
-    return _execute(plan_wpq_size, quick, workloads, jobs, cache, progress, sanitize)
-
-
-def run_bloom(
-    quick=True, workloads=None, jobs=1, cache=None, progress=None, sanitize=None
-) -> ExperimentResult:
-    return _execute(plan_bloom, quick, workloads, jobs, cache, progress, sanitize)
-
-
-def run_fence_batching(
-    quick=True, workloads=None, jobs=1, cache=None, progress=None, sanitize=None
-) -> ExperimentResult:
-    return _execute(plan_fence_batching, quick, workloads, jobs, cache, progress, sanitize)
-
-
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     """All four ablations as one combined matrix (keys are prefixed per
     sub-experiment, so the cells can execute in one shared pool)."""
     subplans = [
-        plan_dpo_distance(quick, workloads, sanitize),
-        plan_wpq_size(quick, workloads, sanitize),
-        plan_bloom(quick, workloads, sanitize),
-        plan_fence_batching(quick, workloads, sanitize),
+        plan_dpo_distance(quick, workloads),
+        plan_wpq_size(quick, workloads),
+        plan_bloom(quick, workloads),
+        plan_fence_batching(quick, workloads),
     ]
     specs = [spec for sub in subplans for spec in sub.specs]
 
@@ -326,17 +287,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return [sub.assemble(cells) for sub in subplans]
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-):
-    """Run all four ablations; returns the list of results."""
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

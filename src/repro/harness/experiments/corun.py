@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import (
-    default_config,
-    default_params,
-    default_service_params,
-    resolve_sanitize,
-)
+from repro.harness.runner import default_config, default_params, default_service_params
 
 PAIRS = [("BN", "Q"), ("HM", "EO")]
 
@@ -40,8 +35,7 @@ MIX_PAIRS = [("SVC", "HM")]
 MIX_OFFERED_LOAD = 8.0
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
-    sanitize = resolve_sanitize(sanitize)
+def plan(quick: bool = True, workloads=None) -> Plan:
     params = default_params(quick)
     mix_params = default_service_params(
         quick,
@@ -60,7 +54,6 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
                     scheme="asap",
                     config=config,
                     params=mix_params if pair in MIX_PAIRS else params,
-                    sanitize=sanitize,
                 )
             )
 
@@ -103,16 +96,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -17,8 +17,8 @@ from __future__ import annotations
 from repro.common.params import SystemConfig
 from repro.common.units import CACHE_LINE_BYTES
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 
@@ -34,24 +34,11 @@ def asap_persistence_domain_bytes(config: SystemConfig) -> int:
     return mem.num_channels * per_channel
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        config = default_config(quick)
-        params = default_params(quick)
-        for scheme in ("asap", "eadr"):
-            specs.append(
-                RunSpec(
-                    key=(name, scheme),
-                    workload=name,
-                    scheme=scheme,
-                    config=config,
-                    params=params,
-                    sanitize=sanitize,
-                )
-            )
+    config, params = default_config(quick), default_params(quick)
+    rows = [((name,), name, config, params) for name in workloads]
+    specs = cell_matrix(rows, [("asap", "asap"), ("eadr", "eadr")])
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -92,16 +79,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

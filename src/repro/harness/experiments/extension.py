@@ -11,40 +11,24 @@ undo-ASAP.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        config = default_config(quick)
-        params = default_params(quick)
-        specs.append(
-            RunSpec(
-                key=(name, "undo"),
-                workload=name,
-                scheme="asap",
-                config=config,
-                params=params,
-                sanitize=sanitize,
-            )
-        )
-        specs.append(
-            RunSpec(
-                key=(name, "redo"),
-                workload=name,
-                scheme="asap_redo",
-                config=config,
-                params=params,
-                sanitize=sanitize,
-                extras=(("reads_redirected", "scheme.reads_redirected"),),
-            )
-        )
+    config, params = default_config(quick), default_params(quick)
+    rows = [((name,), name, config, params) for name in workloads]
+    specs = [
+        replace(spec, extras=(("reads_redirected", "scheme.reads_redirected"),))
+        if spec.scheme == "asap_redo"
+        else spec
+        for spec in cell_matrix(rows, [("undo", "asap"), ("redo", "asap_redo")])
+    ]
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -72,16 +56,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -8,31 +8,20 @@ reports geomeans of 0.58x for "DPO Only" and 0.31x for "LPO & DPO".
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 PAPER_GEOMEAN = {"DPO Only": 0.58, "LPO & DPO": 0.31}
 
+SCHEMES = [(scheme, scheme) for scheme in ("np", "sw_dpo_only", "sw")]
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        config = default_config(quick)
-        params = default_params(quick)
-        for scheme in ("np", "sw_dpo_only", "sw"):
-            specs.append(
-                RunSpec(
-                    key=(name, scheme),
-                    workload=name,
-                    scheme=scheme,
-                    config=config,
-                    params=params,
-                    sanitize=sanitize,
-                )
-            )
+    config, params = default_config(quick), default_params(quick)
+    rows = [((name,), name, config, params) for name in workloads]
+    specs = cell_matrix(rows, SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -60,16 +49,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

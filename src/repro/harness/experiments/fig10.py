@@ -12,34 +12,24 @@ overtakes it at high latency.
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 MULTIPLIERS = [1, 2, 4, 16]
 SCHEMES = [("ASAP", "asap"), ("HWUndo", "hwundo"), ("HWRedo", "hwredo")]
 
 
-def plan(quick: bool = True, workloads=None, multipliers=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None, multipliers=None) -> Plan:
     workloads = list(workloads or workload_names())
     multipliers = list(multipliers or MULTIPLIERS)
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        for m in multipliers:
-            config = default_config(quick, pm_latency_multiplier=m)
-            params = default_params(quick)
-            for label, scheme in [("NP", "np")] + SCHEMES:
-                specs.append(
-                    RunSpec(
-                        key=(name, m, label),
-                        workload=name,
-                        scheme=scheme,
-                        config=config,
-                        params=params,
-                        sanitize=sanitize,
-                    )
-                )
+    params = default_params(quick)
+    rows = [
+        ((name, m), name, default_config(quick, pm_latency_multiplier=m), params)
+        for name in workloads
+        for m in multipliers
+    ]
+    specs = cell_matrix(rows, [("NP", "np")] + SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         columns = [f"{label}@{m}x" for m in multipliers for label, _ in SCHEMES]
@@ -62,17 +52,3 @@ def plan(quick: bool = True, workloads=None, multipliers=None, sanitize=None) ->
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    multipliers=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, multipliers, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import replace as dc_replace
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 MULTIPLIERS = [1, 2, 4, 16]
@@ -41,26 +41,17 @@ def _variants(quick: bool, multiplier: float):
     return [("blk", blocking), ("ovl", base)]
 
 
-def plan(quick: bool = True, workloads=None, multipliers=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None, multipliers=None) -> Plan:
     workloads = list(workloads or workload_names())
     multipliers = list(multipliers or MULTIPLIERS)
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        for m in multipliers:
-            params = default_params(quick)
-            for mode, config in _variants(quick, m):
-                for label, scheme in SCHEMES:
-                    specs.append(
-                        RunSpec(
-                            key=(name, m, label, mode),
-                            workload=name,
-                            scheme=scheme,
-                            config=config,
-                            params=params,
-                            sanitize=sanitize,
-                        )
-                    )
+    params = default_params(quick)
+    rows = [
+        ((name, m, mode), name, config, params)
+        for name in workloads
+        for m in multipliers
+        for mode, config in _variants(quick, m)
+    ]
+    specs = cell_matrix(rows, SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         columns = [f"{label}@{m}x" for m in multipliers for label, _ in SCHEMES]
@@ -77,8 +68,8 @@ def plan(quick: bool = True, workloads=None, multipliers=None, sanitize=None) ->
             row = {}
             for m in multipliers:
                 for label, _ in SCHEMES:
-                    blk = cells[(name, m, label, "blk")].result
-                    ovl = cells[(name, m, label, "ovl")].result
+                    blk = cells[(name, m, "blk", label)].result
+                    ovl = cells[(name, m, "ovl", label)].result
                     row[f"{label}@{m}x"] = (
                         blk.cycles_per_region / ovl.cycles_per_region
                     )
@@ -87,17 +78,3 @@ def plan(quick: bool = True, workloads=None, multipliers=None, sanitize=None) ->
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    multipliers=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, multipliers, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

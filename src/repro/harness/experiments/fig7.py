@@ -10,8 +10,8 @@ HWUndo 1.60x, ASAP 2.25x, NP 2.34x (i.e. NP is only 1.04x over ASAP).
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 PAPER_GEOMEAN = {"HWRedo": 1.49, "HWUndo": 1.60, "ASAP": 2.25, "NP": 2.34}
@@ -20,26 +20,16 @@ SCHEMES = [("HWRedo", "hwredo"), ("HWUndo", "hwundo"), ("ASAP", "asap"), ("NP", 
 SIZES = [64, 2048]
 
 
-def plan(quick: bool = True, workloads=None, sizes=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None, sizes=None) -> Plan:
     workloads = list(workloads or workload_names())
     sizes = list(sizes or SIZES)
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        for size in sizes:
-            config = default_config(quick)
-            params = default_params(quick, value_bytes=size)
-            for label, scheme in [("SW", "sw")] + SCHEMES:
-                specs.append(
-                    RunSpec(
-                        key=(name, size, label),
-                        workload=name,
-                        scheme=scheme,
-                        config=config,
-                        params=params,
-                        sanitize=sanitize,
-                    )
-                )
+    config = default_config(quick)
+    rows = [
+        ((name, size), name, config, default_params(quick, value_bytes=size))
+        for name in workloads
+        for size in sizes
+    ]
+    specs = cell_matrix(rows, [("SW", "sw")] + SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -59,17 +49,3 @@ def plan(quick: bool = True, workloads=None, sizes=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    sizes=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sizes, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -10,8 +10,8 @@ Paper geomeans: HWRedo 1.69x, HWUndo 1.61x, ASAP 1.08x (NP = 1).
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 PAPER_GEOMEAN = {"HWRedo": 1.69, "HWUndo": 1.61, "ASAP": 1.08}
@@ -20,26 +20,16 @@ SCHEMES = [("SW", "sw"), ("HWRedo", "hwredo"), ("HWUndo", "hwundo"), ("ASAP", "a
 SIZES = [64, 2048]
 
 
-def plan(quick: bool = True, workloads=None, sizes=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None, sizes=None) -> Plan:
     workloads = list(workloads or workload_names())
     sizes = list(sizes or SIZES)
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        for size in sizes:
-            config = default_config(quick)
-            params = default_params(quick, value_bytes=size)
-            for label, scheme in [("NP", "np")] + SCHEMES:
-                specs.append(
-                    RunSpec(
-                        key=(name, size, label),
-                        workload=name,
-                        scheme=scheme,
-                        config=config,
-                        params=params,
-                        sanitize=sanitize,
-                    )
-                )
+    config = default_config(quick)
+    rows = [
+        ((name, size), name, config, default_params(quick, value_bytes=size))
+        for name in workloads
+        for size in sizes
+    ]
+    specs = cell_matrix(rows, [("NP", "np")] + SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -60,17 +50,3 @@ def plan(quick: bool = True, workloads=None, sizes=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    sizes=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sizes, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

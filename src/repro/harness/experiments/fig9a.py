@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 ABLATIONS = [
@@ -27,9 +27,8 @@ ABLATIONS = [
 PAPER_INCREMENTS = {"+C over No-Opt": 0.08, "+LP over +C": 0.33, "+DP over +C+LP": 0.31}
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
     specs = []
     for name in workloads:
         params = default_params(quick)
@@ -43,7 +42,6 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
                     scheme="asap",
                     config=config,
                     params=params,
-                    sanitize=sanitize,
                 )
             )
 
@@ -66,16 +64,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -9,8 +9,8 @@ about SW 2.56, HWRedo 1.61, HWUndo 1.92.
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 PAPER_GEOMEAN = {"SW": 1 / 0.39, "HWRedo": 1 / 0.62, "HWUndo": 1 / 0.52, "ASAP": 1.0}
@@ -18,24 +18,11 @@ PAPER_GEOMEAN = {"SW": 1 / 0.39, "HWRedo": 1 / 0.62, "HWUndo": 1 / 0.52, "ASAP":
 SCHEMES = [("SW", "sw"), ("HWRedo", "hwredo"), ("HWUndo", "hwundo"), ("ASAP", "asap")]
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
-    specs = []
-    for name in workloads:
-        config = default_config(quick)
-        params = default_params(quick)
-        for label, scheme in SCHEMES:
-            specs.append(
-                RunSpec(
-                    key=(name, label),
-                    workload=name,
-                    scheme=scheme,
-                    config=config,
-                    params=params,
-                    sanitize=sanitize,
-                )
-            )
+    config, params = default_config(quick), default_params(quick)
+    rows = [((name,), name, config, params) for name in workloads]
+    specs = cell_matrix(rows, SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -55,16 +42,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

@@ -22,8 +22,8 @@ from dataclasses import replace
 from repro.explore.engine import point_specs
 from repro.explore.space import SweepSpace
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 from repro.workloads import workload_names
 
 PAPER = {
@@ -37,9 +37,8 @@ PAPER = {
 SMALL_LH_WPQ = 1
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or workload_names())
-    sanitize = resolve_sanitize(sanitize)
     config = default_config(quick)
     params = default_params(quick)
 
@@ -57,26 +56,12 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         # point_specs keys cells as (point, workload); re-key to this
         # table's (workload, label) without touching what gets simulated
         replace(spec, key=(spec.key[1], labels[spec.key[0]]))
-        for spec in point_specs(
-            space,
-            list(labels),
-            config=config,
-            params=params,
-            sanitize=sanitize,
-        )
+        for spec in point_specs(space, list(labels), config=config, params=params)
     ]
-    for name in workloads:
-        for scheme in ("hwundo", "hwredo"):
-            specs.append(
-                RunSpec(
-                    key=(name, scheme),
-                    workload=name,
-                    scheme=scheme,
-                    config=config,
-                    params=params,
-                    sanitize=sanitize,
-                )
-            )
+    specs += cell_matrix(
+        [((name,), name, config, params) for name in workloads],
+        [("hwundo", "hwundo"), ("hwredo", "hwredo")],
+    )
 
     def assemble(cells) -> ExperimentResult:
         result = ExperimentResult(
@@ -105,16 +90,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

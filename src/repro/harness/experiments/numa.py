@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_params
 
 REMOTE_MULTIPLIERS = [1, 4, 16]
 SCHEMES = [("ASAP", "asap"), ("HWUndo", "hwundo"), ("HWRedo", "hwredo")]
@@ -34,25 +34,15 @@ def _numa_config(quick: bool, remote_multiplier: float):
     )
 
 
-def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None) -> Plan:
     workloads = list(workloads or ["BN", "HM", "Q"])
-    sanitize = resolve_sanitize(sanitize)
     params = default_params(quick)
-    specs = []
-    for name in workloads:
-        for m in REMOTE_MULTIPLIERS:
-            config = _numa_config(quick, m)
-            for label, scheme in [("NP", "np")] + SCHEMES:
-                specs.append(
-                    RunSpec(
-                        key=(name, m, label),
-                        workload=name,
-                        scheme=scheme,
-                        config=config,
-                        params=params,
-                        sanitize=sanitize,
-                    )
-                )
+    rows = [
+        ((name, m), name, _numa_config(quick, m), params)
+        for name in workloads
+        for m in REMOTE_MULTIPLIERS
+    ]
+    specs = cell_matrix(rows, [("NP", "np")] + SCHEMES)
 
     def assemble(cells) -> ExperimentResult:
         columns = [f"{label}@{m}x" for m in REMOTE_MULTIPLIERS for label, _ in SCHEMES]
@@ -76,16 +66,3 @@ def plan(quick: bool = True, workloads=None, sanitize=None) -> Plan:
         return result
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> ExperimentResult:
-    return plan(quick, workloads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

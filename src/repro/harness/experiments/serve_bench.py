@@ -18,8 +18,8 @@ byte-identical for any ``--jobs`` value and cache state.
 from __future__ import annotations
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.parallel import Plan, RunSpec
-from repro.harness.runner import default_config, default_service_params, resolve_sanitize
+from repro.harness.parallel import Plan, cell_matrix
+from repro.harness.runner import default_config, default_service_params
 from repro.workloads import service_workload_names
 
 SCHEMES = [("ASAP", "asap"), ("ASAP-Redo", "asap_redo"), ("SW", "sw")]
@@ -50,27 +50,23 @@ def _service_workloads(workloads) -> list:
     return picked or available
 
 
-def plan(quick: bool = True, workloads=None, loads=None, sanitize=None) -> Plan:
+def plan(quick: bool = True, workloads=None, loads=None) -> Plan:
     workloads = _service_workloads(workloads)
     loads = list(loads or (LOADS_QUICK if quick else LOADS_FULL))
-    sanitize = resolve_sanitize(sanitize)
     config = default_config(quick)
-    specs = []
-    for name in workloads:
-        for load in loads:
-            scaled = load * LOAD_SCALE.get(name, 1.0)
-            params = default_service_params(quick, offered_load=scaled)
-            for label, scheme in SCHEMES:
-                specs.append(
-                    RunSpec(
-                        key=(name, load, label),
-                        workload=name,
-                        scheme=scheme,
-                        config=config,
-                        params=params,
-                        sanitize=sanitize,
-                    )
-                )
+    rows = [
+        (
+            (name, load),
+            name,
+            config,
+            default_service_params(
+                quick, offered_load=load * LOAD_SCALE.get(name, 1.0)
+            ),
+        )
+        for name in workloads
+        for load in loads
+    ]
+    specs = cell_matrix(rows, SCHEMES)
 
     def assemble(cells) -> list:
         results = []
@@ -101,17 +97,3 @@ def plan(quick: bool = True, workloads=None, loads=None, sanitize=None) -> Plan:
         return results
 
     return Plan(specs, assemble)
-
-
-def run(
-    quick: bool = True,
-    workloads=None,
-    loads=None,
-    jobs: int = 1,
-    cache=None,
-    progress=None,
-    sanitize=None,
-) -> list:
-    return plan(quick, workloads, loads, sanitize).execute(
-        jobs=jobs, cache=cache, progress=progress
-    )

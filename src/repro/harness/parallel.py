@@ -16,9 +16,10 @@ content-addressed, identical cells are shared *across* experiments:
 Fig. 7 and Fig. 8 both run ``HM/asap`` on the same machine and only pay
 for it once.
 
-Specs must be fully picklable: they cross the process boundary, and the
-sanitize flag travels inside each spec precisely because a module global
-set in the parent does not exist in the workers.
+Specs must be fully picklable: they cross the process boundary. The
+sanitize flag is chosen at execution (``execute(..., sanitize=True)``),
+which stamps it onto every spec before the cache lookup, so it reaches
+worker processes inside the specs themselves.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import pickle
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import repro
 from repro.common.errors import CellError, ConfigError
@@ -289,6 +290,7 @@ def execute(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[ProgressFn] = None,
+    sanitize: bool = False,
 ) -> Dict[Tuple, CellResult]:
     """Run every spec; return ``{spec.key: CellResult}`` in spec order.
 
@@ -298,10 +300,16 @@ def execute(
     mapping (and therefore everything assembled from it) is ordered by
     the spec list, so results are identical for any job count.
 
+    ``sanitize=True`` attaches a raising runtime sanitizer to every cell:
+    the flag is stamped onto each spec before the cache lookup, so
+    sanitized cells cache apart from plain ones.
+
     A cell that raises aborts the run with a :class:`CellError` that
     names it.
     """
     specs = list(specs)
+    if sanitize:
+        specs = [replace(spec, sanitize=True) for spec in specs]
     if len({s.key for s in specs}) != len(specs):
         raise ConfigError("duplicate RunSpec keys in one experiment plan")
     total = len(specs)
@@ -361,7 +369,36 @@ class Plan:
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
         progress: Optional[ProgressFn] = None,
+        sanitize: bool = False,
     ):
         return self.assemble(
-            execute(self.specs, jobs=jobs, cache=cache, progress=progress)
+            execute(
+                self.specs,
+                jobs=jobs,
+                cache=cache,
+                progress=progress,
+                sanitize=sanitize,
+            )
         )
+
+
+def cell_matrix(
+    rows: Iterable[Tuple], schemes: Sequence[Tuple[str, str]]
+) -> List[RunSpec]:
+    """Workload cells for every row x scheme, in row-major order.
+
+    ``rows`` yields ``(key_prefix, workload, config, params)`` tuples and
+    ``schemes`` holds ``(label, scheme)`` pairs; each cell is keyed
+    ``(*key_prefix, label)``.
+    """
+    return [
+        RunSpec(
+            key=(*prefix, label),
+            workload=workload,
+            scheme=scheme,
+            config=config,
+            params=params,
+        )
+        for prefix, workload, config, params in rows
+        for label, scheme in schemes
+    ]

@@ -10,33 +10,6 @@ from repro.sim.machine import Machine
 from repro.sim.stats import RunResult
 from repro.workloads import WorkloadParams, get_workload
 
-#: process-local fallback for ``run_once(..., sanitize=None)``. This is a
-#: convenience shim only: experiment plans resolve it once (in the parent
-#: process) and carry the resolved flag on each
-#: :class:`~repro.harness.parallel.RunSpec`, because a module global set
-#: here does not propagate to ``--jobs N`` worker processes.
-_SANITIZE_DEFAULT: bool = False
-
-
-def set_sanitize_default(enabled: bool) -> None:
-    """Enable/disable the runtime invariant sanitizer for subsequent runs.
-
-    Thin shim over a process-local default; parallel execution relies on
-    the sanitize flag carried explicitly by each ``RunSpec``.
-    """
-    global _SANITIZE_DEFAULT
-    _SANITIZE_DEFAULT = enabled
-
-
-def sanitize_default() -> bool:
-    """The current process-local sanitize default."""
-    return _SANITIZE_DEFAULT
-
-
-def resolve_sanitize(sanitize: Optional[bool]) -> bool:
-    """Resolve a ``sanitize=None`` request against the process default."""
-    return sanitize_default() if sanitize is None else bool(sanitize)
-
 
 def default_config(
     quick: bool = True,
@@ -116,14 +89,13 @@ def run_once(
     scheme: str,
     config: Optional[SystemConfig] = None,
     params: Optional[WorkloadParams] = None,
-    sanitize: Union[bool, object, None] = None,
+    sanitize: Union[bool, object] = False,
     fast: bool = False,
 ) -> RunResult:
     """Build a machine, install one workload under one scheme, run it.
 
     Args:
-        sanitize: None follows the process-local default (see
-            :func:`set_sanitize_default`); True attaches a fresh raising
+        sanitize: True attaches a fresh raising
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
@@ -133,8 +105,6 @@ def run_once(
             payload-reading subscriber, no crash window", and the
             sanitizer checks the reference machine only (docs/PERF.md).
     """
-    if sanitize is None:
-        sanitize = sanitize_default()
     if sanitize:
         fast = False  # the sanitizer checks the reference machine
     machine = build_machine(workload, scheme, config, params, fast=fast)

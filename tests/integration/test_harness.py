@@ -9,6 +9,7 @@ import pytest
 from repro.harness.experiment import ExperimentResult, geomean
 from repro.harness.experiments import REGISTRY, area, fig1, fig7, fig8, fig9a, fig9b
 from repro.harness.cli import main
+from repro.harness.parallel import Plan
 
 FAST = ["HM", "SS"]  # quickest two workloads
 
@@ -56,7 +57,7 @@ def test_experiment_result_table_renders():
 
 
 def test_fig1_shape():
-    result = fig1.run(quick=True, workloads=FAST)
+    result = fig1.plan(quick=True, workloads=FAST).execute()
     gm = result.rows["GeoMean"]
     # persist operations cost throughput; logging costs more than flushing
     assert gm["DPO Only"] < 1.0
@@ -64,7 +65,7 @@ def test_fig1_shape():
 
 
 def test_fig7_shape():
-    result = fig7.run(quick=True, workloads=["HM"], sizes=[64])
+    result = fig7.plan(quick=True, workloads=["HM"], sizes=[64]).execute()
     gm = result.rows["GeoMean"]
     assert gm["ASAP"] > gm["HWUndo"] > 1.0
     assert gm["ASAP"] > gm["HWRedo"] > 1.0
@@ -72,28 +73,28 @@ def test_fig7_shape():
 
 
 def test_fig8_shape():
-    result = fig8.run(quick=True, workloads=["HM"], sizes=[64])
+    result = fig8.plan(quick=True, workloads=["HM"], sizes=[64]).execute()
     gm = result.rows["GeoMean"]
     assert gm["SW"] > gm["HWUndo"] > gm["ASAP"]
     assert gm["ASAP"] < 1.7
 
 
 def test_fig9a_monotone():
-    result = fig9a.run(quick=True, workloads=FAST)
+    result = fig9a.plan(quick=True, workloads=FAST).execute()
     gm = result.rows["GeoMean"]
     assert gm["ASAP-No-Opt"] >= gm["ASAP+C"] >= gm["ASAP+C+LP"] >= gm["ASAP"] == pytest.approx(1.0)
     assert gm["ASAP-No-Opt"] > 1.2
 
 
 def test_fig9b_shape():
-    result = fig9b.run(quick=True, workloads=FAST)
+    result = fig9b.plan(quick=True, workloads=FAST).execute()
     gm = result.rows["GeoMean"]
     assert gm["SW"] > gm["HWUndo"] > 1.0
     assert gm["SW"] > gm["HWRedo"] > 1.0
 
 
 def test_area_experiment():
-    result = area.run()
+    result = area.plan().execute()
     assert result.rows["measured"]["total %"] < 3.0
 
 
@@ -103,6 +104,17 @@ def test_registry_complete():
         "lhwpq", "area", "ablations", "extension", "numa", "corun", "eadr",
         "serve-bench",
     }
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_entry_is_a_plan(name):
+    # simulation-free: building a plan runs nothing, and the sanitize flag
+    # is left to execute()
+    plan = REGISTRY[name](quick=True, workloads=["Q"])
+    assert isinstance(plan, Plan)
+    keys = [spec.key for spec in plan.specs]
+    assert len(set(keys)) == len(keys)
+    assert not any(spec.sanitize for spec in plan.specs)
 
 
 def test_cli_config_and_workloads(capsys):

@@ -19,12 +19,7 @@ from repro.harness.parallel import (
     run_cell,
     simulator_fingerprint,
 )
-from repro.harness.runner import (
-    default_config,
-    default_params,
-    run_once,
-    set_sanitize_default,
-)
+from repro.harness.runner import default_config, default_params, run_once
 from repro.harness.experiments import ablations, fig7
 
 
@@ -110,17 +105,16 @@ def test_execute_reports_progress_in_order():
     assert seen == [(1, 2), (2, 2)]
 
 
-def test_sanitize_travels_inside_specs():
-    set_sanitize_default(True)
-    try:
-        specs = fig7.plan(quick=True, workloads=["HM"], sizes=[64]).specs
-    finally:
-        set_sanitize_default(False)
-    assert specs and all(spec.sanitize for spec in specs)
-    # and an explicit override beats the process default
-    assert not any(
-        s.sanitize for s in fig7.plan(quick=True, workloads=["HM"], sanitize=False).specs
-    )
+def test_sanitize_travels_inside_specs(tmp_path):
+    # execute() stamps the flag onto each spec before the cache lookup, so
+    # worker processes see it without any process-global default
+    specs = [_spec(key=("a",)), _spec(key=("b",), scheme="sw")]
+    for jobs in (1, 2):
+        cache = ResultCache(str(tmp_path / f"jobs{jobs}"))
+        execute(specs, jobs=jobs, cache=cache, sanitize=True)
+        for spec in specs:
+            assert cache.get(dataclasses.replace(spec, sanitize=True)) is not None
+            assert cache.get(spec) is None
 
 
 # -- the cache --------------------------------------------------------------

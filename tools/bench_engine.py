@@ -35,24 +35,19 @@ from dataclasses import asdict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.harness.experiments.fig7 import SCHEMES, SIZES  # noqa: E402
-from repro.harness.runner import (  # noqa: E402
-    default_config,
-    default_params,
-    run_once,
-)
-from repro.workloads import workload_names  # noqa: E402
+from repro.harness.experiments import fig7  # noqa: E402
+from repro.harness.runner import run_once  # noqa: E402
 
 
-def _time_cell(workload, scheme, quick, size, fast, repeat):
+def _time_cell(spec, fast, repeat):
     """Best-of-``repeat`` wall time plus the (deterministic) RunResult."""
     best = None
     result = None
     for _ in range(repeat):
-        config = default_config(quick)
-        params = default_params(quick, value_bytes=size)
         start = time.perf_counter()
-        result = run_once(workload, scheme, config, params, fast=fast)
+        result = run_once(
+            spec.workload, spec.scheme, spec.config, spec.params, fast=fast
+        )
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed
@@ -60,44 +55,44 @@ def _time_cell(workload, scheme, quick, size, fast, repeat):
 
 
 def bench(workloads, sizes, quick, repeat, verbose=True):
+    specs = fig7.plan(quick, workloads, sizes).specs
     cells = []
     total_ref = total_fast = 0.0
     divergences = 0
-    for workload in workloads:
-        for size in sizes:
-            for label, scheme in [("SW", "sw")] + SCHEMES:
-                ref_s, ref = _time_cell(workload, scheme, quick, size, False, repeat)
-                fast_s, fast = _time_cell(workload, scheme, quick, size, True, repeat)
-                identical = asdict(ref) == asdict(fast)
-                if not identical:
-                    divergences += 1
-                total_ref += ref_s
-                total_fast += fast_s
-                cell = {
-                    "workload": workload,
-                    "scheme": label,
-                    "value_bytes": size,
-                    "ref_seconds": round(ref_s, 4),
-                    "fast_seconds": round(fast_s, 4),
-                    "ops_executed": ref.ops_executed,
-                    "ref_ops_per_sec": round(ref.ops_executed / ref_s, 1),
-                    "fast_ops_per_sec": round(fast.ops_executed / fast_s, 1),
-                    "speedup": round(ref_s / fast_s, 3),
-                    "identical_stats": identical,
-                }
-                cells.append(cell)
-                if verbose:
-                    print(
-                        f"  {workload}/{label}/{size}B: ref {ref_s:.3f}s "
-                        f"fast {fast_s:.3f}s  {ref_s / fast_s:.2f}x"
-                        f"{'' if identical else '  ** STATS DIVERGE **'}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
+    for spec in specs:
+        workload, size, label = spec.workload, spec.key[1], spec.key[2]
+        ref_s, ref = _time_cell(spec, False, repeat)
+        fast_s, fast = _time_cell(spec, True, repeat)
+        identical = asdict(ref) == asdict(fast)
+        if not identical:
+            divergences += 1
+        total_ref += ref_s
+        total_fast += fast_s
+        cell = {
+            "workload": workload,
+            "scheme": label,
+            "value_bytes": size,
+            "ref_seconds": round(ref_s, 4),
+            "fast_seconds": round(fast_s, 4),
+            "ops_executed": ref.ops_executed,
+            "ref_ops_per_sec": round(ref.ops_executed / ref_s, 1),
+            "fast_ops_per_sec": round(fast.ops_executed / fast_s, 1),
+            "speedup": round(ref_s / fast_s, 3),
+            "identical_stats": identical,
+        }
+        cells.append(cell)
+        if verbose:
+            print(
+                f"  {workload}/{label}/{size}B: ref {ref_s:.3f}s "
+                f"fast {fast_s:.3f}s  {ref_s / fast_s:.2f}x"
+                f"{'' if identical else '  ** STATS DIVERGE **'}",
+                file=sys.stderr,
+                flush=True,
+            )
     return {
         "config": "quick" if quick else "full",
         "repeat": repeat,
-        "schemes": ["SW"] + [label for label, _ in SCHEMES],
+        "schemes": list(dict.fromkeys(spec.key[2] for spec in specs)),
         "cells": cells,
         "total": {
             "ref_seconds": round(total_ref, 3),
@@ -133,9 +128,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    workloads = args.workloads or list(workload_names())
-    sizes = args.sizes or list(SIZES)
-    report = bench(workloads, sizes, quick=not args.full, repeat=max(1, args.repeat))
+    report = bench(
+        args.workloads, args.sizes, quick=not args.full, repeat=max(1, args.repeat)
+    )
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
