@@ -9,7 +9,7 @@ LockBit is set (an LPO is in flight; Sec. 4.6.1 forbids evicting them).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, List, Optional
+from typing import Container, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import CacheParams
@@ -22,18 +22,19 @@ class CacheArray:
         self,
         name: str,
         params: CacheParams,
-        is_locked: Optional[Callable[[int], bool]] = None,
+        locked: Container[int] = (),
     ):
         """
         Args:
             name: for diagnostics ("L1[3]", "LLC"...).
             params: geometry and latency.
-            is_locked: predicate consulted during victim selection; locked
-                lines are never evicted.
+            locked: the currently locked lines (a live view, e.g. the tag
+                store's locked index), tested during victim selection;
+                locked lines are never evicted.
         """
         self.name = name
         self.params = params
-        self._is_locked = is_locked or (lambda line: False)
+        self._locked = locked
         # num_sets and assoc are derived properties on the frozen params;
         # cache them - _set_of runs on every lookup/insert/invalidate.
         self._num_sets = params.num_sets
@@ -86,7 +87,7 @@ class CacheArray:
                 treat this as a transient structural stall and retry (the
                 lock clears when the in-flight LPO is accepted by the WPQ).
         """
-        s = self._set_of(line)
+        s = self._sets[(line >> 6) % self._num_sets]  # _set_of, inline
         if line in s:
             s.move_to_end(line)
             return None
@@ -103,8 +104,9 @@ class CacheArray:
         return victim
 
     def _pick_victim(self, s: OrderedDict) -> Optional[int]:
+        locked = self._locked
         for candidate in s:  # iteration order = LRU -> MRU
-            if not self._is_locked(candidate):
+            if candidate not in locked:
                 return candidate
         return None
 
@@ -181,7 +183,7 @@ class MSHRFile:
             raise SimulationError(
                 f"{self.name}: line {line:#x} already has an MSHR"
             )
-        if self.full:
+        if len(self.entries) >= self.capacity:
             raise SimulationError(
                 f"{self.name}: all {self.capacity} registers busy"
             )

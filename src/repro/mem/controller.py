@@ -11,7 +11,8 @@ both the ASAP engine and the recovery code agree on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.address import AddressSpace
 from repro.common.params import SystemConfig
@@ -64,7 +65,7 @@ class Channel:
             name=f"wpq[{index}]",
             scheduler=scheduler,
             capacity=wpq_entries,
-            write_service=lambda: timing.pm_write_service(index),
+            write_service=timing.pm_write_service(index),
             pm_image=pm_image,
             on_drain=self._count_drain,
             drain_watermark=timing.mem.wpq_drain_watermark,
@@ -109,6 +110,11 @@ class MemorySystem:
             )
             for i in range(config.memory.num_channels)
         ]
+        #: per channel (indexed as in :meth:`channel_for_line`): where a
+        #: persist op lands and the MC hop to get there
+        self._persist_routes: List[Tuple[Callable[[PersistOp], None], int]] = [
+            (ch.wpq.submit, self.timing.mc_hop(ch.index)) for ch in self.channels
+        ]
 
     # -- interleaving ------------------------------------------------------
 
@@ -133,9 +139,9 @@ class MemorySystem:
         hop after issue at the earliest, later under backpressure. Remote
         (NUMA) channels have a longer hop (Sec. 7.3).
         """
-        channel = self.channel_for_line(op.target_line)
-        delay = self.timing.mc_hop(channel.index) + extra_delay
-        self.scheduler.after(delay, lambda: channel.wpq.submit(op))
+        routes = self._persist_routes
+        submit, hop = routes[(op.target_line >> 6) % len(routes)]
+        self.scheduler.after(hop + extra_delay, partial(submit, op))
 
     def issue_dram_write(self, line: int) -> None:
         """Account a dirty volatile line written back to DRAM."""

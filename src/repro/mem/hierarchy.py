@@ -18,6 +18,7 @@ per-level replicated metadata.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -72,7 +73,7 @@ class CacheHierarchy:
         self.is_persistent = is_persistent
         self.tags = TagStore()
 
-        locked = self._line_locked
+        locked = self.tags._locked
         self.l1: List[CacheArray] = [
             CacheArray(f"L1[{i}]", config.l1, locked)
             for i in range(config.num_cores)
@@ -129,12 +130,6 @@ class CacheHierarchy:
         #: full and parked until a fill freed a register (re-parks count)
         self.mshr_stalls = 0
 
-    # -- lock predicate ------------------------------------------------------
-
-    def _line_locked(self, line: int) -> bool:
-        meta = self.tags.get(line)
-        return bool(meta and meta.lock_bit)
-
     # -- main access path ----------------------------------------------------
 
     def access(
@@ -169,11 +164,13 @@ class CacheHierarchy:
         if line in s1:
             s1.move_to_end(line)
             l1.hits += 1
-            meta = self.tags.ensure(line, self.is_persistent(line))
+            meta = self.tags._meta.get(line)
+            if meta is None:
+                meta = self.tags.ensure(line, self.is_persistent(line))
             if is_write:
                 meta.dirty = True
                 meta.version += 1
-            self.scheduler.after(self._lat_l1, lambda: done(meta))
+            self.scheduler.after(self._lat_l1, partial(done, meta))
             return
         l1.misses += 1
         self._miss(core_id, line, is_write, done)
@@ -236,12 +233,12 @@ class CacheHierarchy:
             self.locked_set_stalls += 1
             self.scheduler.after(
                 _LOCKED_SET_RETRY,
-                lambda: self._fill_and_finish(
-                    level, core_id, line, latency, meta, done
+                partial(
+                    self._fill_and_finish, level, core_id, line, latency, meta, done
                 ),
             )
             return
-        self.scheduler.after(latency, lambda: done(meta))
+        self.scheduler.after(latency, partial(done, meta))
 
     # -- non-blocking misses (MSHRs) -------------------------------------------
 
@@ -261,12 +258,15 @@ class CacheHierarchy:
         read, or reload-hook consultation. No free register: the
         requesting core parks until a fill completes.
         """
-        fetch = self.llc_mshrs.get(line)
+        llcm = self.llc_mshrs
         l1m = self.l1_mshrs[core_id]
         l2m = self.l2_mshrs[core_id]
+        fetch = llcm.entries.get(line)
+        # MSHRFile.full, inline: a file with no entry for ``line`` needs a
+        # free register
         if fetch is not None:
-            if (l1m.get(line) is None and l1m.full) or (
-                l2m.get(line) is None and l2m.full
+            if (line not in l1m.entries and len(l1m.entries) >= l1m.capacity) or (
+                line not in l2m.entries and len(l2m.entries) >= l2m.capacity
             ):
                 self._stall_on_mshrs(core_id, line, is_write, done)
                 return
@@ -281,7 +281,11 @@ class CacheHierarchy:
             if self.observer is not None:
                 self.observer.mshr_merged(self, line, core_id)
             return
-        if self.llc_mshrs.full or l1m.full or l2m.full:
+        if (
+            len(llcm.entries) >= llcm.capacity
+            or len(l1m.entries) >= l1m.capacity
+            or len(l2m.entries) >= l2m.capacity
+        ):
             self._stall_on_mshrs(core_id, line, is_write, done)
             return
         self.llc_misses += 1
@@ -297,13 +301,13 @@ class CacheHierarchy:
         if is_write:
             meta.dirty = True
             meta.version += 1
-        fetch = self.llc_mshrs.allocate(line)
+        fetch = llcm.allocate(line)
         l1m.allocate(line)
         l2m.allocate(line)
         fetch.waiters.append((core_id, done))
         if self.observer is not None:
             self.observer.mshr_allocated(self, line, core_id)
-        self.scheduler.after(latency, lambda: self._complete_fill(line, meta))
+        self.scheduler.after(latency, partial(self._complete_fill, line, meta))
 
     def _stall_on_mshrs(
         self,
@@ -316,7 +320,7 @@ class CacheHierarchy:
         if self.observer is not None:
             self.observer.mshr_stalled(self, line, core_id)
         self._mshr_free_waiters.park(
-            lambda: self._mshr_retry(core_id, line, is_write, done)
+            partial(self._mshr_retry, core_id, line, is_write, done)
         )
 
     def _mshr_retry(
@@ -365,7 +369,7 @@ class CacheHierarchy:
         except SimulationError:
             self.locked_set_stalls += 1
             self.scheduler.after(
-                _LOCKED_SET_RETRY, lambda: self._complete_fill(line, meta)
+                _LOCKED_SET_RETRY, partial(self._complete_fill, line, meta)
             )
             return
         self.llc_mshrs.free(line)

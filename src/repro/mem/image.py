@@ -42,13 +42,14 @@ class MemoryImage:
         """Read every word overlapping ``[addr, addr+nbytes)``."""
         return tuple(self.read_word(w) for w in split_words(addr, nbytes))
 
-    def read_words(self, addr: int, n: int) -> List[int]:
-        """Read ``n`` consecutive words starting at ``addr`` (8-byte
-        aligned; checking ``addr`` covers every word after it)."""
-        if addr & _WORD_MASK:
-            raise SimulationError(f"unaligned word read at {addr:#x}")
+    def read_words(self, addr: int, n: int, stride: int = WORD_BYTES) -> List[int]:
+        """Read ``n`` words starting at ``addr``, a positive ``stride``
+        bytes apart (consecutive by default). ``addr`` and ``stride`` must
+        be 8-byte aligned; checking both covers every word read."""
+        if (addr | stride) & _WORD_MASK:
+            raise SimulationError(f"unaligned word read at {addr:#x} (stride {stride})")
         get = self._words.get
-        return [get(w, 0) for w in range(addr, addr + n * WORD_BYTES, WORD_BYTES)]
+        return [get(w, 0) for w in range(addr, addr + n * stride, stride)]
 
     def write_range(self, addr: int, values: Iterable[int]) -> None:
         """Write consecutive words starting at ``addr``'s containing word.

@@ -70,31 +70,12 @@ class TimingModel:
 
     def channel_multiplier(self, channel_index: int) -> float:
         """NUMA scaling for one channel's persist path (Sec. 7.3)."""
-        if channel_index < len(self._mult):
-            return self._mult[channel_index]
-        return (
-            self.mem.numa_remote_multiplier
-            if channel_index in self.mem.numa_remote_channels
-            else 1.0
-        )
+        return self._mult[channel_index]
 
     def mc_hop(self, channel_index: int = 0) -> int:
         """One-way latency from the L1 to a memory controller."""
-        if channel_index < len(self._mc_hop):
-            return self._mc_hop[channel_index]
-        return round(self.mem.mc_hop_latency * self.channel_multiplier(channel_index))
+        return self._mc_hop[channel_index]
 
     def pm_write_service(self, channel_index: int = 0) -> int:
         """Cycles the channel is busy draining one line from the WPQ to PM."""
-        if channel_index < len(self._pm_write_service):
-            return self._pm_write_service[channel_index]
-        return max(
-            1,
-            round(
-                self.mem.effective_pm_write_service
-                * self.channel_multiplier(channel_index)
-            ),
-        )
-
-    def dram_write_service(self) -> int:
-        return self.mem.dram_write_service
+        return self._pm_write_service[channel_index]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
@@ -144,7 +144,7 @@ class WritePendingQueue:
         name: str,
         scheduler: Scheduler,
         capacity: int,
-        write_service: Callable[[], int],
+        write_service: int,
         pm_image: MemoryImage,
         on_drain: Optional[Callable[[PersistOp], None]] = None,
         drain_watermark: int = 0,
@@ -155,8 +155,8 @@ class WritePendingQueue:
         """
         Args:
             capacity: WPQ entries (128/channel in Table 2).
-            write_service: callable returning the current cycles-per-drain
-                (a callable so the Fig. 10 multiplier can change per run).
+            write_service: cycles per drained entry (fixed for the
+                machine's lifetime by its :class:`TimingModel`).
             pm_image: drained payloads are applied here.
             on_drain: traffic-accounting hook, called per drained entry.
             drain_watermark: below this occupancy the controller defers
@@ -169,7 +169,7 @@ class WritePendingQueue:
             drain_gate: shared :class:`DrainArbiter` serializing write
                 service across channels (legacy lockstep model). The
                 drain loop then splits each interval into the lazy slack
-                followed by a bus-held ``write_service()`` window, so an
+                followed by a bus-held ``write_service`` window, so an
                 uncontended gated channel drains at exactly the ungated
                 cadence while contended channels queue for the token.
         """
@@ -200,7 +200,9 @@ class WritePendingQueue:
         #: MC-side submission queue; not yet in the persistence domain)
         self._pending: Deque[PersistOp] = deque()
         self._draining = False
-        self._drain_event = None
+        #: ``(cycle, callback)`` of the scheduled drain-loop step, so an
+        #: expedite can cancel it; None while no step is scheduled
+        self._drain_event: Optional[Tuple[int, Callable[[], None]]] = None
         self._drain_gate = drain_gate
         #: gated-drain phase: None | "slack" | "waiting" | "holding"
         self._gate_stage: Optional[str] = None
@@ -241,7 +243,7 @@ class WritePendingQueue:
             op.submitted_at = self._scheduler.now
             if self.observer is not None:
                 self.observer.wpq_submitted(self, op)
-        if self.full or self._pending:
+        if self._pending or len(self._entries) >= self.capacity:
             op.backpressured = True
             self._pending.append(op)
         else:
@@ -283,20 +285,20 @@ class WritePendingQueue:
             # A flush arriving mid-lazy-interval expedites the drain loop.
             # The pending drain keeps its deadline if it is already sooner
             # than one full service interval from now: rescheduling a
-            # nearly-elapsed lazy interval at write_service() would *delay*
+            # nearly-elapsed lazy interval at write_service would *delay*
             # the drain, not expedite it.
             if self._draining and self._drain_event is not None:
+                scheduler = self._scheduler
+                time, fn = self._drain_event
                 if self._drain_gate is None:
-                    remaining = self._drain_event.time - self._scheduler.now
-                    self._drain_event.cancel()
-                    self._drain_event = self._scheduler.after(
-                        min(remaining, self._write_service()), self._drain_one
-                    )
+                    scheduler.cancel(time, fn)
+                    delay = min(time - scheduler.now, self._write_service)
+                    self._drain_event = (scheduler.after(delay, fn), fn)
                 elif self._gate_stage == "slack":
                     # Gated: skip the rest of the lazy slack and contend
                     # for the bus now. "waiting"/"holding" are already as
                     # fast as the token allows.
-                    self._drain_event.cancel()
+                    scheduler.cancel(time, fn)
                     self._drain_event = None
                     self._gate_request()
         self.accepted += 1
@@ -308,31 +310,26 @@ class WritePendingQueue:
         if op.on_complete is not None:
             cb, op.on_complete = op.on_complete, None
             cb(op)
-        if not self._draining and self._entries:  # _ensure_draining, inline
-            if self._drain_gate is None:
-                self._draining = True
-                self._drain_event = self._scheduler.after(
-                    self._drain_interval(), self._drain_one
-                )
-            else:
-                self._ensure_draining_gated()
+        if not self._draining:
+            self._ensure_draining()
 
     # -- drain loop --------------------------------------------------------
 
     def _drain_interval(self) -> int:
         """Full-rate service above the watermark or under a pending flush;
         lazy (read-prioritised) drain otherwise."""
-        service = self._write_service()
         if self._flush_pending > 0 or len(self._entries) >= self._drain_watermark:
-            return service
-        return service * self._lazy_multiplier
+            return self._write_service
+        return self._write_service * self._lazy_multiplier
 
     def _ensure_draining(self) -> None:
-        if not self._draining and self._entries:
+        """Restart the idle drain loop while entries remain."""
+        if self._entries:
             if self._drain_gate is None:
                 self._draining = True
-                self._drain_event = self._scheduler.after(
-                    self._drain_interval(), self._drain_one
+                fn = self._drain_one
+                self._drain_event = (
+                    self._scheduler.after(self._drain_interval(), fn), fn
                 )
             else:
                 self._ensure_draining_gated()
@@ -344,8 +341,9 @@ class WritePendingQueue:
         the write-bus token, then hold it for one service window."""
         self._draining = True
         self._gate_stage = "slack"
-        slack = self._drain_interval() - self._write_service()
-        self._drain_event = self._scheduler.after(slack, self._gate_request)
+        slack = self._drain_interval() - self._write_service
+        fn = self._gate_request
+        self._drain_event = (self._scheduler.after(slack, fn), fn)
 
     def _gate_request(self) -> None:
         self._drain_event = None
@@ -354,9 +352,8 @@ class WritePendingQueue:
 
     def _gate_granted(self) -> None:
         self._gate_stage = "holding"
-        self._drain_event = self._scheduler.after(
-            self._write_service(), self._gate_drain
-        )
+        fn = self._gate_drain
+        self._drain_event = (self._scheduler.after(self._write_service, fn), fn)
 
     def _gate_drain(self) -> None:
         self._gate_stage = None
@@ -383,14 +380,8 @@ class WritePendingQueue:
             cb(op)
         if self._pending:
             self._admit_pending()
-        if not self._draining and self._entries:  # _ensure_draining, inline
-            if self._drain_gate is None:
-                self._draining = True
-                self._drain_event = self._scheduler.after(
-                    self._drain_interval(), self._drain_one
-                )
-            else:
-                self._ensure_draining_gated()
+        if not self._draining:
+            self._ensure_draining()
 
     # -- dropping ----------------------------------------------------------
 

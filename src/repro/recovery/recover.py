@@ -156,16 +156,17 @@ def _scan_logs(
         observer.scan_started(state, set(uncommitted))
     for tid, segments in state.log_directory.items():
         for base, num_records, stride in segments:
-            for i in range(num_records):
-                header = base + i * stride
-                report.records_scanned += 1
-                rid = pm.read_word(header)
+            # one strided read of every record header in the segment
+            headers = pm.read_words(base, num_records, stride)
+            report.records_scanned += num_records
+            for i, rid in enumerate(headers):
                 if rid not in uncommitted:
                     continue
+                header = base + i * stride
                 report.records_matched += 1
                 entries: List[Tuple[int, int, bool]] = []
-                for slot in range(state.entries_per_record):
-                    word = pm.read_word(header + (1 + slot) * WORD_BYTES)
+                slots = pm.read_words(header + WORD_BYTES, state.entries_per_record)
+                for slot, word in enumerate(slots):
                     if word == 0:
                         # Unused slot - or an entry whose LPO never reached
                         # the persistence domain. Skipping is safe: the
@@ -258,9 +259,9 @@ def recover_redo(
     markers: List[Tuple[int, int]] = []  # (commit_seq, rid)
     for tid, areas in state.marker_directory.items():
         for base, slots, stride in areas:
-            for i in range(slots):
-                rid = image.read_word(base + i * stride)
-                seq = image.read_word(base + i * stride + WORD_BYTES)
+            rids = image.read_words(base, slots, stride)
+            seqs = image.read_words(base + WORD_BYTES, slots, stride)
+            for rid, seq in zip(rids, seqs):
                 if rid != 0 and seq != 0 and rid not in uncommitted:
                     markers.append((seq, rid))
     markers.sort()

@@ -13,6 +13,7 @@ for ASAP it does not, because ``End`` retires immediately.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.common.address import line_base
@@ -36,6 +37,8 @@ class ThreadExecutor:
         self.core_id = core_id
         self._gen_fn = gen_fn
         self._gen: Optional[Iterator] = None
+        self._scheduler = machine.scheduler
+        self._op_cost = machine.config.core.base_op_cost
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
         self.observer = None  # wired by Machine.observe
@@ -74,8 +77,8 @@ class ThreadExecutor:
 
     def start(self) -> None:
         self._gen = self._gen_fn(self)
-        self.start_cycle = self.machine.scheduler.now
-        self.machine.scheduler.after(0, lambda: self._step(None))
+        self.start_cycle = self._scheduler.now
+        self._scheduler.after(0, partial(self._step, None))
 
     def _step(self, result) -> None:
         if self.finished:
@@ -84,37 +87,34 @@ class ThreadExecutor:
             op = self._gen.send(result)
         except StopIteration:
             self.finished = True
-            self.finish_cycle = self.machine.scheduler.now
+            self.finish_cycle = self._scheduler.now
             return
         self.ops_executed += 1
         self._dispatch(op)
 
     def _charge_and_step(self, result=None) -> None:
-        base = self.machine.config.core.base_op_cost
-        self.machine.scheduler.after(base, lambda: self._step(result))
+        self._scheduler.after(self._op_cost, partial(self._step, result))
 
     # -- dispatch ---------------------------------------------------------------
 
     def _dispatch(self, op) -> None:
         scheme = self.machine.scheme
-        if isinstance(op, op_types.Compute):
-            self.machine.scheduler.after(
-                max(0, op.cycles), lambda: self._step(None)
-            )
-        elif isinstance(op, op_types.Write):
+        if isinstance(op, op_types.Write):
             self._do_write(op.addr, list(op.values))
         elif isinstance(op, op_types.Read):
             self._do_read(op.addr, op.nwords)
+        elif isinstance(op, op_types.Compute):
+            self._scheduler.after(max(0, op.cycles), partial(self._step, None))
         elif isinstance(op, op_types.Begin):
             self._do_begin()
         elif isinstance(op, op_types.End):
             self._do_end()
         elif isinstance(op, op_types.Lock):
-            op.lock.acquire(self.thread_id, lambda: self._charge_and_step())
+            op.lock.acquire(self.thread_id, self._charge_and_step)
         elif isinstance(op, op_types.Unlock):
-            op.lock.release(self.thread_id, lambda: self._charge_and_step())
+            op.lock.release(self.thread_id, self._charge_and_step)
         elif isinstance(op, op_types.Fence):
-            scheme.fence(self.scheme_thread, lambda: self._charge_and_step())
+            scheme.fence(self.scheme_thread, self._charge_and_step)
         elif isinstance(op, op_types.Migrate):
             self._do_migrate(op.core_id)
         else:
@@ -140,6 +140,13 @@ class ThreadExecutor:
             and self.machine.page_table.is_persistent(addr)
         ):
             self.machine.oracle.record_write(rid, addr, values)
+        base = addr & ~(WORD_BYTES - 1)
+        if values and _fits_line(base, len(values)):
+            # one line: the scheme's completion steps the thread directly
+            self.machine.scheme.write(
+                self.scheme_thread, base, values, self._charge_and_step
+            )
+            return
         chunks = _split_by_line(addr, values)
 
         def issue(index: int) -> None:
@@ -157,6 +164,13 @@ class ThreadExecutor:
         issue(0)
 
     def _do_read(self, addr: int, nwords: int) -> None:
+        base = addr & ~(WORD_BYTES - 1)
+        if nwords > 0 and _fits_line(base, nwords):
+            # one line: the scheme's (fresh) value list is the op's result
+            self.machine.scheme.read(
+                self.scheme_thread, base, nwords, self._charge_and_step
+            )
+            return
         chunks = _split_read_by_line(addr, nwords)
         collected: list = []
 
@@ -181,7 +195,7 @@ class ThreadExecutor:
         opening_top_level = self._region_depth == 1
         if opening_top_level:
             self._local_region += 1
-            self._region_start = self.machine.scheduler.now
+            self._region_start = self._scheduler.now
 
         def after_begin() -> None:
             if opening_top_level and self.observer is not None:
@@ -203,12 +217,17 @@ class ThreadExecutor:
                     self.observer.end_retired(self, rid)
                 self.regions_completed += 1
                 self.region_cycles_total += (
-                    self.machine.scheduler.now - self._region_start
+                    self._scheduler.now - self._region_start
                 )
                 self._region_start = None
             self._charge_and_step()
 
         self.machine.scheme.end(self.scheme_thread, after_end)
+
+
+def _fits_line(base: int, nwords: int) -> bool:
+    """Whether ``nwords`` words from word address ``base`` stay in one line."""
+    return (base & (CACHE_LINE_BYTES - 1)) + nwords * WORD_BYTES <= CACHE_LINE_BYTES
 
 
 def _split_by_line(addr: int, values):

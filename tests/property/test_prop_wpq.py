@@ -44,7 +44,7 @@ def test_wpq_invariants_under_random_schedules(script, capacity, watermark, lazy
     s = Scheduler()
     img = MemoryImage("pm")
     q = WritePendingQueue(
-        "q", s, capacity, lambda: 10, img,
+        "q", s, capacity, 10, img,
         drain_watermark=watermark, lazy_drain_multiplier=lazy,
     )
     drained = []

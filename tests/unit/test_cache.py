@@ -7,7 +7,7 @@ from repro.common.params import CacheParams
 from repro.mem.cache import CacheArray
 
 
-def small_cache(assoc=2, sets=4, locked=None):
+def small_cache(assoc=2, sets=4, locked=()):
     params = CacheParams(size_bytes=assoc * sets * 64, assoc=assoc, latency=4)
     return CacheArray("t", params, locked)
 
@@ -45,7 +45,7 @@ def test_insert_existing_refreshes_without_eviction():
 
 def test_locked_lines_skipped_as_victims():
     locked = set()
-    c = small_cache(assoc=2, sets=1, locked=lambda l: l in locked)
+    c = small_cache(assoc=2, sets=1, locked=locked)
     c.insert(0)
     c.insert(64)
     locked.add(0)  # 0 is LRU but locked
@@ -55,7 +55,7 @@ def test_locked_lines_skipped_as_victims():
 
 def test_all_ways_locked_raises():
     locked = {0, 64}
-    c = small_cache(assoc=2, sets=1, locked=lambda l: l in locked)
+    c = small_cache(assoc=2, sets=1, locked=locked)
     c.insert(0)
     c.insert(64)
     with pytest.raises(SimulationError):

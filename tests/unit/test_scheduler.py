@@ -55,9 +55,10 @@ def test_negative_delay_rejected():
 def test_cancelled_event_does_not_fire():
     s = Scheduler()
     seen = []
-    ev = s.at(10, lambda: seen.append("cancelled"))
+    fn = lambda: seen.append("cancelled")  # noqa: E731
+    t = s.at(10, fn)
     s.at(10, lambda: seen.append("kept"))
-    ev.cancel()
+    s.cancel(t, fn)
     s.run()
     assert seen == ["kept"]
 
@@ -104,18 +105,20 @@ def test_max_events_guard():
 
 def test_peek_time_skips_cancelled():
     s = Scheduler()
-    ev = s.at(5, lambda: None)
+    fn = lambda: None  # noqa: E731
+    t = s.at(5, fn)
     s.at(9, lambda: None)
-    ev.cancel()
+    s.cancel(t, fn)
     assert s.peek_time() == 9
 
 
 def test_len_counts_live_events():
     s = Scheduler()
-    ev = s.at(5, lambda: None)
+    fn = lambda: None  # noqa: E731
+    t = s.at(5, fn)
     s.at(6, lambda: None)
     assert len(s) == 2
-    ev.cancel()
+    s.cancel(t, fn)
     assert len(s) == 1
 
 
@@ -128,7 +131,8 @@ def test_cancelled_last_event_does_not_advance_clock():
     for drain in ("run", "step"):
         s = Scheduler()
         s.at(5, lambda: None)
-        s.at(9, lambda: None).cancel()
+        fn = lambda: None  # noqa: E731
+        s.cancel(s.at(9, fn), fn)
         if drain == "run":
             assert s.run() == 1
         else:
@@ -208,7 +212,8 @@ def test_max_events_counts_only_fired_events():
     s = Scheduler()
     for t in range(3):
         s.at(t, lambda: None)
-    s.at(1, lambda: None).cancel()
+    fn = lambda: None  # noqa: E731
+    s.cancel(s.at(1, fn), fn)
     assert s.run(max_events=3) == 3
 
     s = Scheduler()
@@ -217,3 +222,90 @@ def test_max_events_counts_only_fired_events():
     with pytest.raises(SimulationError, match="max_events=2"):
         s.run(max_events=2)
     assert s.now == 1
+
+
+# -- cancel(time, fn) and interrupted drains ----------------------------------
+
+
+def test_at_and_after_return_the_fire_cycle():
+    s = Scheduler()
+    assert s.at(7, lambda: None) == 7
+    s.run()
+    assert s.after(5, lambda: None) == 12
+
+
+def test_cancel_ahead_of_cursor_within_current_cycle():
+    s = Scheduler()
+    seen = []
+    victim = lambda: seen.append("victim")  # noqa: E731
+
+    def first():
+        seen.append("first")
+        s.cancel(3, victim)
+
+    s.at(3, first)
+    s.at(3, lambda: seen.append("second"))
+    s.at(3, victim)
+    s.at(3, lambda: seen.append("third"))
+    assert s.run() == 3
+    assert seen == ["first", "second", "third"]
+
+
+def test_cancel_takes_the_last_pending_entry():
+    s = Scheduler()
+    seen = []
+    fn = lambda: seen.append(s.now)  # noqa: E731
+    s.at(4, fn)
+    s.at(4, fn)
+    s.cancel(4, fn)
+    assert len(s) == 1
+    assert s.run() == 1
+    assert seen == [4]
+
+
+def test_callback_raising_mid_bucket_resumes_rest_of_cycle_once():
+    s = Scheduler()
+    seen = []
+
+    def boom():
+        seen.append("boom")
+        raise RuntimeError("boom")
+
+    s.at(2, lambda: seen.append("a"))
+    s.at(2, boom)
+    s.at(2, lambda: seen.append("b"))
+    s.at(2, lambda: seen.append("c"))
+    s.at(5, lambda: seen.append("later"))
+    with pytest.raises(RuntimeError):
+        s.run()
+    assert seen == ["a", "boom"]
+    assert s.now == 2
+    assert len(s) == 3
+    assert s.run() == 3
+    assert seen == ["a", "boom", "b", "c", "later"]
+    assert s.now == 5
+
+
+def test_cancel_of_event_not_pending_raises():
+    s = Scheduler()
+    fired = lambda: None  # noqa: E731
+    never = lambda: None  # noqa: E731
+    s.at(3, fired)
+    with pytest.raises(SimulationError):
+        s.cancel(3, never)  # never scheduled
+    with pytest.raises(SimulationError):
+        s.cancel(4, fired)  # scheduled at another cycle
+    s.cancel(3, fired)
+    with pytest.raises(SimulationError):
+        s.cancel(3, fired)  # already cancelled
+
+    def self_cancel():
+        s.cancel(8, self_cancel)  # already firing
+
+    s.at(8, self_cancel)
+    with pytest.raises(SimulationError):
+        s.run()
+    s.at(9, fired)
+    s.run()
+    with pytest.raises(SimulationError):
+        s.cancel(9, fired)  # already fired

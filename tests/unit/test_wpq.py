@@ -15,7 +15,7 @@ def make_wpq(capacity=4, service=10, watermark=0, lazy=1):
     s = Scheduler()
     img = MemoryImage("pm")
     q = WritePendingQueue(
-        "q", s, capacity, lambda: service, img,
+        "q", s, capacity, service, img,
         drain_watermark=watermark, lazy_drain_multiplier=lazy,
     )
     return s, img, q
@@ -179,7 +179,7 @@ def test_callable_payload_materialised_at_drain():
 def test_zero_capacity_rejected():
     s = Scheduler()
     with pytest.raises(SimulationError):
-        WritePendingQueue("q", s, 0, lambda: 1, MemoryImage())
+        WritePendingQueue("q", s, 0, 1, MemoryImage())
 
 
 # -- FIFO backpressure and pending-aware dropping (the ordering fix) --------
