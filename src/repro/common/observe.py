@@ -1,7 +1,7 @@
 """The observer bus: the one way to watch a simulated machine.
 
-Each structure that reports events (WPQs, cache hierarchy, ASAP engine,
-Dependence Lists, scheme, locks, thread executors) is a *hook point*: it
+Each structure that reports events (WPQs, cache hierarchy, the scheme,
+Dependence Lists, locks, thread executors) is a *hook point*: it
 lists the events it fires in ``OBSERVED`` and holds one ``observer``
 slot, which only :meth:`repro.sim.machine.Machine.observe` fills. The
 slot holds ``None`` when no subscriber handles one of those events, the
@@ -9,9 +9,9 @@ subscriber itself when one does, and a fan-out when several do, so the
 hot paths pay one ``is not None`` test when nobody listens.
 
 :class:`SimObserver` is the no-op base every subscriber extends. It
-lives in :mod:`repro.common` so that :mod:`repro.core` and
-:mod:`repro.mem` can reference it without importing the analysis
-package (which imports them).
+lives in :mod:`repro.common` so that :mod:`repro.core`,
+:mod:`repro.mem` and :mod:`repro.persist` can reference it without
+importing the analysis package (which imports them).
 """
 
 from __future__ import annotations
@@ -76,46 +76,46 @@ class SimObserver:
     def dep_entry_removed(self, dep_list, rid) -> None:
         """A Dependence List entry was cleared (region committed)."""
 
-    # -- ASAP engine (core/engine.py) -------------------------------------
+    # -- asynchronous-commit schemes (persist/asap.py, asap_redo.py) ------
 
-    def region_begun(self, engine, thread, rid) -> None:
+    def region_begun(self, scheme, thread, rid) -> None:
         """A top-level ``asap_begin`` allocated CL/Dependence entries."""
 
-    def region_ended(self, engine, thread, rid) -> None:
+    def region_ended(self, scheme, thread, rid) -> None:
         """A top-level ``asap_end`` retired (commit is still pending)."""
 
-    def dep_captured(self, engine, rid, owner) -> None:
+    def dep_captured(self, scheme, rid, owner) -> None:
         """Region ``rid`` recorded a dependence on region ``owner``."""
 
-    def slot_opened(self, engine, entry, line) -> None:
+    def slot_opened(self, scheme, entry, line) -> None:
         """A CLPtr slot started tracking ``line`` for ``entry``'s region."""
 
-    def lpo_initiated(self, engine, rid, line, entry_addr) -> None:
+    def lpo_initiated(self, scheme, rid, line, entry_addr) -> None:
         """A Log Persist Operation for ``line`` was sent towards a WPQ."""
 
-    def lpo_deferred(self, engine, rid, line) -> None:
+    def lpo_deferred(self, scheme, rid, line) -> None:
         """An LPO was held at the controller behind an earlier uncommitted
         writer's in-flight LPO for the same line (the per-line
-        chain-ordering rule, ``AsapEngine._submit_lpo_ordered``)."""
+        chain-ordering rule, ``AsapScheme._submit_lpo_ordered``)."""
 
-    def lpo_chained(self, engine, rid, line, prev_owner) -> None:
+    def lpo_chained(self, scheme, rid, line, prev_owner) -> None:
         """Region ``rid``'s log entry for ``line`` is mid-chain: its
         logged "old value" is uncommitted data of ``prev_owner``. Fired at
         LPO initiation, before the chain-ordering rule orders the two
         entries' durability - the race detector uses it to enumerate
         conflicting same-line log persists."""
 
-    def lpo_logged(self, engine, rid, line) -> None:
+    def lpo_logged(self, scheme, rid, line) -> None:
         """The WPQ accepted the LPO: ``line``'s old value is durable."""
 
-    def dpo_initiated(self, engine, rid, line) -> None:
+    def dpo_initiated(self, scheme, rid, line) -> None:
         """A Data Persist Operation for ``line`` was sent towards a WPQ."""
 
-    def region_committed(self, source, rid) -> None:
+    def region_committed(self, scheme, rid) -> None:
         """Fig. 4 transition (4): the region became durable. The only commit
-        event; every scheme fires it (``source``: its engine or itself)."""
+        event; every scheme fires it."""
 
-    def log_freed(self, engine, rid, records) -> None:
+    def log_freed(self, scheme, rid, records) -> None:
         """The committed region's log records returned to the free pool."""
 
     # -- redo commit markers (persist/asap_redo.py) ------------------------

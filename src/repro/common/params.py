@@ -63,7 +63,6 @@ class MemoryParams:
     channels_per_controller: int = 2
     wpq_entries: int = 128  # per channel
     dram_read_latency: int = 150  # cycles, row-buffer-agnostic service time
-    dram_write_service: int = 60  # cycles per line drained to DRAM
     pm_read_latency: int = 150  # battery-backed DRAM baseline
     pm_write_service: int = 60  # cycles per line drained from the WPQ to PM
     pm_latency_multiplier: float = 1.0
@@ -192,10 +191,9 @@ class CoreParams:
     """
 
     base_op_cost: int = 1  # cycles charged per non-memory op bundle
-    lock_spin_recheck: int = 20  # cycles between lock re-acquisition attempts
 
     def __post_init__(self):
-        if self.base_op_cost < 0 or self.lock_spin_recheck <= 0:
+        if self.base_op_cost < 0:
             raise ConfigError(f"invalid core parameters: {self}")
 
 

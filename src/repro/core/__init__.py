@@ -1,37 +1,33 @@
 """ASAP proper: the paper's contribution (Secs. 4-5).
 
-This package implements the hardware structures of Fig. 3 and the
-asynchronous-commit protocol of Fig. 4:
+This package implements the hardware structures of Fig. 3:
 
 * region ids (:mod:`repro.core.rid`),
-* per-thread state registers (:mod:`repro.core.thread_state`),
 * the per-thread circular undo log and its record/header layout
   (:mod:`repro.core.log`),
 * the Log Header WPQ (:mod:`repro.core.lh_wpq`),
 * the per-core Modified Cache Line List (:mod:`repro.core.cl_list`),
 * the per-channel Dependence List (:mod:`repro.core.dependence`),
-* the Bloom filter + DRAM spill buffer for dependence tracking across LLC
-  evictions (:mod:`repro.core.bloom`),
-* and the engine tying them to the cache hierarchy
-  (:mod:`repro.core.engine`).
+* and the Bloom filter + DRAM spill buffer for dependence tracking across
+  LLC evictions (:mod:`repro.core.bloom`).
+
+The asynchronous-commit protocol of Fig. 4, which ties them to the cache
+hierarchy and memory controllers, is :class:`repro.persist.asap.AsapScheme`.
 """
 
 from repro.core.rid import RID, pack_rid, unpack_rid
 from repro.core.states import RegionState
-from repro.core.thread_state import ThreadStateRegisters
 from repro.core.log import LogRecord, UndoLog
 from repro.core.lh_wpq import LogHeaderWPQ
 from repro.core.cl_list import CLEntry, CLList, CLSlot
 from repro.core.dependence import DependenceEntry, DependenceList
 from repro.core.bloom import BloomFilter, OwnerSpillBuffer
-from repro.core.engine import AsapEngine
 
 __all__ = [
     "RID",
     "pack_rid",
     "unpack_rid",
     "RegionState",
-    "ThreadStateRegisters",
     "LogRecord",
     "UndoLog",
     "LogHeaderWPQ",
@@ -42,5 +38,4 @@ __all__ = [
     "DependenceList",
     "BloomFilter",
     "OwnerSpillBuffer",
-    "AsapEngine",
 ]

@@ -26,7 +26,7 @@ from repro.engine import Scheduler, WaitQueue
 #: global creation order for CL entries. Within one CL List this matches
 #: dict insertion order (rids are never reused), so sorting by
 #: ``(core, seq)`` reproduces the reference "cores ascending, entries in
-#: insertion order" iteration that the engine's fast-path slot index
+#: insertion order" iteration that the asap scheme's slot index
 #: replays.
 _entry_seq = itertools.count()
 

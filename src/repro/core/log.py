@@ -26,6 +26,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.common.errors import LogOverflowError, SimulationError
 from repro.common.params import AsapParams
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
+from repro.mem.image import rebase_line
 
 #: low bit of a header slot word: the logged line's previous writer was an
 #: *uncommitted* region when this entry was created, i.e. the entry sits in
@@ -115,6 +116,18 @@ class LogRecord:
     def slot_word(self, slot: int) -> int:
         """The durable header word for entry ``slot`` (address + flags)."""
         return encode_slot_word(self.entries[slot][0], slot in self.chained)
+
+    def entry_payload(
+        self, slot: int, words: Dict[int, int], rid: int
+    ) -> Dict[int, int]:
+        """The LPO payload for entry ``slot``: the logged line ``words``
+        rebased onto the entry, plus the header words naming the region and
+        the entry. The entry becomes visible to recovery exactly when its
+        value is durable (Sec. 5.5)."""
+        payload = rebase_line(words, self.entry_addr(slot))
+        payload[self.header_addr] = rid
+        payload[self.header_word_addr(slot)] = self.slot_word(slot)
+        return payload
 
     def header_payload(self) -> Dict[int, int]:
         """The header cache line as a {word addr: value} payload.

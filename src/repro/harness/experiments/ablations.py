@@ -106,7 +106,7 @@ def plan_dpo_distance(quick: bool = True, workloads=None) -> Plan:
             key=("dpo", d),
             builder=_HOT_SUMMARY,
             builder_kwargs=(("dpo_distance", d),),
-            extras=(("dpos_initiated", "scheme.engine.stats.dpos_initiated"),),
+            extras=(("dpos_initiated", "scheme.stats.dpos_initiated"),),
         )
         for d in DISTANCES
     ]
@@ -202,9 +202,9 @@ def plan_bloom(quick: bool = True, workloads=None) -> Plan:
                 ("readers", 1),
             ),
             extras=(
-                ("spills", "scheme.engine.spill.spills"),
-                ("hits", "scheme.engine.spill.hits"),
-                ("false_positives", "scheme.engine.spill.false_positives"),
+                ("spills", "scheme.spill.spills"),
+                ("hits", "scheme.spill.hits"),
+                ("false_positives", "scheme.spill.false_positives"),
             ),
         )
         for label, bits in points

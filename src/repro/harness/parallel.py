@@ -63,7 +63,7 @@ class RunSpec:
     ``extras`` harvests scheme-internal counters the
     :class:`~repro.sim.stats.RunResult` does not carry: each
     ``(name, "attr.path")`` pair is resolved against the finished machine
-    (e.g. ``("dpos", "scheme.engine.stats.dpos_initiated")``) and lands
+    (e.g. ``("dpos", "scheme.stats.dpos_initiated")``) and lands
     in :attr:`CellResult.extras`.
     """
 
@@ -172,23 +172,27 @@ def _harvest(machine, path: str):
     return obj
 
 
-def run_cell(spec: RunSpec) -> CellResult:
-    """Execute one cell; runs in the parent (``jobs=1``) or a worker."""
+def build_cell_machine(spec: RunSpec):
+    """The machine ``spec`` runs, built but not yet run."""
     from repro.harness import runner
 
-    start = time.perf_counter()
     if spec.builder:
         mod_name, _, fn_name = spec.builder.partition(":")
         builder = getattr(importlib.import_module(mod_name), fn_name)
-        machine = builder(**dict(spec.builder_kwargs))
-    else:
-        machine = runner.build_machine(
-            spec.workload,
-            spec.scheme,
-            spec.config,
-            spec.params,
-            fast=spec.fast and not spec.sanitize,
-        )
+        return builder(**dict(spec.builder_kwargs))
+    return runner.build_machine(
+        spec.workload,
+        spec.scheme,
+        spec.config,
+        spec.params,
+        fast=spec.fast and not spec.sanitize,
+    )
+
+
+def run_cell(spec: RunSpec) -> CellResult:
+    """Execute one cell; runs in the parent (``jobs=1``) or a worker."""
+    start = time.perf_counter()
+    machine = build_cell_machine(spec)
     if spec.sanitize:
         from repro.analysis.sanitizer import Sanitizer
 

@@ -5,7 +5,7 @@ The machine has ``num_controllers x channels_per_controller`` channels
 image and a DRAM write path. Cache lines interleave across channels by line
 address; Dependence List entries map to channels by the LSBs of the
 region's LocalRID (Sec. 5.6) - the helper for that mapping lives here so
-both the ASAP engine and the recovery code agree on it.
+both the ASAP schemes and the recovery code agree on it.
 """
 
 from __future__ import annotations

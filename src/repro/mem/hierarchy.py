@@ -113,7 +113,7 @@ class CacheHierarchy:
             self.timing.memory_read_latency(True),
         )
 
-        #: scheme hooks (Sec. 5.3); set by the ASAP engine when active.
+        #: scheme hooks (Sec. 5.3); set by the asap and asap_redo schemes.
         self.evict_hook: Optional[EvictHook] = None
         self.reload_hook: Optional[ReloadHook] = None
         #: optional :class:`SimObserver` notified on persistent evictions

@@ -29,7 +29,7 @@ from repro.persist.np import NoPersistence
 from repro.persist.sw import SoftwareLogging
 from repro.persist.hwundo import HardwareUndoLogging
 from repro.persist.hwredo import HardwareRedoLogging
-from repro.persist.asap_scheme import AsapScheme
+from repro.persist.asap import AsapScheme
 from repro.persist.asap_redo import AsapRedoLogging
 from repro.persist.eadr import EadrLogging
 

@@ -26,7 +26,7 @@ extension beyond the paper's evaluated system:
 Simplifications vs a full hardware proposal (documented, not hidden): the
 commit-sequence counter is global (one extra broadcast at commit), and
 log-record headers piggyback on LPO payloads instead of a dedicated
-LH-WPQ (the undo engine models that structure already).
+LH-WPQ (the undo scheme models that structure already).
 
 The per-line log-persist ordering rule of the undo schemes
 (``"line-chain"``; docs/RECOVERY.md) is **not applicable** here and is
@@ -45,19 +45,12 @@ from typing import Callable, Dict, List, Optional, Set
 from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES
-from repro.core.dependence import DependenceList
 from repro.core.log import UndoLog
-from repro.core.rid import local_rid_of, previous_rid
+from repro.core.rid import local_rid_of
 from repro.core.states import RegionState
-from repro.engine import Signal
-from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
-from repro.persist.base import (
-    READ_REDIRECT_PENALTY,
-    REDO_DPO_DELAY,
-    PersistenceScheme,
-    SchemeThread,
-)
+from repro.persist.async_commit import AsyncCommitScheme, AsyncThread
+from repro.persist.base import READ_REDIRECT_PENALTY, REDO_DPO_DELAY
 
 #: marker slots per thread (circular; reuse is safe because markers of
 #: freed logs are no-ops at recovery)
@@ -95,16 +88,15 @@ class _RedoRegion:
         self.values: Dict[int, Dict[int, int]] = {}
 
 
-class _RedoThread(SchemeThread):
-    def __init__(self, thread_id: int, core_id: int, log: UndoLog, marker_base: int):
-        super().__init__(thread_id, core_id)
-        self.log = log
-        self.marker_base = marker_base
+class _RedoThread(AsyncThread):
+    def __init__(self, thread_id: int, core_id: int, log: UndoLog):
+        super().__init__(thread_id, core_id, log)
+        #: PM base of the thread's commit-marker slots
+        self.marker_base = 0
         self.active: Optional[_RedoRegion] = None
-        self.commit_signals: Dict[int, Signal] = {}
 
 
-class AsapRedoLogging(PersistenceScheme):
+class AsapRedoLogging(AsyncCommitScheme):
     """Asynchronous-commit redo logging (the Fig. 2c extension)."""
 
     name = "asap_redo"
@@ -121,48 +113,28 @@ class AsapRedoLogging(PersistenceScheme):
         "region_committed",
     )
 
+    THREAD = _RedoThread
+
     def __init__(self):
         super().__init__()
-        self.dep_lists: List[DependenceList] = []
         self.regions: Dict[int, _RedoRegion] = {}
         self._commit_seq = 0
         self._last_writer: Dict[int, int] = {}
         self.dpos_filtered = 0
         self.wbs_suppressed = 0
         self.reads_redirected = 0
-        self._threads: Dict[int, _RedoThread] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
     def attach(self, machine) -> None:
         super().attach(machine)
-        params = machine.config.asap
-        self.dep_lists = [
-            DependenceList(
-                ch,
-                machine.scheduler,
-                params.dependence_list_entries,
-                params.dep_slots,
-            )
-            for ch in range(machine.config.memory.num_channels)
-        ]
         machine.hierarchy.evict_hook = self._on_evict
         machine.hierarchy.reload_hook = None
 
-    def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        log = UndoLog.allocate(
-            thread_id, self.machine.config.asap, self.machine.heap.alloc
-        )
-        marker_base = self.machine.heap.alloc(_MARKER_SLOTS * CACHE_LINE_BYTES)
-        thread = _RedoThread(thread_id, core_id, log, marker_base)
-        self._threads[thread_id] = thread
+    def register_thread(self, thread_id: int, core_id: int) -> _RedoThread:
+        thread = super().register_thread(thread_id, core_id)
+        thread.marker_base = self.machine.heap.alloc(_MARKER_SLOTS * CACHE_LINE_BYTES)
         return thread
-
-    def dep_list_for(self, rid: int) -> DependenceList:
-        return self.dep_lists[local_rid_of(rid) % len(self.dep_lists)]
-
-    def hook_points(self) -> list:
-        return [self, *self.dep_lists]
 
     # -- regions -----------------------------------------------------------------
 
@@ -173,16 +145,12 @@ class AsapRedoLogging(PersistenceScheme):
             dl.entry_stalls += 1
             dl.entry_waiters.park(lambda: self.begin_region(thread, done))
             return
-        entry = dl.open_entry(rid)
-        prev = previous_rid(rid)
-        if prev is not None and self.dep_list_for(prev).contains(prev):
-            entry.deps.add(prev)
-            if self.observer is not None:
-                self.observer.dep_captured(self, rid, prev)
+        prev = self._open_region(thread, dl)
+        if prev is not None and self.observer is not None:
+            self.observer.dep_captured(self, rid, prev)
         region = _RedoRegion(rid)
         self.regions[rid] = region
         thread.active = region
-        thread.commit_signals[rid] = Signal(self.machine.scheduler)
         if self.observer is not None:
             self.observer.region_begun(self, thread, rid)
         done()
@@ -250,7 +218,7 @@ class AsapRedoLogging(PersistenceScheme):
                 for ready in dl.clear_dependency(rid):
                     ready_region = self.regions.get(ready.rid)
                     if ready_region is not None:
-                        owner = self._threads[ready.rid >> 32]
+                        owner = self.threads[ready.rid >> 32]
                         self.machine.scheduler.after(
                             0, lambda r=ready_region, t=owner: self._try_commit(r, t)
                         )
@@ -367,7 +335,7 @@ class AsapRedoLogging(PersistenceScheme):
     ) -> None:
         """Record a data dependence on the line's owner before proceeding.
 
-        Mirrors the undo engine: when every Dep slot is taken the access
+        Mirrors the undo scheme: when every Dep slot is taken the access
         *stalls* until a dependency commits and frees one. The pre-fix code
         silently skipped the dependence instead - an unordered commit
         waiting to happen whenever a region accumulated more than
@@ -411,9 +379,7 @@ class AsapRedoLogging(PersistenceScheme):
         else:
             logged = self.machine.volatile.line_words(line)
             region.values[line] = logged
-            payload = rebase_line(logged, entry_addr)
-            payload[record.header_addr] = region.rid
-            payload[record.header_word_addr(slot)] = line
+            payload = record.entry_payload(slot, logged, region.rid)
         region.outstanding_lpos += 1
         self._last_writer[line] = region.rid
         if self.observer is not None:
@@ -424,7 +390,7 @@ class AsapRedoLogging(PersistenceScheme):
             region.outstanding_lpos -= 1
             if self.observer is not None:
                 self.observer.lpo_logged(self, region.rid, line)
-            self._try_commit(region, self._threads[region.rid >> 32])
+            self._try_commit(region, self.threads[region.rid >> 32])
 
         self.machine.memory.issue_persist(
             PersistOp(
@@ -449,14 +415,7 @@ class AsapRedoLogging(PersistenceScheme):
             wb_op.dropped = True
             self.wbs_suppressed += 1
 
-    # -- fence / quiescence / crash -----------------------------------------------------
-
-    def fence(self, thread: _RedoThread, done: Callable[[], None]) -> None:
-        rid = thread.rid
-        if rid is None or rid not in thread.commit_signals:
-            done()
-            return
-        thread.commit_signals[rid].wait(done)
+    # -- quiescence / recovery --------------------------------------------------
 
     def when_quiescent(self, done: Callable[[], None]) -> None:
         if not self.regions:
@@ -464,18 +423,9 @@ class AsapRedoLogging(PersistenceScheme):
             return
         self.machine.scheduler.after(100, lambda: self.when_quiescent(done))
 
-    def dependence_snapshot(self) -> List[dict]:
-        snap: List[dict] = []
-        for dl in self.dep_lists:
-            snap.extend(dl.snapshot())
-        return snap
-
-    def thread_logs(self) -> Dict[int, UndoLog]:
-        return {tid: t.log for tid, t in self._threads.items()}
-
     def marker_directory(self) -> Dict[int, List[tuple]]:
         """thread id -> [(marker base, slots, stride)] for recovery."""
         return {
             tid: [(t.marker_base, _MARKER_SLOTS, CACHE_LINE_BYTES)]
-            for tid, t in self._threads.items()
+            for tid, t in self.threads.items()
         }

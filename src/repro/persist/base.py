@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: - ``"wpq-fifo"``: same-channel persists are accepted in submission
 #:   order (the WPQ's FIFO backpressure admission).
 #: - ``"line-chain"``: chained same-line log persists are accepted in
-#:   chain order (the engines' per-line LPO ordering).
+#:   chain order (the asap and hwundo per-line LPO ordering).
 #: - ``"lockbit-gate"``: a line's LPO is accepted before any DPO/WB of
 #:   that line is submitted (the LockBit log-before-data protocol).
 #: - ``"dep-commit-gate"``: a region commits only after all its persists

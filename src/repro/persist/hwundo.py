@@ -24,7 +24,7 @@ Modelled on Proteus [61] as described in Secs. 2.3 and 6.3:
   records - potentially on different channels - so nothing else orders
   the entries' drains. The scheme holds a later LPO
   for a line at the controller until the earlier one has drained (or was
-  dropped), the drain-granularity analogue of the ASAP engine's
+  dropped), the drain-granularity analogue of the asap scheme's
   acceptance-granularity rule (docs/RECOVERY.md). HWUndo tracks no
   cross-region ownership, so the gate applies to *all* same-line LPO
   pairs, a conservative superset of the uncommitted-writer chains.
@@ -37,7 +37,6 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -145,12 +144,9 @@ class HardwareUndoLogging(PersistenceScheme):
         record.confirm(slot)
         if sealed is not None:
             self._persist_header(sealed, thread.rid, sealed.header_payload())
-        if self.fast:
-            payload = None
-        else:
-            payload = rebase_line(old_snapshot, entry_addr)
-            payload[record.header_addr] = thread.rid
-            payload[record.header_word_addr(slot)] = line
+        payload = (
+            None if self.fast else record.entry_payload(slot, old_snapshot, thread.rid)
+        )
         thread.outstanding += 1
 
         def lpo_drained(_op, rid=thread.rid) -> None:

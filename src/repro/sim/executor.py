@@ -58,7 +58,7 @@ class ThreadExecutor:
     def current_rid(self) -> Optional[int]:
         """Packed id of the region currently executing (oracle convention:
         the n-th top-level region of thread t is ``pack_rid(t, n)``,
-        matching the ASAP engine's CurRID assignment)."""
+        matching the scheme template's rid assignment)."""
         if self._region_depth <= 0:
             return None
         return pack_rid(self.thread_id, self._local_region)

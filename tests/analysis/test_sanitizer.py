@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import Sanitizer, sanitize_report
 from repro.common.errors import SanitizerError, SimulationError
-from repro.core.engine import AsapEngine
+from repro.persist.asap import AsapScheme
 from repro.harness.runner import default_config, default_params, run_once
 from repro.mem.wpq import DPO, LPO
 
@@ -301,7 +301,7 @@ def test_skipped_lpo_is_caught_end_to_end(monkeypatch):
     # Break the WAL contract for real: never issue the LPO, so the first
     # DPO of every region reaches a WPQ with no durable log entry.
     monkeypatch.setattr(
-        AsapEngine,
+        AsapScheme,
         "_initiate_lpo",
         lambda self, thread, rid, meta, old_snapshot, then: then(),
     )

@@ -64,6 +64,13 @@ def test_non_scalar_fields_are_not_sweepable():
         resolve_axis("numa_remote_channels")
 
 
+@pytest.mark.parametrize("name", ["dram_write_service", "lock_spin_recheck"])
+def test_unread_fields_are_not_sweepable(name):
+    # no simulator code read either field: sweeping them changed nothing
+    with pytest.raises(ConfigError):
+        resolve_axis(name)
+
+
 # -- apply_axis_values -------------------------------------------------------
 
 

@@ -23,10 +23,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.core.engine import AsapEngine
 from repro.engine import WaitQueue
 from repro.mem.wpq import WritePendingQueue
 from repro.persist import PersistenceScheme
+from repro.persist.asap import AsapScheme
 from repro.persist.hwundo import HardwareUndoLogging
 
 
@@ -70,17 +70,12 @@ def _reopen_wpq_fifo(mp) -> None:
 
 
 def _reopen_line_chain(mp) -> None:
-    mp.setattr(
-        AsapEngine,
-        "_submit_lpo_ordered",
-        lambda self, op, line: self.memory.issue_persist(op),
-    )
-    mp.setattr(
-        HardwareUndoLogging,
-        "_submit_lpo_ordered",
-        lambda self, op, line: self.machine.memory.issue_persist(op),
-    )
-    for cls in (AsapEngine, HardwareUndoLogging):
+    for cls in (AsapScheme, HardwareUndoLogging):
+        mp.setattr(
+            cls,
+            "_submit_lpo_ordered",
+            lambda self, op, line: self.machine.memory.issue_persist(op),
+        )
         mp.setattr(cls, "_lpo_chain_advance", lambda self, line: None)
 
 

@@ -98,7 +98,7 @@ def test_volatile_data_dependences_are_not_tracked():
     region reading another region's volatile output records no dependence
     - the documented (and justified) non-feature."""
     m = Machine(SystemConfig.small(), make_scheme("asap"))
-    eng = m.scheme.engine
+    eng = m.scheme
     scratch = m.dram_heap.alloc(64)  # volatile
     pm = m.heap.alloc(64)
     lock = m.new_lock()

@@ -63,7 +63,7 @@ def test_eight_channel_machine():
     get_workload("HM", PARAMS).install(machine)
     res = machine.run()
     assert res.regions_completed == 32
-    assert len(machine.scheme.engine.dep_lists) == 8
+    assert len(machine.scheme.dep_lists) == 8
 
 
 @pytest.mark.parametrize("scheme", ["np", "sw", "hwundo", "hwredo"])

@@ -38,7 +38,7 @@ def test_migrate_between_regions(scheme):
 
 def test_asap_migrate_drains_cl_entries():
     m, a = make("asap")
-    eng = m.scheme.engine
+    eng = m.scheme
     snapshots = {}
 
     def worker(env):
@@ -46,9 +46,9 @@ def test_asap_migrate_drains_cl_entries():
             yield Begin()
             yield Write(a + 64 * i, [i])
             yield End()
-        snapshots["before"] = len(m.scheme.engine.cl_lists[0])
+        snapshots["before"] = len(m.scheme.cl_lists[0])
         yield Migrate(3)
-        snapshots["after_old_core"] = len(m.scheme.engine.cl_lists[0])
+        snapshots["after_old_core"] = len(m.scheme.cl_lists[0])
         yield Begin()
         yield Write(a + 64 * 5, [5])
         yield End()
@@ -88,7 +88,7 @@ def test_migrate_to_bad_core_rejected():
 
 def test_migrate_preserves_thread_state_registers():
     m, a = make("asap")
-    eng = m.scheme.engine
+    eng = m.scheme
 
     def worker(env):
         yield Begin()
@@ -98,9 +98,11 @@ def test_migrate_preserves_thread_state_registers():
 
     m.spawn(worker, core_id=1)
     m.run()
-    regs = eng.threads[0].regs
-    assert regs.cur_local_rid == 1  # survived the save/restore
-    assert regs.nest_depth == 0
+    # the paper's thread state registers travel with the thread object
+    thread = eng.threads[0]
+    assert thread.core_id == 2
+    assert thread.regions_begun == 1
+    assert thread.nest_depth == 0
 
 
 def test_crash_recovery_with_migrations():

@@ -9,7 +9,7 @@ import pytest
 from repro.harness.experiment import ExperimentResult, geomean
 from repro.harness.experiments import REGISTRY, area, fig1, fig7, fig8, fig9a, fig9b
 from repro.harness.cli import main
-from repro.harness.parallel import Plan
+from repro.harness.parallel import Plan, _harvest, build_cell_machine
 
 FAST = ["HM", "SS"]  # quickest two workloads
 
@@ -115,6 +115,12 @@ def test_registry_entry_is_a_plan(name):
     keys = [spec.key for spec in plan.specs]
     assert len(set(keys)) == len(keys)
     assert not any(spec.sanitize for spec in plan.specs)
+    # every extras path resolves on the cell's machine, built but not run
+    for spec in plan.specs:
+        if spec.extras:
+            machine = build_cell_machine(spec)
+            for _, path in spec.extras:
+                _harvest(machine, path)
 
 
 def test_cli_config_and_workloads(capsys):

@@ -21,7 +21,7 @@ def build():
     # a single-entry WPQ keeps persist ops outstanding long enough for the
     # dependence to be captured, like the figure's timeline
     m = Machine(SystemConfig.small(wpq_entries=1), make_scheme("asap"))
-    eng = m.scheme.engine
+    eng = m.scheme
     return m, eng
 
 

@@ -51,7 +51,7 @@ def test_run_cell_harvests_extras_from_builder_machine():
         key=("fence", 4),
         builder="repro.harness.experiments.ablations:_fence_machine",
         builder_kwargs=(("batch", 4),),
-        extras=(("commits", "scheme.engine.stats.commits"),),
+        extras=(("commits", "scheme.stats.commits"),),
     )
     cell = run_cell(spec)
     assert cell.extras["commits"] > 0

@@ -193,7 +193,7 @@ def test_fast_machine_wiring():
     # ... and the flag toggles only payload and oracle elision.
     for machine, elide in ((fast, True), (ref, False)):
         assert machine.scheme.fast is elide
-        assert machine.scheme.engine.fast is elide
+        assert machine.scheme.fast is elide
         assert machine.hierarchy.fast is elide
         assert all(
             ch.wpq._apply_payloads is not elide for ch in machine.memory.channels
@@ -221,7 +221,7 @@ def test_sanitize_forces_reference_machine(monkeypatch):
     assert machine.fast_path is False
     # The sanitizer did attach: observers run on the reference machine only.
     assert machine.hierarchy.observer is not None
-    assert machine.scheme.engine.observer is not None
+    assert machine.scheme.observer is not None
 
 
 def test_runspec_fast_flag_routing(monkeypatch):

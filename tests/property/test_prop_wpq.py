@@ -90,7 +90,7 @@ def test_engine_accounting_invariants(seed, wpq_entries):
     machine = Machine(SystemConfig.small(wpq_entries=wpq_entries), make_scheme("asap"))
     get_workload("HM", params).install(machine)
     res = machine.run()
-    stats = machine.scheme.engine.stats
+    stats = machine.scheme.stats
     assert stats.regions_begun == stats.regions_ended == stats.commits
     assert stats.commits == res.regions_completed
     assert stats.lpo_drops <= stats.lpos_initiated + stats.loghdr_writes
@@ -103,6 +103,6 @@ def test_engine_accounting_invariants(seed, wpq_entries):
     dropped = sum(ch.wpq.dropped for ch in machine.memory.channels)
     assert drained + dropped == accepted
     # no region left anywhere
-    assert machine.scheme.engine.uncommitted_count() == 0
-    for cl in machine.scheme.engine.cl_lists:
+    assert machine.scheme.uncommitted_count() == 0
+    for cl in machine.scheme.cl_lists:
         assert len(cl) == 0

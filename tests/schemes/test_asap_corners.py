@@ -14,7 +14,7 @@ from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
 
 def make(**small_kwargs):
     m = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
-    return m, m.scheme.engine
+    return m, m.scheme
 
 
 def test_log_overflow_grows_mid_run():
@@ -120,7 +120,7 @@ def test_owner_spill_and_reload_detects_dependence():
     cfg = SystemConfig.small(num_cores=2, wpq_entries=1)
     cfg = replace(cfg, l3=CacheParams(4 * 1024, 4, 42))
     m = Machine(cfg, make_scheme("asap"))
-    eng = m.scheme.engine
+    eng = m.scheme
     a = m.heap.alloc(64 * 8)
     filler = m.heap.alloc(64 * 2048)
     lock = m.new_lock()

@@ -14,7 +14,7 @@ from repro.sim.trace import COMMIT, Tracer
 
 def make(scheme_kwargs=None, **small_kwargs):
     m = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
-    return m, m.scheme.engine
+    return m, m.scheme
 
 
 def test_end_retires_before_commit():

@@ -41,15 +41,15 @@ def test_dpo_dropping_reduces_data_traffic_on_hot_lines():
     _, without = run_with("+C+LP")
     m, full = run_with("full")
     assert full.pm_writes_by_kind["dpo"] < without.pm_writes_by_kind["dpo"]
-    assert m.scheme.engine.stats.dpo_drops > 0
+    assert m.scheme.stats.dpo_drops > 0
 
 
 def test_coalescing_reduces_dpo_initiations():
     m_no, res_no = run_with("no_opt")
     m_c, res_c = run_with("+C")
     assert (
-        m_c.scheme.engine.stats.dpos_initiated
-        < m_no.scheme.engine.stats.dpos_initiated
+        m_c.scheme.stats.dpos_initiated
+        < m_no.scheme.stats.dpos_initiated
     )
 
 
@@ -75,4 +75,4 @@ def test_optimizations_do_not_change_results():
 def test_all_regions_commit_under_every_ablation():
     for ab in ("no_opt", "+C", "+C+LP", "full"):
         m, res = run_with(ab, regions=15)
-        assert m.scheme.engine.stats.commits == 15, ab
+        assert m.scheme.stats.commits == 15, ab

@@ -81,7 +81,7 @@ def test_ordering_engages_on_pinned_repro():
     """The fix is live, not vacuous: the schedule actually defers an LPO."""
     m = build_machine(roadmap_case())
     m.run()
-    assert m.scheme.engine.stats.lpo_order_delays > 0
+    assert m.scheme.stats.lpo_order_delays > 0
 
 
 def test_legacy_flag_disables_ordering():
@@ -89,7 +89,7 @@ def test_legacy_flag_disables_ordering():
     with reopen_edge("line-chain"):
         m = build_machine(roadmap_case())
         m.run()
-    assert m.scheme.engine.stats.lpo_order_delays == 0
+    assert m.scheme.stats.lpo_order_delays == 0
 
 
 # -- the regression demo -----------------------------------------------------

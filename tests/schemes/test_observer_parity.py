@@ -1,15 +1,16 @@
-"""Observer parity on the ASAP engine's one write path.
+"""Observer parity on the ASAP scheme's one write path.
 
 The happy path of a region write (owner in {None, this region}, a free
-or existing CLPtr slot) runs in a single frame of ``AsapEngine.write``.
+or existing CLPtr slot) runs in a single frame of ``AsapScheme.write``.
 Its observer calls sit behind ``observer is not None``, so an observed
-run must still report every slot, LPO and DPO the engine counts.
+run must still report every slot, LPO and DPO the scheme counts.
 """
 
 from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
-from repro.core import cl_list, engine as engine_module
+from repro.core import cl_list
 from repro.persist import make_scheme
+from repro.persist.asap import AsapScheme
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Read, Write
 
@@ -52,13 +53,13 @@ def test_observer_sees_every_happy_path_event(monkeypatch):
         raise AssertionError("write left the happy path")
 
     # Neither a cross-region owner nor a slot stall may occur.
-    monkeypatch.setattr(engine_module.AsapEngine, "_region_write", off_happy_path)
-    monkeypatch.setattr(engine_module.AsapEngine, "_ensure_slot", off_happy_path)
+    monkeypatch.setattr(AsapScheme, "_region_write", off_happy_path)
+    monkeypatch.setattr(AsapScheme, "_ensure_slot", off_happy_path)
 
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
-    engine = machine.scheme.engine
+    scheme = machine.scheme
     observer = CountingObserver()
-    engine.observer = observer
+    scheme.observer = observer
     base = machine.heap.alloc(64 * REGIONS * LINES_PER_REGION)
 
     def worker(env):
@@ -78,7 +79,7 @@ def test_observer_sees_every_happy_path_event(monkeypatch):
     machine.spawn(worker)
     result = machine.run()
 
-    stats = engine.stats
+    stats = scheme.stats
     assert result.regions_completed == REGIONS
     assert stats.commits == REGIONS
     assert stats.dep_captures == 0
@@ -87,7 +88,7 @@ def test_observer_sees_every_happy_path_event(monkeypatch):
     assert observer.lpos_logged == stats.lpos_initiated
     assert stats.dpos_initiated > 0
     assert observer.dpos_initiated == stats.dpos_initiated
-    # One slot_opened event per slot the engine opened, none repeated.
+    # One slot_opened event per slot the scheme opened, none repeated.
     assert len(created) > 0
     assert len(observer.slots) == len(created)
     assert len(set(observer.slots)) == len(observer.slots)

@@ -1,4 +1,4 @@
-"""Unit tests for CL List, Dependence List, LH-WPQ, RIDs, registers."""
+"""Unit tests for CL List, Dependence List, LH-WPQ and RIDs."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.lh_wpq import LogHeaderWPQ
 from repro.core.log import LogRecord
 from repro.core.rid import RID, local_rid_of, pack_rid, previous_rid, thread_id_of, unpack_rid
 from repro.core.states import RegionState
-from repro.core.thread_state import ThreadStateRegisters
 from repro.engine import Scheduler
 from repro.mem.image import MemoryImage
 
@@ -41,16 +40,6 @@ def test_rid_validation():
 
 def test_rid_str():
     assert str(RID(2, 7)) == "R2.7"
-
-
-# -- Thread state registers ---------------------------------------------------
-
-
-def test_thread_state_save_restore():
-    regs = ThreadStateRegisters(thread_id=4, log_address=100, log_size=200,
-                                cur_local_rid=9, nest_depth=1)
-    restored = ThreadStateRegisters.restore(regs.save())
-    assert restored == regs
 
 
 # -- CL List -------------------------------------------------------------------
