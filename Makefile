@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast lint bench bench-json figures examples clean
+.PHONY: install test test-fast lint bench figures examples clean
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation
@@ -31,11 +31,6 @@ lint:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Fast-core vs reference-machine wall times over the Fig. 7 cell matrix;
-# writes BENCH_engine.json (see docs/PERF.md).
-bench-json:
-	PYTHONPATH=src $(PYTHON) tools/bench_engine.py --out BENCH_engine.json
 
 figures:
 	$(PYTHON) -m repro.harness.run all

@@ -88,7 +88,7 @@ class PersistNode:
     channel: int
     submitted_at: int
     accepted_at: int
-    payload: Dict[int, int]
+    payload: tuple
     backpressured: bool = False
     dropped: bool = False
     #: set for redo commit markers: (rid, commit_seq)
@@ -180,7 +180,7 @@ class RaceTracer(SimObserver):
             if op.submitted_at is not None
             else self._now(),
             accepted_at=self._now(),
-            payload=dict(op.materialized_payload()),
+            payload=op.materialized_payload(),
             backpressured=op.backpressured,
             marker=self._marker_ops.get(op.op_id),
         )

@@ -33,7 +33,7 @@ class LogHeaderWPQ:
         self._scheduler = scheduler
         #: header_addr -> live record whose header is held here
         self._entries: Dict[int, LogRecord] = {}
-        self._backpressure = WaitQueue(scheduler)
+        self.waiters = WaitQueue(scheduler)
         self.peak_occupancy = 0
         self.stalls = 0
 
@@ -56,13 +56,13 @@ class LogHeaderWPQ:
             self._scheduler.after(0, granted)
         else:
             self.stalls += 1
-            self._backpressure.park(lambda: self.acquire(record, granted))
+            self.waiters.park(lambda: self.acquire(record, granted))
 
     def release(self, header_addr: int) -> Optional[LogRecord]:
         """Remove a header (record sealed and moved to the WPQ, or commit)."""
         record = self._entries.pop(header_addr, None)
         if record is not None:
-            self._backpressure.wake_one()
+            self.waiters.wake_one()
         return record
 
     def release_region(self, rid: int) -> int:

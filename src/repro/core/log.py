@@ -26,7 +26,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.common.errors import LogOverflowError, SimulationError
 from repro.common.params import AsapParams
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
-from repro.mem.image import rebase_line
 
 #: low bit of a header slot word: the logged line's previous writer was an
 #: *uncommitted* region when this entry was created, i.e. the entry sits in
@@ -117,20 +116,19 @@ class LogRecord:
         """The durable header word for entry ``slot`` (address + flags)."""
         return encode_slot_word(self.entries[slot][0], slot in self.chained)
 
-    def entry_payload(
-        self, slot: int, words: Dict[int, int], rid: int
-    ) -> Dict[int, int]:
-        """The LPO payload for entry ``slot``: the logged line ``words``
-        rebased onto the entry, plus the header words naming the region and
-        the entry. The entry becomes visible to recovery exactly when its
-        value is durable (Sec. 5.5)."""
-        payload = rebase_line(words, self.entry_addr(slot))
-        payload[self.header_addr] = rid
-        payload[self.header_word_addr(slot)] = self.slot_word(slot)
-        return payload
+    def entry_payload(self, slot: int, old_line: Tuple[int, ...]) -> tuple:
+        """The LPO payload for entry ``slot``: the logged ``old_line`` at the
+        entry, plus the header words naming the region and the entry. The
+        entry becomes visible to recovery exactly when its value is durable
+        (Sec. 5.5)."""
+        return (
+            (self.entry_addr(slot), old_line),
+            (self.header_addr, (self.rid,)),
+            (self.header_word_addr(slot), (self.slot_word(slot),)),
+        )
 
-    def header_payload(self) -> Dict[int, int]:
-        """The header cache line as a {word addr: value} payload.
+    def header_payload(self) -> tuple:
+        """The header cache line as a one-run payload.
 
         Word 0 is the packed RID; word ``1+i`` is the data-line address of
         confirmed entry ``i`` (low bits carry the :data:`CHAIN_BIT` flag).
@@ -138,14 +136,9 @@ class LogRecord:
         this header scrubs any stale addresses left in a reused record
         slot. This is what recovery parses.
         """
-        payload = {self.header_addr: self.rid}
-        for i in range(self.capacity):
-            word = self.header_word_addr(i)
-            if i < len(self.entries) and i in self.confirmed:
-                payload[word] = self.slot_word(i)
-            else:
-                payload[word] = 0
-        return payload
+        confirmed = self.confirmed
+        slots = (self.slot_word(i) if i in confirmed else 0 for i in range(self.capacity))
+        return ((self.header_addr, (self.rid, *slots)),)
 
 
 class UndoLog:

@@ -299,7 +299,7 @@ def check_crash(
     verdict = verify_recovery(m, image)
     if not verdict.ok:
         failures.append(f"@{at_cycle}: {verdict.explain()}")
-    if sorted(image.items()) != sorted(image2.items()):
+    if sorted(image.lines()) != sorted(image2.lines()):
         failures.append(f"@{at_cycle}: recovery nondeterministic")
     return failures
 

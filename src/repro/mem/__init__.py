@@ -12,7 +12,7 @@ The substrate separates *function* from *timing*:
   payloads are snapshotted into persist operations when those are created.
 """
 
-from repro.mem.image import MemoryImage, snapshot_line
+from repro.mem.image import MemoryImage
 from repro.mem.tagstore import LineMeta, TagStore
 from repro.mem.cache import CacheArray
 from repro.mem.wpq import PersistOp, WritePendingQueue
@@ -21,7 +21,6 @@ from repro.mem.controller import Channel, MemorySystem
 
 __all__ = [
     "MemoryImage",
-    "snapshot_line",
     "LineMeta",
     "TagStore",
     "CacheArray",

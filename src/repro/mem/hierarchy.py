@@ -27,7 +27,7 @@ from repro.common.params import SystemConfig
 from repro.engine import Scheduler, WaitQueue
 from repro.mem.cache import CacheArray, MSHRFile
 from repro.mem.controller import MemorySystem
-from repro.mem.image import MemoryImage, snapshot_line
+from repro.mem.image import MemoryImage
 from repro.mem.tagstore import LineMeta, TagStore
 from repro.mem.wpq import WB, PersistOp
 
@@ -95,7 +95,7 @@ class CacheHierarchy:
             MSHRFile(f"MSHR-L2[{i}]", mshrs) for i in range(config.num_cores)
         ]
         self.llc_mshrs = MSHRFile("MSHR-LLC", mshrs)
-        self._mshr_free_waiters = WaitQueue(scheduler)
+        self.mshr_waiters = WaitQueue(scheduler)
 
         #: line -> set of private-level CacheArrays holding it, so an LLC
         #: eviction invalidates just those instead of probing all
@@ -319,7 +319,7 @@ class CacheHierarchy:
         self.mshr_stalls += 1
         if self.observer is not None:
             self.observer.mshr_stalled(self, line, core_id)
-        self._mshr_free_waiters.park(
+        self.mshr_waiters.park(
             partial(self._mshr_retry, core_id, line, is_write, done)
         )
 
@@ -383,7 +383,7 @@ class CacheHierarchy:
         # Exactly one LLC register was freed; give it to the oldest
         # parked miss (it re-probes and may re-park if its private file
         # is still busy with a different in-flight line).
-        self._mshr_free_waiters.wake_one()
+        self.mshr_waiters.wake_one()
 
     # -- fills and evictions ---------------------------------------------------
 
@@ -415,15 +415,7 @@ class CacheHierarchy:
         meta = self.tags.drop(victim)
         if meta is None:
             return
-        wb_op = None
-        if meta.dirty and meta.pbit:
-            wb_op = PersistOp(
-                kind=WB,
-                target_line=victim,
-                data_line=victim,
-                payload=None if self.fast else snapshot_line(self.volatile, victim),
-                rid=meta.owner_rid,
-            )
+        wb_op = self._writeback(victim, meta.owner_rid) if meta.dirty and meta.pbit else None
         if meta.pbit and self.observer is not None:
             self.observer.line_evicted(meta, wb_op)
         if self.evict_hook is not None and meta.pbit:
@@ -450,15 +442,14 @@ class CacheHierarchy:
         if meta is None or not meta.dirty or not meta.pbit:
             return None
         meta.dirty = False
-        op = PersistOp(
-            kind=WB,
-            target_line=line,
-            data_line=line,
-            payload=None if self.fast else snapshot_line(self.volatile, line),
-            rid=rid,
-        )
+        op = self._writeback(line, rid)
         self.memory.issue_persist(op)
         return op
+
+    def _writeback(self, line: int, rid: Optional[int]) -> PersistOp:
+        """A WB persist op carrying ``line``'s current value."""
+        payload = None if self.fast else ((line, self.volatile.line(line)),)
+        return PersistOp(kind=WB, target_line=line, data_line=line, payload=payload, rid=rid)
 
     def drop_line(self, line: int) -> None:
         """Remove a line everywhere without writeback (test helper)."""

@@ -1,46 +1,53 @@
-"""Functional memory images at 8-byte-word granularity.
+"""Functional memory images at cache-line granularity.
 
-An image is a sparse map from word-aligned addresses to integers. Unwritten
-words read as zero, which matches zero-initialised simulated memory.
+An image maps line base addresses to immutable 8-tuples of words; an
+unwritten line reads as the shared :data:`ZERO_LINE` (zero-initialised
+memory). A line snapshot is the stored tuple itself, so a persist op that
+carries a whole line (an LPO's old value, a DPO or writeback) shares it.
+
+A persist payload is a tuple of ``(word addr, values)`` *runs*, each
+writing ``values`` to consecutive words; a data line is one full-line run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping
+from itertools import repeat
+from operator import itemgetter
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from repro.common.address import line_base, split_words, words_of_line
 from repro.common.errors import SimulationError
-from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
+from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
 
 #: nonzero bits of a misaligned word address (``&`` beats ``%`` here)
 _WORD_MASK = WORD_BYTES - 1
+_LINE_MASK = CACHE_LINE_BYTES - 1
+
+#: the value of every line nothing has written
+ZERO_LINE: Tuple[int, ...] = (0,) * WORDS_PER_LINE
 
 
 class MemoryImage:
-    """A sparse, word-granular functional memory."""
+    """A sparse, line-granular functional memory."""
+
+    __slots__ = ("name", "_lines")
 
     def __init__(self, name: str = "mem"):
         self.name = name
-        self._words: Dict[int, int] = {}
+        self._lines: Dict[int, Tuple[int, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._words)
+        """The number of materialised lines."""
+        return len(self._lines)
 
     def read_word(self, addr: int) -> int:
         """Read the word at ``addr`` (must be 8-byte aligned)."""
         if addr & _WORD_MASK:
             raise SimulationError(f"unaligned word read at {addr:#x}")
-        return self._words.get(addr, 0)
+        return self._lines.get(addr & ~_LINE_MASK, ZERO_LINE)[(addr & _LINE_MASK) >> 3]
 
     def write_word(self, addr: int, value: int) -> None:
         """Write the word at ``addr`` (must be 8-byte aligned)."""
-        if addr & _WORD_MASK:
-            raise SimulationError(f"unaligned word write at {addr:#x}")
-        self._words[addr] = value
-
-    def read_range(self, addr: int, nbytes: int) -> tuple:
-        """Read every word overlapping ``[addr, addr+nbytes)``."""
-        return tuple(self.read_word(w) for w in split_words(addr, nbytes))
+        self.apply(((addr, (value,)),))
 
     def read_words(self, addr: int, n: int, stride: int = WORD_BYTES) -> List[int]:
         """Read ``n`` words starting at ``addr``, a positive ``stride``
@@ -48,90 +55,79 @@ class MemoryImage:
         be 8-byte aligned; checking both covers every word read."""
         if (addr | stride) & _WORD_MASK:
             raise SimulationError(f"unaligned word read at {addr:#x} (stride {stride})")
-        get = self._words.get
-        return [get(w, 0) for w in range(addr, addr + n * stride, stride)]
+        lines = self._lines
+        first = (addr & _LINE_MASK) >> 3
+        if stride == WORD_BYTES and first + n <= WORDS_PER_LINE:
+            return list(lines.get(addr & ~_LINE_MASK, ZERO_LINE)[first:first + n])
+        if not stride & _LINE_MASK:  # the same word of every line read
+            base = addr & ~_LINE_MASK
+            bases = range(base, base + n * stride, stride)
+            return list(map(itemgetter(first), map(lines.get, bases, repeat(ZERO_LINE))))
+        return [
+            lines.get(w & ~_LINE_MASK, ZERO_LINE)[(w & _LINE_MASK) >> 3]
+            for w in range(addr, addr + n * stride, stride)
+        ]
 
-    def write_range(self, addr: int, values: Iterable[int]) -> None:
+    def write_range(self, addr: int, values: Sequence[int]) -> None:
         """Write consecutive words starting at ``addr``'s containing word.
 
         The base is aligned down by construction, so no word needs a check.
+        Each touched line is rebuilt once; an aligned full-line store
+        installs ``tuple(values)`` as is.
         """
-        base = addr & ~_WORD_MASK
-        words = self._words
-        for i, value in enumerate(values):
-            words[base + i * WORD_BYTES] = value
+        lines = self._lines
+        line = addr & ~_LINE_MASK
+        first = (addr & _LINE_MASK) >> 3
+        n = len(values)
+        if n == WORDS_PER_LINE and not first:
+            lines[line] = tuple(values)
+            return
+        done = 0
+        while done < n:
+            take = min(WORDS_PER_LINE - first, n - done)
+            if take == WORDS_PER_LINE:
+                lines[line] = tuple(values[done:done + take])
+            else:
+                words = list(lines.get(line, ZERO_LINE))
+                words[first:first + take] = values[done:done + take]
+                lines[line] = tuple(words)
+            done += take
+            line += CACHE_LINE_BYTES
+            first = 0
 
-    def line_words(self, addr: int) -> Dict[int, int]:
-        """Snapshot every word of the cache line containing ``addr`` as
-        {word addr: value}, zeros included - the payload of a persist op
-        that rewrites the whole line."""
-        base = addr & ~(CACHE_LINE_BYTES - 1)
-        get = self._words.get
-        return {
-            w: get(w, 0) for w in range(base, base + CACHE_LINE_BYTES, WORD_BYTES)
-        }
+    def line(self, addr: int) -> Tuple[int, ...]:
+        """The cache line containing ``addr``: its stored 8-tuple, shared,
+        or :data:`ZERO_LINE`. Later stores replace the tuple, so this is a
+        snapshot."""
+        return self._lines.get(addr & ~_LINE_MASK, ZERO_LINE)
 
-    def read_line(self, addr: int) -> Dict[int, int]:
-        """Snapshot the cache line containing ``addr`` as {word addr: value}.
-
-        Only materialised words are returned; absent words are zero.
-        """
-        base = addr & ~(CACHE_LINE_BYTES - 1)
-        words = self._words
-        return {
-            w: words[w]
-            for w in range(base, base + CACHE_LINE_BYTES, WORD_BYTES)
-            if w in words
-        }
-
-    def apply(self, payload: Mapping[int, int]) -> None:
-        """Apply a {word addr: value} payload (e.g. a drained persist op).
-
-        Every word is checked before any is written."""
-        for addr in payload:
+    def apply(self, runs) -> None:
+        """Apply a payload's ``(word addr, values)`` runs in order; every
+        run's alignment is checked before any is written."""
+        for addr, _values in runs:
             if addr & _WORD_MASK:
                 raise SimulationError(f"unaligned word write at {addr:#x}")
-        self._words.update(payload)
-
-    def apply_line_exact(self, line_addr: int, payload: Mapping[int, int]) -> None:
-        """Overwrite a full cache line with ``payload``.
-
-        Words of the line absent from ``payload`` are reset to zero: a line
-        snapshot captures the whole 64 bytes, so restoring it must also
-        restore the zeros.
-        """
-        base = line_base(line_addr)
-        for w in words_of_line(base):
-            if w in payload:
-                self._words[w] = payload[w]
+        lines = self._lines
+        for addr, values in runs:
+            if len(values) == WORDS_PER_LINE and not addr & _LINE_MASK:
+                lines[addr] = tuple(values)
             else:
-                self._words.pop(w, None)
+                self.write_range(addr, values)
 
     def copy(self) -> "MemoryImage":
-        """Deep copy (used by the crash machinery to freeze PM state)."""
+        """An independent image (the crash machinery freezes PM with it);
+        lines are immutable, so a shallow copy suffices."""
         dup = MemoryImage(self.name)
-        dup._words = dict(self._words)
+        dup._lines = self._lines.copy()
         return dup
 
-    def items(self):
-        """Iterate over (word addr, value) pairs of materialised words."""
-        return self._words.items()
+    def lines(self):
+        """Iterate over (line base, 8-tuple) pairs of materialised lines."""
+        return self._lines.items()
 
-    def equal_on(self, other: "MemoryImage", addrs: Iterable[int]) -> bool:
-        """Compare two images on a set of word addresses."""
-        return all(self.read_word(a) == other.read_word(a) for a in addrs)
-
-
-def snapshot_line(image: MemoryImage, addr: int) -> Dict[int, int]:
-    """Snapshot the full cache line containing ``addr`` from ``image``.
-
-    The result maps every materialised word of the line to its value; it is
-    the payload format carried by persist operations.
-    """
-    return image.read_line(line_base(addr))
-
-
-def rebase_line(words: Mapping[int, int], to: int) -> Dict[int, int]:
-    """Re-key a line snapshot onto the line at ``to`` (a log entry), keeping
-    each word's offset within the line."""
-    return {to + (w & (CACHE_LINE_BYTES - 1)): v for w, v in words.items()}
+    def items(self) -> Iterator[Tuple[int, int]]:
+        """Iterate over (word addr, value) pairs of every word of every
+        materialised line (zeros included)."""
+        for base, words in self._lines.items():
+            for i, value in enumerate(words):
+                yield base + i * WORD_BYTES, value

@@ -57,11 +57,11 @@ class PersistOp:
             DPOs/WBs; for LPOs it is the line whose old value is logged).
             DPO dropping matches a new LPO's ``data_line`` against queued
             DPO ``target_line``s.
-        payload: {word addr: value} snapshot to apply on drain/flush, or a
-            zero-argument callable producing that dict. A callable is
-            materialised at drain/flush time - used for log-record headers,
-            whose durable contents (the confirmed-entry set) evolve while
-            the write sits in the queue.
+        payload: the ``(word addr, values)`` runs to apply on drain/flush
+            (:meth:`MemoryImage.apply`), or a zero-argument callable
+            producing them. A callable is materialised at drain/flush time
+            - used for log-record headers, whose durable contents (the
+            confirmed-entry set) evolve while the write sits in the queue.
         rid: owning region id (packed int), if any.
         on_complete: invoked once, when the WPQ accepts the op - the ADR
             durability point ASAP builds on (Sec. 4.1).
@@ -86,18 +86,15 @@ class PersistOp:
     #: i.e. acceptance was NOT immediate
     backpressured: bool = False
 
-    def materialized_payload(self) -> Dict[int, int]:
-        """The concrete words this write carries, as of right now.
+    def materialized_payload(self) -> tuple:
+        """The runs this write carries, as of right now.
 
         Fast-path runs elide payloads entirely (``payload is None``): the
         run can never crash, so nothing ever reads the PM image and the
         timing/stats surface is payload-independent (docs/PERF.md).
         """
-        if callable(self.payload):
-            return self.payload()
-        if self.payload is None:
-            return {}
-        return self.payload
+        payload = self.payload
+        return payload() if callable(payload) else payload
 
 
 class DrainArbiter:

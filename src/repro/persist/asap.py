@@ -151,6 +151,15 @@ class AsapScheme(AsyncCommitScheme):
     def uncommitted_count(self) -> int:
         return sum(len(dl) for dl in self.dep_lists)
 
+    def wait_queues(self) -> list:
+        cl = [
+            (f"CL List[{c.core_id}] {kind}", queue)
+            for c in self.cl_lists
+            for kind, queue in (("entry", c.entry_waiters), ("slot", c.slot_waiters))
+        ]
+        lh = [(f"LH-WPQ[{ch}]", lh.waiters) for ch, lh in enumerate(self.lh_wpqs)]
+        return cl + super().wait_queues() + lh
+
     def stall_counts(self) -> Dict[str, int]:
         return {
             "cl_entry": sum(cl.entry_stalls for cl in self.cl_lists),
@@ -234,7 +243,7 @@ class AsapScheme(AsyncCommitScheme):
             self.volatile.write_range(addr, values)
             hierarchy.access(thread.core_id, addr, True, lambda meta: done())
             return
-        old_snapshot = None if self.fast else self.volatile.line_words(line)
+        old_snapshot = self.volatile.line(line)
         self.volatile.write_range(addr, values)
 
         def after_access(meta: LineMeta) -> None:
@@ -309,7 +318,7 @@ class AsapScheme(AsyncCommitScheme):
         thread: AsyncThread,
         rid: int,
         meta: LineMeta,
-        old_snapshot: Dict[int, int],
+        old_snapshot: tuple,
         done: Callable[[], None],
     ) -> None:
         def after_dep() -> None:
@@ -362,7 +371,7 @@ class AsapScheme(AsyncCommitScheme):
         thread: AsyncThread,
         rid: int,
         meta: LineMeta,
-        old_snapshot: Dict[int, int],
+        old_snapshot: tuple,
         done: Callable[[], None],
     ) -> None:
         """Sec. 4.6.2: track the modified line in a CLPtr slot."""
@@ -407,7 +416,7 @@ class AsapScheme(AsyncCommitScheme):
         entry: CLEntry,
         slot: CLSlot,
         meta: LineMeta,
-        old_snapshot: Dict[int, int],
+        old_snapshot: tuple,
         done: Callable[[], None],
     ) -> None:
         first_write = meta.owner_rid != rid
@@ -434,7 +443,7 @@ class AsapScheme(AsyncCommitScheme):
         thread: AsyncThread,
         rid: int,
         meta: LineMeta,
-        old_snapshot: Dict[int, int],
+        old_snapshot: tuple,
         then: Callable[[], None],
     ) -> None:
         """Sec. 4.6.1: lock the line, take ownership, log the old value."""
@@ -468,7 +477,7 @@ class AsapScheme(AsyncCommitScheme):
             payload = (
                 None
                 if self.fast
-                else record.entry_payload(slot_idx, old_snapshot, rid)
+                else record.entry_payload(slot_idx, old_snapshot)
             )
 
             def accepted(op: PersistOp) -> None:
@@ -658,7 +667,7 @@ class AsapScheme(AsyncCommitScheme):
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         line = slot.line
         meta = self.hierarchy.tags.get(line)
-        payload = None if self.fast else self.volatile.line_words(line)
+        payload = None if self.fast else ((line, self.volatile.line(line)),)
         version = slot.data_version
         if not self.params.dpo_coalescing and slot.eager_backlog > 1:
             # No-Opt ablation: one DPO per write. All but the newest are

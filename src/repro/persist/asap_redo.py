@@ -82,10 +82,11 @@ class _RedoRegion:
         #: True once the commit marker has been issued; the region stays in
         #: its Dependence List until the marker is durably accepted
         self.committing = False
-        #: line -> the region's own logged words; the in-place update must
-        #: install *these*, never the current cache line, which may hold a
-        #: later uncommitted region's data (redo's no-force rule)
-        self.values: Dict[int, Dict[int, int]] = {}
+        #: line -> the in-place update's payload, the region's own logged
+        #: line; it must install *these* words, never the current cache line,
+        #: which may hold a later uncommitted region's data (redo's no-force
+        #: rule)
+        self.values: Dict[int, Optional[tuple]] = {}
 
 
 class _RedoThread(AsyncThread):
@@ -232,7 +233,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             kind=MARKER,
             target_line=marker_addr,
             data_line=marker_addr,
-            payload={marker_addr: rid, marker_addr + 8: seq},
+            payload=((marker_addr, (rid, seq)),),
             rid=rid,
             on_complete=marker_accepted,
         )
@@ -370,16 +371,9 @@ class AsapRedoLogging(AsyncCommitScheme):
         slot, entry_addr, record, _opened, sealed = thread.log.append(region.rid, line)
         if sealed is not None:
             self._persist_header(sealed, region.rid, sealed.header_payload)
-        if self.fast:
-            # Payload-free mode: region.values is only ever read as a DPO
-            # payload, so a None placeholder keeps the control flow (which
-            # keys off region.lines) identical.
-            region.values[line] = None
-            payload = None
-        else:
-            logged = self.machine.volatile.line_words(line)
-            region.values[line] = logged
-            payload = record.entry_payload(slot, logged, region.rid)
+        logged = self.machine.volatile.line(line)
+        region.values[line] = None if self.fast else ((line, logged),)
+        payload = None if self.fast else record.entry_payload(slot, logged)
         region.outstanding_lpos += 1
         self._last_writer[line] = region.rid
         if self.observer is not None:

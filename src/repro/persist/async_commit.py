@@ -62,6 +62,13 @@ class AsyncCommitScheme(PersistenceScheme):
     def hook_points(self) -> list:
         return [self, *self.dep_lists]
 
+    def wait_queues(self) -> list:
+        return [
+            (f"Dependence List[{dl.channel_index}] {kind}", queue)
+            for dl in self.dep_lists
+            for kind, queue in (("entry", dl.entry_waiters), ("dep", dl.dep_waiters))
+        ]
+
     def register_thread(self, thread_id: int, core_id: int) -> AsyncThread:
         """``asap_init()``: allocate the thread's log buffer."""
         if thread_id in self.threads:

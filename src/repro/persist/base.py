@@ -116,7 +116,7 @@ class PersistenceScheme(abc.ABC):
         self.machine: Optional["Machine"] = None
         self.observer = None  # wired by Machine.observe
         #: mirrors ``machine.fast_path`` after attach: schemes elide
-        #: persist-op payloads and undo snapshots when set (docs/PERF.md)
+        #: persist-op payloads when set (docs/PERF.md)
         self.fast = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -130,6 +130,11 @@ class PersistenceScheme(abc.ABC):
         """The scheme's structures that fire observer events; each class
         declares them in ``OBSERVED``."""
         return [self]
+
+    def wait_queues(self) -> list:
+        """``(name, WaitQueue)`` of the scheme's structures that park
+        threads, for the deadlock report."""
+        return []
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         """``asap_init`` equivalent: create per-thread scheme state."""
@@ -236,8 +241,8 @@ class PersistenceScheme(abc.ABC):
 
     def _persist_header(self, sealed: "LogRecord", rid: int, payload) -> None:
         """Persist a sealed log record's header line (no wait). ``payload``
-        is the caller's: a dict, or the record's bound ``header_payload``
-        to read the header when the op is flushed."""
+        is the caller's: the header runs, or the record's bound
+        ``header_payload`` to read the header when the op is flushed."""
         self.machine.memory.issue_persist(
             PersistOp(
                 kind=LOGHDR,

@@ -33,7 +33,7 @@ class _EadrThread(SchemeThread):
     def __init__(self, thread_id: int, core_id: int):
         super().__init__(thread_id, core_id)
         #: in-cache undo log of the active region: line -> old words
-        self.undo: Dict[int, Dict[int, int]] = {}
+        self.undo: Dict[int, tuple] = {}
 
 
 class EadrLogging(PersistenceScheme):
@@ -81,11 +81,7 @@ class EadrLogging(PersistenceScheme):
             and self.machine.page_table.is_persistent(addr)
             and line not in thread.undo
         ):
-            # Fast mode keeps the membership (first-write detection) but
-            # skips the snapshot: no crash window means no rollback reads.
-            thread.undo[line] = (
-                None if self.fast else self.machine.volatile.line_words(line)
-            )
+            thread.undo[line] = self.machine.volatile.line(line)
         self.machine.volatile.write_range(addr, values)
         self.machine.hierarchy.access(thread.core_id, addr, True, lambda meta: done())
 
@@ -95,12 +91,10 @@ class EadrLogging(PersistenceScheme):
         """The battery flushes every dirty line: durable state = volatile
         state, with in-flight regions rolled back from their in-cache
         logs (which the battery flushes too)."""
-        for word, value in self.machine.volatile.items():
-            if self.machine.page_table.is_persistent(word):
-                image.write_word(word, value)
+        persistent = self.machine.page_table.is_persistent
+        image.apply([run for run in self.machine.volatile.lines() if persistent(run[0])])
         for thread in self._threads():
-            for old_words in thread.undo.values():
-                image.apply(old_words)
+            image.apply(tuple(thread.undo.items()))
 
     def _threads(self):
         for executor in self.machine.executors:

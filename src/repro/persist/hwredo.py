@@ -23,7 +23,6 @@ from typing import Callable, Dict, Optional
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LPO, PersistOp
 from repro.persist.base import (
     READ_REDIRECT_PENALTY,
@@ -107,7 +106,7 @@ class HardwareRedoLogging(PersistenceScheme):
                 # A later region re-logged the line: its DPO supersedes ours.
                 self.dpos_filtered += 1
                 continue
-            payload = None if self.fast else self.machine.volatile.line_words(line)
+            payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -172,7 +171,7 @@ class HardwareRedoLogging(PersistenceScheme):
         payload = (
             None
             if self.fast
-            else rebase_line(self.machine.volatile.line_words(line), entry_addr)
+            else ((entry_addr, self.machine.volatile.line(line)),)
         )
         thread.outstanding_lpos += 1
         self._last_writer[line] = thread.rid

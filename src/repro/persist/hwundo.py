@@ -122,9 +122,7 @@ class HardwareUndoLogging(PersistenceScheme):
         pm = self.machine.page_table.is_persistent(addr)
         in_region = thread.nest_depth > 0
         first_write = pm and in_region and line not in thread.lines
-        old_snapshot = None
-        if first_write and not self.fast:
-            old_snapshot = self.machine.volatile.line_words(line)
+        old_snapshot = self.machine.volatile.line(line) if first_write else None
         self.machine.volatile.write_range(addr, values)
 
         def after_access(meta) -> None:
@@ -139,13 +137,13 @@ class HardwareUndoLogging(PersistenceScheme):
 
         self.machine.hierarchy.access(thread.core_id, addr, True, after_access)
 
-    def _issue_lpo(self, thread: _HwUndoThread, line: int, old_snapshot: Dict[int, int]) -> None:
+    def _issue_lpo(self, thread: _HwUndoThread, line: int, old_snapshot: tuple) -> None:
         slot, entry_addr, record, _opened, sealed = thread.log.append(thread.rid, line)
         record.confirm(slot)
         if sealed is not None:
             self._persist_header(sealed, thread.rid, sealed.header_payload())
         payload = (
-            None if self.fast else record.entry_payload(slot, old_snapshot, thread.rid)
+            None if self.fast else record.entry_payload(slot, old_snapshot)
         )
         thread.outstanding += 1
 
@@ -201,7 +199,7 @@ class HardwareUndoLogging(PersistenceScheme):
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT
         ls.dirty = False
-        payload = None if self.fast else self.machine.volatile.line_words(line)
+        payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
         meta = self.machine.hierarchy.tags.get(line)
         if meta is not None:
             meta.dirty = False

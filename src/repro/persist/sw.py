@@ -19,7 +19,6 @@ from typing import Callable, Optional, Set
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.image import rebase_line
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
@@ -90,7 +89,7 @@ class SoftwareLogging(PersistenceScheme):
                 after_fence()
 
         for line in lines:
-            payload = None if self.fast else self.machine.volatile.line_words(line)
+            payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -108,17 +107,16 @@ class SoftwareLogging(PersistenceScheme):
     def _write_commit_record(self, thread: _SwThread, done: Callable[[], None]) -> None:
         """Persist the commit record (the final record header), then free."""
         record = thread.log.open_record(thread.rid)
-        payload = (
-            record.header_payload()
-            if record is not None
-            else {thread.log.segments[0][0]: thread.rid}
-        )
-        target = next(iter(payload))
+        if record is not None:
+            payload = record.header_payload()
+        else:
+            payload = ((thread.log.segments[0][0], (thread.rid,)),)
+        target = line_base(payload[0][0])
         self.machine.memory.issue_persist(
             PersistOp(
                 kind=LOGHDR,
-                target_line=line_base(target),
-                data_line=line_base(target),
+                target_line=target,
+                data_line=target,
                 payload=payload,
                 rid=thread.rid,
                 on_drain=lambda op: self._commit(thread, done),
@@ -140,9 +138,7 @@ class SoftwareLogging(PersistenceScheme):
         need_log = (
             pm and in_region and not self.dpo_only and line not in thread.logged
         )
-        old_snapshot = None
-        if need_log and not self.fast:
-            old_snapshot = self.machine.volatile.line_words(line)
+        old_snapshot = self.machine.volatile.line(line) if need_log else None
         self.machine.volatile.write_range(addr, values)
         if pm and in_region:
             thread.write_set.add(line)
@@ -158,7 +154,7 @@ class SoftwareLogging(PersistenceScheme):
                 # A filled record's header is written out (persist, no wait:
                 # the entry flush below already orders after it per channel).
                 self._persist_header(sealed, thread.rid, sealed.header_payload())
-            payload = None if self.fast else rebase_line(old_snapshot, entry_addr)
+            payload = None if self.fast else ((entry_addr, old_snapshot),)
             # clwb + mfence: the store retires only once the log entry is
             # inside the persistence domain - the software critical path.
             def log_persisted(_op) -> None:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.common.errors import RecoveryError
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
 from repro.core.log import decode_slot_word
-from repro.mem.image import MemoryImage, rebase_line
+from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
 
 
@@ -193,7 +193,7 @@ def _restore_region(
     for undo, the new ones for redo) and count the region as processed
     in ``report.undone_rids``."""
     for data_line, entry_addr, _chained in entries:
-        image.apply(rebase_line(image.line_words(entry_addr), data_line))
+        image.apply(((data_line, image.line(entry_addr)),))
         report.restored_lines += 1
         if observer is not None:
             observer.restore_applied(rid, data_line, entry_addr)

@@ -52,6 +52,10 @@ class SimLock:
             self.contended_acquisitions += 1
             self._waiters.append((thread_id, done))
 
+    def queued_threads(self) -> list:
+        """The threads waiting for the lock, oldest first."""
+        return [thread_id for thread_id, _done in self._waiters]
+
     def release(self, thread_id: int, done: Callable[[], None]) -> None:
         """Release the lock and hand it to the oldest waiter, if any."""
         if self.holder != thread_id:

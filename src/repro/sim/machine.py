@@ -36,12 +36,12 @@ class Machine:
         """
         Args:
             fast_path: elide what only inspection reads - no persist-op
-                payloads or undo snapshots, no PM-image application, no
-                commit oracle. Every structure and the event order are
-                shared, so RunResult stats are identical to the reference
-                machine (the differential-identity gate enforces this);
-                crash injection, recovery and every payload-reading
-                subscriber require the reference machine (docs/PERF.md).
+                payloads, no PM-image application, no commit oracle. Every
+                structure and the event order are shared, so RunResult
+                stats are identical to the reference machine (the
+                differential-identity gate enforces this); crash
+                injection, recovery and every payload-reading subscriber
+                require the reference machine (docs/PERF.md).
         """
         self.config = config
         self.fast_path = fast_path
@@ -160,11 +160,25 @@ class Machine:
         if until is None:
             unfinished = [e.thread_id for e in self.executors if not e.finished]
             if unfinished:
-                raise SimulationError(
-                    f"deadlock: threads {unfinished} never finished and the "
-                    "event queue is empty"
-                )
+                raise SimulationError(self._deadlock_message(unfinished))
         return self.result()
+
+    def _deadlock_message(self, unfinished: List[int]) -> str:
+        """Name what each stuck thread waits on, read from the lock queues
+        and the hardware wait queues as they stand."""
+        queued_on = {t: lock for lock in self.locks for t in lock.queued_threads()}
+        queues = [("MSHR", self.hierarchy.mshr_waiters)] + self.scheme.wait_queues()
+        parked = ", ".join(f"{name} ({len(q)})" for name, q in queues if q) or "none"
+        lines = [f"deadlock: threads {unfinished} never finished and the event queue is empty"]
+        for tid in unfinished:
+            lock = queued_on.get(tid)
+            lines.append(
+                f"  thread {tid}: queued on {lock.name}, held by thread {lock.holder}"
+                if lock is not None
+                else f"  thread {tid}: parked on an internal resource; "
+                f"non-empty wait queues: {parked}"
+            )
+        return "\n".join(lines)
 
     def result(self) -> RunResult:
         return RunResult.collect(self)

@@ -14,7 +14,7 @@ data words match ``committed`` exactly:
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, List, Set
 
 from repro.common.observe import SimObserver
 from repro.mem.image import MemoryImage
@@ -27,8 +27,9 @@ class CommitOracle(SimObserver):
 
     def __init__(self):
         self.committed = MemoryImage("oracle-committed")
-        #: rid -> {word addr: last value written by the region}
-        self._region_writes: Dict[int, Dict[int, int]] = {}
+        #: rid -> the region's stores as ``(word addr, values)`` runs, in
+        #: program order (a payload: later runs overwrite earlier ones)
+        self._region_writes: Dict[int, List[tuple]] = {}
         self.committed_rids: Set[int] = set()
         #: every PM data word any region ever wrote (the comparison domain)
         self.tracked_words: Set[int] = set()
@@ -36,17 +37,18 @@ class CommitOracle(SimObserver):
     def record_write(self, rid: int, addr: int, values) -> None:
         """Called by the executor for every in-region PM store."""
         base = addr & ~7
-        words = range(base, base + 8 * len(values), 8)
-        self._region_writes.setdefault(rid, {}).update(zip(words, values))
-        self.tracked_words.update(words)
+        self._region_writes.setdefault(rid, []).append((base, tuple(values)))
+        self.tracked_words.update(range(base, base + 8 * len(values), 8))
 
     def region_committed(self, source, rid: int) -> None:
         """The scheme reports ``rid`` durable: fold its writes in."""
-        self.committed.apply(self._region_writes.get(rid, {}))
+        self.committed.apply(self._region_writes.get(rid, ()))
         self.committed_rids.add(rid)
 
     def region_write_set(self, rid: int) -> Dict[int, int]:
-        return dict(self._region_writes.get(rid, {}))
+        """``rid``'s writes as {word addr: last value written}."""
+        writes = self._region_writes.get(rid, ())
+        return {base + 8 * i: v for base, values in writes for i, v in enumerate(values)}
 
     def uncommitted_rids(self):
         return [r for r in self._region_writes if r not in self.committed_rids]

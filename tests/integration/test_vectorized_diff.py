@@ -9,7 +9,7 @@ contract:
 
 * every Table 3 workload under every registered scheme (contended small
   machine, so stalls/backpressure/dropping all fire),
-* two cells at the harness's default quick scale,
+* the Fig. 7 schemes on HM and Q at the harness's default quick scale,
 * every fuzz-corpus regression schedule,
 * the wiring: ``fast`` toggles payload, oracle and observer elision
   and nothing else,
@@ -107,7 +107,15 @@ def test_fast_matches_reference_service(workload, scheme):
     assert fast == ref
 
 
-@pytest.mark.parametrize("workload,scheme", [("HM", "asap"), ("Q", "hwundo")])
+#: the Fig. 7 schemes on HM and Q with 64 B regions
+QUICK_MATRIX = [
+    (w, s) for w in ("HM", "Q") for s in ("sw", "hwredo", "hwundo", "asap", "np")
+]
+
+
+@pytest.mark.parametrize(
+    "workload,scheme", QUICK_MATRIX, ids=[f"{w}-{s}" for w, s in QUICK_MATRIX]
+)
 def test_fast_matches_reference_quick_scale(workload, scheme):
     # The harness's actual quick machine (8 cores, 16-entry WPQs).
     ref, fast = _pair(workload, scheme)

@@ -54,7 +54,7 @@ def test_wpq_invariants_under_random_schedules(script, capacity, watermark, lazy
             _, idx, kind, waited = step
             line = PM + 64 * idx
             op = PersistOp(
-                kind, line, line, {line: idx},
+                kind, line, line, ((line, (idx,)),),
                 on_drain=(lambda o: drained.append(o.op_id)) if waited else None,
             )
             q.submit(op)

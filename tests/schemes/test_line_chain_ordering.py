@@ -186,7 +186,7 @@ def submit_pair(m, issued):
             kind=LPO,
             target_line=0x1000_1000_0000 + i * 0x1000,
             data_line=line,
-            payload={0x1000_1000_0000 + i * 0x1000: i + 1},
+            payload=((0x1000_1000_0000 + i * 0x1000, (i + 1,)),),
             rid=i + 1,
             on_drain=lambda _op, line=line: scheme._lpo_chain_advance(line),
         )

@@ -32,7 +32,7 @@ def test_rid_channel_mapping_uses_local_lsbs():
 def test_issue_persist_charges_hop_latency():
     cfg, s, pm, mem = build()
     times = []
-    op = PersistOp(DPO, PM, PM, {PM: 1}, on_complete=lambda o: times.append(s.now))
+    op = PersistOp(DPO, PM, PM, ((PM, (1,)),), on_complete=lambda o: times.append(s.now))
     s.at(0, lambda: mem.issue_persist(op))
     s.run()
     assert times == [mem.timing.mc_hop()]
@@ -40,8 +40,8 @@ def test_issue_persist_charges_hop_latency():
 
 def test_traffic_accounting_by_kind():
     cfg, s, pm, mem = build()
-    s.at(0, lambda: mem.issue_persist(PersistOp(LPO, PM, PM + 64, {PM: 1})))
-    s.at(0, lambda: mem.issue_persist(PersistOp(DPO, PM + 64, PM + 64, {PM + 64: 2})))
+    s.at(0, lambda: mem.issue_persist(PersistOp(LPO, PM, PM + 64, ((PM, (1,)),))))
+    s.at(0, lambda: mem.issue_persist(PersistOp(DPO, PM + 64, PM + 64, ((PM + 64, (2,)),))))
     s.run()
     kinds = mem.pm_writes_by_kind()
     assert kinds["lpo"] == 1 and kinds["dpo"] == 1
@@ -50,7 +50,7 @@ def test_traffic_accounting_by_kind():
 
 def test_queued_dpo_lookup_and_drop():
     cfg, s, pm, mem = build()
-    dpo = PersistOp(DPO, PM, PM, {PM: 1})
+    dpo = PersistOp(DPO, PM, PM, ((PM, (1,)),))
     s.at(0, lambda: mem.issue_persist(dpo))
     s.run(until=mem.timing.mc_hop())
     assert mem.queued_dpo_for(PM) is dpo
@@ -62,7 +62,7 @@ def test_queued_dpo_lookup_and_drop():
 
 def test_flush_persistence_domain():
     cfg, s, pm, mem = build()
-    s.at(0, lambda: mem.issue_persist(PersistOp(DPO, PM, PM, {PM: 7})))
+    s.at(0, lambda: mem.issue_persist(PersistOp(DPO, PM, PM, ((PM, (7,)),))))
     s.run(until=mem.timing.mc_hop())
     image = pm.copy()
     flushed = mem.flush_persistence_domain(image)

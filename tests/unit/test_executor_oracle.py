@@ -158,3 +158,43 @@ def test_deadlock_detection():
     m.spawn(worker2)
     with pytest.raises(SimulationError, match="deadlock"):
         m.run()
+
+
+def test_deadlock_names_the_lock_each_thread_waits_on():
+    m = make_machine()
+    a, b = m.new_lock("A"), m.new_lock("B")
+
+    def ab(env):
+        yield Lock(a)
+        yield Compute(10)
+        yield Lock(b)
+
+    def ba(env):
+        yield Lock(b)
+        yield Compute(10)
+        yield Lock(a)
+
+    m.spawn(ab)
+    m.spawn(ba)
+    with pytest.raises(SimulationError) as err:
+        m.run()
+    message = str(err.value)
+    assert "thread 0: queued on B, held by thread 1" in message
+    assert "thread 1: queued on A, held by thread 0" in message
+
+
+def test_deadlock_off_any_lock_reports_internal_resource():
+    m = make_machine("asap")
+
+    def fence_in_region(env):
+        yield Begin()
+        yield Write(m.heap.alloc(64), [1])
+        yield Fence()  # waits for its own region's commit: never
+
+    m.spawn(fence_in_region)
+    with pytest.raises(SimulationError) as err:
+        m.run()
+    assert (
+        "thread 0: parked on an internal resource; non-empty wait queues: none"
+        in str(err.value)
+    )

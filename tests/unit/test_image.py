@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.address import words_of_line
 from repro.common.errors import SimulationError
-from repro.mem.image import MemoryImage, rebase_line, snapshot_line
+from repro.mem.image import ZERO_LINE, MemoryImage
 
 BASE = 0x1000_0000_0000
 
@@ -13,6 +12,7 @@ BASE = 0x1000_0000_0000
 def test_unwritten_words_read_zero():
     img = MemoryImage()
     assert img.read_word(BASE) == 0
+    assert img.line(BASE) is ZERO_LINE
 
 
 def test_write_read_roundtrip():
@@ -32,36 +32,61 @@ def test_unaligned_access_rejected():
 def test_write_range_consecutive_words():
     img = MemoryImage()
     img.write_range(BASE, [1, 2, 3])
-    assert img.read_range(BASE, 24) == (1, 2, 3)
+    assert img.read_words(BASE, 3) == [1, 2, 3]
 
 
 def test_read_line_snapshot_only_materialised():
+    # The snapshot is the stored tuple: unwritten words read as zero, and
+    # later stores replace the line rather than mutate the snapshot.
     img = MemoryImage()
     img.write_word(BASE, 7)
     img.write_word(BASE + 56, 9)
-    snap = img.read_line(BASE + 8)  # any addr in the line
-    assert snap == {BASE: 7, BASE + 56: 9}
+    snap = img.line(BASE + 8)  # any addr in the line
+    assert snap == (7, 0, 0, 0, 0, 0, 0, 9)
+    img.write_word(BASE + 8, 5)
+    assert snap == (7, 0, 0, 0, 0, 0, 0, 9)
+    assert img.line(BASE) == (7, 5, 0, 0, 0, 0, 0, 9)
 
 
 def test_snapshot_line_helper_matches_read_line():
+    # Any byte address of the line yields the same (shared, not copied) tuple.
     img = MemoryImage()
     img.write_word(BASE + 16, 5)
-    assert snapshot_line(img, BASE + 63) == img.read_line(BASE)
+    snap = img.line(BASE)
+    assert img.line(BASE + 63) is snap
+    assert img.line(BASE + 17) is snap
+
+
+def test_aligned_full_line_store_installs_one_tuple():
+    img = MemoryImage()
+    words = (1, 2, 3, 4, 5, 6, 7, 8)
+    img.write_range(BASE + 64, words)
+    assert img.line(BASE + 64) is words
 
 
 def test_apply_payload():
     img = MemoryImage()
-    img.apply({BASE: 1, BASE + 8: 2})
+    img.apply(((BASE, (1, 2)),))
     assert img.read_word(BASE + 8) == 2
 
 
-def test_apply_line_exact_clears_unmentioned_words():
+def test_apply_full_line_run_replaces_every_word():
     img = MemoryImage()
     img.write_range(BASE, [1, 2, 3, 4, 5, 6, 7, 8])
-    img.apply_line_exact(BASE, {BASE: 42})
+    img.apply(((BASE, (42,) + ZERO_LINE[1:]),))
     assert img.read_word(BASE) == 42
     for off in range(8, 64, 8):
         assert img.read_word(BASE + off) == 0
+
+
+def test_apply_line_at_another_address():
+    """Recovery's restore: a log entry's line installed at its data line."""
+    img = MemoryImage()
+    entry, data = BASE + 0x1000, BASE
+    img.write_range(entry, list(range(10, 18)))
+    img.write_word(data + 8, 99)
+    img.apply(((data, img.line(entry)),))
+    assert img.read_words(data, 8) == list(range(10, 18))
 
 
 def test_copy_is_independent():
@@ -71,15 +96,6 @@ def test_copy_is_independent():
     dup.write_word(BASE, 2)
     assert img.read_word(BASE) == 1
     assert dup.read_word(BASE) == 2
-
-
-def test_equal_on():
-    a, b = MemoryImage(), MemoryImage()
-    a.write_word(BASE, 3)
-    b.write_word(BASE, 3)
-    assert a.equal_on(b, [BASE])
-    b.write_word(BASE + 8, 9)
-    assert not a.equal_on(b, [BASE, BASE + 8])
 
 
 # -- bulk operations vs the per-word reference loop --------------------------
@@ -98,13 +114,11 @@ def _image(writes) -> MemoryImage:
 
 
 @given(_writes, st.integers(0, 255))
-def test_line_words_matches_per_word_loop(writes, offset):
+def test_line_matches_per_word_loop(writes, offset):
     img = _image(writes)
     addr = BASE + offset  # any byte of the line
-    expect = {w: img.read_word(w) for w in words_of_line(addr)}
-    got = img.line_words(addr)
-    assert got == expect
-    assert list(got) == list(expect)  # same word order as the loop
+    base = addr & ~63
+    assert img.line(addr) == tuple(img.read_word(base + 8 * i) for i in range(8))
 
 
 @given(_writes, st.integers(0, 31), st.integers(0, 16))
@@ -114,39 +128,38 @@ def test_read_words_matches_per_word_loop(writes, index, n):
     assert img.read_words(addr, n) == [img.read_word(addr + 8 * i) for i in range(n)]
 
 
-@given(_writes, st.integers(0, 255), st.lists(_values, max_size=12), st.booleans())
-def test_write_range_matches_per_word_loop(writes, offset, values, as_iterator):
+@given(_writes, st.integers(0, 255), st.lists(_values, max_size=20))
+def test_write_range_matches_per_word_loop(writes, offset, values):
     bulk, ref = _image(writes), _image(writes)
     addr = BASE + offset  # the base is aligned down to its word
-    bulk.write_range(addr, iter(values) if as_iterator else values)
+    bulk.write_range(addr, values)
     base = addr & ~7
     for i, value in enumerate(values):
         ref.write_word(base + 8 * i, value)
     assert dict(bulk.items()) == dict(ref.items())
 
 
-@given(_writes, st.dictionaries(_aligned, _values, max_size=12))
-def test_apply_matches_per_word_loop(writes, payload):
+_runs = st.lists(
+    st.tuples(_aligned, st.lists(_values, min_size=1, max_size=9).map(tuple)),
+    max_size=6,
+)
+
+
+@given(_writes, _runs)
+def test_apply_matches_per_word_loop(writes, runs):
     bulk, ref = _image(writes), _image(writes)
-    bulk.apply(payload)
-    for addr, value in payload.items():
-        ref.write_word(addr, value)
+    bulk.apply(tuple(runs))
+    for addr, values in runs:
+        for i, value in enumerate(values):
+            ref.write_word(addr + 8 * i, value)
     assert dict(bulk.items()) == dict(ref.items())
-
-
-@given(_writes, st.integers(0, 3), st.integers(0, 2**20))
-def test_rebase_line_matches_entry_addressed_loop(writes, line_index, entry_index):
-    img = _image(writes)
-    line = BASE + 64 * line_index
-    entry = 0x2000_0000_0000 + 64 * entry_index
-    expect = {entry + (w - line): img.read_word(w) for w in words_of_line(line)}
-    assert rebase_line(img.line_words(line), entry) == expect
 
 
 def test_misaligned_addresses_still_raise():
     img = MemoryImage()
     with pytest.raises(SimulationError):
-        img.apply({BASE: 1, BASE + 4: 2})
+        img.apply(((BASE, (1,)), (BASE + 4, (2,))))
+    assert img.read_word(BASE) == 0  # checked before anything is written
     with pytest.raises(SimulationError):
         img.read_words(BASE + 3, 2)
     with pytest.raises(SimulationError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import LogOverflowError, SimulationError
-from repro.core.log import LogRecord, UndoLog
+from repro.core.log import CHAIN_BIT, LogRecord, UndoLog
 
 BASE = 0x1000_0000_0000
 DATA = 0x2000_0000_0000
@@ -75,12 +75,24 @@ def test_header_payload_confirmed_only():
     slot0, _, record, _, _ = log.append(1, DATA)
     slot1, _, _, _, _ = log.append(1, DATA + 64)
     record.confirm(slot1)
-    payload = record.header_payload()
-    assert payload[record.header_addr] == 1  # rid
-    assert payload[record.header_word_addr(slot0)] == 0  # unconfirmed
-    assert payload[record.header_word_addr(slot1)] == DATA + 64
+    ((addr, words),) = record.header_payload()  # one run: the header line
+    assert addr == record.header_addr
+    assert words[0] == 1  # rid
+    assert words[1 + slot0] == 0  # unconfirmed
+    assert words[1 + slot1] == DATA + 64
     # every slot word is explicit (scrubs stale reused slots)
-    assert len(payload) == 1 + log.entries_per_record
+    assert len(words) == 1 + log.entries_per_record
+
+
+def test_entry_payload_carries_line_and_naming_header_words():
+    log = make_log()
+    slot, entry_addr, record, _, _ = log.append(1, DATA, chained=True)
+    old = tuple(range(10, 18))
+    assert record.entry_payload(slot, old) == (
+        (entry_addr, old),  # the logged line, shared as is
+        (record.header_addr, (1,)),  # rid
+        (record.header_word_addr(slot), (DATA | CHAIN_BIT,)),
+    )
 
 
 def test_records_of_and_open_record():

@@ -54,10 +54,10 @@ def test_remote_persist_takes_longer_end_to_end():
     remote_line = next(pm + i * 64 for i in range(8) if mem.channel_for_line(pm + i * 64).index == 1)
     times = {}
     s.at(0, lambda: mem.issue_persist(
-        PersistOp(DPO, local_line, local_line, {local_line: 1},
+        PersistOp(DPO, local_line, local_line, ((local_line, (1,)),),
                   on_complete=lambda o: times.__setitem__("local", s.now))))
     s.at(0, lambda: mem.issue_persist(
-        PersistOp(DPO, remote_line, remote_line, {remote_line: 1},
+        PersistOp(DPO, remote_line, remote_line, ((remote_line, (1,)),),
                   on_complete=lambda o: times.__setitem__("remote", s.now))))
     s.run()
     assert times["remote"] == 4 * times["local"]

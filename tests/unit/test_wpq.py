@@ -23,7 +23,7 @@ def make_wpq(capacity=4, service=10, watermark=0, lazy=1):
 
 def op(line=PM, kind=DPO, payload=None, **kw):
     return PersistOp(kind=kind, target_line=line, data_line=line,
-                     payload=payload or {line: 1}, **kw)
+                     payload=payload or ((line, (1,)),), **kw)
 
 
 def test_accept_fires_on_complete_immediately():
@@ -36,7 +36,7 @@ def test_accept_fires_on_complete_immediately():
 
 def test_drain_applies_payload_to_pm():
     s, img, q = make_wpq(service=10)
-    s.at(0, lambda: q.submit(op(payload={PM: 42})))
+    s.at(0, lambda: q.submit(op(payload=((PM, (42,)),))))
     s.run()
     assert img.read_word(PM) == 42
     assert q.drained == 1
@@ -96,8 +96,8 @@ def test_drop_fires_on_drain_callback():
 
 def test_flush_to_pm_applies_everything_in_order():
     s, img, q = make_wpq(capacity=8, service=100000)
-    s.at(0, lambda: q.submit(op(payload={PM: 1})))
-    s.at(0, lambda: q.submit(op(payload={PM: 2})))
+    s.at(0, lambda: q.submit(op(payload=((PM, (1,)),))))
+    s.at(0, lambda: q.submit(op(payload=((PM, (2,)),))))
     s.run(until=5)
     snapshot = img.copy()
     flushed = q.flush_to_pm(snapshot)
@@ -170,7 +170,7 @@ def test_drop_where_decrements_flush_pending():
 def test_callable_payload_materialised_at_drain():
     s, img, q = make_wpq(service=10)
     box = {"v": 1}
-    s.at(0, lambda: q.submit(op(payload=lambda: {PM: box["v"]})))
+    s.at(0, lambda: q.submit(op(payload=lambda: ((PM, (box["v"],)),))))
     s.at(5, lambda: box.update(v=99))
     s.run()
     assert img.read_word(PM) == 99
@@ -203,10 +203,10 @@ def test_late_submission_cannot_overtake_pending():
     # same-line FIFO guarantee ASAP's commit ordering builds on.
     s, img, q = make_wpq(capacity=1, service=10)
     order = []
-    s.at(0, lambda: q.submit(op(line=PM, payload={PM: 1})))
-    s.at(0, lambda: q.submit(op(line=PM, payload={PM: 2},
+    s.at(0, lambda: q.submit(op(line=PM, payload=((PM, (1,)),))))
+    s.at(0, lambda: q.submit(op(line=PM, payload=((PM, (2,)),),
                                 on_complete=lambda o: order.append("old"))))
-    s.at(5, lambda: q.submit(op(line=PM, payload={PM: 3},
+    s.at(5, lambda: q.submit(op(line=PM, payload=((PM, (3,)),),
                                 on_complete=lambda o: order.append("new"))))
     s.run()
     assert order == ["old", "new"]
@@ -246,8 +246,8 @@ def test_drop_of_queued_entry_admits_pending():
 
 def test_pending_ops_not_flushed_on_crash():
     s, img, q = make_wpq(capacity=1, service=1000)
-    s.at(0, lambda: q.submit(op(line=PM, payload={PM: 1})))
-    s.at(0, lambda: q.submit(op(line=PM + 64, payload={PM + 64: 2})))
+    s.at(0, lambda: q.submit(op(line=PM, payload=((PM, (1,)),))))
+    s.at(0, lambda: q.submit(op(line=PM + 64, payload=((PM + 64, (2,)),))))
     s.run(until=2)
     snapshot = img.copy()
     assert q.flush_to_pm(snapshot) == 1  # only the accepted entry is in ADR
