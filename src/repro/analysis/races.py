@@ -672,11 +672,11 @@ def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOut
 
     * the finding was already ``CONFIRMED`` by an observed inversion -
       zero extra runs;
-    * a directed crash point fails the differential recovery check
-      (committed data lost or recovery nondeterministic).
+    * a directed crash point fails the fuzzer's crash check (committed
+      data lost, structure invalid, or recovery nondeterministic); the
+      sweep stops at the first such point.
     """
-    from repro.harness.fuzz import build_machine
-    from repro.recovery import crash_machine, recover, verify_recovery
+    from repro.harness.fuzz import crash_sweep
 
     if finding.status == CONFIRMED:
         return VerifyOutcome(finding, CONFIRMED, 0, finding.evidence)
@@ -685,19 +685,14 @@ def verify_finding(case, finding: RaceFinding, max_points: int = 5) -> VerifyOut
         {max(1, c) for c in (lo, (lo + hi) // 2, hi, hi + 1, lo + 1)}
     )[:max_points]
     runs = 0
-    # one sweep machine: crash snapshots leave it resumable
-    machine = build_machine(case)
-    for cycle in points:
-        state = crash_machine(machine, at_cycle=cycle)
-        image, _report = recover(state)
+    for check in crash_sweep(case, points):
         runs += 1
-        verdict = verify_recovery(machine, image)
-        if not verdict.ok:
+        if check.problems:
             return VerifyOutcome(
                 finding,
                 CONFIRMED,
                 runs,
-                f"crash at cycle {cycle}: {verdict.explain()}",
+                f"crash at cycle {check.cycle}: {check.problems[0]}",
             )
     return VerifyOutcome(
         finding,

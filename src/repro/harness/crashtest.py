@@ -1,12 +1,11 @@
 """Crash-consistency validation as a harness command.
 
-``asap-repro crashtest`` sweeps crash points over a workload run and
-checks three things at every point:
-
-1. the recovered PM image equals the commit oracle's durable image
-   (atomicity + durability + ordering),
-2. the workload's own structure validators accept the recovered image,
-3. recovery is deterministic (running it twice yields the same image).
+``asap-repro crashtest`` runs one workload as a workload-backed fuzz case
+and sweeps evenly spaced crash points over it with the fuzzer's checks
+(:mod:`repro.harness.fuzz`): the no-crash run must leave PM equal to the
+commit oracle's image, and every point must recover, deterministically,
+to the oracle's durable image (atomicity + durability + ordering) and
+pass the workload's own structure validators.
 
 This is the library's answer to "how do I know the scheme is actually
 crash consistent on *my* machine configuration?" - the same machinery the
@@ -16,13 +15,10 @@ test suite uses, exposed operationally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
-from repro.common.params import SystemConfig
+from repro.harness.fuzz import FuzzCase, clean_run, crash_cycles, crash_sweep
 from repro.persist import make_scheme
-from repro.recovery import crash_machine, recover, verify_recovery
-from repro.sim.machine import Machine
-from repro.workloads import WorkloadParams, get_workload
 
 
 @dataclass
@@ -69,45 +65,25 @@ class CrashTestReport:
 
 
 def run_crashtest(
-    workload: str = "HM",
-    scheme: str = "asap",
-    points: int = 12,
-    params: Optional[WorkloadParams] = None,
-    config: Optional[SystemConfig] = None,
+    workload: str = "HM", scheme: str = "asap", points: int = 12
 ) -> CrashTestReport:
     """Sweep ``points`` evenly-spaced crash points over one workload run."""
-    params = params or WorkloadParams(num_threads=3, ops_per_thread=12, setup_items=16)
-    config = config or SystemConfig.small()
-
-    def build():
-        machine = Machine(config, make_scheme(scheme))
-        wl = get_workload(workload, params)
-        wl.install(machine)
-        return machine, wl
-
+    case = FuzzCase(
+        scheme,
+        threads=[],
+        wpq_entries=16,
+        workload=workload,
+        workload_params=dict(num_threads=3, ops_per_thread=12, setup_items=16),
+    )
     report = CrashTestReport(workload=workload, scheme=scheme)
-    total = build()[0].run().cycles
-    report.total_cycles = total
-    # crash snapshots leave the machine resumable: one sweep machine
-    # visits every (ascending) point
-    machine, wl = build()
-    for i in range(points):
-        cycle = max(1, ((i + 1) * total) // (points + 1))
-        report.crash_cycles.append(cycle)
-        state = crash_machine(machine, at_cycle=cycle)
-        image, rec_report = recover(state)
-        image2, _ = recover(state)  # determinism probe
+    report.failures, report.total_cycles = clean_run(case)
+    report.crash_cycles = crash_cycles(report.total_cycles, points)
+    # a redo log replays committed regions; only undo rolls regions back
+    undo = make_scheme(scheme).RECOVERY != "redo"
+    for check in crash_sweep(case, report.crash_cycles):
         report.points_checked += 1
-        if state.log_kind == "undo" and rec_report.undone_count:
+        report.failures.extend(check.failures)
+        if undo and check.report.undone_count:
             report.points_with_rollback += 1
-            report.regions_rolled_back += rec_report.undone_count
-        verdict = verify_recovery(machine, image)
-        if not verdict.ok:
-            report.failures.append(f"@{cycle}: {verdict.explain()}")
-            continue
-        errors = wl.validate_image(image)
-        if errors:
-            report.failures.append(f"@{cycle}: structure invalid: {errors[:3]}")
-        if sorted(image.lines()) != sorted(image2.lines()):
-            report.failures.append(f"@{cycle}: recovery nondeterministic")
+            report.regions_rolled_back += check.report.undone_count
     return report

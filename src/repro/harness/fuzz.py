@@ -1,11 +1,11 @@
 """Interleaving-aware differential crash fuzzing (``asap-repro fuzz``).
 
-The crashtest sweep replays *one* deterministic schedule and varies only
-the crash point. That is blind to the bug class this module exists for:
-commit-ordering violations that need a particular thread interleaving x
-flush-timing corner to manifest (the cross-thread RMW hazard the property
-suite falsified on small WPQs hid exactly there). The fuzzer varies all
-three axes at once:
+A crash sweep of *one* deterministic schedule (``asap-repro crashtest``)
+varies only the crash point. That is blind to the bug class this module
+exists for: commit-ordering violations that need a particular thread
+interleaving x flush-timing corner to manifest (the cross-thread RMW
+hazard the property suite falsified on small WPQs hid exactly there).
+The fuzzer varies all three axes at once:
 
 * **schedules** - seeded random multi-thread region programs over a small
   shared array, with per-op ``Compute`` jitter that perturbs the
@@ -18,8 +18,10 @@ three axes at once:
 
 Every run is checked two ways (the "differential" part): the no-crash run
 must leave PM exactly equal to the oracle's folded committed image, and
-every crash point must recover to the oracle's durable image and satisfy
-the workload validators.
+every crash point must recover, deterministically, to the oracle's
+durable image; a workload-backed case's recovered image must also pass
+that workload's structure validators. These checks are the package's
+only crash -> recover -> verify code (see the checks section).
 
 Failures are automatically **shrunk** - greedy delta debugging over
 threads, regions, ops, values, and jitter - to a minimal case printed as
@@ -34,20 +36,24 @@ execute the same runs, so a failure report is a repro recipe.
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 import random
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import MemoryParams, SystemConfig
 from repro.persist import make_scheme, recoverable_schemes
-from repro.recovery import crash_machine, recover, verify_recovery
+from repro.recovery import RecoveryReport, crash_machine, recover, verify_recovery
+from repro.recovery.verify import VerificationResult
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, Compute, End, Lock, Read, Unlock, Write
 
-#: shared-array size (lines); matches the property-test strategies so a
-#: shrunk case pastes onto them unchanged
+#: shared-array size (lines) the fuzzer draws from. A case naming a higher
+#: line index (the undo property strategy draws 16 lines, the redo one
+#: 12) gets an array that reaches it, so a shrunk case pastes onto either
 NUM_LINES = 12
 
 #: ops are (line index, read-first flag, value) - a read-first op is a
@@ -204,14 +210,17 @@ def install_case(machine, case: FuzzCase) -> None:
     static lint target (the tier-1 corpus-replay suite does both).
 
     A workload-backed case installs its pinned workload instead of the
-    synthetic RMW schedule; everything downstream (oracle differential,
-    crash sweep, race tracing, lint) is program-agnostic.
+    synthetic RMW schedule and returns it (for its validators); the rest
+    downstream (oracle differential, race tracing, lint) is
+    program-agnostic.
     """
     workload = case_workload(case)
     if workload is not None:
         workload.install(machine)
-        return
-    base = machine.heap.alloc(64 * NUM_LINES)
+        return workload
+    # the next allocation is a thread's log area: reach every line named
+    lines = max([NUM_LINES] + [op[0] + 1 for t in case.threads for r in t for op in r])
+    base = machine.heap.alloc(64 * lines)
     lock = machine.new_lock()
 
     def worker(env, regions, delays):
@@ -246,7 +255,8 @@ def install_case(machine, case: FuzzCase) -> None:
 
 
 def build_machine(case: FuzzCase) -> Machine:
-    """Instantiate the case's program on the case's machine config."""
+    """Instantiate the case's program on the case's machine config; the
+    machine's ``workload`` is the workload it runs (None for a schedule)."""
     config = SystemConfig.small(wpq_entries=case.wpq_entries)
     if case.mshrs_per_cache is not None:
         config = dc_replace(
@@ -256,19 +266,25 @@ def build_machine(case: FuzzCase) -> Machine:
             ),
         )
     m = Machine(config, make_scheme(case.scheme))
-    install_case(m, case)
+    m.workload = install_case(m, case)
     return m
 
 
 # -- checks (the differential oracle) --------------------------------------
+# The package's only crash -> recover -> verify code. Module globals are
+# looked up per call, so a wrapper set on this module sees every call.
+
+
+def crash_cycles(total: int, points: int = 0, fracs: Sequence[float] = ()) -> List[int]:
+    """Crash cycles in a ``total``-cycle run: ``points`` evenly spaced
+    ones, then one per pinned fraction, in that order (not deduplicated)."""
+    evenly = [max(1, ((i + 1) * total) // (points + 1)) for i in range(points)]
+    return evenly + [max(1, int(total * frac)) for frac in fracs]
 
 
 def check_no_crash(case: FuzzCase, machine: Optional[Machine] = None) -> List[str]:
-    """Run to completion; PM must equal the oracle's committed image.
-
-    ``machine`` (default: a fresh build of ``case``) is left finished, so
-    a caller can read the clean run's length from its ``result()``.
-    """
+    """Run ``machine`` (default: a fresh build) to completion; PM must
+    equal the oracle's committed image."""
     m = machine or build_machine(case)
     m.run()
     failures: List[str] = []
@@ -281,27 +297,60 @@ def check_no_crash(case: FuzzCase, machine: Optional[Machine] = None) -> List[st
     return failures
 
 
+def clean_run(case: FuzzCase) -> Tuple[List[str], int]:
+    """The no-crash check on a fresh build, and the length its crash
+    points divide: the cycle the last thread finished, not the (later)
+    cycle the queues drained."""
+    clean = build_machine(case)
+    return check_no_crash(case, clean), clean.result().cycles
+
+
+@dataclass
+class CrashCheck:
+    """One crash point: what recovery did and what it got wrong."""
+
+    cycle: int
+    verdict: VerificationResult
+    report: RecoveryReport
+    #: what failed, unprefixed (empty = the point recovered correctly)
+    problems: List[str]
+
+    @property
+    def failures(self) -> List[str]:
+        return [f"@{self.cycle}: {problem}" for problem in self.problems]
+
+
 def check_crash(
     case: FuzzCase, at_cycle: int, machine: Optional[Machine] = None
-) -> List[str]:
-    """Crash at ``at_cycle``; recovery must match the oracle's image.
-
-    ``machine`` (default: a fresh build of ``case``) may be a sweep
-    machine already snapshotted at earlier cycles: a crash snapshot
-    leaves the machine resumable, so one machine serves every point of
-    an ascending sweep.
-    """
+) -> CrashCheck:
+    """Crash at ``at_cycle``; recovery must match the oracle's image, be
+    deterministic and, for a workload-backed case whose image matches,
+    pass the workload's structure validators. ``machine`` (default: a
+    fresh build) may be snapshotted at earlier cycles already: a crash
+    snapshot leaves it resumable."""
     m = machine or build_machine(case)
     state = crash_machine(m, at_cycle=at_cycle)
-    image, _report = recover(state)
-    image2, _ = recover(state)
-    failures: List[str] = []
+    image, report = recover(state)
+    image2, _ = recover(state)  # determinism probe
+    problems: List[str] = []
     verdict = verify_recovery(m, image)
     if not verdict.ok:
-        failures.append(f"@{at_cycle}: {verdict.explain()}")
+        problems.append(verdict.explain())
+    elif m.workload is not None:
+        errors = m.workload.validate_image(image)
+        if errors:
+            problems.append(f"structure invalid: {errors[:3]}")
     if sorted(image.lines()) != sorted(image2.lines()):
-        failures.append(f"@{at_cycle}: recovery nondeterministic")
-    return failures
+        problems.append("recovery nondeterministic")
+    return CrashCheck(at_cycle, verdict, report, problems)
+
+
+def crash_sweep(case: FuzzCase, cycles: Sequence[int]) -> Iterator[CrashCheck]:
+    """:func:`check_crash` at ascending ``cycles`` on one build, made on
+    the first ``next()`` even for no cycles; a caller may stop early."""
+    machine = build_machine(case)
+    for cycle in cycles:
+        yield check_crash(case, cycle, machine)
 
 
 def case_failures(case: FuzzCase, crash_points: int = 0) -> List[str]:
@@ -311,21 +360,11 @@ def case_failures(case: FuzzCase, crash_points: int = 0) -> List[str]:
     ``crash_points`` evenly-spaced ones - corpus entries record the exact
     crash fraction their historical failure needed.
     """
-    clean = build_machine(case)
-    failures = list(check_no_crash(case, clean))
-    # the points divide the clean run's length: the cycle its last thread
-    # finished, not the (later) cycle its queues drained
-    total = clean.result().cycles
-    del clean  # released before the sweep machine is built
-    if crash_points > 0 or case.crash_fracs:
-        cycles = {
-            max(1, ((i + 1) * total) // (crash_points + 1))
-            for i in range(crash_points)
-        }
-        cycles.update(max(1, int(total * frac)) for frac in case.crash_fracs)
-        sweep = build_machine(case)
-        for cycle in sorted(cycles):
-            failures.extend(check_crash(case, cycle, sweep))
+    failures, total = clean_run(case)
+    cycles = sorted(set(crash_cycles(total, crash_points, case.crash_fracs)))
+    if cycles:
+        for check in crash_sweep(case, cycles):
+            failures.extend(check.failures)
     return failures
 
 
@@ -623,23 +662,17 @@ def run_fuzz(
         report.schemes.append(scheme)
         report.wpq_sizes.append(case.wpq_entries)
 
-        clean = build_machine(case)
-        failures = check_no_crash(case, clean)
+        failures, total = clean_run(case)
         report.runs += 1
-        total = clean.result().cycles  # as in case_failures
-        del clean
-        crashed_failures: List[str] = []
         if not failures and crash_points > 0:
-            sweep = build_machine(case)
-            for i in range(crash_points):
-                if report.runs >= budget and report.cases > 1:
-                    break
-                cycle = max(1, ((i + 1) * total) // (crash_points + 1))
-                crashed_failures.extend(check_crash(case, cycle, sweep))
-                report.runs += 1
-                report.crash_points_checked += 1
-            del sweep
-        failures.extend(crashed_failures)
+            # the budget may cut the sweep short, except on the first case
+            points = crash_points
+            if report.cases > 1:
+                points = max(0, min(points, budget - report.runs))
+            for check in crash_sweep(case, crash_cycles(total, crash_points)[:points]):
+                failures.extend(check.failures)
+            report.runs += points
+            report.crash_points_checked += points
 
         if failures:
             report.failures.append(
@@ -776,6 +809,12 @@ def load_corpus_entry(path: str) -> Tuple[FuzzCase, dict]:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def load_corpus(directory: str) -> List[Tuple[str, FuzzCase]]:
+    """Every corpus file in ``directory`` as (file name, case), by name."""
+    paths = sorted(glob.glob(os.path.join(directory, "*.json")))
+    return [(os.path.basename(p), load_corpus_entry(p)[0]) for p in paths]
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -842,20 +881,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.from_races:
-        import glob
-        import os
-
-        corpus_dir = args.corpus or os.path.join(
-            "tests", "property", "corpus"
-        )
         cases: List[Tuple[str, FuzzCase]] = []
-        for path in sorted(glob.glob(os.path.join(corpus_dir, "*.json"))):
-            case, _meta = load_corpus_entry(path)
+        corpus_dir = args.corpus or os.path.join("tests", "property", "corpus")
+        for name, case in load_corpus(corpus_dir):
             if args.mshrs is not None:
                 case = dc_replace(case, mshrs_per_cache=args.mshrs)
-            if args.scheme != "both" and case.scheme != args.scheme:
-                continue
-            cases.append((os.path.basename(path), case))
+            if args.scheme == "both" or case.scheme == args.scheme:
+                cases.append((name, case))
         directed = run_directed(
             cases,
             progress=lambda msg: print(f"  {msg}", file=sys.stderr, flush=True),
@@ -867,18 +899,12 @@ def main(argv=None) -> int:
         )
         return 0 if directed.ok else 1
 
-    corpus_cases: List[FuzzCase] = []
-    if args.corpus:
-        import glob
-        import os
-
-        for path in sorted(glob.glob(os.path.join(args.corpus, "*.json"))):
-            case, _meta = load_corpus_entry(path)
-            # corpus entries may pin an MSHR stress count; fuzz the
-            # default hierarchy (--mshrs re-pins uniformly)
-            corpus_cases.append(
-                dc_replace(case, crash_fracs=[], mshrs_per_cache=None)
-            )
+    # corpus entries may pin an MSHR stress count; fuzz the default
+    # hierarchy (--mshrs re-pins uniformly)
+    corpus_cases = [
+        dc_replace(case, crash_fracs=[], mshrs_per_cache=None)
+        for _name, case in (load_corpus(args.corpus) if args.corpus else [])
+    ]
 
     schemes = SCHEMES if args.scheme == "both" else (args.scheme,)
     report = run_fuzz(
@@ -895,8 +921,6 @@ def main(argv=None) -> int:
     for case in report.shrunk_cases:
         print(f"  minimal repro: {case.example_line()}")
     if args.save_failures and report.shrunk_cases:
-        import os
-
         os.makedirs(args.save_failures, exist_ok=True)
         for i, case in enumerate(report.shrunk_cases):
             path = os.path.join(

@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.harness.fuzz import build_machine, load_corpus_entry
+    from repro.harness.fuzz import build_machine, crash_cycles, load_corpus_entry
     from repro.recovery.crash import crash_machine
     from repro.recovery.verify import verify_recovery
 
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         frac = case.crash_fracs[0] if case.crash_fracs else 0.5
 
     total = build_machine(case).run().cycles
-    at_cycle = max(1, int(total * frac))
+    (at_cycle,) = crash_cycles(total, fracs=[frac])
     machine = build_machine(case)
     state = crash_machine(machine, at_cycle=at_cycle)
     image, report, trace = explain_recovery(state)

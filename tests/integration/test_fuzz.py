@@ -217,6 +217,30 @@ def test_check_no_crash_flags_the_legacy_bug():
     assert check_no_crash(roadmap_case()) == []
 
 
+def test_crash_check_runs_the_workload_validators(monkeypatch):
+    case, _meta = load_corpus_entry(
+        os.path.join(CORPUS_DIR, "service-svc-midburst-wpq4.json")
+    )
+    monkeypatch.setattr(
+        type(fuzz.case_workload(case)), "validate_image", lambda self, image: ["x"]
+    )
+    failures = case_failures(case, crash_points=1)
+    assert failures and all("structure invalid: ['x']" in f for f in failures)
+
+
+def test_crash_cycles_spacing_then_pinned_fractions():
+    assert fuzz.crash_cycles(100, 3, [0.5, 0.001]) == [25, 50, 75, 50, 1]
+    assert fuzz.crash_cycles(1, points=2) == [1, 1]
+
+
+def test_index_past_the_array_does_not_alias_the_log_area():
+    # the undo property strategy draws 16 lines, the fuzzer's array is 12:
+    # a store to line 12 once landed in the thread's log area, and
+    # recovery "restored" it from the log's own bytes
+    case = roadmap_case(threads=[[[(12, False, 1)]]])
+    assert case_failures(case, crash_points=8) == []
+
+
 @pytest.mark.parametrize("flag", ["fifo_backpressure", "ordered_line_log_persists"])
 def test_removed_model_flags_accept_only_true(flag):
     # the two compat fields exist only so callers pinning True keep

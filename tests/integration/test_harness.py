@@ -156,8 +156,25 @@ def test_crashtest_api_report_fields():
     report = run_crashtest(workload="Q", scheme="asap", points=6)
     assert report.ok
     assert report.points_checked == 6
-    assert report.points_with_rollback > 0
-    assert "CONSISTENT" in report.summary()
+    assert report.crash_cycles == [1788, 3576, 5364, 7152, 8940, 10728]
+    assert (report.points_with_rollback, report.regions_rolled_back) == (6, 10)
+    assert report.summary() == (
+        "Q/asap: CONSISTENT over 6 crash points at cycles [1788, 3576, 5364, "
+        "7152, 8940, 10728] of a 12516-cycle run, 1 deterministic schedule "
+        "(6 caught in-flight regions, 10 regions rolled back in total)"
+    )
+    # a redo log rolls nothing back: replayed regions are not rollbacks
+    report = run_crashtest(workload="SS", scheme="asap_redo")
+    assert report.ok
+    assert report.crash_cycles == [
+        356, 712, 1069, 1425, 1781, 2138, 2494, 2851, 3207, 3563, 3920, 4276
+    ]
+    assert (report.points_with_rollback, report.regions_rolled_back) == (0, 0)
+    assert report.summary() == (
+        "SS/asap_redo: CONSISTENT over 12 crash points at cycles [356, 712, "
+        "1069, ... 4276] (12 points) of a 4633-cycle run, 1 deterministic "
+        "schedule (0 caught in-flight regions, 0 regions rolled back in total)"
+    )
 
 
 def test_summary_command(capsys):

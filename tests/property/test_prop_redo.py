@@ -8,11 +8,13 @@ in-place writebacks), so it gets its own fuzzer.
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.params import SystemConfig
-from repro.persist import make_scheme
-from repro.recovery import crash_machine, recover, verify_recovery
-from repro.sim.machine import Machine
-from repro.sim.ops import Begin, End, Lock, Read, Unlock, Write
+from repro.harness.fuzz import (
+    FuzzCase,
+    build_machine,
+    check_crash,
+    check_no_crash,
+    crash_cycles,
+)
 
 NUM_LINES = 12
 
@@ -41,30 +43,6 @@ def programs(draw):
     return threads
 
 
-def build_machine(threads, wpq_entries):
-    m = Machine(SystemConfig.small(wpq_entries=wpq_entries), make_scheme("asap_redo"))
-    base = m.heap.alloc(64 * NUM_LINES)
-    lock = m.new_lock()
-
-    def worker(env, regions):
-        for region in regions:
-            yield Lock(lock)
-            yield Begin()
-            for line_idx, read_first, value in region:
-                addr = base + 64 * line_idx
-                if read_first:
-                    (v,) = yield Read(addr, 1)
-                    yield Write(addr, [v ^ value])
-                else:
-                    yield Write(addr, [value])
-            yield End()
-            yield Unlock(lock)
-
-    for regions in threads:
-        m.spawn(lambda env, r=regions: worker(env, r))
-    return m
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     threads=programs(),
@@ -72,13 +50,11 @@ def build_machine(threads, wpq_entries):
     wpq_entries=st.sampled_from([2, 8]),
 )
 def test_redo_recovery_consistent_at_any_crash_point(threads, crash_frac, wpq_entries):
-    total = build_machine(threads, wpq_entries).run().cycles
-    m = build_machine(threads, wpq_entries)
-    state = crash_machine(m, at_cycle=max(1, int(total * crash_frac)))
-    assert state.log_kind == "redo"
-    image, _report = recover(state)
-    verdict = verify_recovery(m, image)
-    assert verdict.ok, verdict.explain()
+    case = FuzzCase("asap_redo", threads, wpq_entries=wpq_entries)
+    total = build_machine(case).run().cycles
+    (cycle,) = crash_cycles(total, fracs=[crash_frac])
+    check = check_crash(case, cycle)
+    assert not check.problems, check.failures
 
 
 @settings(max_examples=10, deadline=None)
@@ -101,6 +77,4 @@ def test_redo_recovery_consistent_at_any_crash_point(threads, crash_frac, wpq_en
     ]
 )
 def test_redo_no_crash_run_is_durable(threads):
-    m = build_machine(threads, wpq_entries=4)
-    m.run()
-    assert m.oracle.mismatches(m.pm_image) == []
+    assert check_no_crash(FuzzCase("asap_redo", threads, wpq_entries=4)) == []

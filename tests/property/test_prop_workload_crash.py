@@ -8,21 +8,8 @@ oracle image and the structure validators must accept the result.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.common.params import SystemConfig
-from repro.persist import make_scheme
-from repro.recovery import crash_machine, recover, verify_recovery
-from repro.sim.machine import Machine
-from repro.workloads import WorkloadParams, get_workload, workload_names
-
-
-def build(workload, scheme, seed, threads):
-    params = WorkloadParams(
-        num_threads=threads, ops_per_thread=8, setup_items=12, seed=seed
-    )
-    machine = Machine(SystemConfig.small(), make_scheme(scheme))
-    wl = get_workload(workload, params)
-    wl.install(machine)
-    return machine, wl
+from repro.harness.fuzz import FuzzCase, build_machine, check_crash, crash_cycles
+from repro.workloads import workload_names
 
 
 @settings(
@@ -38,11 +25,16 @@ def build(workload, scheme, seed, threads):
     crash_frac=st.floats(0.1, 0.95),
 )
 def test_workload_crash_recovery_fuzz(workload, scheme, seed, threads, crash_frac):
-    total = build(workload, scheme, seed, threads)[0].run().cycles
-    machine, wl = build(workload, scheme, seed, threads)
-    state = crash_machine(machine, at_cycle=max(1, int(total * crash_frac)))
-    image, _report = recover(state)
-    verdict = verify_recovery(machine, image)
-    assert verdict.ok, f"{workload}/{scheme}: {verdict.explain()}"
-    errors = wl.validate_image(image)
-    assert errors == [], (workload, scheme, errors)
+    case = FuzzCase(
+        scheme,
+        threads=[],
+        wpq_entries=16,
+        workload=workload,
+        workload_params=dict(
+            num_threads=threads, ops_per_thread=8, setup_items=12, seed=seed
+        ),
+    )
+    total = build_machine(case).run().cycles
+    (cycle,) = crash_cycles(total, fracs=[crash_frac])
+    check = check_crash(case, cycle)
+    assert not check.problems, (workload, scheme, check.failures)
