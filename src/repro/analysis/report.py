@@ -22,15 +22,16 @@ lists.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping
 
 from repro.analysis.rules import LINT_RULES, RACE_RULES, SANITIZER_RULES, Violation
+from repro.common.schema import Schema, check_fields
 
 #: bump on incompatible changes to the report shape below
 ANALYSIS_SCHEMA_VERSION = 1
 
 #: the report's shape: field -> (type, required)
-REPORT_SCHEMA: Dict[str, Tuple[type, bool]] = {
+REPORT_SCHEMA: Schema = {
     "schema_version": (int, True),
     "tool": (str, True),
     "pass": (str, True),
@@ -39,7 +40,7 @@ REPORT_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "summary": (dict, True),
 }
 
-_SUMMARY_SCHEMA: Dict[str, Tuple[type, bool]] = {
+_SUMMARY_SCHEMA: Schema = {
     "targets": (int, True),
     "errors": (int, True),
     "warnings": (int, True),
@@ -141,19 +142,9 @@ def races_report(results: List[object]) -> dict:
 def validate_report(report: dict) -> List[str]:
     """Check a report against :data:`REPORT_SCHEMA`; returns problem
     strings (empty means valid)."""
-    problems: List[str] = []
     if not isinstance(report, dict):
         return [f"report is {type(report).__name__}, expected dict"]
-    for key, (typ, required) in REPORT_SCHEMA.items():
-        if key not in report:
-            if required:
-                problems.append(f"missing field {key!r}")
-            continue
-        if not isinstance(report[key], typ):
-            problems.append(
-                f"field {key!r} is {type(report[key]).__name__}, "
-                f"expected {typ.__name__}"
-            )
+    problems = check_fields(report, REPORT_SCHEMA)
     version = report.get("schema_version")
     if isinstance(version, int) and version > ANALYSIS_SCHEMA_VERSION:
         problems.append(
@@ -172,15 +163,7 @@ def validate_report(report: dict) -> List[str]:
             problems.append(f"targets[{i}] missing violations list")
     summary = report.get("summary")
     if isinstance(summary, dict):
-        for key, (typ, required) in _SUMMARY_SCHEMA.items():
-            if key not in summary:
-                if required:
-                    problems.append(f"summary missing {key!r}")
-            elif not isinstance(summary[key], typ):
-                problems.append(
-                    f"summary.{key} is {type(summary[key]).__name__}, "
-                    f"expected {typ.__name__}"
-                )
+        problems += check_fields(summary, _SUMMARY_SCHEMA, "summary")
     return problems
 
 

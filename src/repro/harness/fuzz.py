@@ -347,7 +347,10 @@ def check_crash(
 
 def crash_sweep(case: FuzzCase, cycles: Sequence[int]) -> Iterator[CrashCheck]:
     """:func:`check_crash` at ascending ``cycles`` on one build, made on
-    the first ``next()`` even for no cycles; a caller may stop early."""
+    the first ``next()`` and only if there is a cycle to crash at; a
+    caller may stop early."""
+    if not cycles:
+        return
     machine = build_machine(case)
     for cycle in cycles:
         yield check_crash(case, cycle, machine)
@@ -362,9 +365,8 @@ def case_failures(case: FuzzCase, crash_points: int = 0) -> List[str]:
     """
     failures, total = clean_run(case)
     cycles = sorted(set(crash_cycles(total, crash_points, case.crash_fracs)))
-    if cycles:
-        for check in crash_sweep(case, cycles):
-            failures.extend(check.failures)
+    for check in crash_sweep(case, cycles):
+        failures.extend(check.failures)
     return failures
 
 

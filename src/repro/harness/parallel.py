@@ -73,9 +73,9 @@ class RunSpec:
     config: Optional[SystemConfig] = None
     params: Optional[WorkloadParams] = None
     sanitize: bool = False
-    #: elide payloads and the oracle (``Machine(fast_path=True)``);
-    #: ignored (reference machine) when ``sanitize`` is set, since the
-    #: sanitizer checks the reference machine only
+    #: run the payload-free machine, without PM image or commit oracle
+    #: (``Machine(fast_path=True)``); a sanitized cell sees the same
+    #: events on it
     fast: bool = False
     builder: str = ""
     builder_kwargs: Tuple[Tuple[str, object], ...] = ()
@@ -185,7 +185,7 @@ def build_cell_machine(spec: RunSpec):
         spec.scheme,
         spec.config,
         spec.params,
-        fast=spec.fast and not spec.sanitize,
+        fast=spec.fast,
     )
 
 

@@ -99,14 +99,12 @@ def run_once(
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
-        fast: elide payloads and the commit oracle
-            (``Machine(fast_path=True)``). Sanitizing forces the reference
-            machine - the payload-free mode's entry condition is "no
-            payload-reading subscriber, no crash window", and the
-            sanitizer checks the reference machine only (docs/PERF.md).
+        fast: run the payload-free machine, without PM image or commit
+            oracle (``Machine(fast_path=True)``). Subscribers, the
+            sanitizer included, see the same events and payloads on
+            either machine; only crash and verify need the reference
+            one (docs/PERF.md).
     """
-    if sanitize:
-        fast = False  # the sanitizer checks the reference machine
     machine = build_machine(workload, scheme, config, params, fast=fast)
     if sanitize:
         from repro.analysis.sanitizer import Sanitizer

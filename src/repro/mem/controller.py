@@ -54,9 +54,8 @@ class Channel:
         index: int,
         scheduler: Scheduler,
         timing: TimingModel,
-        pm_image: MemoryImage,
+        pm_image: Optional[MemoryImage],
         wpq_entries: int,
-        apply_payloads: bool = True,
         drain_gate: Optional[DrainArbiter] = None,
     ):
         self.index = index
@@ -70,7 +69,6 @@ class Channel:
             on_drain=self._count_drain,
             drain_watermark=timing.mem.wpq_drain_watermark,
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
-            apply_payloads=apply_payloads,
             drain_gate=drain_gate,
         )
 
@@ -85,14 +83,14 @@ class MemorySystem:
         self,
         config: SystemConfig,
         scheduler: Scheduler,
-        pm_image: MemoryImage,
-        fast: bool = False,
+        pm_image: Optional[MemoryImage],
     ):
+        """``pm_image`` receives every channel's drained payloads; None
+        (the payload-free machine) drops them."""
         self.config = config
         self.scheduler = scheduler
         self.timing = TimingModel(config)
         self.address_space: AddressSpace = config.address_space
-        self.pm_image = pm_image
         #: one shared write-bus token in the legacy serialized-drain model;
         #: None (the default) lets every channel drain concurrently
         self.drain_arbiter: Optional[DrainArbiter] = (
@@ -105,7 +103,6 @@ class MemorySystem:
                 self.timing,
                 pm_image,
                 config.memory.wpq_entries,
-                apply_payloads=not fast,
                 drain_gate=self.drain_arbiter,
             )
             for i in range(config.memory.num_channels)

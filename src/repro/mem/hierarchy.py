@@ -60,12 +60,8 @@ class CacheHierarchy:
         memory: MemorySystem,
         volatile_image: MemoryImage,
         is_persistent: Callable[[int], bool],
-        fast: bool = False,
     ):
         self.config = config
-        #: fast path: elide writeback payload snapshots (no crash window,
-        #: so drained payloads are never applied or read; docs/PERF.md)
-        self.fast = fast
         self.scheduler = scheduler
         self.memory = memory
         self.timing = memory.timing
@@ -448,7 +444,7 @@ class CacheHierarchy:
 
     def _writeback(self, line: int, rid: Optional[int]) -> PersistOp:
         """A WB persist op carrying ``line``'s current value."""
-        payload = None if self.fast else ((line, self.volatile.line(line)),)
+        payload = ((line, self.volatile.line(line)),)
         return PersistOp(kind=WB, target_line=line, data_line=line, payload=payload, rid=rid)
 
     def drop_line(self, line: int) -> None:

@@ -87,12 +87,7 @@ class PersistOp:
     backpressured: bool = False
 
     def materialized_payload(self) -> tuple:
-        """The runs this write carries, as of right now.
-
-        Fast-path runs elide payloads entirely (``payload is None``): the
-        run can never crash, so nothing ever reads the PM image and the
-        timing/stats surface is payload-independent (docs/PERF.md).
-        """
+        """The runs this write carries, as of right now."""
         payload = self.payload
         return payload() if callable(payload) else payload
 
@@ -142,11 +137,10 @@ class WritePendingQueue:
         scheduler: Scheduler,
         capacity: int,
         write_service: int,
-        pm_image: MemoryImage,
+        pm_image: Optional[MemoryImage],
         on_drain: Optional[Callable[[PersistOp], None]] = None,
         drain_watermark: int = 0,
         lazy_drain_multiplier: int = 1,
-        apply_payloads: bool = True,
         drain_gate: Optional[DrainArbiter] = None,
     ):
         """
@@ -154,15 +148,13 @@ class WritePendingQueue:
             capacity: WPQ entries (128/channel in Table 2).
             write_service: cycles per drained entry (fixed for the
                 machine's lifetime by its :class:`TimingModel`).
-            pm_image: drained payloads are applied here.
+            pm_image: drained payloads are applied here; None (the
+                payload-free machine, which never crashes) drops them.
             on_drain: traffic-accounting hook, called per drained entry.
             drain_watermark: below this occupancy the controller defers
                 writes behind reads - entries drain lazily (every
                 ``write_service * lazy_drain_multiplier`` cycles) and thus
                 linger long enough for LPO/DPO dropping to find them.
-            apply_payloads: False on the fast path - drained entries are
-                not applied to the PM image (the run cannot crash, so the
-                image is never read; timing and stats are unaffected).
             drain_gate: shared :class:`DrainArbiter` serializing write
                 service across channels (legacy lockstep model). The
                 drain loop then splits each interval into the lazy slack
@@ -180,7 +172,6 @@ class WritePendingQueue:
         self._on_drain = on_drain
         self._drain_watermark = max(0, min(drain_watermark, capacity - 1))
         self._lazy_multiplier = max(1, lazy_drain_multiplier)
-        self._apply_payloads = apply_payloads
         #: victim indexes, so the targeted drops
         #: (:meth:`drop_data_ops_for_line`, :meth:`drop_log_ops_for_rid`)
         #: find their victims without scanning the whole queue.
@@ -364,7 +355,7 @@ class WritePendingQueue:
             return
         _, op = self._entries.popitem(last=False)
         self._index_remove(op)
-        if self._apply_payloads:
+        if self._pm_image is not None:
             self._pm_image.apply(op.materialized_payload())
         self.drained += 1
         if self.observer is not None:

@@ -474,11 +474,7 @@ class AsapScheme(AsyncCommitScheme):
             # word that names it (Sec. 5.5: "ASAP sends the logged value to
             # the WPQ and the address to the LH-WPQ"): the entry becomes
             # visible to recovery exactly when its value is durable.
-            payload = (
-                None
-                if self.fast
-                else record.entry_payload(slot_idx, old_snapshot)
-            )
+            payload = record.entry_payload(slot_idx, old_snapshot)
 
             def accepted(op: PersistOp) -> None:
                 record.confirm(slot_idx)
@@ -667,7 +663,7 @@ class AsapScheme(AsyncCommitScheme):
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         line = slot.line
         meta = self.hierarchy.tags.get(line)
-        payload = None if self.fast else ((line, self.volatile.line(line)),)
+        payload = ((line, self.volatile.line(line)),)
         version = slot.data_version
         if not self.params.dpo_coalescing and slot.eager_backlog > 1:
             # No-Opt ablation: one DPO per write. All but the newest are

@@ -372,8 +372,8 @@ class AsapRedoLogging(AsyncCommitScheme):
         if sealed is not None:
             self._persist_header(sealed, region.rid, sealed.header_payload)
         logged = self.machine.volatile.line(line)
-        region.values[line] = None if self.fast else ((line, logged),)
-        payload = None if self.fast else record.entry_payload(slot, logged)
+        region.values[line] = ((line, logged),)
+        payload = record.entry_payload(slot, logged)
         region.outstanding_lpos += 1
         self._last_writer[line] = region.rid
         if self.observer is not None:

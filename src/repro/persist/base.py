@@ -115,16 +115,12 @@ class PersistenceScheme(abc.ABC):
     def __init__(self):
         self.machine: Optional["Machine"] = None
         self.observer = None  # wired by Machine.observe
-        #: mirrors ``machine.fast_path`` after attach: schemes elide
-        #: persist-op payloads when set (docs/PERF.md)
-        self.fast = False
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, machine: "Machine") -> None:
         """Bind the scheme to a machine (images, hierarchy, controllers)."""
         self.machine = machine
-        self.fast = getattr(machine, "fast_path", False)
 
     def hook_points(self) -> list:
         """The scheme's structures that fire observer events; each class

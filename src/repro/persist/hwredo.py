@@ -106,7 +106,7 @@ class HardwareRedoLogging(PersistenceScheme):
                 # A later region re-logged the line: its DPO supersedes ours.
                 self.dpos_filtered += 1
                 continue
-            payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
+            payload = ((line, self.machine.volatile.line(line)),)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -168,11 +168,7 @@ class HardwareRedoLogging(PersistenceScheme):
         record.confirm(slot)  # synchronous schemes persist entries in order
         if sealed is not None:
             self._persist_header(sealed, thread.rid, sealed.header_payload())
-        payload = (
-            None
-            if self.fast
-            else ((entry_addr, self.machine.volatile.line(line)),)
-        )
+        payload = ((entry_addr, self.machine.volatile.line(line)),)
         thread.outstanding_lpos += 1
         self._last_writer[line] = thread.rid
 

@@ -142,9 +142,7 @@ class HardwareUndoLogging(PersistenceScheme):
         record.confirm(slot)
         if sealed is not None:
             self._persist_header(sealed, thread.rid, sealed.header_payload())
-        payload = (
-            None if self.fast else record.entry_payload(slot, old_snapshot)
-        )
+        payload = record.entry_payload(slot, old_snapshot)
         thread.outstanding += 1
 
         def lpo_drained(_op, rid=thread.rid) -> None:
@@ -199,7 +197,7 @@ class HardwareUndoLogging(PersistenceScheme):
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT
         ls.dirty = False
-        payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
+        payload = ((line, self.machine.volatile.line(line)),)
         meta = self.machine.hierarchy.tags.get(line)
         if meta is not None:
             meta.dirty = False

@@ -89,7 +89,7 @@ class SoftwareLogging(PersistenceScheme):
                 after_fence()
 
         for line in lines:
-            payload = None if self.fast else ((line, self.machine.volatile.line(line)),)
+            payload = ((line, self.machine.volatile.line(line)),)
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
@@ -154,7 +154,7 @@ class SoftwareLogging(PersistenceScheme):
                 # A filled record's header is written out (persist, no wait:
                 # the entry flush below already orders after it per channel).
                 self._persist_header(sealed, thread.rid, sealed.header_payload())
-            payload = None if self.fast else ((entry_addr, old_snapshot),)
+            payload = ((entry_addr, old_snapshot),)
             # clwb + mfence: the store retires only once the log entry is
             # inside the persistence domain - the software critical path.
             def log_persisted(_op) -> None:

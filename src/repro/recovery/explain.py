@@ -10,8 +10,8 @@ order, and every restore applied - into a structured, deterministic JSON
 trace, plus a human narrative rendered from the same data.
 
 The trace format is versioned (:data:`SCHEMA_VERSION`) and validated by
-:func:`validate_trace` against :data:`TRACE_SCHEMA` (a small hand-rolled
-checker; the repo deliberately has no jsonschema dependency). CI smokes
+:func:`validate_trace` against :data:`TRACE_SCHEMA` (with the shape
+checker the analysis reports share, :mod:`repro.common.schema`). CI smokes
 the whole path on the regression corpus. Worked example and field-by-
 field description: docs/RECOVERY.md.
 """
@@ -19,8 +19,9 @@ field description: docs/RECOVERY.md.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
+from repro.common.schema import Schema, check_fields
 from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
 from repro.recovery.recover import RecoveryObserver, RecoveryReport, recover
@@ -29,7 +30,7 @@ SCHEMA_VERSION = 2
 
 #: the trace's shape: field -> (type, required). "list[dict]" values are
 #: checked per-element against the nested spec in :data:`_NESTED`.
-TRACE_SCHEMA: Dict[str, Tuple[type, bool]] = {
+TRACE_SCHEMA: Schema = {
     "schema_version": (int, True),
     "log_kind": (str, True),
     "crash_cycle": (int, True),
@@ -41,7 +42,7 @@ TRACE_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "summary": (dict, True),
 }
 
-_NESTED: Dict[str, Dict[str, Tuple[type, bool]]] = {
+_NESTED: Dict[str, Schema] = {
     "records": {
         "rid": (int, True),
         "header_addr": (int, True),
@@ -68,45 +69,18 @@ _NESTED: Dict[str, Dict[str, Tuple[type, bool]]] = {
 def validate_trace(trace: dict) -> List[str]:
     """Check a trace against :data:`TRACE_SCHEMA`; returns problem strings
     (empty means valid)."""
-    problems: List[str] = []
     if not isinstance(trace, dict):
         return [f"trace is {type(trace).__name__}, expected dict"]
-    for key, (typ, required) in TRACE_SCHEMA.items():
-        if key not in trace:
-            if required:
-                problems.append(f"missing field {key!r}")
-            continue
-        if not isinstance(trace[key], typ):
-            problems.append(
-                f"field {key!r} is {type(trace[key]).__name__}, "
-                f"expected {typ.__name__}"
-            )
+    problems = check_fields(trace, TRACE_SCHEMA)
     for key in ("records", "decisions"):
-        spec = _NESTED[key]
         for i, item in enumerate(trace.get(key) or []):
-            if not isinstance(item, dict):
+            if isinstance(item, dict):
+                problems += check_fields(item, _NESTED[key], f"{key}[{i}]")
+            else:
                 problems.append(f"{key}[{i}] is not an object")
-                continue
-            for fkey, (ftyp, frequired) in spec.items():
-                if fkey not in item:
-                    if frequired:
-                        problems.append(f"{key}[{i}] missing {fkey!r}")
-                elif not isinstance(item[fkey], ftyp):
-                    problems.append(
-                        f"{key}[{i}].{fkey} is {type(item[fkey]).__name__}, "
-                        f"expected {ftyp.__name__}"
-                    )
     summary = trace.get("summary")
     if isinstance(summary, dict):
-        for fkey, (ftyp, frequired) in _NESTED["summary"].items():
-            if fkey not in summary:
-                if frequired:
-                    problems.append(f"summary missing {fkey!r}")
-            elif not isinstance(summary[fkey], ftyp):
-                problems.append(
-                    f"summary.{fkey} is {type(summary[fkey]).__name__}, "
-                    f"expected {ftyp.__name__}"
-                )
+        problems += check_fields(summary, _NESTED["summary"], "summary")
     if trace.get("schema_version") not in (None, SCHEMA_VERSION):
         problems.append(
             f"schema_version {trace['schema_version']} != {SCHEMA_VERSION}"

@@ -134,12 +134,13 @@ class ThreadExecutor:
 
     def _do_write(self, addr: int, values) -> None:
         rid = self.current_rid
+        oracle = self.machine.oracle  # None on the payload-free machine
         if (
             rid is not None
-            and not self.machine.fast_path
+            and oracle is not None
             and self.machine.page_table.is_persistent(addr)
         ):
-            self.machine.oracle.record_write(rid, addr, values)
+            oracle.record_write(rid, addr, values)
         base = addr & ~(WORD_BYTES - 1)
         if values and _fits_line(base, len(values)):
             # one line: the scheme's completion steps the thread directly

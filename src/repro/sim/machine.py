@@ -35,42 +35,42 @@ class Machine:
     ):
         """
         Args:
-            fast_path: elide what only inspection reads - no persist-op
-                payloads, no PM-image application, no commit oracle. Every
-                structure and the event order are shared, so RunResult
-                stats are identical to the reference machine (the
-                differential-identity gate enforces this); crash
-                injection, recovery and every payload-reading subscriber
-                require the reference machine (docs/PERF.md).
+            fast_path: build the payload-free machine - the reference
+                machine minus what only inspection reads: no PM image
+                (``pm_image`` is None, drained payloads are dropped) and
+                no commit oracle (``oracle`` is None). Every structure,
+                payload and event is shared, so RunResult stats and every
+                subscriber's view are identical to the reference machine
+                (the differential-identity gate enforces this); crash
+                injection and verification need the reference machine
+                (docs/PERF.md). This module is the only one that reads
+                the flag.
         """
         self.config = config
         self.fast_path = fast_path
         self.scheduler = Scheduler()
         self.volatile = MemoryImage("volatile")
-        self.pm_image = MemoryImage("pm")
+        self.pm_image = None if fast_path else MemoryImage("pm")
         self.page_table = PageTable()
         self.heap = PersistentHeap(config.address_space, self.page_table)
         self.dram_heap = VolatileHeap(config.address_space)
-        self.memory = MemorySystem(
-            config, self.scheduler, self.pm_image, fast=fast_path
-        )
+        self.memory = MemorySystem(config, self.scheduler, self.pm_image)
         self.hierarchy = CacheHierarchy(
             config,
             self.scheduler,
             self.memory,
             self.volatile,
             self.page_table.is_persistent,
-            fast=fast_path,
         )
         self.scheme = scheme
-        self.oracle = CommitOracle()
+        self.oracle = None if fast_path else CommitOracle()
         scheme.attach(self)
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
         self.observers: List[SimObserver] = []
         self._next_thread_id = 0
         self._started = False
-        if not fast_path:
+        if self.oracle is not None:
             self.observe(self.oracle)
 
     def observe(self, subscriber: SimObserver) -> SimObserver:
@@ -113,30 +113,31 @@ class Machine:
     def bootstrap_write(self, addr: int, values) -> None:
         """Zero-cost initialisation write, as if persisted before the run.
 
-        Applied to the volatile image, the PM image, and the commit oracle's
-        committed image - modelling a data structure that was built and made
-        durable before the measured (and crash-injected) phase begins.
+        Applied to the volatile image and, on the reference machine, the
+        PM image and the commit oracle's committed image - modelling a
+        data structure that was built and made durable before the
+        measured (and crash-injected) phase begins.
         """
         self.volatile.write_range(addr, values)
-        if not self.fast_path:
-            # Fast runs never crash or verify against the oracle, so the PM
-            # and committed images are never read.
+        if self.pm_image is not None:
             self.pm_image.write_range(addr, values)
             self.oracle.committed.write_range(addr, values)
 
     def adopt_image(self, image) -> None:
         """Resume from a recovered PM image (the restart-after-crash flow).
 
-        Overwrites the volatile, PM, and oracle-committed views with the
-        image's contents - call after installing the workload (so its
-        address layout matches; heap allocation is deterministic) and
-        before :meth:`run`. The continuing run then operates on exactly
-        the durable state the crashed machine left behind.
+        Overwrites the volatile view and, on the reference machine, the
+        PM and oracle-committed views with the image's contents - call
+        after installing the workload (so its address layout matches;
+        heap allocation is deterministic) and before :meth:`run`. The
+        continuing run then operates on exactly the durable state the
+        crashed machine left behind.
         """
         for word, value in image.items():
             self.volatile.write_word(word, value)
-            self.pm_image.write_word(word, value)
-            self.oracle.committed.write_word(word, value)
+            if self.pm_image is not None:
+                self.pm_image.write_word(word, value)
+                self.oracle.committed.write_word(word, value)
 
     # -- execution ------------------------------------------------------------
 

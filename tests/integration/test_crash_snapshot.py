@@ -15,13 +15,16 @@ import os
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.common.params import SystemConfig
-from repro.harness.fuzz import build_machine, generate_case, load_corpus_entry
-from repro.persist import make_scheme, scheme_names
+from repro.harness.fuzz import (
+    FuzzCase,
+    build_machine,
+    crash_cycles,
+    generate_case,
+    load_corpus_entry,
+)
+from repro.persist import scheme_names
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.executor import ThreadExecutor
-from repro.sim.machine import Machine
-from repro.workloads import WorkloadParams, get_workload
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "property", "corpus")
 CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS, "*.json")))
@@ -29,26 +32,21 @@ CORPUS_FILES = sorted(glob.glob(os.path.join(CORPUS, "*.json")))
 K = 4
 #: generated fuzz cases per log flavour
 GENERATED = 25
-PARAMS = WorkloadParams(num_threads=3, ops_per_thread=12, setup_items=16)
-
-
-def workload_builder(scheme, workload="Q"):
-    def build():
-        machine = Machine(SystemConfig.small(), make_scheme(scheme))
-        get_workload(workload, PARAMS).install(machine)
-        return machine
-
-    return build
+PARAMS = dict(num_threads=3, ops_per_thread=12, setup_items=16)
 
 
 def case_builder(case):
     return lambda: build_machine(case)
 
 
+def workload_builder(scheme, workload="Q"):
+    return case_builder(
+        FuzzCase(scheme, [], wpq_entries=16, workload=workload, workload_params=PARAMS)
+    )
+
+
 def crash_points(total, fracs=()):
-    points = {max(1, ((i + 1) * total) // (K + 1)) for i in range(K)}
-    points.update(max(1, int(total * f)) for f in fracs)
-    return sorted(points)
+    return sorted(set(crash_cycles(total, K, fracs)))
 
 
 def state_fields(state):

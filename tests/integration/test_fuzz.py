@@ -233,6 +233,14 @@ def test_crash_cycles_spacing_then_pinned_fractions():
     assert fuzz.crash_cycles(1, points=2) == [1, 1]
 
 
+def test_crash_sweep_builds_only_when_there_is_a_point(monkeypatch):
+    # a budget cut that leaves a case no crash point builds no machine
+    built = []
+    monkeypatch.setattr(fuzz, "build_machine", built.append)
+    assert list(fuzz.crash_sweep(fuzz.generate_case(0, 0, "asap"), [])) == []
+    assert built == []
+
+
 def test_index_past_the_array_does_not_alias_the_log_area():
     # the undo property strategy draws 16 lines, the fuzzer's array is 12:
     # a store to line 12 once landed in the thread's log area, and

@@ -8,78 +8,87 @@ or nothing, in dependence order.
 import pytest
 
 from repro.common.params import SystemConfig
+from repro.harness.fuzz import (
+    FuzzCase,
+    build_machine,
+    case_workload,
+    check_crash,
+    clean_run,
+    crash_cycles,
+    crash_sweep,
+)
 from repro.persist import make_scheme
 from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, End, Lock, Read, Unlock, Write
-from repro.workloads import WorkloadParams, get_workload, workload_names
+from repro.workloads import workload_names
 
-PARAMS = WorkloadParams(num_threads=3, ops_per_thread=12, value_bytes=64, setup_items=16)
-
-
-def crash_and_check(build_machine, at_cycle):
-    m = build_machine()
-    state = crash_machine(m, at_cycle=at_cycle)
-    image, report = recover(state)
-    verdict = verify_recovery(m, image)
-    assert verdict.ok, verdict.explain()
-    return m, state, report
+PARAMS = dict(num_threads=3, ops_per_thread=12, value_bytes=64, setup_items=16)
 
 
-def workload_machine(name, params=PARAMS, **small_kwargs):
-    def build():
-        m = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
-        get_workload(name, params).install(m)
-        return m
+def workload_case(name, params=PARAMS, wpq_entries=16):
+    return FuzzCase(
+        "asap", [], wpq_entries=wpq_entries, workload=name, workload_params=params
+    )
 
-    return build
+
+def assert_recovers(case, points=0, fracs=()):
+    """The fuzzer's crash check at each point of one clean run: recovery
+    matches the oracle, is deterministic and passes the validators."""
+    failures, total = clean_run(case)
+    assert failures == []
+    for check in crash_sweep(case, sorted(set(crash_cycles(total, points, fracs)))):
+        assert not check.problems, check.failures
 
 
 @pytest.mark.parametrize("workload", workload_names())
 def test_recovery_mid_run(workload):
-    build = workload_machine(workload)
-    total = build().run().cycles
-    for frac in (0.3, 0.6, 0.9):
-        crash_and_check(build, int(total * frac))
+    assert_recovers(workload_case(workload), fracs=(0.3, 0.6, 0.9))
 
 
 @pytest.mark.parametrize("workload", ["BN", "Q", "TPCC"])
 def test_recovery_dense_crash_points(workload):
-    build = workload_machine(workload)
-    total = build().run().cycles
-    for i in range(10):
-        crash_and_check(build, 100 + (i * total) // 11)
+    assert_recovers(workload_case(workload), points=10)
 
 
 def test_recovery_before_any_region():
-    build = workload_machine("HM")
-    m, state, report = crash_and_check(build, 5)
-    assert report.undone_count == 0
+    check = check_crash(workload_case("HM"), 5)
+    assert not check.problems and check.report.undone_count == 0
 
 
 def test_recovery_after_quiescence_undoes_nothing():
-    build = workload_machine("HM")
-    total = build().run().drain_cycles
-    m, state, report = crash_and_check(build, total + 100)
-    assert report.undone_count == 0
+    case = workload_case("HM")
+    drained = build_machine(case).run().drain_cycles
+    check = check_crash(case, drained + 100)
+    assert not check.problems and check.report.undone_count == 0
 
 
 def test_recovery_with_2kb_regions():
-    params = WorkloadParams(num_threads=2, ops_per_thread=6, value_bytes=2048, setup_items=8)
-    build = workload_machine("SS", params)
-    total = build().run().cycles
-    for frac in (0.4, 0.8):
-        crash_and_check(build, int(total * frac))
+    params = dict(num_threads=2, ops_per_thread=6, value_bytes=2048, setup_items=8)
+    assert_recovers(workload_case("SS", params), fracs=(0.4, 0.8))
 
 
 def test_recovery_with_tiny_wpq_and_log():
     """Structural pressure (1-entry WPQ, small log forcing overflow growth)
     must not break recoverability."""
-    params = WorkloadParams(num_threads=2, ops_per_thread=10, setup_items=8)
-    build = workload_machine("Q", params, wpq_entries=1, initial_log_entries=16)
+    params = dict(num_threads=2, ops_per_thread=10, setup_items=8)
+    case = workload_case("Q", params, wpq_entries=1)
+
+    def build():
+        # the case's machine with a 16-entry initial log
+        m = Machine(
+            SystemConfig.small(wpq_entries=1, initial_log_entries=16),
+            make_scheme("asap"),
+        )
+        m.workload = case_workload(case)
+        m.workload.install(m)
+        return m
+
     total = build().run().cycles
-    for frac in (0.35, 0.7):
-        crash_and_check(build, int(total * frac))
+    machine = build()
+    for cycle in crash_cycles(total, fracs=(0.35, 0.7)):
+        check = check_crash(case, cycle, machine)
+        assert not check.problems, check.failures
 
 
 def test_recovery_undoes_dependent_chain_in_order():
@@ -108,13 +117,13 @@ def test_recovery_undoes_dependent_chain_in_order():
         m._test_addr = a
         return m
 
-    # crash early enough that some regions are uncommitted
-    probe = build()
-    total = probe.run().cycles
+    # crash early enough that some regions are uncommitted (a hand-built
+    # program with a bootstrap value: no fuzz case expresses it)
+    total = build().run().cycles
     found_partial = False
-    for frac in (0.2, 0.35, 0.5, 0.65, 0.8):
-        m = build()
-        state = crash_machine(m, at_cycle=int(total * frac))
+    m = build()
+    for cycle in crash_cycles(total, fracs=(0.2, 0.35, 0.5, 0.65, 0.8)):
+        state = crash_machine(m, at_cycle=cycle)
         image, report = recover(state)
         verdict = verify_recovery(m, image)
         assert verdict.ok, verdict.explain()
@@ -124,18 +133,17 @@ def test_recovery_undoes_dependent_chain_in_order():
 
 
 def test_recovery_report_counts():
-    build = workload_machine("BN")
-    total = build().run().cycles
-    m = build()
-    state = crash_machine(m, at_cycle=total // 2)
+    case = workload_case("BN")
+    _failures, total = clean_run(case)
+    m = build_machine(case)
+    state = crash_machine(m, at_cycle=crash_cycles(total, points=1)[0])
     image, report = recover(state)
     assert report.records_scanned > 0
     assert report.undone_count == len(state.dependence_entries)
 
 
 def test_crash_state_contains_log_directory():
-    build = workload_machine("BN")
-    m = build()
+    m = build_machine(workload_case("BN"))
     state = crash_machine(m, at_cycle=500)
     assert set(state.log_directory) == {0, 1, 2}
     assert state.entries_per_record == 7

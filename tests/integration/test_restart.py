@@ -2,34 +2,33 @@
 
 import pytest
 
-from repro.common.params import SystemConfig
-from repro.persist import make_scheme
+from repro.harness.fuzz import FuzzCase, build_machine, clean_run, crash_cycles
 from repro.recovery import crash_machine, recover, verify_recovery
-from repro.sim.machine import Machine
-from repro.workloads import WorkloadParams, get_workload
 
-PARAMS = WorkloadParams(num_threads=3, ops_per_thread=12, value_bytes=128, setup_items=16)
+PARAMS = dict(num_threads=3, ops_per_thread=12, value_bytes=128, setup_items=16)
+
+
+def case(scheme="asap"):
+    return FuzzCase(scheme, [], wpq_entries=16, workload="SS", workload_params=PARAMS)
 
 
 def build(scheme="asap"):
-    machine = Machine(SystemConfig.small(), make_scheme(scheme))
-    workload = get_workload("SS", PARAMS)
-    workload.install(machine)
-    return machine, workload
+    machine = build_machine(case(scheme))
+    return machine, machine.workload
 
 
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
 def test_restart_continues_from_recovered_state(scheme):
-    total = build(scheme)[0].run().cycles
+    _failures, total = clean_run(case(scheme))
     machine, workload = build(scheme)
-    state = crash_machine(machine, at_cycle=total // 2)
+    state = crash_machine(machine, at_cycle=crash_cycles(total, points=1)[0])
     image, _ = recover(state)
     assert verify_recovery(machine, image).ok
 
     machine2, workload2 = build(scheme)
     machine2.adopt_image(image)
     result = machine2.run()
-    assert result.regions_completed == PARAMS.num_threads * PARAMS.ops_per_thread
+    assert result.regions_completed == PARAMS["num_threads"] * PARAMS["ops_per_thread"]
     # still a valid permutation of the original strings, and the durable
     # view matches the committed view
     assert workload2.validate_image(machine2.pm_image) == []
@@ -38,14 +37,15 @@ def test_restart_continues_from_recovered_state(scheme):
 
 def test_restart_can_crash_and_recover_again():
     """Two back-to-back crash cycles: recovery composes."""
-    total = build()[0].run().cycles
+    _failures, total = clean_run(case())
+    at = crash_cycles(total, points=2)[0]
     machine, _ = build()
-    state = crash_machine(machine, at_cycle=total // 3)
+    state = crash_machine(machine, at_cycle=at)
     image, _ = recover(state)
 
     machine2, workload2 = build()
     machine2.adopt_image(image)
-    state2 = crash_machine(machine2, at_cycle=total // 3)
+    state2 = crash_machine(machine2, at_cycle=at)
     image2, _ = recover(state2)
     assert verify_recovery(machine2, image2).ok
     assert workload2.validate_image(image2) == []

@@ -14,17 +14,18 @@ healthy image must trip it - so a passing run is meaningful.
 import pytest
 
 from repro.common.params import SystemConfig
+from repro.harness.fuzz import FuzzCase, clean_run, crash_cycles, crash_sweep
 from repro.persist import make_scheme
-from repro.recovery import crash_machine, recover
+from repro.recovery import crash_machine
 from repro.sim.machine import Machine
 from repro.workloads import WorkloadParams, get_workload, workload_names
 
-PARAMS = WorkloadParams(num_threads=3, ops_per_thread=15, setup_items=24)
+PARAMS = dict(num_threads=3, ops_per_thread=15, setup_items=24)
 
 
 def fresh(name, **small_kwargs):
     machine = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
-    workload = get_workload(name, PARAMS)
+    workload = get_workload(name, WorkloadParams(**PARAMS))
     workload.install(machine)
     return machine, workload
 
@@ -39,13 +40,12 @@ def test_final_pm_image_is_valid_structure(name):
 
 @pytest.mark.parametrize("name", workload_names())
 def test_recovered_image_is_valid_structure(name):
-    total = fresh(name)[0].run().cycles
-    for frac in (0.35, 0.7):
-        machine, workload = fresh(name)
-        state = crash_machine(machine, at_cycle=int(total * frac))
-        image, _report = recover(state)
-        errors = workload.validate_image(image)
-        assert errors == [], (name, frac, errors)
+    # the fuzzer's crash check runs the workload's validators on every
+    # recovered image that matches the oracle
+    case = FuzzCase("asap", [], wpq_entries=16, workload=name, workload_params=PARAMS)
+    _failures, total = clean_run(case)
+    for check in crash_sweep(case, crash_cycles(total, fracs=(0.35, 0.7))):
+        assert not check.problems, (name, check.failures)
 
 
 def test_unrecovered_crash_image_is_sometimes_invalid():

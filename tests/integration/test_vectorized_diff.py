@@ -1,41 +1,48 @@
 """The differential-identity gate for the payload-free mode.
 
-Both cores are one simulator: the same scheduler, memory image, indexes
-and hot paths. ``fast_path=True`` only elides what inspection reads -
-payload snapshots, PM-image application, the commit oracle and observer
-dispatch - and must be *indistinguishable* from the reference machine in
-every :class:`~repro.sim.stats.RunResult` field. This suite pins that
-contract:
+Both machines are one simulator: the same scheduler, memory image,
+indexes, hot paths and persist payloads. ``fast_path=True`` only leaves
+out what inspection reads - the PM image and the commit oracle - and
+must be *indistinguishable* from the reference machine in every
+:class:`~repro.sim.stats.RunResult` field and to every subscriber. This
+suite pins that contract:
 
 * every Table 3 workload under every registered scheme (contended small
   machine, so stalls/backpressure/dropping all fire),
 * the Fig. 7 schemes on HM and Q at the harness's default quick scale,
 * every fuzz-corpus regression schedule,
-* the wiring: ``fast`` toggles payload, oracle and observer elision
-  and nothing else,
-* and the routing rules: ``sanitize`` (and the explain/race tooling,
-  which needs observer slots) always gets the reference machine, while
-  the ``fast`` flag on :class:`~repro.harness.parallel.RunSpec` reaches
-  :func:`~repro.harness.runner.build_machine`.
+* the sanitizer's and the race tracer's reports, payloads included,
+* the wiring: ``fast`` leaves out the PM image and the oracle and
+  nothing else, and crash and verify refuse the machine without them,
+* and the routing rules: the explain/race tooling builds the reference
+  machine, while the ``fast`` flag on
+  :class:`~repro.harness.parallel.RunSpec` reaches
+  :func:`~repro.harness.runner.build_machine`, sanitized or not.
 
-Any divergence here is a bug in the elision, never an accepted delta -
-see docs/PERF.md.
+Any divergence here is a bug, never an accepted delta - see
+docs/PERF.md.
 """
 
 import glob
+import itertools
 import os
 from dataclasses import asdict, replace as dc_replace
 
 import pytest
 
+from repro.analysis.races import RaceTracer, analyze_trace
+from repro.analysis.sanitizer import Sanitizer
+from repro.common.errors import SimulationError
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler
 from repro.harness import runner
 from repro.harness.fuzz import build_machine as fuzz_build_machine
 from repro.harness.fuzz import install_case, load_corpus_entry
 from repro.harness.parallel import RunSpec, run_cell
+from repro.mem import wpq
 from repro.mem.image import MemoryImage
 from repro.persist import make_scheme, scheme_names
+from repro.recovery import crash_machine, recover, verify_recovery
 from repro.sim.machine import Machine
 from repro.workloads import (
     ServiceParams,
@@ -189,6 +196,47 @@ def test_corpus_case_matches_reference(path):
     assert results[1] == results[0]
 
 
+#: the sanitizer and race tracer on both machines: Q and HM under the
+#: async ASAP variants, undo locking and synchronous SW
+PARITY_MATRIX = [
+    (w, s) for w in ("Q", "HM") for s in ("asap", "asap_redo", "hwundo", "sw")
+]
+
+
+@pytest.mark.parametrize(
+    "workload,scheme", PARITY_MATRIX, ids=[f"{w}-{s}" for w, s in PARITY_MATRIX]
+)
+def test_subscribers_report_the_same_on_both_machines(
+    workload, scheme, monkeypatch
+):
+    # Payloads are built on both machines, so every subscriber sees the
+    # same events carrying the same payloads: the race tracer's recorded
+    # nodes (payloads and op ids, numbered from 0 per run) and findings
+    # and the sanitizer's violations must be equal.
+    seen = []
+    for fast in (False, True):
+        monkeypatch.setattr(wpq, "_op_ids", itertools.count())
+        machine = runner.build_machine(
+            workload, scheme, _config(), _params(), fast=fast
+        )
+        sanitizer = Sanitizer(raise_on_violation=False).attach(machine)
+        tracer = RaceTracer().attach(machine)
+        cycles = machine.run().cycles
+        races = analyze_trace(
+            tracer, machine.scheme.ORDERING_EDGES, cycles, scheme=scheme,
+            source=workload,
+        )
+        seen.append(
+            (
+                sanitizer.summary(),
+                [asdict(node) for node in tracer.nodes],
+                races.to_target_dict(),
+            )
+        )
+    assert all(node["payload"] for node in seen[0][1])
+    assert seen[1] == seen[0]
+
+
 def test_fast_machine_wiring():
     # One core: both machines build the same structures ...
     fast = runner.build_machine("Q", "asap", _config(), _params(), fast=True)
@@ -197,24 +245,30 @@ def test_fast_machine_wiring():
     for machine in (fast, ref):
         assert type(machine.scheduler) is Scheduler
         assert type(machine.volatile) is MemoryImage
-        assert type(machine.pm_image) is MemoryImage
-    # ... and the flag toggles only payload and oracle elision.
-    for machine, elide in ((fast, True), (ref, False)):
-        assert machine.scheme.fast is elide
-        assert machine.scheme.fast is elide
-        assert machine.hierarchy.fast is elide
-        assert all(
-            ch.wpq._apply_payloads is not elide for ch in machine.memory.channels
-        )
-        assert (machine.oracle in machine.observers) is not elide
+    # ... and the flag leaves out only the PM image and the oracle.
+    assert fast.pm_image is None and fast.oracle is None
+    assert fast.observers == []
+    assert all(ch.wpq._pm_image is None for ch in fast.memory.channels)
+    assert type(ref.pm_image) is MemoryImage
+    assert ref.observers == [ref.oracle]
+    assert all(ch.wpq._pm_image is ref.pm_image for ch in ref.memory.channels)
     fast_result, ref_result = fast.run(), ref.run()
     assert asdict(fast_result) == asdict(ref_result)
-    # The elided state stays empty: no PM image, no committed image.
-    assert len(fast.pm_image) == 0 and not fast.oracle.committed_rids
     assert len(ref.pm_image) > 0 and ref.oracle.committed_rids
 
 
-def test_sanitize_forces_reference_machine(monkeypatch):
+def test_crash_and_verify_refuse_the_payload_free_machine():
+    fast = runner.build_machine("Q", "asap", _config(), _params(), fast=True)
+    with pytest.raises(SimulationError, match="no PM image or commit oracle"):
+        crash_machine(fast, at_cycle=400)
+    ref = runner.build_machine("Q", "asap", _config(), _params())
+    image, _report = recover(crash_machine(ref, at_cycle=400))
+    with pytest.raises(SimulationError, match="need the reference machine"):
+        verify_recovery(fast, image)
+    assert verify_recovery(ref, image).ok
+
+
+def test_sanitize_runs_on_the_requested_machine(monkeypatch):
     built = {}
     orig = runner.build_machine
 
@@ -226,8 +280,8 @@ def test_sanitize_forces_reference_machine(monkeypatch):
     monkeypatch.setattr(runner, "build_machine", spy)
     runner.run_once("Q", "asap", _config(), _params(), sanitize=True, fast=True)
     machine = built["machine"]
-    assert machine.fast_path is False
-    # The sanitizer did attach: observers run on the reference machine only.
+    assert machine.fast_path is True
+    # The sanitizer did attach, to the payload-free machine.
     assert machine.hierarchy.observer is not None
     assert machine.scheme.observer is not None
 
@@ -249,7 +303,7 @@ def test_runspec_fast_flag_routing(monkeypatch):
     run_cell(RunSpec(fast=True, **base))
     assert built["machine"].fast_path is True
     run_cell(RunSpec(fast=True, sanitize=True, **base))
-    assert built["machine"].fast_path is False
+    assert built["machine"].fast_path is True
     run_cell(RunSpec(**base))
     assert built["machine"].fast_path is False
 
@@ -273,4 +327,4 @@ def test_explain_tooling_stays_on_reference_machine():
     case.ordered_line_log_persists = True
     machine = fuzz_build_machine(case)
     assert machine.fast_path is False
-    assert all(ch.wpq._apply_payloads for ch in machine.memory.channels)
+    assert machine.pm_image is not None and machine.oracle is not None
