@@ -17,7 +17,7 @@ test-fast:
 # are optional-dependency extras; skip gracefully where not installed).
 lint:
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
-		$(PYTHON) -m ruff check src/repro/analysis tests/analysis tools benchmarks; \
+		$(PYTHON) -m ruff check src/repro/analysis tests/analysis benchmarks; \
 	else \
 		echo "ruff not installed (pip install -e .[lint]); skipping style check"; \
 	fi

@@ -18,7 +18,7 @@ PARAMS = WorkloadParams(num_threads=4, ops_per_thread=30, value_bytes=64, setup_
 
 def build():
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
-    get_workload("EO", PARAMS).install(machine)
+    machine.install(get_workload("EO", PARAMS))
     return machine
 
 

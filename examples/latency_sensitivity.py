@@ -20,7 +20,7 @@ WORKLOAD = "HM"
 def throughput(scheme, multiplier):
     cfg = SystemConfig.small(num_cores=8, pm_latency_multiplier=multiplier)
     machine = Machine(cfg, make_scheme(scheme))
-    get_workload(WORKLOAD, PARAMS).install(machine)
+    machine.install(get_workload(WORKLOAD, PARAMS))
     return machine.run().throughput
 
 

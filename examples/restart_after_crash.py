@@ -19,7 +19,7 @@ PARAMS = WorkloadParams(num_threads=4, ops_per_thread=25, value_bytes=256, setup
 def build():
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
     workload = get_workload("SS", PARAMS)
-    workload.install(machine)
+    machine.install(workload)
     return machine, workload
 
 

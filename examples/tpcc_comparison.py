@@ -17,7 +17,7 @@ SCHEMES = ["np", "sw", "hwundo", "hwredo", "asap", "asap_redo"]
 
 def run(scheme):
     machine = Machine(SystemConfig.small(num_cores=8), make_scheme(scheme))
-    get_workload("TPCC", PARAMS).install(machine)
+    machine.install(get_workload("TPCC", PARAMS))
     return machine.run()
 
 

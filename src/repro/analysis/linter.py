@@ -48,8 +48,8 @@ class LintMachine:
     against, with no simulation behind it.
 
     Provides ``heap``, ``dram_heap``, ``page_table``, ``new_lock``,
-    ``bootstrap_write`` and ``spawn``; spawned generators are collected for
-    the linter to drive instead of being scheduled.
+    ``bootstrap_write``, ``spawn`` and ``install``; spawned generators are
+    collected for the linter to drive instead of being scheduled.
     """
 
     def __init__(self, config: Optional[SystemConfig] = None):
@@ -69,6 +69,9 @@ class LintMachine:
 
     def spawn(self, gen_fn: Callable, core_id: Optional[int] = None) -> None:
         self.spawned.append(gen_fn)
+
+    def install(self, workload) -> None:
+        workload.install(self)
 
 
 @dataclass
@@ -396,7 +399,7 @@ def lint_workload(name: str, params=None, config: Optional[SystemConfig] = None)
         num_threads=2, ops_per_thread=24, setup_items=24
     )
     machine = LintMachine(config)
-    get_workload(name, params).install(machine)
+    machine.install(get_workload(name, params))
     return lint_machine(machine, source=name)
 
 

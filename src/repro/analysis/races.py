@@ -56,6 +56,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.rules import get_rule
 from repro.common.observe import SimObserver
+from repro.core.rid import thread_id_of
 from repro.mem.wpq import DPO, LPO, WB
 
 #: findings reported per (rule, line) before suppression kicks in; dense
@@ -96,7 +97,7 @@ class PersistNode:
 
     @property
     def thread(self) -> Optional[int]:
-        return None if self.rid is None else self.rid >> 32
+        return None if self.rid is None else thread_id_of(self.rid)
 
     def site(self) -> dict:
         """The finding-facing description of this op."""

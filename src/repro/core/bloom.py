@@ -119,7 +119,3 @@ class OwnerSpillBuffer:
         ]
         for line in dead:
             del self._saved[line]
-
-    @property
-    def saved_count(self) -> int:
-        return len(self._saved)

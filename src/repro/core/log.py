@@ -268,11 +268,3 @@ class UndoLog:
         for record in records:
             self._free_slots.append(record.header_addr)
         return records
-
-    # -- recovery support -------------------------------------------------------
-
-    def all_slot_addrs(self):
-        """Yield every record-slot header address (recovery scans these)."""
-        stride = self.record_stride
-        for base, num_records in self.segments:
-            yield from range(base, base + num_records * stride, stride)

@@ -23,10 +23,6 @@ class RID(NamedTuple):
     thread_id: int
     local_rid: int
 
-    @property
-    def packed(self) -> int:
-        return pack_rid(self.thread_id, self.local_rid)
-
     def __str__(self) -> str:  # e.g. "R3.17"
         return f"R{self.thread_id}.{self.local_rid}"
 

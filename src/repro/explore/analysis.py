@@ -8,10 +8,13 @@ touches the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.explore.engine import ExplorationResult, Objective, PointOutcome
 from repro.explore.space import Point, SweepSpace
+
+# engine imports drivers, which rank axes by sensitivity() from here
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.explore.engine import ExplorationResult, Objective, PointOutcome
 
 # -- Pareto frontier ---------------------------------------------------------
 

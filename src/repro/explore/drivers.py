@@ -23,9 +23,10 @@ Three strategies ship:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Mapping, Optional
+from typing import List, Mapping
 
 from repro.common.errors import ConfigError
+from repro.explore.analysis import sensitivity
 from repro.explore.space import Point, SweepSpace
 
 
@@ -78,36 +79,13 @@ class RandomDriver(Driver):
         return [p for p in picked if p not in evaluated]
 
 
-def axis_sensitivities(
-    space: SweepSpace,
-    evaluated: Mapping[Point, float],
-    baseline: Optional[Point] = None,
-) -> Dict[str, float]:
-    """Largest observed |objective delta| per axis, off ``baseline``.
-
-    Only points differing from the baseline on exactly that axis count -
-    the classic one-factor-at-a-time (tornado) reading. Axes with no such
-    point score 0.
-    """
-    baseline = baseline or space.center_point()
-    base_obj = evaluated.get(baseline)
-    sens = {a.name: 0.0 for a in space.axes}
-    if base_obj is None:
-        return sens
-    base = dict(baseline)
-    for point, obj in evaluated.items():
-        diff = [n for n, v in point if base.get(n) != v]
-        if len(diff) == 1 and diff[0] in sens:
-            sens[diff[0]] = max(sens[diff[0]], abs(obj - base_obj))
-    return sens
-
-
 class RefineDriver(Driver):
     """Greedy adaptive refinement.
 
     Round 0 proposes the tornado set: the space's center point plus, for
     each axis, the center with that axis pushed to its min and max. Each
-    later round ranks axes by :func:`axis_sensitivities`, takes the
+    later round ranks axes by their largest one-factor |delta| off the
+    center (:func:`~repro.explore.analysis.sensitivity`), takes the
     incumbent best point, and bisects the most sensitive axis around the
     best point's value (midpoints toward the nearest tried values on each
     side), falling back to less sensitive axes when a gap cannot be split
@@ -177,7 +155,7 @@ class RefineDriver(Driver):
             return []
         self._rounds_done += 1
         best = max(evaluated, key=lambda p: (evaluated[p],))
-        sens = axis_sensitivities(space, evaluated)
+        sens = {r.axis: max(-r.low, r.high) for r in sensitivity(space, evaluated)}
         ranked = sorted(sens, key=lambda n: (-sens[n], n))
         for axis_name in ranked:
             proposals = self._bisect(space, evaluated, best, axis_name)

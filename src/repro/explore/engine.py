@@ -14,7 +14,7 @@ barrier per refinement round, not per point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.area import estimate_area
 from repro.common.errors import ConfigError
@@ -112,12 +112,6 @@ class ExplorationResult:
         return max(
             self.outcomes, key=lambda o: self.objective.signed(o.objective)
         )
-
-    def outcome_at(self, point: Point) -> Optional[PointOutcome]:
-        for o in self.outcomes:
-            if o.point == point:
-                return o
-        return None
 
 
 def point_specs(

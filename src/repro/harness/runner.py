@@ -80,7 +80,7 @@ def build_machine(
     machine = Machine(config, make_scheme(scheme), fast_path=fast)
     names = (workload,) if isinstance(workload, str) else tuple(workload)
     for name in names:
-        get_workload(name, params).install(machine)
+        machine.install(get_workload(name, params))
     return machine
 
 

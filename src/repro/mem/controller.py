@@ -3,9 +3,8 @@
 The machine has ``num_controllers x channels_per_controller`` channels
 (Table 2: 2 MCs x 2 channels). Each channel owns a WPQ draining to the PM
 image and a DRAM write path. Cache lines interleave across channels by line
-address; Dependence List entries map to channels by the LSBs of the
-region's LocalRID (Sec. 5.6) - the helper for that mapping lives here so
-both the ASAP schemes and the recovery code agree on it.
+address. (Which channel's Dependence List hosts a region is the ASAP
+schemes' decision: ``AsyncCommitScheme.dep_list_for``.)
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class Channel:
 
 
 class MemorySystem:
-    """All channels plus the address- and RID-interleaving policy."""
+    """All channels plus the address-interleaving policy."""
 
     def __init__(
         self,
@@ -119,14 +118,6 @@ class MemorySystem:
         """Line-interleaved channel mapping."""
         return self.channels[(line >> 6) % len(self.channels)]
 
-    def channel_for_rid(self, local_rid: int) -> Channel:
-        """Map a region to the channel hosting its Dependence List entry.
-
-        The paper uses the LSBs of the LocalRID (Sec. 5.6) so no cross-
-        thread synchronisation is needed when assigning region ids.
-        """
-        return self.channels[local_rid % len(self.channels)]
-
     # -- persist path ------------------------------------------------------
 
     def issue_persist(self, op: PersistOp, extra_delay: int = 0) -> None:
@@ -149,24 +140,10 @@ class MemorySystem:
 
     # -- queries used by optimizations and recovery -------------------------
 
-    def drop_from_wpqs(self, predicate: Callable[[PersistOp], bool]) -> int:
-        """Drop matching queued persist ops from every channel's WPQ."""
-        return sum(ch.wpq.drop_where(predicate) for ch in self.channels)
-
     def drop_log_ops_for_rid(self, rid: int) -> int:
-        """LPO dropping across channels; equivalent to ``drop_from_wpqs``
-        with the rid/log-kind predicate, but O(answer) on indexed WPQs."""
+        """LPO dropping across channels: drop ``rid``'s queued log ops
+        (``WritePendingQueue.drop_log_ops_for_rid`` on every channel)."""
         return sum(ch.wpq.drop_log_ops_for_rid(rid) for ch in self.channels)
-
-    def queued_dpo_for(self, data_line: int) -> Optional[PersistOp]:
-        """Find an in-flight DPO/WB whose target is ``data_line`` (DPO
-        dropping) - queued in the WPQ or still backpressured behind it."""
-        channel = self.channel_for_line(data_line)
-        for ops in (channel.wpq.queued_ops(), channel.wpq.pending_ops()):
-            for op in ops:
-                if op.kind in (DPO, WB) and op.target_line == data_line:
-                    return op
-        return None
 
     # -- crash -------------------------------------------------------------
 

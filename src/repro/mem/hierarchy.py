@@ -424,35 +424,7 @@ class CacheHierarchy:
         elif meta.dirty and not meta.pbit:
             self.memory.issue_dram_write(victim)
 
-    # -- explicit operations used by schemes -----------------------------------
-
-    def writeback_line(self, line: int, rid: Optional[int] = None) -> Optional[PersistOp]:
-        """Clean a dirty persistent line by issuing a WB persist op.
-
-        Used by the software scheme's flush instructions and by redo
-        logging's post-commit data updates. Returns the op (its
-        ``on_complete`` can be set by the caller before it is accepted) or
-        None when the line was already clean or is volatile.
-        """
-        meta = self.tags.get(line)
-        if meta is None or not meta.dirty or not meta.pbit:
-            return None
-        meta.dirty = False
-        op = self._writeback(line, rid)
-        self.memory.issue_persist(op)
-        return op
-
     def _writeback(self, line: int, rid: Optional[int]) -> PersistOp:
         """A WB persist op carrying ``line``'s current value."""
         payload = ((line, self.volatile.line(line)),)
         return PersistOp(kind=WB, target_line=line, data_line=line, payload=payload, rid=rid)
-
-    def drop_line(self, line: int) -> None:
-        """Remove a line everywhere without writeback (test helper)."""
-        self._private_holders.pop(line, None)
-        for array in self.l1:
-            array.invalidate(line)
-        for array in self.l2:
-            array.invalidate(line)
-        self.llc.invalidate(line)
-        self.tags.drop(line)

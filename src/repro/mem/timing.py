@@ -68,10 +68,6 @@ class TimingModel:
 
     # -- persist path ------------------------------------------------------
 
-    def channel_multiplier(self, channel_index: int) -> float:
-        """NUMA scaling for one channel's persist path (Sec. 7.3)."""
-        return self._mult[channel_index]
-
     def mc_hop(self, channel_index: int = 0) -> int:
         """One-way latency from the L1 to a memory controller."""
         return self._mc_hop[channel_index]

@@ -43,6 +43,7 @@ from repro.core.bloom import OwnerSpillBuffer
 from repro.core.cl_list import CLEntry, CLList, CLSlot
 from repro.core.lh_wpq import LogHeaderWPQ
 from repro.core.log import LogRecord
+from repro.core.rid import thread_id_of
 from repro.core.states import RegionState
 from repro.mem.image import MemoryImage
 from repro.mem.tagstore import LineMeta
@@ -599,7 +600,7 @@ class AsapScheme(AsyncCommitScheme):
             return
         for core, seq, entry, slot in sorted(bucket.values()):
             if self._dpo_ready(entry, slot):
-                thread = self.threads.get(entry.rid >> 32)
+                thread = self.threads.get(thread_id_of(entry.rid))
                 if thread is not None:
                     self._initiate_dpo(entry, slot, thread)
 
@@ -758,7 +759,7 @@ class AsapScheme(AsyncCommitScheme):
 
     def _commit(self, rid: int) -> None:
         """Fig. 4 transition (4): free the log, clear the entry, broadcast."""
-        thread = self.threads[rid >> 32]
+        thread = self.threads[thread_id_of(rid)]
         self._notify_commit(rid)
         dl = self.dep_list_for(rid)
         dl.remove_entry(rid)
@@ -842,7 +843,7 @@ class AsapScheme(AsyncCommitScheme):
             # (all their DPOs complete); they cannot gain new slots since
             # no region is active.
             mine = [
-                e for e in old_cl.entries() if (e.rid >> 32) == thread.thread_id
+                e for e in old_cl.entries() if thread_id_of(e.rid) == thread.thread_id
             ]
             if mine:
                 for entry in mine:
@@ -878,7 +879,7 @@ class AsapScheme(AsyncCommitScheme):
             self.spill.spill(meta.line, owner)
             # If the owner still tracks this line in a CLPtr slot, the
             # eviction writeback doubles as the slot's data persist.
-            thread = self.threads.get(owner >> 32)
+            thread = self.threads.get(thread_id_of(owner))
             if thread is not None:
                 entry = self.cl_lists[thread.core_id].entry(owner)
                 if entry is not None:

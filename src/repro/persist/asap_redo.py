@@ -46,7 +46,7 @@ from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES
 from repro.core.log import UndoLog
-from repro.core.rid import local_rid_of
+from repro.core.rid import local_rid_of, thread_id_of
 from repro.core.states import RegionState
 from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
 from repro.persist.async_commit import AsyncCommitScheme, AsyncThread
@@ -219,7 +219,7 @@ class AsapRedoLogging(AsyncCommitScheme):
                 for ready in dl.clear_dependency(rid):
                     ready_region = self.regions.get(ready.rid)
                     if ready_region is not None:
-                        owner = self.threads[ready.rid >> 32]
+                        owner = self.threads[thread_id_of(ready.rid)]
                         self.machine.scheduler.after(
                             0, lambda r=ready_region, t=owner: self._try_commit(r, t)
                         )
@@ -384,7 +384,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             region.outstanding_lpos -= 1
             if self.observer is not None:
                 self.observer.lpo_logged(self, region.rid, line)
-            self._try_commit(region, self.threads[region.rid >> 32])
+            self._try_commit(region, self.threads[thread_id_of(region.rid)])
 
         self.machine.memory.issue_persist(
             PersistOp(

@@ -65,17 +65,28 @@ READ_REDIRECT_PENALTY = 12
 
 
 class SchemeThread:
-    """Base per-thread scheme state; schemes subclass or use as-is."""
+    """Base per-thread scheme state; schemes subclass or use as-is.
+
+    The Thread State Registers (Sec. 4.5): only the
+    :class:`PersistenceScheme` template writes ``nest_depth``,
+    ``regions_begun`` and ``rid``; the executor reads them to name the
+    region a store, an observer event or a service request belongs to.
+    """
 
     def __init__(self, thread_id: int, core_id: int):
         self.thread_id = thread_id
         self.core_id = core_id
         #: region nesting depth (all schemes flatten nested regions)
         self.nest_depth = 0
-        #: regions begun by this thread (used as a LocalRID for oracle ids)
+        #: top-level regions begun by this thread (the last LocalRID issued)
         self.regions_begun = 0
         #: packed rid of the current (or last) top-level region
         self.rid: Optional[int] = None
+
+    @property
+    def next_rid(self) -> int:
+        """Packed rid the thread's next top-level region will get."""
+        return pack_rid(self.thread_id, self.regions_begun + 1)
 
 
 class PersistenceScheme(abc.ABC):
@@ -145,15 +156,15 @@ class PersistenceScheme(abc.ABC):
         if thread.nest_depth > 1:
             done()
             return
+        thread.rid = thread.next_rid
         thread.regions_begun += 1
-        thread.rid = pack_rid(thread.thread_id, thread.regions_begun)
         self.begin_region(thread, done)
 
     def end(self, thread: SchemeThread, done: Callable[[], None]) -> None:
         """Close the current atomic region; ``done`` fires when execution
         may proceed past the region (NOT necessarily when it commits)."""
         if thread.nest_depth <= 0:
-            raise SimulationError("end without begin")
+            raise SimulationError(f"thread {thread.thread_id}: End without Begin")
         thread.nest_depth -= 1
         if thread.nest_depth > 0:
             done()

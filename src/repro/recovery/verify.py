@@ -43,14 +43,9 @@ def verify_recovery(machine: Machine, recovered: MemoryImage) -> VerificationRes
     """Compare a recovered PM image with the machine's commit oracle."""
     require_reference_machine(machine, "verify")
     oracle = machine.oracle
-    mismatches = []
-    for word in sorted(oracle.tracked_words):
-        expect = oracle.committed.read_word(word)
-        got = recovered.read_word(word)
-        if expect != got:
-            mismatches.append((word, expect, got))
+    mismatches = oracle.mismatches(recovered, limit=25)
     return VerificationResult(
         ok=not mismatches,
-        mismatches=mismatches[:25],
+        mismatches=mismatches,
         words_checked=len(oracle.tracked_words),
     )

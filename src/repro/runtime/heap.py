@@ -34,10 +34,6 @@ class PageTable:
     def is_persistent(self, addr: int) -> bool:
         return page_base(addr) in self._persistent_pages
 
-    @property
-    def persistent_page_count(self) -> int:
-        return len(self._persistent_pages)
-
 
 class _BumpHeap:
     """Shared bump-allocator core with size-class free lists."""

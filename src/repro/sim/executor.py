@@ -19,7 +19,6 @@ from typing import Iterator, Optional, TYPE_CHECKING
 from repro.common.address import line_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
-from repro.core.rid import pack_rid
 from repro.sim import ops as op_types
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +41,8 @@ class ThreadExecutor:
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
         self.observer = None  # wired by Machine.observe
-        # region accounting
-        self._region_depth = 0
+        # region latency accounting (the scheme thread owns region identity)
         self._region_start: Optional[int] = None
-        self._local_region = 0
         self.regions_completed = 0
         self.region_cycles_total = 0
         self.ops_executed = 0
@@ -56,12 +53,10 @@ class ThreadExecutor:
 
     @property
     def current_rid(self) -> Optional[int]:
-        """Packed id of the region currently executing (oracle convention:
-        the n-th top-level region of thread t is ``pack_rid(t, n)``,
-        matching the scheme template's rid assignment)."""
-        if self._region_depth <= 0:
-            return None
-        return pack_rid(self.thread_id, self._local_region)
+        """Packed id of the region currently executing, as the scheme
+        template assigned it (None between regions)."""
+        thread = self.scheme_thread
+        return thread.rid if thread.nest_depth else None
 
     @property
     def next_rid(self) -> int:
@@ -71,7 +66,7 @@ class ThreadExecutor:
         *before* yielding the region, so the durable-commit notification
         (``region_committed``) can be matched back to the request.
         """
-        return pack_rid(self.thread_id, self._local_region + 1)
+        return self.scheme_thread.next_rid
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -192,10 +187,8 @@ class ThreadExecutor:
     # -- region ops -------------------------------------------------------------------
 
     def _do_begin(self) -> None:
-        self._region_depth += 1
-        opening_top_level = self._region_depth == 1
+        opening_top_level = not self.scheme_thread.nest_depth
         if opening_top_level:
-            self._local_region += 1
             self._region_start = self._scheduler.now
 
         def after_begin() -> None:
@@ -206,11 +199,8 @@ class ThreadExecutor:
         self.machine.scheme.begin(self.scheme_thread, after_begin)
 
     def _do_end(self) -> None:
-        if self._region_depth <= 0:
-            raise SimulationError(f"thread {self.thread_id}: End without Begin")
         rid = self.current_rid
-        self._region_depth -= 1
-        closing_top_level = self._region_depth == 0
+        closing_top_level = self.scheme_thread.nest_depth == 1
 
         def after_end() -> None:
             if closing_top_level:

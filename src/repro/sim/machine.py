@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver, slot_for
@@ -17,6 +17,9 @@ from repro.runtime.locks import SimLock
 from repro.sim.executor import ThreadExecutor
 from repro.sim.oracle import CommitOracle
 from repro.sim.stats import RunResult
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.workloads.base import Workload
 
 
 class Machine:
@@ -67,6 +70,8 @@ class Machine:
         scheme.attach(self)
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
+        #: the workloads :meth:`install` put on this machine, in order
+        self.workloads: List["Workload"] = []
         self.observers: List[SimObserver] = []
         self._next_thread_id = 0
         self._started = False
@@ -86,6 +91,12 @@ class Machine:
         point.observer = slot_for(type(point).OBSERVED, self.observers)
 
     # -- workload wiring -----------------------------------------------------
+
+    def install(self, workload: "Workload") -> None:
+        """Bootstrap ``workload``'s structure, spawn its threads and record
+        it in :attr:`workloads` (the crash check runs their validators)."""
+        workload.install(self)
+        self.workloads.append(workload)
 
     def new_lock(self, name: Optional[str] = None) -> SimLock:
         lock = SimLock(self.scheduler, name)

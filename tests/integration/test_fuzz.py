@@ -7,6 +7,7 @@ admission re-opened by the ``reopen_edge`` fault hook - the fuzzer
 minimal still-failing schedule.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,57 @@ def test_shrinker_removes_padding():
         assert still_fails(minimal)
     assert len(minimal.threads) == 2
     assert minimal.size <= roadmap_case().size
+
+
+#: a padded schedule for the synthetic shrink predicate below: three
+#: threads, RMWs, nonzero values and jitter, so every candidate kind of
+#: the shrinker gets asked about
+SHRINK_PIN_CASE = FuzzCase(
+    scheme="asap",
+    threads=[
+        [[(0, False, 3), (1, True, 0)], [(4, True, 7), (2, False, 0)]],
+        [[(5, False, 1)], [(6, True, 2), (4, False, 9)]],
+        [[(7, False, 0)]],
+    ],
+    jitter=[[0, 60, 5, 17], [240, 0, 60], [5]],
+)
+
+
+def _shrink_trace(max_attempts):
+    """Shrink :data:`SHRINK_PIN_CASE` under a synthetic predicate (fails
+    while an RMW with a nonzero value hits line 4 and some jitter entry is
+    60); returns how many candidates it was asked about, a digest of
+    their sequence, and the result."""
+    asked = []
+
+    def still_fails(c):
+        asked.append(json.dumps(c.to_json(), sort_keys=True))
+        rmw4 = any(
+            line == 4 and rmw and value
+            for t in c.threads for r in t for line, rmw, value in r
+        )
+        return rmw4 and any(60 in j for j in c.jitter)
+
+    result = shrink_case(SHRINK_PIN_CASE, still_fails, max_attempts=max_attempts)
+    digest = hashlib.sha256("\n".join(asked).encode()).hexdigest()
+    return len(asked), digest, result.threads, result.jitter
+
+
+@pytest.mark.parametrize(
+    "max_attempts,asked,digest,jitter",
+    [
+        (400, 21, "f48fb6437820e79f9a46b7b61f1f740d8a02ba59e812139ca746c12107d1669e",
+         [[0, 60, 0, 0]]),
+        (9, 9, "713931ea36bd92faebebae1b4ad0e8b0313e39e00c8d5cbba5fc3bba43c35624",
+         [[0, 60, 5, 17]]),
+    ],
+)
+def test_shrinker_candidate_order_is_pinned(max_attempts, asked, digest, jitter):
+    # The candidate stream (drop thread, region, op; demote RMW or zero a
+    # value; clear jitter wholesale, then entry by entry), the restart
+    # after each improvement and the attempt budget, pinned by the exact
+    # sequence of candidates the predicate is asked about.
+    assert _shrink_trace(max_attempts) == (asked, digest, [[[(4, True, 7)]]], jitter)
 
 
 def test_mutation_preserves_wellformedness():

@@ -14,7 +14,7 @@ def case(scheme="asap"):
 
 def build(scheme="asap"):
     machine = build_machine(case(scheme))
-    return machine, machine.workload
+    return machine, machine.workloads[0]
 
 
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo"])

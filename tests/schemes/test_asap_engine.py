@@ -17,6 +17,18 @@ def make(scheme_kwargs=None, **small_kwargs):
     return m, m.scheme
 
 
+def test_dependence_list_for_rid_uses_local_lsbs():
+    # Sec. 5.6: the LocalRID's LSBs pick the channel whose Dependence
+    # List hosts the region, whatever the thread id
+    m, eng = make()
+    n = len(m.memory.channels)
+    for thread_id in (0, 3):
+        for local in range(8):
+            dl = eng.dep_list_for(pack_rid(thread_id, local))
+            assert dl is eng.dep_lists[local % n]
+            assert dl.channel_index == local % n
+
+
 def test_end_retires_before_commit():
     """The asynchronous-commit headline: execution proceeds past asap_end
     while persist operations are outstanding."""

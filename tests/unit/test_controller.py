@@ -22,13 +22,6 @@ def test_line_interleaving_covers_all_channels():
     assert seen == set(range(len(mem.channels)))
 
 
-def test_rid_channel_mapping_uses_local_lsbs():
-    cfg, s, pm, mem = build()
-    n = len(mem.channels)
-    for local in range(8):
-        assert mem.channel_for_rid(local).index == local % n
-
-
 def test_issue_persist_charges_hop_latency():
     cfg, s, pm, mem = build()
     times = []
@@ -53,11 +46,12 @@ def test_queued_dpo_lookup_and_drop():
     dpo = PersistOp(DPO, PM, PM, ((PM, (1,)),))
     s.at(0, lambda: mem.issue_persist(dpo))
     s.run(until=mem.timing.mc_hop())
-    assert mem.queued_dpo_for(PM) is dpo
-    assert mem.queued_dpo_for(PM + 64) is None
-    dropped = mem.drop_from_wpqs(lambda o: o.target_line == PM)
-    assert dropped == 1
-    assert mem.queued_dpo_for(PM) is None
+    wpq = mem.channel_for_line(PM).wpq
+    assert list(wpq.queued_ops()) == [dpo]
+    # DPO dropping (Sec. 5.1) finds the line's data ops only
+    assert mem.channel_for_line(PM + 64).wpq.drop_data_ops_for_line(PM + 64) == 0
+    assert wpq.drop_data_ops_for_line(PM) == 1
+    assert list(wpq.queued_ops()) == []
 
 
 def test_flush_persistence_domain():
@@ -69,7 +63,7 @@ def test_flush_persistence_domain():
     assert flushed == 1
     assert image.read_word(PM) == 7
     # the queues are untouched: the DPO is still queued, live PM unchanged
-    assert mem.queued_dpo_for(PM) is not None
+    assert len(list(mem.channel_for_line(PM).wpq.queued_ops())) == 1
     assert pm.read_word(PM) == 0
 
 

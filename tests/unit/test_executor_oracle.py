@@ -98,8 +98,44 @@ def test_end_without_begin_raises():
         yield End()
 
     m.spawn(worker)
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="thread 0: End without Begin"):
         m.run()
+
+
+@pytest.mark.parametrize("scheme", ["np", "asap", "asap_redo"])
+def test_region_ids_come_from_the_scheme_thread(scheme):
+    # the template numbers and nests regions; the executor only reads them
+    m = make_machine(scheme)
+    a = m.heap.alloc(64)
+    seen = []
+
+    def worker(env):
+        for _ in range(2):
+            seen.append((env.current_rid, env.next_rid))
+            yield Begin()
+            yield Begin()
+            seen.append((env.current_rid, env.next_rid))
+            yield Write(a, [1])
+            yield End()
+            seen.append((env.current_rid, env.next_rid))
+            yield End()
+        seen.append((env.current_rid, env.next_rid))
+
+    m.spawn(worker)
+    m.spawn(worker)
+    m.run()
+    r = pack_rid
+    expected = [
+        ids
+        for t in (0, 1)
+        for ids in (
+            (None, r(t, 1)), (r(t, 1), r(t, 2)), (r(t, 1), r(t, 2)),
+            (None, r(t, 2)), (r(t, 2), r(t, 3)), (r(t, 2), r(t, 3)),
+            (None, r(t, 3)),
+        )
+    ]
+    assert sorted(seen, key=str) == sorted(expected, key=str)
+    assert sorted(m.oracle.committed_rids) == [r(t, n) for t in (0, 1) for n in (1, 2)]
 
 
 def test_fence_is_dispatchable_on_all_schemes():

@@ -27,8 +27,8 @@ def test_remote_channels_scale_hop_and_service():
 
 def test_default_has_no_remote_channels():
     t = TimingModel(SystemConfig.small())
-    assert t.channel_multiplier(0) == 1.0
-    assert t.channel_multiplier(1) == 1.0
+    assert t.mc_hop(0) == t.mc_hop(1) == t.mem.mc_hop_latency
+    assert t.pm_write_service(0) == t.pm_write_service(1)
 
 
 def test_numa_composes_with_pm_multiplier():
