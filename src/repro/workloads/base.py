@@ -87,7 +87,10 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def install(self, machine: Machine) -> None:
-        """Bootstrap the data structure and spawn the worker threads."""
+        """Bootstrap the data structure and spawn the worker threads.
+
+        Called by ``machine.install(workload)``, which also records the
+        workload for the crash check's validators; call that instead."""
 
     # -- shared helpers ------------------------------------------------------
 

@@ -19,7 +19,7 @@ def test_full_table2_machine_runs():
     """The unscaled 18-core / 4-channel / 128-WPQ configuration."""
     machine = Machine(SystemConfig(), make_scheme("asap"))
     params = WorkloadParams(num_threads=8, ops_per_thread=6, setup_items=16)
-    get_workload("HM", params).install(machine)
+    machine.install(get_workload("HM", params))
     res = machine.run()
     assert res.regions_completed == 48
     assert machine.oracle.mismatches(machine.pm_image) == []
@@ -28,7 +28,7 @@ def test_full_table2_machine_runs():
 def test_full_table2_crash_recovery():
     def build():
         machine = Machine(SystemConfig(), make_scheme("asap"))
-        get_workload("Q", PARAMS).install(machine)
+        machine.install(get_workload("Q", PARAMS))
         return machine
 
     total = build().run().cycles
@@ -46,7 +46,7 @@ def test_single_channel_machine():
         cfg, memory=replace(cfg.memory, num_controllers=1, channels_per_controller=1)
     )
     machine = Machine(cfg, make_scheme("asap"))
-    get_workload("BN", PARAMS).install(machine)
+    machine.install(get_workload("BN", PARAMS))
     res = machine.run()
     assert res.regions_completed == 32
     assert machine.oracle.mismatches(machine.pm_image) == []
@@ -60,7 +60,7 @@ def test_eight_channel_machine():
         cfg, memory=replace(cfg.memory, num_controllers=4, channels_per_controller=2)
     )
     machine = Machine(cfg, make_scheme("asap"))
-    get_workload("HM", PARAMS).install(machine)
+    machine.install(get_workload("HM", PARAMS))
     res = machine.run()
     assert res.regions_completed == 32
     assert len(machine.scheme.dep_lists) == 8
@@ -72,7 +72,7 @@ def test_crash_on_non_asap_schemes_is_benign(scheme):
     scheme exposes no dependence snapshot (everything durable was already
     in place or in the flushed WPQ)."""
     machine = Machine(SystemConfig.small(), make_scheme(scheme))
-    get_workload("SS", PARAMS).install(machine)
+    machine.install(get_workload("SS", PARAMS))
     state = crash_machine(machine, at_cycle=2000)
     image, report = recover(state)
     assert report.undone_count == 0  # no dependence entries -> nothing to undo
@@ -97,7 +97,7 @@ def test_cli_csv_output(tmp_path, capsys):
 def test_scheme_determinism(scheme):
     def run():
         machine = Machine(SystemConfig.small(), make_scheme(scheme))
-        get_workload("EO", PARAMS).install(machine)
+        machine.install(get_workload("EO", PARAMS))
         res = machine.run()
         return (res.cycles, res.pm_writes, sorted(machine.oracle.committed_rids))
 

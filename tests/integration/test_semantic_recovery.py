@@ -26,7 +26,7 @@ PARAMS = dict(num_threads=3, ops_per_thread=15, setup_items=24)
 def fresh(name, **small_kwargs):
     machine = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
     workload = get_workload(name, WorkloadParams(**PARAMS))
-    workload.install(machine)
+    machine.install(workload)
     return machine, workload
 
 
@@ -61,7 +61,7 @@ def test_unrecovered_crash_image_is_sometimes_invalid():
     def build():
         machine = Machine(SystemConfig.small(), make_scheme("asap"))
         workload = get_workload("Q", params)
-        workload.install(machine)
+        machine.install(workload)
         return machine
 
     total = build().run().cycles

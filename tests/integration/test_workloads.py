@@ -12,7 +12,7 @@ PARAMS = WorkloadParams(num_threads=3, ops_per_thread=12, value_bytes=64, setup_
 
 def run(workload, scheme, params=PARAMS, **small_kwargs):
     m = Machine(SystemConfig.small(**small_kwargs), make_scheme(scheme))
-    get_workload(workload, params).install(m)
+    m.install(get_workload(workload, params))
     return m, m.run()
 
 

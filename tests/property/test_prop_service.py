@@ -212,7 +212,7 @@ def test_install_schedule_is_a_pure_function_of_params():
     def schedule_of():
         machine = LintMachine(SystemConfig.small())
         wl = get_workload("SVC", params)
-        wl.install(machine)
+        machine.install(wl)
         zipf = ZipfSampler(len(wl.population), params.skew)
         sched_rng = random.Random(params.seed + 71)
         arrivals = poisson_arrivals(

@@ -88,7 +88,7 @@ def test_engine_accounting_invariants(seed, wpq_entries):
     a full workload run."""
     params = WorkloadParams(num_threads=2, ops_per_thread=8, setup_items=8, seed=seed)
     machine = Machine(SystemConfig.small(wpq_entries=wpq_entries), make_scheme("asap"))
-    get_workload("HM", params).install(machine)
+    machine.install(get_workload("HM", params))
     res = machine.run()
     stats = machine.scheme.stats
     assert stats.regions_begun == stats.regions_ended == stats.commits

@@ -169,7 +169,7 @@ def test_workloads_run_and_recover(workload):
 
     def build():
         machine = Machine(SystemConfig.small(), make_scheme("asap_redo"))
-        get_workload(workload, params).install(machine)
+        machine.install(get_workload(workload, params))
         return machine
 
     total = build().run().cycles
@@ -186,7 +186,7 @@ def test_redo_recovery_dense_crash_scan():
 
     def build():
         machine = Machine(SystemConfig.small(wpq_entries=2), make_scheme("asap_redo"))
-        get_workload("Q", params).install(machine)
+        machine.install(get_workload("Q", params))
         return machine
 
     total = build().run().cycles

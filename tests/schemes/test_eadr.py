@@ -84,7 +84,7 @@ def test_eadr_workload_run():
     params = WorkloadParams(num_threads=3, ops_per_thread=10, setup_items=16)
     m = Machine(SystemConfig.small(), make_scheme("eadr"))
     wl = get_workload("HM", params)
-    wl.install(m)
+    m.install(wl)
     res = m.run()
     assert res.regions_completed == 30
     assert m.oracle.mismatches(m.volatile) == []

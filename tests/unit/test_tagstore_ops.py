@@ -131,7 +131,7 @@ def test_index_consistency_under_workloads(workload, scheme, seed):
     """Indexes stay consistent throughout real simulations, not just at rest."""
     params = WorkloadParams(num_threads=2, ops_per_thread=8, setup_items=12, seed=seed)
     machine = Machine(SystemConfig.small(), make_scheme(scheme))
-    get_workload(workload, params).install(machine)
+    machine.install(get_workload(workload, params))
     for executor in machine.executors:
         executor.start()
     events = 0
@@ -169,7 +169,7 @@ def test_cache_accounting_under_workloads(workload, scheme, seed, mshrs):
     config = SystemConfig.small()
     config = dc_replace(config, memory=dc_replace(config.memory, mshrs_per_cache=mshrs))
     machine = Machine(config, make_scheme(scheme))
-    get_workload(workload, params).install(machine)
+    machine.install(get_workload(workload, params))
     machine.run()
     h = machine.hierarchy
     l1_probes = sum(c.hits + c.misses for c in h.l1)
