@@ -41,6 +41,7 @@ import json
 import os
 import random
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
@@ -255,16 +256,22 @@ def install_case(machine, case: FuzzCase) -> None:
         machine.spawn(lambda env, r=regions, d=delays: worker(env, r, d))
 
 
+@lru_cache(maxsize=None)
+def _case_config(wpq_entries: int, mshrs_per_cache: Optional[int]) -> SystemConfig:
+    """The machine config of every case with these two fields. Configs are
+    frozen, so one instance serves every build; the fuzzer draws from a
+    handful of WPQ sizes, which bounds the cache."""
+    config = SystemConfig.small(wpq_entries=wpq_entries)
+    if mshrs_per_cache is None:
+        return config
+    return dc_replace(
+        config, memory=dc_replace(config.memory, mshrs_per_cache=mshrs_per_cache)
+    )
+
+
 def build_machine(case: FuzzCase) -> Machine:
     """Instantiate the case's program on the case's machine config."""
-    config = SystemConfig.small(wpq_entries=case.wpq_entries)
-    if case.mshrs_per_cache is not None:
-        config = dc_replace(
-            config,
-            memory=dc_replace(
-                config.memory, mshrs_per_cache=case.mshrs_per_cache
-            ),
-        )
+    config = _case_config(case.wpq_entries, case.mshrs_per_cache)
     m = Machine(config, make_scheme(case.scheme))
     install_case(m, case)
     return m

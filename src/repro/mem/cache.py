@@ -4,15 +4,24 @@ The array tracks only which lines are present (tags + recency); values live
 in the functional images and per-line metadata lives in the
 :class:`~repro.mem.tagstore.TagStore`. Victim selection skips lines whose
 LockBit is set (an LPO is in flight; Sec. 4.6.1 forbids evicting them).
+
+A set is created by the first fill into it: until then its slot holds the
+shared, read-only :data:`EMPTY_SET`, so building an array costs one list
+and a run pays only for the sets it fills.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Container, List, Optional
+from types import MappingProxyType
+from typing import Container, List, Mapping, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import CacheParams
+
+#: the slot of every set nothing has been filled into; read-only, so a
+#: stray write raises instead of filling every untouched set at once
+EMPTY_SET: Mapping[int, bool] = MappingProxyType({})
 
 
 class CacheArray:
@@ -39,9 +48,10 @@ class CacheArray:
         # cache them - _set_of runs on every lookup/insert/invalidate.
         self._num_sets = params.num_sets
         self._assoc = params.assoc
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        #: one LRU-ordered set per index, or EMPTY_SET until its first fill;
+        #: probes work on either (``in`` never hits EMPTY_SET, and only a
+        #: hit calls ``move_to_end``)
+        self._sets: List[Mapping[int, bool]] = [EMPTY_SET] * self._num_sets
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -50,7 +60,7 @@ class CacheArray:
     def latency(self) -> int:
         return self.params.latency
 
-    def _set_of(self, line: int) -> OrderedDict:
+    def _set_of(self, line: int) -> Mapping[int, bool]:
         return self._sets[(line >> 6) % self._num_sets]
 
     def lookup(self, line: int, touch: bool = True) -> bool:
@@ -87,10 +97,13 @@ class CacheArray:
                 treat this as a transient structural stall and retry (the
                 lock clears when the in-flight LPO is accepted by the WPQ).
         """
-        s = self._sets[(line >> 6) % self._num_sets]  # _set_of, inline
+        index = (line >> 6) % self._num_sets  # _set_of, inline
+        s = self._sets[index]
         if line in s:
             s.move_to_end(line)
             return None
+        if s is EMPTY_SET:
+            s = self._sets[index] = OrderedDict()
         victim = None
         if len(s) >= self._assoc:
             victim = self._pick_victim(s)

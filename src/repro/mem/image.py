@@ -72,28 +72,54 @@ class MemoryImage:
         """Write consecutive words starting at ``addr``'s containing word.
 
         The base is aligned down by construction, so no word needs a check.
-        Each touched line is rebuilt once; an aligned full-line store
-        installs ``tuple(values)`` as is.
+        Each touched line is stored once: a partly written first or last
+        line is rebuilt around its kept words, and every whole line is a
+        slice of the values.
         """
         lines = self._lines
         line = addr & ~_LINE_MASK
         first = (addr & _LINE_MASK) >> 3
         n = len(values)
-        if n == WORDS_PER_LINE and not first:
-            lines[line] = tuple(values)
+        end = first + n
+        if end <= WORDS_PER_LINE:  # one line
+            if n == WORDS_PER_LINE:
+                lines[line] = tuple(values)
+            elif n:
+                old = lines.get(line, ZERO_LINE)
+                lines[line] = old[:first] + tuple(values) + old[end:]
             return
+        values = tuple(values)
         done = 0
-        while done < n:
-            take = min(WORDS_PER_LINE - first, n - done)
-            if take == WORDS_PER_LINE:
-                lines[line] = tuple(values[done:done + take])
-            else:
-                words = list(lines.get(line, ZERO_LINE))
-                words[first:first + take] = values[done:done + take]
-                lines[line] = tuple(words)
-            done += take
+        if first:  # the first line's last words
+            done = WORDS_PER_LINE - first
+            lines[line] = lines.get(line, ZERO_LINE)[:first] + values[:done]
             line += CACHE_LINE_BYTES
-            first = 0
+        whole = n - (n - done) % WORDS_PER_LINE
+        for start in range(done, whole, WORDS_PER_LINE):
+            lines[line] = values[start:start + WORDS_PER_LINE]
+            line += CACHE_LINE_BYTES
+        if whole < n:  # the last line's first words
+            lines[line] = values[whole:] + lines.get(line, ZERO_LINE)[n - whole:]
+
+    def share_lines(self, addr: int, n: int, *targets: "MemoryImage") -> None:
+        """Store this image's tuples, shared, in each of ``targets`` for
+        every line that the ``n`` consecutive words from ``addr``'s
+        containing word touch. A target that held the same lines as this
+        image before it took ``write_range(addr, values)`` (``n`` values)
+        then holds what that write would have left there."""
+        if n <= 0:
+            return
+        lines = self._lines
+        first = addr & ~_LINE_MASK
+        last = ((addr & ~_WORD_MASK) + (n - 1) * WORD_BYTES) & ~_LINE_MASK
+        if first == last:
+            words = lines[first]
+            for target in targets:
+                target._lines[first] = words
+            return
+        shared = [(line, lines[line]) for line in range(first, last + 1, CACHE_LINE_BYTES)]
+        for target in targets:
+            target._lines.update(shared)
 
     def line(self, addr: int) -> Tuple[int, ...]:
         """The cache line containing ``addr``: its stored 8-tuple, shared,

@@ -25,11 +25,9 @@ class PageTable:
         self._persistent_pages = set()
 
     def mark_persistent(self, addr: int, nbytes: int) -> None:
-        page = page_base(addr)
-        end = addr + max(nbytes, 1)
-        while page < end:
-            self._persistent_pages.add(page)
-            page += PAGE_BYTES
+        self._persistent_pages.update(
+            range(page_base(addr), addr + max(nbytes, 1), PAGE_BYTES)
+        )
 
     def is_persistent(self, addr: int) -> bool:
         return page_base(addr) in self._persistent_pages

@@ -124,31 +124,41 @@ class Machine:
     def bootstrap_write(self, addr: int, values) -> None:
         """Zero-cost initialisation write, as if persisted before the run.
 
-        Applied to the volatile image and, on the reference machine, the
-        PM image and the commit oracle's committed image - modelling a
-        data structure that was built and made durable before the
-        measured (and crash-injected) phase begins.
+        Only allowed before the first :meth:`run`: raises
+        :class:`SimulationError` once the run has started. Until then the
+        volatile image, the PM image and the commit oracle's committed
+        image hold the same lines (modelling a data structure that was
+        built and made durable before the measured and crash-injected
+        phase begins), so the write is applied to the volatile image once
+        and, on the reference machine, the other two store the resulting
+        line tuples as they are.
         """
+        if self._started:
+            raise SimulationError(
+                f"bootstrap_write at {addr:#x} after the run started; "
+                "bootstrap state must be written before the first run()"
+            )
         self.volatile.write_range(addr, values)
         if self.pm_image is not None:
-            self.pm_image.write_range(addr, values)
-            self.oracle.committed.write_range(addr, values)
+            self.volatile.share_lines(
+                addr, len(values), self.pm_image, self.oracle.committed
+            )
 
     def adopt_image(self, image) -> None:
         """Resume from a recovered PM image (the restart-after-crash flow).
 
         Overwrites the volatile view and, on the reference machine, the
-        PM and oracle-committed views with the image's contents - call
+        PM and oracle-committed views with the image's lines - call
         after installing the workload (so its address layout matches;
         heap allocation is deterministic) and before :meth:`run`. The
         continuing run then operates on exactly the durable state the
         crashed machine left behind.
         """
-        for word, value in image.items():
-            self.volatile.write_word(word, value)
-            if self.pm_image is not None:
-                self.pm_image.write_word(word, value)
-                self.oracle.committed.write_word(word, value)
+        lines = image.lines()  # whole-line runs; the tuples are shared
+        self.volatile.apply(lines)
+        if self.pm_image is not None:
+            self.pm_image.apply(lines)
+            self.oracle.committed.apply(lines)
 
     # -- execution ------------------------------------------------------------
 

@@ -12,10 +12,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.params import SystemConfig
 from repro.harness import fuzz
 from repro.harness.fuzz import (
     FuzzCase,
@@ -291,6 +293,16 @@ def test_crash_sweep_builds_only_when_there_is_a_point(monkeypatch):
     monkeypatch.setattr(fuzz, "build_machine", built.append)
     assert list(fuzz.crash_sweep(fuzz.generate_case(0, 0, "asap"), [])) == []
     assert built == []
+
+
+def test_builds_share_one_config_per_wpq_and_mshr_pin():
+    case = fuzz.generate_case(0, 0, "asap")
+    config = fuzz.build_machine(case).config
+    assert fuzz.build_machine(replace(case, threads=[])).config is config
+    assert config == SystemConfig.small(wpq_entries=case.wpq_entries)
+    pinned = fuzz.build_machine(replace(case, mshrs_per_cache=2)).config
+    assert pinned is not config and pinned.memory.mshrs_per_cache == 2
+    assert replace(pinned, memory=config.memory) == config
 
 
 def test_index_past_the_array_does_not_alias_the_log_area():

@@ -55,10 +55,19 @@ def test_adopt_image_overwrites_all_views():
     machine, _ = build()
     from repro.mem.image import MemoryImage
 
+    # one word on a line the workload bootstrapped, one on a fresh line:
+    # an adopted line replaces the whole line, zeros included
+    bootstrapped = min(base for base, _words in machine.volatile.lines())
+    fresh = machine.config.address_space.pm_base + (1 << 30)
     img = MemoryImage()
-    addr = machine.config.address_space.pm_base
-    img.write_word(addr, 777)
+    img.write_word(bootstrapped + 8, 777)
+    img.write_word(fresh, 778)
+    before = dict(machine.volatile.lines())
     machine.adopt_image(img)
-    assert machine.volatile.read_word(addr) == 777
-    assert machine.pm_image.read_word(addr) == 777
-    assert machine.oracle.committed.read_word(addr) == 777
+    views = [machine.volatile, machine.pm_image, machine.oracle.committed]
+    for view in views:
+        assert view.read_word(bootstrapped + 8) == 777
+        assert view.read_word(fresh) == 778
+    expected = {**before, **dict(img.lines())}
+    for view in views:
+        assert dict(view.lines()) == expected, view.name

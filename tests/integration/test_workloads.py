@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.params import SystemConfig
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
@@ -22,6 +23,29 @@ def test_workload_completes_and_commits(workload, scheme):
     m, res = run(workload, scheme)
     assert res.regions_completed == PARAMS.num_threads * PARAMS.ops_per_thread
     assert m.oracle.uncommitted_rids() == []
+
+
+@pytest.mark.parametrize("workload", workload_names())
+def test_bootstrap_state_is_the_same_in_all_three_images(workload):
+    """Bootstrap writes land in the volatile image; before the run the PM
+    image and the oracle's committed image hold the very same lines."""
+    m = Machine(SystemConfig.small(), make_scheme("asap"))
+    m.install(get_workload(workload, PARAMS))
+    volatile = dict(m.volatile.lines())
+    assert volatile
+    assert dict(m.pm_image.lines()) == volatile
+    assert dict(m.oracle.committed.lines()) == volatile
+
+
+def test_bootstrap_write_after_the_run_started_raises():
+    m = Machine(SystemConfig.small(), make_scheme("asap"))
+    m.install(get_workload("Q", PARAMS))
+    addr = m.heap.alloc(64)
+    m.bootstrap_write(addr, [1])  # before the run: allowed
+    m.run(until=50)
+    with pytest.raises(SimulationError, match="after the run started"):
+        m.bootstrap_write(addr, [2])
+    assert m.volatile.read_word(addr) == 1 == m.pm_image.read_word(addr)
 
 
 @pytest.mark.parametrize("workload", workload_names())

@@ -139,6 +139,19 @@ def test_write_range_matches_per_word_loop(writes, offset, values):
     assert dict(bulk.items()) == dict(ref.items())
 
 
+@given(_writes, st.integers(0, 255), st.lists(_values, max_size=20))
+def test_share_lines_leaves_what_the_write_would(writes, offset, values):
+    source, shared, written = _image(writes), _image(writes), _image(writes)
+    addr = BASE + offset
+    source.write_range(addr, values)
+    source.share_lines(addr, len(values), shared)
+    written.write_range(addr, values)
+    assert dict(shared.lines()) == dict(written.lines())
+    for i in range(len(values)):  # every touched line is the source's tuple
+        word = (addr & ~7) + 8 * i
+        assert shared.line(word) is source.line(word)
+
+
 _runs = st.lists(
     st.tuples(_aligned, st.lists(_values, min_size=1, max_size=9).map(tuple)),
     max_size=6,
