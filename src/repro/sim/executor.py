@@ -95,7 +95,8 @@ class ThreadExecutor:
     def _dispatch(self, op) -> None:
         scheme = self.machine.scheme
         if isinstance(op, op_types.Write):
-            self._do_write(op.addr, list(op.values))
+            # one copy: the volatile image and the oracle keep this tuple
+            self._do_write(op.addr, tuple(op.values))
         elif isinstance(op, op_types.Read):
             self._do_read(op.addr, op.nwords)
         elif isinstance(op, op_types.Compute):

@@ -75,8 +75,13 @@ class Machine:
         self.observers: List[SimObserver] = []
         self._next_thread_id = 0
         self._started = False
+        #: the images that hold the pre-run durable state beside the
+        #: volatile one (none on the payload-free machine); taken once,
+        #: as no commit is pending before the run
+        self._durable_images = ()
         if self.oracle is not None:
             self.observe(self.oracle)
+            self._durable_images = (self.pm_image, self.oracle.committed)
 
     def observe(self, subscriber: SimObserver) -> SimObserver:
         """Subscribe ``subscriber`` to every hook point, now and later;
@@ -139,10 +144,9 @@ class Machine:
                 "bootstrap state must be written before the first run()"
             )
         self.volatile.write_range(addr, values)
-        if self.pm_image is not None:
-            self.volatile.share_lines(
-                addr, len(values), self.pm_image, self.oracle.committed
-            )
+        if self._durable_images:
+            pm, committed = self._durable_images  # unpacked: a star-call costs more
+            self.volatile.share_lines(addr, len(values), pm, committed)
 
     def adopt_image(self, image) -> None:
         """Resume from a recovered PM image (the restart-after-crash flow).
@@ -156,9 +160,8 @@ class Machine:
         """
         lines = image.lines()  # whole-line runs; the tuples are shared
         self.volatile.apply(lines)
-        if self.pm_image is not None:
-            self.pm_image.apply(lines)
-            self.oracle.committed.apply(lines)
+        for durable in self._durable_images:
+            durable.apply(lines)
 
     # -- execution ------------------------------------------------------------
 

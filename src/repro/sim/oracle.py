@@ -1,10 +1,14 @@
 """The commit oracle: ground truth for crash-recovery verification.
 
-The oracle shadows what *should* be durable: it records every region's
-write-set as the region executes, and applies a region's writes to the
-``committed`` image at the instant the scheme reports that the region
-committed. After a crash, a correct recovery must produce a PM image whose
-data words match ``committed`` exactly:
+The oracle shadows what *should* be durable. As the run goes it only
+records: every in-region PM store is appended to its region's write log,
+and every commit the scheme reports is appended to a commit log. The
+``committed`` image and the ``tracked_words`` comparison domain are built
+from those logs when a check reads them, so a run that is never checked
+pays for the logs alone. Reading ``committed`` folds the pending commits
+in commit order, exactly as applying each region's writes at the instant
+it committed would. After a crash, a correct recovery must produce a PM
+image whose data words match ``committed`` exactly:
 
 * regions that committed are fully present (durability),
 * regions that did not commit leave no trace (atomicity),
@@ -21,43 +25,66 @@ from repro.mem.image import MemoryImage
 
 
 class CommitOracle(SimObserver):
-    """Tracks per-region write-sets and the durable ("committed") image.
+    """Logs per-region write-sets and commits; folds them into the durable
+    ("committed") image and the checked-word set when they are read.
 
     The reference machine subscribes it to its own commit events."""
 
     def __init__(self):
-        self.committed = MemoryImage("oracle-committed")
+        self._committed = MemoryImage("oracle-committed")
         #: rid -> the region's stores as ``(word addr, values)`` runs, in
-        #: program order (a payload: later runs overwrite earlier ones)
+        #: program order (a payload: later runs overwrite earlier ones);
+        #: a region's runs move to ``_unfolded`` when it commits
         self._region_writes: Dict[int, List[tuple]] = {}
         self.committed_rids: Set[int] = set()
-        #: every PM data word any region ever wrote (the comparison domain)
-        self.tracked_words: Set[int] = set()
+        #: committed regions' runs, in commit order, not yet in the image
+        self._unfolded: List[List[tuple]] = []
+        self._tracked: Set[int] = set()
+        #: runs whose words are not yet in ``_tracked``
+        self._untracked: List[tuple] = []
 
     def record_write(self, rid: int, addr: int, values) -> None:
         """Called by the executor for every in-region PM store."""
-        base = addr & ~7
-        self._region_writes.setdefault(rid, []).append((base, tuple(values)))
-        self.tracked_words.update(range(base, base + 8 * len(values), 8))
+        run = (addr & ~7, tuple(values))
+        self._region_writes.setdefault(rid, []).append(run)
+        self._untracked.append(run)
 
     def region_committed(self, source, rid: int) -> None:
-        """The scheme reports ``rid`` durable: fold its writes in."""
-        self.committed.apply(self._region_writes.get(rid, ()))
+        """The scheme reports ``rid`` durable: its writes join the image
+        at the next read, in this commit's turn."""
         self.committed_rids.add(rid)
+        self._unfolded.append(self._region_writes.pop(rid, ()))
 
-    def region_write_set(self, rid: int) -> Dict[int, int]:
-        """``rid``'s writes as {word addr: last value written}."""
-        writes = self._region_writes.get(rid, ())
-        return {base + 8 * i: v for base, values in writes for i, v in enumerate(values)}
+    @property
+    def committed(self) -> MemoryImage:
+        """The durable image: every committed region's writes, applied in
+        commit order. Before the run it is the bootstrap state, which the
+        machine writes straight into the image it returns."""
+        if self._unfolded:
+            for runs in self._unfolded:
+                self._committed.apply(runs)
+            self._unfolded.clear()
+        return self._committed
+
+    @property
+    def tracked_words(self) -> Set[int]:
+        """Every PM data word any region ever wrote (the comparison domain)."""
+        if self._untracked:
+            words = self._tracked
+            for base, values in self._untracked:
+                words.update(range(base, base + 8 * len(values), 8))
+            self._untracked.clear()
+        return self._tracked
 
     def uncommitted_rids(self):
         return [r for r in self._region_writes if r not in self.committed_rids]
 
     def mismatches(self, image: MemoryImage, limit: int = 10):
         """Words where ``image`` disagrees with the committed image."""
+        committed = self.committed
         diffs = []
         for word in sorted(self.tracked_words):
-            expect = self.committed.read_word(word)
+            expect = committed.read_word(word)
             got = image.read_word(word)
             if expect != got:
                 diffs.append((word, expect, got))

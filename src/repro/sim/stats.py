@@ -9,6 +9,7 @@ All the paper's evaluation metrics come from here:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
@@ -44,6 +45,8 @@ class RunResult:
     #: often); keys depend on the scheme - ASAP reports its CL List,
     #: Dependence List, and LH-WPQ pressure here
     stall_breakdown: Dict[str, int] = field(default_factory=dict)
+    #: the scheme's counters as of this result (a copy: a resumed run
+    #: goes on counting in the scheme's own object)
     scheme_stats: Optional[object] = None
     #: service-workload tail-latency data (empty for batch workloads):
     #: fixed-bucket histogram of arrival-to-durable-commit latencies,
@@ -89,7 +92,7 @@ class RunResult:
                 (ch.wpq.peak_occupancy for ch in machine.memory.channels), default=0
             ),
             stall_breakdown=stalls,
-            scheme_stats=machine.scheme.stats,
+            scheme_stats=copy.copy(machine.scheme.stats),
         )
         recorder = getattr(machine, "service_recorder", None)
         if recorder is not None:

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.harness import runner
 from repro.harness.fuzz import (
     FuzzCase,
     build_machine,
@@ -138,6 +139,18 @@ def test_split_run_equals_one_run(monkeypatch):
     assert sorted(starts) == [e.thread_id for e in machine.executors]
     assert machine.run() == expected  # a finished machine stays finished
     assert len(starts) == len(machine.executors)
+
+
+def test_split_run_result_keeps_its_scheme_stats():
+    """A result taken mid-run (as at every crash point) keeps the scheme
+    counters of its own cycle when the machine resumes."""
+    machine = runner.build_machine("HM", "asap")
+    early = machine.run(until=2000)
+    assert early.regions_completed == early.scheme_stats.commits == 6
+    final = machine.run()
+    assert early.scheme_stats.commits == 6
+    assert final.scheme_stats.commits == final.regions_completed > 6
+    assert final.scheme_stats == runner.build_machine("HM", "asap").run().scheme_stats
 
 
 def test_crash_before_the_current_cycle_is_refused():

@@ -39,9 +39,10 @@ def test_nested_regions_flatten_to_one(scheme):
 def test_nested_region_is_atomic_as_a_whole(scheme):
     """All writes of the flattened region belong to one atomic unit."""
     m, res, a = run_nested(scheme)
-    rid = next(iter(m.oracle.committed_rids))
-    writes = m.oracle.region_write_set(rid)
-    assert len(writes) == 3  # one word per depth level
+    words = [a, a + 64, a + 128]  # one word per depth level
+    assert len(m.oracle.committed_rids) == 1 and m.oracle.uncommitted_rids() == []
+    assert sorted(m.oracle.tracked_words) == words
+    assert [m.oracle.committed.read_word(w) for w in words] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -4,8 +4,10 @@ the commit oracle."""
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
 from repro.core.rid import pack_rid
+from repro.harness.runner import build_machine, default_params
 from repro.mem.image import MemoryImage
 from repro.persist import make_scheme
 from repro.sim.executor import _split_by_line, _split_read_by_line
@@ -234,3 +236,44 @@ def test_deadlock_off_any_lock_reports_internal_resource():
         "thread 0: parked on an internal resource; non-empty wait queues: none"
         in str(err.value)
     )
+
+
+def test_uninspected_run_folds_nothing_until_read(monkeypatch):
+    """A reference run that no check reads only logs: the committed image
+    takes no write until it is read, and the first read folds every
+    committed region's stores in commit order."""
+    machine = build_machine("HM", "asap", params=default_params(True, value_bytes=64))
+    image = machine.oracle.committed  # nothing is pending before the run
+    folded, runs_of, commit_order = [], {}, []
+    original_apply = MemoryImage.apply
+    original_record = CommitOracle.record_write
+
+    def apply(self, runs):
+        if self is image:
+            folded.append(list(runs))
+        original_apply(self, runs)
+
+    def record_write(self, rid, addr, values):
+        runs_of.setdefault(rid, []).append((addr & ~7, tuple(values)))
+        original_record(self, rid, addr, values)
+
+    class CommitOrder(SimObserver):
+        def region_committed(self, source, rid):
+            commit_order.append(rid)
+
+    monkeypatch.setattr(MemoryImage, "apply", apply)
+    monkeypatch.setattr(CommitOracle, "record_write", record_write)
+    machine.observe(CommitOrder())
+    result = machine.run()
+    assert folded == [] and len(commit_order) == result.regions_completed > 0
+    committed = machine.oracle.committed
+    assert folded == [runs_of.get(rid, []) for rid in commit_order]
+    tracked = machine.oracle.tracked_words
+    assert tracked == {
+        base + 8 * i
+        for runs in runs_of.values()
+        for base, values in runs
+        for i in range(len(values))
+    }
+    assert all(committed.read_word(w) == machine.pm_image.read_word(w) for w in tracked)
+    assert machine.oracle.committed is committed and len(folded) == len(commit_order)
