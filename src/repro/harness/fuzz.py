@@ -354,7 +354,7 @@ def check_crash(
         errors = [e for w in m.workloads for e in w.validate_image(image)]
         if errors:
             problems.append(f"structure invalid: {errors[:3]}")
-    if sorted(image.lines()) != sorted(image2.lines()):
+    if image.lines() != image2.lines():  # set-like: order-free, O(lines)
         problems.append("recovery nondeterministic")
     return CrashCheck(at_cycle, verdict, report, problems)
 

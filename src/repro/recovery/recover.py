@@ -27,11 +27,12 @@ Invariants this module relies on (docs/RECOVERY.md):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import RecoveryError
-from repro.common.units import CACHE_LINE_BYTES, WORD_BYTES
+from repro.common.units import CACHE_LINE_BYTES
 from repro.core.log import decode_slot_word
 from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
@@ -102,32 +103,25 @@ def _undo_order(entries: List[dict]) -> List[int]:
     undoing must therefore process entry i before any of its deps.
     """
     uncommitted: Set[int] = {e["rid"] for e in entries}
-    # dependents[d] = regions that depend on d (must be undone before d).
-    dependents: Dict[int, Set[int]] = {rid: set() for rid in uncommitted}
-    pending_deps: Dict[int, int] = {}
+    # live_deps[rid] = rid's uncommitted deps, in entry order; pending[d] =
+    # how many regions still to be undone depend on d.
+    live_deps: Dict[int, List[int]] = {rid: [] for rid in uncommitted}
+    pending: Dict[int, int] = dict.fromkeys(uncommitted, 0)
     for entry in entries:
-        live_deps = [d for d in entry["deps"] if d in uncommitted]
-        pending_deps[entry["rid"]] = 0
-        for dep in live_deps:
-            dependents[dep].add(entry["rid"])
-    for entry in entries:
-        for dep in entry["deps"]:
-            if dep in uncommitted:
-                pending_deps[dep] = pending_deps.get(dep, 0) + 1
+        deps = [d for d in entry["deps"] if d in uncommitted]
+        live_deps[entry["rid"]].extend(deps)
+        for dep in deps:
+            pending[dep] += 1
     # Kahn's algorithm: start from regions nothing depends on.
-    ready = sorted(rid for rid, n in pending_deps.items() if n == 0)
+    ready = deque(sorted(rid for rid, n in pending.items() if n == 0))
     order: List[int] = []
-    ready_set = list(ready)
-    while ready_set:
-        rid = ready_set.pop(0)
+    while ready:
+        rid = ready.popleft()
         order.append(rid)
-        for entry in entries:
-            if entry["rid"] == rid:
-                for dep in entry["deps"]:
-                    if dep in uncommitted:
-                        pending_deps[dep] -= 1
-                        if pending_deps[dep] == 0:
-                            ready_set.append(dep)
+        for dep in live_deps[rid]:
+            pending[dep] -= 1
+            if pending[dep] == 0:
+                ready.append(dep)
     if len(order) != len(uncommitted):
         raise RecoveryError(
             "dependence cycle among uncommitted regions; the program "
@@ -154,19 +148,20 @@ def _scan_logs(
     pm = state.pm_image
     if observer is not None:
         observer.scan_started(state, set(uncommitted))
-    for tid, segments in state.log_directory.items():
+    entry_words = slice(1, 1 + state.entries_per_record)
+    for segments in state.log_directory.values():
         for base, num_records, stride in segments:
-            # one strided read of every record header in the segment
-            headers = pm.read_words(base, num_records, stride)
+            # The modelled scan reads every record header of the segment;
+            # the host visits only the durable ones. Skipping the rest is
+            # exact: an unwritten header reads RID 0, and no region is 0.
             report.records_scanned += num_records
-            for i, rid in enumerate(headers):
+            for header, words in pm.strided_lines(base, num_records, stride):
+                rid = words[0]
                 if rid not in uncommitted:
                     continue
-                header = base + i * stride
                 report.records_matched += 1
                 entries: List[Tuple[int, int, bool]] = []
-                slots = pm.read_words(header + WORD_BYTES, state.entries_per_record)
-                for slot, word in enumerate(slots):
+                for slot, word in enumerate(words[entry_words]):
                     if word == 0:
                         # Unused slot - or an entry whose LPO never reached
                         # the persistence domain. Skipping is safe: the
@@ -257,11 +252,11 @@ def recover_redo(
     uncommitted = {e["rid"] for e in state.dependence_entries}
     # 1. Collect durable commit markers, newest-last.
     markers: List[Tuple[int, int]] = []  # (commit_seq, rid)
-    for tid, areas in state.marker_directory.items():
+    for areas in state.marker_directory.values():
         for base, slots, stride in areas:
-            rids = image.read_words(base, slots, stride)
-            seqs = image.read_words(base + WORD_BYTES, slots, stride)
-            for rid, seq in zip(rids, seqs):
+            # an unwritten marker slot reads [0, 0]: skipping it is exact
+            for _addr, words in image.strided_lines(base, slots, stride):
+                rid, seq = words[0], words[1]
                 if rid != 0 and seq != 0 and rid not in uncommitted:
                     markers.append((seq, rid))
     markers.sort()

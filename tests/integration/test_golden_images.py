@@ -11,6 +11,10 @@ An image hashes as its sorted *nonzero* words, so an absent word and an
 explicit zero compare equal - only values are pinned, not how the image
 stores them.
 
+Next to the digests it pins each point's :class:`RecoveryReport`
+counts and undone RIDs: a scan that skips or double-counts a log record
+can leave both images unchanged.
+
 Cases: every ``tests/property/corpus`` schedule and the quick Fig. 7
 HM/64 and Q/2048 cells, each under ``asap``, ``asap_redo`` and
 ``hwundo``.
@@ -208,6 +212,186 @@ GOLDEN = {
     ],
 }
 
+#: case -> the RecoveryReport at each fraction: (records_scanned,
+#: records_matched, restored_lines, undone_rids)
+REPORTS = {
+    "HM/64/asap": [
+        (584, 2, 2, [4294967305, 8589934601]),
+        (584, 1, 0, [19, 8589934611, 12884901903]),
+        (584, 1, 0, [33, 4294967329, 8589934626]),
+    ],
+    "HM/64/asap_redo": [
+        (584, 29, 77, [
+            8589934593, 4294967297, 1, 12884901889, 2, 4294967298, 8589934594,
+            4294967299, 12884901890, 8589934595, 4294967300, 3, 8589934596, 12884901891,
+            4, 4294967301, 12884901892, 5, 8589934597, 8589934598, 4294967302, 6,
+            12884901893, 4294967303, 8589934599, 4294967304, 8589934600, 7, 12884901894,
+        ]),
+        (584, 64, 175, [
+            8589934593, 4294967297, 1, 12884901889, 2, 4294967298, 8589934594,
+            4294967299, 12884901890, 8589934595, 4294967300, 3, 8589934596, 12884901891,
+            4, 4294967301, 12884901892, 5, 8589934597, 8589934598, 4294967302, 6,
+            12884901893, 4294967303, 8589934599, 4294967304, 8589934600, 7, 12884901894,
+            4294967305, 8, 8589934601, 4294967306, 8589934602, 12884901895, 4294967307,
+            9, 8589934603, 8589934604, 12884901896, 8589934605, 12884901897, 10,
+            4294967308, 11, 8589934606, 12884901898, 4294967309, 8589934607, 12, 13,
+            8589934608, 4294967310, 8589934609, 12884901899, 14, 15, 4294967311,
+            4294967312, 12884901900, 16, 8589934610, 12884901901, 4294967313,
+        ]),
+        (584, 102, 273, [
+            8589934593, 4294967297, 1, 12884901889, 2, 4294967298, 8589934594,
+            4294967299, 12884901890, 8589934595, 4294967300, 3, 8589934596, 12884901891,
+            4, 4294967301, 12884901892, 5, 8589934597, 8589934598, 4294967302, 6,
+            12884901893, 4294967303, 8589934599, 4294967304, 8589934600, 7, 12884901894,
+            4294967305, 8, 8589934601, 4294967306, 8589934602, 12884901895, 4294967307,
+            9, 8589934603, 8589934604, 12884901896, 8589934605, 12884901897, 10,
+            4294967308, 11, 8589934606, 12884901898, 4294967309, 8589934607, 12, 13,
+            8589934608, 4294967310, 8589934609, 12884901899, 14, 15, 4294967311,
+            4294967312, 12884901900, 16, 8589934610, 12884901901, 4294967313,
+            12884901902, 17, 18, 12884901903, 8589934611, 19, 8589934612, 4294967314,
+            12884901904, 4294967315, 20, 8589934613, 4294967316, 21, 12884901905, 22,
+            8589934614, 4294967317, 23, 8589934615, 12884901906, 4294967318, 8589934616,
+            24, 8589934617, 12884901907, 4294967319, 25, 8589934618, 4294967320,
+            4294967321, 8589934619, 12884901908, 12884901909, 26, 4294967322,
+            8589934620, 12884901910,
+        ]),
+    ],
+    "HM/64/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "Q/2048/asap": [
+        (584, 3, 16, [9]),
+        (584, 0, 0, [8589934613]),
+        (584, 3, 18, [8589934626]),
+    ],
+    "Q/2048/asap_redo": [
+        (584, 160, 880, [
+            4294967297, 1, 2, 8589934593, 12884901889, 12884901890, 4294967298, 3,
+            8589934594, 8589934595, 12884901891, 12884901892, 4294967299, 4, 8589934596,
+            8589934597, 12884901893, 4294967300, 4294967301, 4294967302, 4294967303, 5,
+            8589934598, 12884901894, 12884901895, 12884901896, 4294967304, 4294967305,
+            6, 7, 8589934599, 12884901897, 4294967306, 8, 8589934600, 8589934601,
+            8589934602, 8589934603, 12884901898, 4294967307,
+        ]),
+        (584, 329, 1799, [
+            4294967297, 1, 2, 8589934593, 12884901889, 12884901890, 4294967298, 3,
+            8589934594, 8589934595, 12884901891, 12884901892, 4294967299, 4, 8589934596,
+            8589934597, 12884901893, 4294967300, 4294967301, 4294967302, 4294967303, 5,
+            8589934598, 12884901894, 12884901895, 12884901896, 4294967304, 4294967305,
+            6, 7, 8589934599, 12884901897, 4294967306, 8, 8589934600, 8589934601,
+            8589934602, 8589934603, 12884901898, 4294967307, 9, 10, 11, 8589934604,
+            8589934605, 12884901899, 12884901900, 4294967308, 4294967309, 12, 13, 14,
+            8589934606, 8589934607, 12884901901, 4294967310, 4294967311, 15, 16,
+            8589934608, 8589934609, 12884901902, 4294967312, 17, 8589934610,
+            12884901903, 12884901904, 12884901905, 4294967313, 4294967314, 18, 19,
+            8589934611, 12884901906, 4294967315, 20, 21, 8589934612, 12884901907,
+            12884901908, 12884901909, 4294967316, 4294967317, 22,
+        ]),
+        (584, 489, 2679, [
+            4294967297, 1, 2, 8589934593, 12884901889, 12884901890, 4294967298, 3,
+            8589934594, 8589934595, 12884901891, 12884901892, 4294967299, 4, 8589934596,
+            8589934597, 12884901893, 4294967300, 4294967301, 4294967302, 4294967303, 5,
+            8589934598, 12884901894, 12884901895, 12884901896, 4294967304, 4294967305,
+            6, 7, 8589934599, 12884901897, 4294967306, 8, 8589934600, 8589934601,
+            8589934602, 8589934603, 12884901898, 4294967307, 9, 10, 11, 8589934604,
+            8589934605, 12884901899, 12884901900, 4294967308, 4294967309, 12, 13, 14,
+            8589934606, 8589934607, 12884901901, 4294967310, 4294967311, 15, 16,
+            8589934608, 8589934609, 12884901902, 4294967312, 17, 8589934610,
+            12884901903, 12884901904, 12884901905, 4294967313, 4294967314, 18, 19,
+            8589934611, 12884901906, 4294967315, 20, 21, 8589934612, 12884901907,
+            12884901908, 12884901909, 4294967316, 4294967317, 22, 8589934613,
+            12884901910, 4294967318, 4294967319, 23, 8589934614, 8589934615,
+            12884901911, 4294967320, 4294967321, 24, 25, 26, 8589934616, 8589934617,
+            8589934618, 8589934619, 12884901912, 4294967322, 4294967323, 27, 8589934620,
+            12884901913, 4294967324, 4294967325, 28, 8589934621, 8589934622, 8589934623,
+            12884901914, 4294967326, 29, 30, 31, 8589934624, 8589934625, 12884901915,
+            4294967327, 32, 33,
+        ]),
+    ],
+    "Q/2048/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "redo-premature-dep-clear-wpq4/asap": [
+        (292, 0, 0, [4294967297]),
+        (292, 2, 1, [3, 2]),
+        (292, 1, 2, [4]),
+    ],
+    "redo-premature-dep-clear-wpq4/asap_redo": [
+        (292, 1, 1, [1]),
+        (292, 1, 1, [1]),
+        (292, 2, 2, [1, 2]),
+    ],
+    "redo-premature-dep-clear-wpq4/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "service-svc-midburst-wpq4/asap": [
+        (292, 0, 0, [2]),
+        (292, 1, 1, [4, 3]),
+        (292, 5, 1, [7, 4294967300, 6, 4294967299, 5, 4294967298]),
+    ],
+    "service-svc-midburst-wpq4/asap_redo": [
+        (292, 2, 2, [1, 4294967297]),
+        (292, 3, 3, [1, 4294967297, 2]),
+        (292, 6, 6, [1, 4294967297, 2, 3, 4, 4294967298]),
+    ],
+    "service-svc-midburst-wpq4/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "undo-cross-thread-rmw-wpq4/asap": [
+        (292, 1, 1, [4294967297]),
+        (292, 1, 0, [2]),
+        (292, 0, 0, [4294967298]),
+    ],
+    "undo-cross-thread-rmw-wpq4/asap_redo": [
+        (292, 1, 1, [1]),
+        (292, 2, 3, [1, 4294967297]),
+        (292, 2, 3, [1, 4294967297]),
+    ],
+    "undo-cross-thread-rmw-wpq4/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "undo-incomplete-line-chain-wpq1/asap": [
+        (146, 1, 0, [1]),
+        (146, 1, 2, [1]),
+        (146, 1, 3, [1]),
+    ],
+    "undo-incomplete-line-chain-wpq1/asap_redo": [
+        (146, 0, 0, []),
+        (146, 0, 0, []),
+        (146, 0, 0, []),
+    ],
+    "undo-incomplete-line-chain-wpq1/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+    "undo-miss-in-flight-mshr1/asap": [
+        (438, 1, 2, [1]),
+        (438, 1, 1, [4294967297]),
+        (438, 0, 0, [2]),
+    ],
+    "undo-miss-in-flight-mshr1/asap_redo": [
+        (438, 0, 0, []),
+        (438, 1, 3, [1]),
+        (438, 3, 8, [1, 4294967297, 8589934593]),
+    ],
+    "undo-miss-in-flight-mshr1/hwundo": [
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+        (0, 0, 0, []),
+    ],
+}
+
 
 def _digest(image) -> str:
     words = sorted((addr, value) for addr, value in image.items() if value)
@@ -232,17 +416,26 @@ def _builders():
 BUILDERS = dict(_builders())
 
 
-def image_digests(build):
+def crash_points(build):
+    """The image digests and the recovery report at each fraction."""
     total = build().run().cycles
     machine = build()
-    digests = []
+    digests, reports = [], []
     for num, den in FRACTIONS:
         state = crash_machine(machine, at_cycle=total * num // den)
-        image, _report = recover(state)
+        image, report = recover(state)
         digests.append((_digest(state.pm_image), _digest(image)))
-    return digests
+        reports.append((
+            report.records_scanned,
+            report.records_matched,
+            report.restored_lines,
+            report.undone_rids,
+        ))
+    return digests, reports
 
 
 @pytest.mark.parametrize("case", sorted(BUILDERS))
 def test_crash_and_recovered_images_match_golden(case):
-    assert image_digests(BUILDERS[case]) == GOLDEN[case]
+    digests, reports = crash_points(BUILDERS[case])
+    assert digests == GOLDEN[case]
+    assert reports == REPORTS[case]
