@@ -65,7 +65,7 @@ class SimObserver:
         the ``waiters`` queued requesters' completions replayed."""
 
     def mshr_stalled(self, hierarchy, line, core_id) -> None:
-        """A primary miss found every needed MSHR file full; ``core_id``
+        """A primary miss found the LLC MSHR file full; ``core_id``
         stalls until an in-flight fill frees a register."""
 
     # -- dependence list (core/dependence.py) -----------------------------

@@ -1,10 +1,10 @@
 """Fig. 10 companion: what the non-blocking memory system is worth.
 
 For each PM latency multiplier (the Fig. 10 x-axis) this experiment runs
-ASAP and ASAP-Redo twice - once on the blocking comparator (one MSHR per
-cache file, so a second outstanding miss stalls its core, plus lockstep
+ASAP and ASAP-Redo twice - once on the blocking comparator (one LLC MSHR,
+so a second outstanding distinct-line miss stalls its core, plus lockstep
 WPQ drains serialized across channels by the write-bus arbiter) and once
-on the default non-blocking hierarchy (16 MSHRs per file with secondary
+on the default non-blocking hierarchy (16 LLC MSHRs with secondary
 same-line misses merging, channels draining concurrently). Each cell is
 the blocking machine's cycles-per-region over the non-blocking machine's:
 the latency recovered by miss- and drain-level memory parallelism.

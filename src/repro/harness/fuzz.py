@@ -289,11 +289,15 @@ def crash_cycles(total: int, points: int = 0, fracs: Sequence[float] = ()) -> Li
     return evenly + [max(1, int(total * frac)) for frac in fracs]
 
 
-def check_no_crash(case: FuzzCase, machine: Optional[Machine] = None) -> List[str]:
+def check_no_crash(
+    case: FuzzCase, machine: Optional[Machine] = None, runs: Optional[list] = None
+) -> List[str]:
     """Run ``machine`` (default: a fresh build) to completion; PM must
-    equal the oracle's committed image."""
+    equal the oracle's committed image. ``runs`` receives the RunResult."""
     m = machine or build_machine(case)
-    m.run()
+    result = m.run()
+    if runs is not None:
+        runs.append(result)
     failures: List[str] = []
     uncommitted = m.oracle.uncommitted_rids()
     if uncommitted:
@@ -308,8 +312,8 @@ def clean_run(case: FuzzCase) -> Tuple[List[str], int]:
     """The no-crash check on a fresh build, and the length its crash
     points divide: the cycle the last thread finished, not the (later)
     cycle the queues drained."""
-    clean = build_machine(case)
-    return check_no_crash(case, clean), clean.result().cycles
+    runs: list = []
+    return check_no_crash(case, build_machine(case), runs), runs[0].cycles
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Container, List, Mapping, Optional
+from typing import Container, Dict, List, Mapping, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.params import CacheParams
@@ -140,24 +140,14 @@ class CacheArray:
         return sum(len(s) for s in self._sets)
 
 
-class MSHREntry:
-    """Book-keeping for one outstanding miss (one line being fetched)."""
-
-    __slots__ = ("line", "waiters")
-
-    def __init__(self, line: int):
-        self.line = line
-        #: ``(core_id, done)`` completions replayed in arrival order when
-        #: the fill lands - populated only on the fetch-owning LLC entry.
-        self.waiters: list = []
-
-
 class MSHRFile:
-    """Miss Status Holding Registers of one cache array.
+    """Miss Status Holding Registers of the LLC.
 
     The registers are what make the hierarchy non-blocking: a primary
     miss allocates one and starts the (single) memory fetch, secondary
     misses for the same line merge into it, and the fill releases it.
+    ``entries`` maps each line in flight to its ``(core_id, done)``
+    waiters, replayed in arrival order when the fill lands.
     The file raises on oversubscription - callers must check :attr:`full`
     first and treat a full file as a structural stall (the hierarchy
     parks the requesting core until a fill frees a register).
@@ -170,10 +160,7 @@ class MSHRFile:
             )
         self.name = name
         self.capacity = capacity
-        self.entries: "OrderedDict[int, MSHREntry]" = OrderedDict()
-        self.allocations = 0
-        self.merges = 0
-        self.peak = 0
+        self.entries: Dict[int, list] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,11 +169,8 @@ class MSHRFile:
     def full(self) -> bool:
         return len(self.entries) >= self.capacity
 
-    def get(self, line: int) -> Optional[MSHREntry]:
-        return self.entries.get(line)
-
-    def allocate(self, line: int) -> MSHREntry:
-        """Track a new outstanding miss for ``line``.
+    def allocate(self, line: int) -> list:
+        """Track a new outstanding miss for ``line``; returns its waiters.
 
         Raises:
             SimulationError: the file is full (callers must stall instead)
@@ -200,21 +184,5 @@ class MSHRFile:
             raise SimulationError(
                 f"{self.name}: all {self.capacity} registers busy"
             )
-        entry = MSHREntry(line)
-        self.entries[line] = entry
-        self.allocations += 1
-        if len(self.entries) > self.peak:
-            self.peak = len(self.entries)
-        return entry
-
-    def ensure(self, line: int) -> MSHREntry:
-        """Return ``line``'s entry, merging if tracked, allocating if not."""
-        entry = self.entries.get(line)
-        if entry is not None:
-            self.merges += 1
-            return entry
-        return self.allocate(line)
-
-    def free(self, line: int) -> Optional[MSHREntry]:
-        """Release the register when the fill completes."""
-        return self.entries.pop(line, None)
+        waiters = self.entries[line] = []
+        return waiters

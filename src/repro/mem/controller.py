@@ -9,7 +9,7 @@ schemes' decision: ``AsyncCommitScheme.dep_list_for``.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -33,9 +33,8 @@ from repro.mem.wpq import (
 class TrafficStats:
     """Persistent-memory write-traffic accounting for one channel."""
 
-    pm_writes_by_kind: Dict[str, int] = field(
-        default_factory=lambda: {LPO: 0, DPO: 0, WB: 0, LOGHDR: 0}
-    )
+    #: the channel WPQ's own ``drained_by_kind`` dict (shared, not copied)
+    pm_writes_by_kind: Dict[str, int]
     pm_reads: int = 0
     dram_writes: int = 0
 
@@ -58,21 +57,17 @@ class Channel:
         drain_gate: Optional[DrainArbiter] = None,
     ):
         self.index = index
-        self.stats = TrafficStats()
         self.wpq = WritePendingQueue(
             name=f"wpq[{index}]",
             scheduler=scheduler,
             capacity=wpq_entries,
             write_service=timing.pm_write_service(index),
             pm_image=pm_image,
-            on_drain=self._count_drain,
             drain_watermark=timing.mem.wpq_drain_watermark,
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
             drain_gate=drain_gate,
         )
-
-    def _count_drain(self, op: PersistOp) -> None:
-        self.stats.pm_writes_by_kind[op.kind] += 1
+        self.stats = TrafficStats(self.wpq.drained_by_kind)
 
 
 class MemorySystem:

@@ -80,17 +80,11 @@ class CacheHierarchy:
         ]
         self.llc = CacheArray("LLC", config.l3, locked)
 
-        # Per-array MSHR files. The LLC file owns the outstanding fetches
-        # (one per line, with the merged waiters); private-level files
-        # model each core's bounded outstanding-miss tracking.
-        mshrs = config.memory.mshrs_per_cache
-        self.l1_mshrs: List[MSHRFile] = [
-            MSHRFile(f"MSHR-L1[{i}]", mshrs) for i in range(config.num_cores)
-        ]
-        self.l2_mshrs: List[MSHRFile] = [
-            MSHRFile(f"MSHR-L2[{i}]", mshrs) for i in range(config.num_cores)
-        ]
-        self.llc_mshrs = MSHRFile("MSHR-LLC", mshrs)
+        # The LLC MSHR file owns the outstanding fetches (one per line,
+        # with the merged waiters) and is the one bound on them. A core's
+        # in-flight lines are a subset of its entries, so a per-core bound
+        # of the same size could never park an access on its own.
+        self.llc_mshrs = MSHRFile("MSHR-LLC", config.memory.mshrs_per_cache)
         self.mshr_waiters = WaitQueue(scheduler)
 
         #: line -> set of private-level CacheArrays holding it, so an LLC
@@ -122,8 +116,8 @@ class CacheHierarchy:
         #: secondary misses that merged into an in-flight fetch (one fetch
         #: answers them all, so they are *not* counted in ``llc_misses``)
         self.mshr_merges = 0
-        #: structural stalls: a primary miss found every needed MSHR file
-        #: full and parked until a fill freed a register (re-parks count)
+        #: structural stalls: a primary miss found the LLC MSHR file full
+        #: and parked until a fill freed a register (re-parks count)
         self.mshr_stalls = 0
 
     # -- main access path ----------------------------------------------------
@@ -179,8 +173,9 @@ class CacheHierarchy:
         done: Callable[[LineMeta], None],
     ) -> None:
         """L1-missed remainder of :meth:`access`: inlined L2/LLC probes,
-        then the shared miss/fill machinery."""
-        pbit = self.is_persistent(line)
+        then the shared miss/fill machinery. A hit reads the PBit from
+        the line's metadata, which exists while the line is cached; only
+        a memory miss consults the page table."""
         l2 = self.l2[core_id]
         s2 = l2._sets[(line >> 6) % l2._num_sets]
         if line in s2:
@@ -197,9 +192,11 @@ class CacheHierarchy:
                 level, latency = _LLC, self._lat_llc
             else:
                 llc.misses += 1
-                self._miss_to_memory(core_id, line, pbit, is_write, done)
+                self._miss_to_memory(core_id, line, is_write, done)
                 return
-        meta = self.tags.ensure(line, pbit)
+        meta = self.tags._meta.get(line)
+        if meta is None:
+            meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
             meta.version += 1
@@ -242,46 +239,31 @@ class CacheHierarchy:
         self,
         core_id: int,
         line: int,
-        pbit: bool,
         is_write: bool,
         done: Callable[[LineMeta], None],
     ) -> None:
         """LLC miss: the hierarchy's only path to memory.
 
-        Primary miss: allocate an MSHR at every missed level and start the
-        memory fetch. Secondary miss: merge - the one in-flight fetch
-        answers every requester, so no second ``llc_misses`` count, PM
-        read, or reload-hook consultation. No free register: the
-        requesting core parks until a fill completes.
+        Primary miss: allocate the LLC MSHR and start the memory fetch.
+        Secondary miss: merge - the one in-flight fetch answers every
+        requester, so no second ``llc_misses`` count, PM read, or
+        reload-hook consultation. No free register: the requesting core
+        parks until a fill completes.
         """
+        pbit = self.is_persistent(line)
         llcm = self.llc_mshrs
-        l1m = self.l1_mshrs[core_id]
-        l2m = self.l2_mshrs[core_id]
-        fetch = llcm.entries.get(line)
-        # MSHRFile.full, inline: a file with no entry for ``line`` needs a
-        # free register
-        if fetch is not None:
-            if (line not in l1m.entries and len(l1m.entries) >= l1m.capacity) or (
-                line not in l2m.entries and len(l2m.entries) >= l2m.capacity
-            ):
-                self._stall_on_mshrs(core_id, line, is_write, done)
-                return
+        waiters = llcm.entries.get(line)
+        if waiters is not None:
             meta = self.tags.ensure(line, pbit)
             if is_write:
                 meta.dirty = True
                 meta.version += 1
             self.mshr_merges += 1
-            l1m.ensure(line)
-            l2m.ensure(line)
-            fetch.waiters.append((core_id, done))
+            waiters.append((core_id, done))
             if self.observer is not None:
                 self.observer.mshr_merged(self, line, core_id)
             return
-        if (
-            len(llcm.entries) >= llcm.capacity
-            or len(l1m.entries) >= l1m.capacity
-            or len(l2m.entries) >= l2m.capacity
-        ):
+        if len(llcm.entries) >= llcm.capacity:
             self._stall_on_mshrs(core_id, line, is_write, done)
             return
         self.llc_misses += 1
@@ -297,10 +279,8 @@ class CacheHierarchy:
         if is_write:
             meta.dirty = True
             meta.version += 1
-        fetch = llcm.allocate(line)
-        l1m.allocate(line)
-        l2m.allocate(line)
-        fetch.waiters.append((core_id, done))
+        waiters = llcm.allocate(line)
+        waiters.append((core_id, done))
         if self.observer is not None:
             self.observer.mshr_allocated(self, line, core_id)
         self.scheduler.after(latency, partial(self._complete_fill, line, meta))
@@ -331,7 +311,6 @@ class CacheHierarchy:
         still be in flight (merge), or need a fresh fetch. Re-probe
         silently - the access was classified and counted when it first
         entered the hierarchy."""
-        pbit = self.is_persistent(line)
         if self.l1[core_id].contains(line):
             self.l1[core_id].touch(line)
             level, latency = _L1, self._lat_l1
@@ -342,9 +321,11 @@ class CacheHierarchy:
             self.llc.touch(line)
             level, latency = _LLC, self._lat_llc
         else:
-            self._miss_to_memory(core_id, line, pbit, is_write, done)
+            self._miss_to_memory(core_id, line, is_write, done)
             return
-        meta = self.tags.ensure(line, pbit)
+        meta = self.tags._meta.get(line)
+        if meta is None:
+            meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
             meta.version += 1
@@ -352,14 +333,17 @@ class CacheHierarchy:
 
     def _complete_fill(self, line: int, meta: LineMeta) -> None:
         """The memory fetch for ``line`` arrived: install the line at the
-        LLC and in every waiter's private levels, release the MSHRs, and
+        LLC and in every waiter's private levels, release the LLC MSHR, and
         replay the queued completions in arrival order. A fully LPO-locked
         set retries the whole installation (inserts are idempotent),
         exactly like the synchronous fill path."""
-        fetch = self.llc_mshrs.get(line)
+        fetches = self.llc_mshrs.entries
+        waiters = fetches[line]
         try:
-            self._fill_llc(line)
-            for core_id, _done in fetch.waiters:
+            victim = self.llc.insert(line)
+            if victim is not None:
+                self._evict_from_llc(victim)
+            for core_id, _done in waiters:
                 self._fill(self.l2[core_id], line)
                 self._fill(self.l1[core_id], line)
         except SimulationError:
@@ -368,18 +352,16 @@ class CacheHierarchy:
                 _LOCKED_SET_RETRY, partial(self._complete_fill, line, meta)
             )
             return
-        self.llc_mshrs.free(line)
-        for core_id, _done in fetch.waiters:
-            self.l1_mshrs[core_id].free(line)
-            self.l2_mshrs[core_id].free(line)
+        del fetches[line]
         if self.observer is not None:
-            self.observer.mshr_filled(self, line, len(fetch.waiters))
-        for _core_id, waiter_done in fetch.waiters:
+            self.observer.mshr_filled(self, line, len(waiters))
+        for _core_id, waiter_done in waiters:
             waiter_done(meta)
         # Exactly one LLC register was freed; give it to the oldest
-        # parked miss (it re-probes and may re-park if its private file
-        # is still busy with a different in-flight line).
-        self.mshr_waiters.wake_one()
+        # parked miss, if any (it re-probes, and re-parks if a miss woken
+        # or issued earlier in this cycle took the register first).
+        if self.mshr_waiters._waiters:  # a deque: no __len__ frame
+            self.mshr_waiters.wake_one()
 
     # -- fills and evictions ---------------------------------------------------
 
@@ -398,11 +380,6 @@ class CacheHierarchy:
             holders[line] = {array}
         else:
             lset.add(array)
-
-    def _fill_llc(self, line: int) -> None:
-        victim = self.llc.insert(line)
-        if victim is not None:
-            self._evict_from_llc(victim)
 
     def _evict_from_llc(self, victim: int) -> None:
         """A line leaves the hierarchy: enforce inclusion, write back, spill."""

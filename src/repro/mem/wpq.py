@@ -138,7 +138,6 @@ class WritePendingQueue:
         capacity: int,
         write_service: int,
         pm_image: Optional[MemoryImage],
-        on_drain: Optional[Callable[[PersistOp], None]] = None,
         drain_watermark: int = 0,
         lazy_drain_multiplier: int = 1,
         drain_gate: Optional[DrainArbiter] = None,
@@ -150,7 +149,6 @@ class WritePendingQueue:
                 machine's lifetime by its :class:`TimingModel`).
             pm_image: drained payloads are applied here; None (the
                 payload-free machine, which never crashes) drops them.
-            on_drain: traffic-accounting hook, called per drained entry.
             drain_watermark: below this occupancy the controller defers
                 writes behind reads - entries drain lazily (every
                 ``write_service * lazy_drain_multiplier`` cycles) and thus
@@ -169,17 +167,17 @@ class WritePendingQueue:
         self.capacity = capacity
         self._write_service = write_service
         self._pm_image = pm_image
-        self._on_drain = on_drain
         self._drain_watermark = max(0, min(drain_watermark, capacity - 1))
-        self._lazy_multiplier = max(1, lazy_drain_multiplier)
+        self._lazy_interval = write_service * max(1, lazy_drain_multiplier)
         #: victim indexes, so the targeted drops
         #: (:meth:`drop_data_ops_for_line`, :meth:`drop_log_ops_for_rid`)
-        #: find their victims without scanning the whole queue.
-        #: Accepted DPO/WB entries by target line, in acceptance (FIFO)
-        #: order - the dict-of-dicts mirrors ``_entries`` ordering exactly
-        self._data_by_line: Dict[int, Dict[int, PersistOp]] = {}
+        #: find their victims without scanning the whole queue; None until
+        #: the first targeted drop builds them, so a queue that never drops
+        #: never pays for them. Accepted DPO/WB entries by target line, in
+        #: acceptance (FIFO) order, mirroring ``_entries`` ordering exactly
+        self._data_by_line: Optional[Dict[int, Dict[int, PersistOp]]] = None
         #: accepted LPO/LOGHDR entries by owning rid, acceptance order
-        self._log_by_rid: Dict[int, Dict[int, PersistOp]] = {}
+        self._log_by_rid: Optional[Dict[int, Dict[int, PersistOp]]] = None
         #: queued entries someone is waiting to drain (a pending flush
         #: forces full-rate draining - fences push writes through)
         self._flush_pending = 0
@@ -198,7 +196,8 @@ class WritePendingQueue:
         self.observer: Optional[SimObserver] = None
         # statistics
         self.accepted = 0
-        self.drained = 0
+        #: entries that reached PM, by kind (the channel's write traffic)
+        self.drained_by_kind: Dict[str, int] = {LPO: 0, DPO: 0, WB: 0, LOGHDR: 0}
         self.dropped = 0
         self.dropped_pending = 0
         self.peak_occupancy = 0
@@ -207,6 +206,10 @@ class WritePendingQueue:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def drained(self) -> int:
+        return sum(self.drained_by_kind.values())
 
     @property
     def full(self) -> bool:
@@ -242,6 +245,13 @@ class WritePendingQueue:
         while self._pending and not self.full:
             self._accept(self._pending.popleft())
 
+    def _build_indexes(self) -> None:
+        """Index the queued entries for the targeted drops, oldest first."""
+        self._data_by_line = {}
+        self._log_by_rid = {}
+        for op in self._entries.values():
+            self._index_add(op)
+
     def _index_add(self, op: PersistOp) -> None:
         kind = op.kind
         if kind == DPO or kind == WB:
@@ -252,22 +262,21 @@ class WritePendingQueue:
     def _index_remove(self, op: PersistOp) -> None:
         kind = op.kind
         if kind == DPO or kind == WB:
-            bucket = self._data_by_line.get(op.target_line)
-            if bucket is not None:
-                bucket.pop(op.op_id, None)
-                if not bucket:
-                    del self._data_by_line[op.target_line]
-        elif op.rid is not None:
-            bucket = self._log_by_rid.get(op.rid)
-            if bucket is not None:
-                bucket.pop(op.op_id, None)
-                if not bucket:
-                    del self._log_by_rid[op.rid]
+            index, key = self._data_by_line, op.target_line
+        elif op.rid is not None:  # LPO / LOGHDR
+            index, key = self._log_by_rid, op.rid
+        else:
+            return
+        bucket = index[key]
+        del bucket[op.op_id]
+        if not bucket:
+            del index[key]
 
     def _accept(self, op: PersistOp) -> None:
         op.accepted_at = self._scheduler.now
         self._entries[op.op_id] = op
-        self._index_add(op)
+        if self._data_by_line is not None:
+            self._index_add(op)
         if op.on_drain is not None:
             self._flush_pending += 1
             # A flush arriving mid-lazy-interval expedites the drain loop.
@@ -303,33 +312,31 @@ class WritePendingQueue:
 
     # -- drain loop --------------------------------------------------------
 
-    def _drain_interval(self) -> int:
-        """Full-rate service above the watermark or under a pending flush;
-        lazy (read-prioritised) drain otherwise."""
-        if self._flush_pending > 0 or len(self._entries) >= self._drain_watermark:
-            return self._write_service
-        return self._write_service * self._lazy_multiplier
-
     def _ensure_draining(self) -> None:
-        """Restart the idle drain loop while entries remain."""
-        if self._entries:
-            if self._drain_gate is None:
-                self._draining = True
-                fn = self._drain_one
-                self._drain_event = (
-                    self._scheduler.after(self._drain_interval(), fn), fn
-                )
-            else:
-                self._ensure_draining_gated()
+        """Restart the idle drain loop while entries remain: full-rate
+        service above the watermark or under a pending flush, lazy
+        (read-prioritised) drain otherwise."""
+        entries = self._entries
+        if not entries:
+            return
+        if self._flush_pending > 0 or len(entries) >= self._drain_watermark:
+            interval = self._write_service
+        else:
+            interval = self._lazy_interval
+        if self._drain_gate is not None:
+            return self._ensure_draining_gated(interval)
+        self._draining = True
+        fn = self._drain_one
+        self._drain_event = (self._scheduler.after(interval, fn), fn)
 
     # -- gated drain (legacy serialized write bus) -------------------------
 
-    def _ensure_draining_gated(self) -> None:
+    def _ensure_draining_gated(self, interval: int) -> None:
         """Start one gated drain cycle: lazy slack first, then contend for
         the write-bus token, then hold it for one service window."""
         self._draining = True
         self._gate_stage = "slack"
-        slack = self._drain_interval() - self._write_service
+        slack = interval - self._write_service
         fn = self._gate_request
         self._drain_event = (self._scheduler.after(slack, fn), fn)
 
@@ -349,19 +356,23 @@ class WritePendingQueue:
         self._drain_gate.release()
 
     def _drain_one(self) -> None:
+        """Drain the oldest entry, then schedule the next step - only after
+        the op's ``on_drain`` and the admission it made room for, which may
+        change the occupancy or flush count (or restart the loop)."""
         self._draining = False
         self._drain_event = None
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             return
-        _, op = self._entries.popitem(last=False)
-        self._index_remove(op)
+        _, op = entries.popitem(last=False)
+        if self._data_by_line is not None:
+            self._index_remove(op)
         if self._pm_image is not None:
-            self._pm_image.apply(op.materialized_payload())
-        self.drained += 1
+            payload = op.payload  # PersistOp.materialized_payload, inline
+            self._pm_image.apply(payload() if callable(payload) else payload)
+        self.drained_by_kind[op.kind] += 1
         if self.observer is not None:
             self.observer.wpq_drained(self, op)
-        if self._on_drain is not None:
-            self._on_drain(op)
         if op.on_drain is not None:
             self._flush_pending -= 1
             cb, op.on_drain = op.on_drain, None
@@ -398,11 +409,10 @@ class WritePendingQueue:
         ``line``, except ``exclude_op_id``. Semantically identical to the
         equivalent :meth:`drop_where` call, but the line index finds the
         victims in O(answer) instead of scanning every entry."""
-        bucket = self._data_by_line.get(line)
-        if bucket is None:
-            victims = []
-        else:
-            victims = [op for op in bucket.values() if op.op_id != exclude_op_id]
+        if self._data_by_line is None:
+            self._build_indexes()
+        bucket = self._data_by_line.get(line, {})
+        victims = [op for op in bucket.values() if op.op_id != exclude_op_id]
         if not victims and not self._pending:
             return 0
         return self._finish_drops(
@@ -415,6 +425,8 @@ class WritePendingQueue:
     def drop_log_ops_for_rid(self, rid: int) -> int:
         """LPO dropping (Sec. 5.1): remove queued LPO/LOGHDR ops of a
         committed region. Indexed counterpart of the predicate scan."""
+        if self._log_by_rid is None:
+            self._build_indexes()
         bucket = self._log_by_rid.get(rid)
         victims = list(bucket.values()) if bucket else []
         if not victims and not self._pending:
@@ -429,9 +441,11 @@ class WritePendingQueue:
         """Shared tail of every drop flavour: process accepted victims (in
         FIFO order), then sweep the backpressured submission queue with the
         full predicate, then refill freed entries."""
+        indexed = self._data_by_line is not None
         for op in victims:
             del self._entries[op.op_id]
-            self._index_remove(op)
+            if indexed:
+                self._index_remove(op)
             op.dropped = True
             self.dropped += 1
             if self.observer is not None:

@@ -88,7 +88,7 @@ class AsapScheme(AsyncCommitScheme):
     OBSERVED = (
         "region_begun", "region_ended", "dep_captured", "slot_opened",
         "lpo_initiated", "lpo_deferred", "lpo_chained", "lpo_logged",
-        "dpo_initiated", "region_committed", "log_freed",
+        "dpo_initiated", "log_freed",
     )
 
     def __init__(self):
@@ -760,7 +760,7 @@ class AsapScheme(AsyncCommitScheme):
     def _commit(self, rid: int) -> None:
         """Fig. 4 transition (4): free the log, clear the entry, broadcast."""
         thread = self.threads[thread_id_of(rid)]
-        self._notify_commit(rid)
+        self.commits.fire(rid)
         dl = self.dep_list_for(rid)
         dl.remove_entry(rid)
         open_record = thread.log.open_record(rid)

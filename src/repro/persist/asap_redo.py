@@ -111,7 +111,6 @@ class AsapRedoLogging(AsyncCommitScheme):
     OBSERVED = (
         "region_begun", "region_ended", "dep_captured", "lpo_initiated",
         "lpo_logged", "dpo_initiated", "marker_issued", "marker_accepted",
-        "region_committed",
     )
 
     THREAD = _RedoThread
@@ -208,7 +207,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             if self.observer is not None:
                 self.observer.marker_accepted(self, rid, seq, op)
             self.dep_list_for(rid).remove_entry(rid)
-            self._notify_commit(rid)
+            self.commits.fire(rid)
             signal = thread.commit_signals.pop(rid, None)
             if signal is not None:
                 signal.fire()

@@ -60,7 +60,7 @@ class AsyncCommitScheme(PersistenceScheme):
         ]
 
     def hook_points(self) -> list:
-        return [self, *self.dep_lists]
+        return [*super().hook_points(), *self.dep_lists]
 
     def wait_queues(self) -> list:
         return [

@@ -8,10 +8,11 @@ when the instruction may retire. Synchronous-commit schemes delay ``End``'s
 :class:`PersistenceScheme` is a template: it owns region nesting and rid
 assignment, and calls the scheme's ``begin_region``/``end_region`` only
 for top-level regions. Schemes also fire the ``region_committed``
-observer event (the commit oracle subscribes to it), expose a
-``crash_flush(image)`` hook that flushes their share of the persistence
-domain into a crash snapshot's copy of PM, and declare the recovery
-procedure their crash images need in ``RECOVERY``.
+observer event through their :class:`CommitHook` (the commit oracle
+subscribes to it), expose a ``crash_flush(image)`` hook that flushes
+their share of the persistence domain into a crash snapshot's copy of
+PM, and declare the recovery procedure their crash images need in
+``RECOVERY``.
 """
 
 from __future__ import annotations
@@ -89,6 +90,22 @@ class SchemeThread:
         return pack_rid(self.thread_id, self.regions_begun + 1)
 
 
+class CommitHook:
+    """The hook point of ``region_committed``, which every scheme fires.
+    A commits-only subscriber (the commit oracle, the service recorder)
+    fills this slot and leaves the scheme's own slot empty."""
+
+    OBSERVED = ("region_committed",)
+
+    def __init__(self, scheme: "PersistenceScheme"):
+        self.scheme = scheme
+        self.observer = None  # wired by Machine.observe
+
+    def fire(self, rid: int) -> None:
+        if self.observer is not None:
+            self.observer.region_committed(self.scheme, rid)
+
+
 class PersistenceScheme(abc.ABC):
     """Template for every scheme (Sec. 6.3 baselines, ASAP, extensions).
 
@@ -111,8 +128,9 @@ class PersistenceScheme(abc.ABC):
     #: traces.
     ORDERING_EDGES: FrozenSet[str] = frozenset()
 
-    #: the observer events this scheme fires (see :meth:`hook_points`)
-    OBSERVED = ("region_committed",)
+    #: the observer events this scheme fires itself (see
+    #: :meth:`hook_points`); ``region_committed`` goes through ``commits``
+    OBSERVED = ()
 
     #: the recovery procedure this scheme's crash images need: ``"undo"``
     #: (roll uncommitted regions back), ``"redo"`` (replay marked
@@ -126,6 +144,7 @@ class PersistenceScheme(abc.ABC):
     def __init__(self):
         self.machine: Optional["Machine"] = None
         self.observer = None  # wired by Machine.observe
+        self.commits = CommitHook(self)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -136,7 +155,7 @@ class PersistenceScheme(abc.ABC):
     def hook_points(self) -> list:
         """The scheme's structures that fire observer events; each class
         declares them in ``OBSERVED``."""
-        return [self]
+        return [self, self.commits]
 
     def wait_queues(self) -> list:
         """``(name, WaitQueue)`` of the scheme's structures that park
@@ -177,7 +196,7 @@ class PersistenceScheme(abc.ABC):
 
     def end_region(self, thread: SchemeThread, done: Callable[[], None]) -> None:
         """Close a top-level region. The default commits it at once."""
-        self._notify_commit(thread.rid)
+        self.commits.fire(thread.rid)
         done()
 
     @abc.abstractmethod
@@ -241,10 +260,6 @@ class PersistenceScheme(abc.ABC):
         return {}
 
     # -- helpers -----------------------------------------------------------------
-
-    def _notify_commit(self, rid: int) -> None:
-        if self.observer is not None:
-            self.observer.region_committed(self, rid)
 
     def _persist_header(self, sealed: "LogRecord", rid: int, payload) -> None:
         """Persist a sealed log record's header line (no wait). ``payload``

@@ -87,7 +87,7 @@ class HardwareRedoLogging(PersistenceScheme):
         thread.waiting = False
         rid = thread.rid
         lines = sorted(thread.write_set)
-        self._notify_commit(rid)
+        self.commits.fire(rid)
         resume, thread.resume = thread.resume, None
         # Post-commit DPOs are asynchronous: schedule them lazily, retire
         # anyway. The lazy window is what gives redo logging its DPO

@@ -111,7 +111,7 @@ class HardwareUndoLogging(PersistenceScheme):
         thread.log.free(rid)
         # LPO dropping (any log writes still queued are unneeded now).
         self.machine.memory.drop_log_ops_for_rid(rid)
-        self._notify_commit(rid)
+        self.commits.fire(rid)
         resume, thread.resume = thread.resume, None
         resume()
 

@@ -126,7 +126,7 @@ class SoftwareLogging(PersistenceScheme):
     def _commit(self, thread: _SwThread, done: Callable[[], None]) -> None:
         if thread.log is not None:
             thread.log.free(thread.rid)
-        self._notify_commit(thread.rid)
+        self.commits.fire(thread.rid)
         done()
 
     # -- accesses -----------------------------------------------------------------

@@ -17,6 +17,8 @@ from repro.common.address import AddressSpace, page_base
 from repro.common.errors import SimulationError
 from repro.common.units import CACHE_LINE_BYTES, PAGE_BYTES
 
+_PAGE_MASK = ~(PAGE_BYTES - 1)
+
 
 class PageTable:
     """Tracks which pages carry the persistent bit."""
@@ -30,7 +32,7 @@ class PageTable:
         )
 
     def is_persistent(self, addr: int) -> bool:
-        return page_base(addr) in self._persistent_pages
+        return (addr & _PAGE_MASK) in self._persistent_pages  # page_base, inline
 
 
 class _BumpHeap:

@@ -113,16 +113,16 @@ def test_commit_only_subscribers_leave_hot_slots_empty(scheme, fast):
     machine = build_machine(
         workload, scheme, default_config(), default_params(), fast=fast
     )
-    committer = getattr(machine.scheme, "engine", machine.scheme)
+    scheme = machine.scheme
     hot = [ch.wpq for ch in machine.memory.channels] + [machine.hierarchy]
-    hot += [*getattr(committer, "dep_lists", ()), *machine.locks]
+    hot += [scheme, *getattr(scheme, "dep_lists", ()), *machine.locks]
     hot += machine.executors
     assert machine.locks and machine.executors
     for point in hot:
         assert point.observer is None, type(point).__name__
     sub = machine.service_recorder if fast else machine.oracle
     assert machine.observers == [sub]
-    assert committer.observer is sub
+    assert scheme.commits.observer is sub
 
 
 def test_locks_made_after_attach_are_wired():

@@ -69,7 +69,7 @@ class _RegionLog(SimObserver):
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
 def test_async_commit_dependence_list_plumbing(scheme):
     m = Machine(SystemConfig.small(), make_scheme(scheme))
-    assert m.scheme.hook_points() == [m.scheme, *m.scheme.dep_lists]
+    assert m.scheme.hook_points() == [m.scheme, m.scheme.commits, *m.scheme.dep_lists]
     assert len(m.scheme.dep_lists) == m.config.memory.num_channels
     events = []
     m.observe(_RegionLog(events))

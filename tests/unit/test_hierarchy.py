@@ -60,6 +60,25 @@ def test_pbit_set_from_page_table():
     assert meta.pbit
 
 
+def test_only_a_memory_miss_reads_the_page_table():
+    cfg, s, vol, pm, mem, _ = build()
+    lookups = []
+
+    def is_persistent(addr):
+        lookups.append(addr)
+        return True
+
+    h = CacheHierarchy(cfg, s, mem, vol, is_persistent)
+    access(h, s, 0, PM_BASE, False)  # memory miss
+    assert lookups == [PM_BASE]
+    h.l1[0].invalidate(PM_BASE)
+    meta, t = access(h, s, 0, PM_BASE, True)  # L2 hit
+    access(h, s, 1, PM_BASE, False)  # LLC hit from the other core
+    # the hits read the PBit from the cached line's metadata
+    assert lookups == [PM_BASE]
+    assert meta.pbit and meta.dirty and t == mem.timing.l2_latency()
+
+
 def test_remote_core_hit_costs_llc_latency():
     cfg, s, vol, pm, mem, h = build()
     access(h, s, 0, PM_BASE, False)

@@ -1,6 +1,6 @@
 """Unit tests for the non-blocking hierarchy: MSHR allocate/merge/replay/
-exhaustion, the legacy blocking model, the locked-set single-count fix,
-and the serialized-drain arbiter."""
+exhaustion, the LLC file as the one bound, the legacy blocking model,
+the locked-set single-count fix, and the serialized-drain arbiter."""
 
 from dataclasses import replace as dc_replace
 
@@ -59,17 +59,17 @@ def start_access(h, s, core, addr, is_write=False):
 
 def test_mshr_file_allocate_merge_free():
     f = MSHRFile("mshr-test", 2)
-    entry = f.allocate(0x40)
-    assert f.get(0x40) is entry
+    waiters = f.allocate(0x40)
+    assert f.entries[0x40] is waiters == []
     assert len(f) == 1 and not f.full
-    # ensure on a tracked line merges (no new register)
-    assert f.ensure(0x40) is entry
-    assert f.merges == 1 and f.allocations == 1
+    # a merge joins the tracked line's waiters (no new register)
+    f.entries[0x40].append((1, None))
+    assert waiters == [(1, None)] and len(f) == 1
     f.allocate(0x80)
-    assert f.full and f.peak == 2
-    assert f.free(0x40) is entry
-    assert len(f) == 1
-    assert f.free(0x40) is None  # double free is a no-op
+    assert f.full and len(f) == 2
+    del f.entries[0x40]  # the fill frees the register
+    assert len(f) == 1 and not f.full
+    assert f.allocate(0x40) == []  # a later miss fetches afresh
 
 
 def test_mshr_file_raises_on_oversubscription_and_duplicates():
@@ -90,7 +90,7 @@ def test_same_line_misses_from_two_cores_produce_one_fill():
     cfg, s, mem, h = build()
     first = start_access(h, s, 0, PM_BASE)
     second = start_access(h, s, 1, PM_BASE)  # in flight: must merge
-    assert h.llc_mshrs.get(PM_BASE) is not None
+    assert PM_BASE in h.llc_mshrs.entries
     s.run()
     t_mem = mem.timing.memory_read_latency(True)
     assert h.llc_misses == 1
@@ -99,7 +99,7 @@ def test_same_line_misses_from_two_cores_produce_one_fill():
     # both requesters complete when the single fill lands
     assert first["time"] == second["time"] == t_mem
     assert h.l1[0].contains(PM_BASE) and h.l1[1].contains(PM_BASE)
-    assert h.llc_mshrs.get(PM_BASE) is None  # registers released
+    assert PM_BASE not in h.llc_mshrs.entries  # registers released
 
 
 def test_merged_write_applies_effects_at_classification():
@@ -161,6 +161,48 @@ def test_nonblocking_default_makes_secondary_miss_wait_for_fill():
     second = start_access(h, s, 1, PM_BASE)
     s.run()
     assert second["time"] == first["time"]
+
+
+# -- the LLC file is the one bound -------------------------------------------
+
+
+def test_full_file_stalls_a_new_line_and_merges_an_in_flight_one():
+    cfg, s, mem, h = build(mshrs=2)
+    a, b, c = PM_BASE, PM_BASE + 64, PM_BASE + 128
+    first = start_access(h, s, 0, a)
+    start_access(h, s, 0, b)
+    assert set(h.llc_mshrs.entries) == {a, b} and h.llc_mshrs.full
+    parked = start_access(h, s, 0, c)  # a new line: the core stalls
+    assert h.mshr_stalls == 1 and c not in h.llc_mshrs.entries
+    merged = start_access(h, s, 0, a)  # an in-flight line: merges
+    assert h.mshr_merges == 1 and h.mshr_stalls == 1
+    assert [core for core, _ in h.llc_mshrs.entries[a]] == [0, 0]
+    s.run()
+    t_mem = mem.timing.memory_read_latency(True)
+    assert first["time"] == merged["time"] == t_mem
+    assert parked["time"] == 2 * t_mem  # fetched once a fill freed a register
+    assert h.llc_misses == 3
+    assert len(h.llc_mshrs) == 0  # every fill released its register
+
+
+def test_full_file_lets_another_core_merge_but_not_fetch():
+    cfg, s, mem, h = build(mshrs=2)
+    a, b, c = PM_BASE, PM_BASE + 64, PM_BASE + 128
+    start_access(h, s, 0, a)
+    start_access(h, s, 0, b)
+    # core 0 filled the shared file; core 1 merges into both fetches...
+    start_access(h, s, 1, a)
+    start_access(h, s, 1, b)
+    assert h.mshr_merges == 2 and h.mshr_stalls == 0
+    assert [core for core, _ in h.llc_mshrs.entries[b]] == [0, 1]
+    # ...but a line of its own must wait for a register like core 0's would
+    parked = start_access(h, s, 1, c)
+    assert h.mshr_stalls == 1
+    s.run()
+    t_mem = mem.timing.memory_read_latency(True)
+    assert parked["time"] == 2 * t_mem
+    assert all(h.l1[1].contains(x) for x in (a, b, c))
+    assert h.llc_misses == 3 and len(h.llc_mshrs) == 0
 
 
 # -- locked-set stalls count the logical access once -------------------------

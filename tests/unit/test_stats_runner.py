@@ -123,7 +123,7 @@ def test_scheme_base_defaults():
     assert calls == ["fence", "migrate", "quiescent"]
     assert thread.core_id == 3
     tracer = Tracer(Machine(SystemConfig.small(), scheme))
-    scheme._notify_commit(42)
+    scheme.commits.fire(42)
     assert [e.rid for e in tracer.of_kind(COMMIT)] == [42]
 
 
