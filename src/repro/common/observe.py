@@ -96,7 +96,7 @@ class SimObserver:
     def lpo_deferred(self, scheme, rid, line) -> None:
         """An LPO was held at the controller behind an earlier uncommitted
         writer's in-flight LPO for the same line (the per-line
-        chain-ordering rule, ``AsapScheme._submit_lpo_ordered``)."""
+        chain-ordering rule, :class:`~repro.persist.base.LineChainGate`)."""
 
     def lpo_chained(self, scheme, rid, line, prev_owner) -> None:
         """Region ``rid``'s log entry for ``line`` is mid-chain: its

@@ -25,7 +25,6 @@ class BloomFilter:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
-        self.insertions = 0
         self.clears = 0
 
     @staticmethod
@@ -46,7 +45,6 @@ class BloomFilter:
     def insert(self, line: int) -> None:
         for pos in self._positions(line):
             self._bits[pos >> 3] |= 1 << (pos & 7)
-        self.insertions += 1
 
     def maybe_contains(self, line: int) -> bool:
         """False = definitely absent; True = must check the DRAM buffer."""

@@ -66,7 +66,6 @@ class LogRecord:
         "entries",
         "confirmed",
         "chained",
-        "sealed",
     )
 
     def __init__(self, rid: int, header_addr: int, capacity: int):
@@ -79,7 +78,6 @@ class LogRecord:
         #: slots whose line had an *uncommitted* previous writer (their
         #: durable header words carry :data:`CHAIN_BIT`)
         self.chained: set = set()
-        self.sealed = False
 
     @property
     def full(self) -> bool:
@@ -242,7 +240,6 @@ class UndoLog:
         sealed_record = None
         record = self._open.get(rid)
         if record is not None and record.full:
-            record.sealed = True
             sealed_record = record
             record = None
         opened = record is None

@@ -69,7 +69,7 @@ class CacheHierarchy:
         self.is_persistent = is_persistent
         self.tags = TagStore()
 
-        locked = self.tags._locked
+        locked = self.tags.locked
         self.l1: List[CacheArray] = [
             CacheArray(f"L1[{i}]", config.l1, locked)
             for i in range(config.num_cores)
@@ -154,12 +154,11 @@ class CacheHierarchy:
         if line in s1:
             s1.move_to_end(line)
             l1.hits += 1
-            meta = self.tags._meta.get(line)
+            meta = self.tags.get(line)
             if meta is None:
                 meta = self.tags.ensure(line, self.is_persistent(line))
             if is_write:
                 meta.dirty = True
-                meta.version += 1
             self.scheduler.after(self._lat_l1, partial(done, meta))
             return
         l1.misses += 1
@@ -194,12 +193,11 @@ class CacheHierarchy:
                 llc.misses += 1
                 self._miss_to_memory(core_id, line, is_write, done)
                 return
-        meta = self.tags._meta.get(line)
+        meta = self.tags.get(line)
         if meta is None:
             meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
-            meta.version += 1
         self._fill_and_finish(level, core_id, line, latency, meta, done)
 
     def _fill_and_finish(
@@ -257,7 +255,6 @@ class CacheHierarchy:
             meta = self.tags.ensure(line, pbit)
             if is_write:
                 meta.dirty = True
-                meta.version += 1
             self.mshr_merges += 1
             waiters.append((core_id, done))
             if self.observer is not None:
@@ -278,7 +275,6 @@ class CacheHierarchy:
                 meta.owner_rid = owner
         if is_write:
             meta.dirty = True
-            meta.version += 1
         waiters = llcm.allocate(line)
         waiters.append((core_id, done))
         if self.observer is not None:
@@ -323,12 +319,11 @@ class CacheHierarchy:
         else:
             self._miss_to_memory(core_id, line, is_write, done)
             return
-        meta = self.tags._meta.get(line)
+        meta = self.tags.get(line)
         if meta is None:
             meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
-            meta.version += 1
         self._fill_and_finish(level, core_id, line, latency, meta, done)
 
     def _complete_fill(self, line: int, meta: LineMeta) -> None:

@@ -8,22 +8,23 @@ The paper extends every cache line's tag with three fields (Fig. 3 (2)):
 * **OwnerRID** - the atomic region that last wrote the line (Sec. 4.6.3).
 
 A real implementation replicates these bits per cache level and migrates
-them with coherence messages. We model them once, hierarchy-wide, in this
-tag store: metadata exists while the line is cached anywhere and is handed
-to the eviction hooks when the line leaves the LLC (Sec. 5.3 spill path).
-The ``dirty`` bit here means "dirty somewhere in the hierarchy".
+them with coherence messages. We model them once, hierarchy-wide: the
+:class:`TagStore` is the line -> :class:`LineMeta` dict itself, holding an
+entry while the line is cached anywhere; the entry is handed to the
+eviction hooks when the line leaves the LLC (Sec. 5.3 spill path). Besides
+the paper's fields a line keeps one ``dirty`` bit, meaning "dirty somewhere
+in the hierarchy".
 
-``locked_lines()`` and ``owned_by()`` are served from index maps the
-:class:`LineMeta` setters keep in sync at every lock/unlock and ownership
-hand-off, so the queries cost O(answer), not O(cached lines). The index
-maps are the store's private books; the metadata fields stay the single
-source of truth (``tests/unit/test_tagstore_ops.py`` cross-checks them
-under generated op sequences).
+The store also keeps ``locked``, the lines whose LockBit is set. Every
+cache array's victim selection tests it, so the ``lock_count`` setter keeps
+it current at each lock and unlock instead of each victim choice reading
+the lines' counts (``tests/unit/test_tagstore_ops.py`` cross-checks the
+index against a scan under generated op sequences and real workloads).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class LineMeta:
@@ -33,40 +34,26 @@ class LineMeta:
     region takes ownership of a line whose previous owner's LPO is still in
     flight, both LPOs hold the line; it unlocks when the count drains to
     zero. With a single bit the first completion would unlock the line
-    while the second LPO is still outstanding.
-
-    ``lock_count`` and ``owner_rid`` are properties: their setters keep the
-    owning :class:`TagStore`'s locked/owner indexes current, so plain
-    attribute assignment everywhere in the engine transparently maintains
-    the O(1) query paths.
+    while the second LPO is still outstanding. It is a property whose
+    setter keeps the owning store's ``locked`` index current.
     """
 
-    __slots__ = ("line", "pbit", "dirty", "version", "_lock_count", "_owner_rid", "_store")
+    __slots__ = ("line", "pbit", "dirty", "owner_rid", "_lock_count", "_locked")
 
-    def __init__(
-        self,
-        line: int,
-        pbit: bool = False,
-        lock_count: int = 0,
-        owner_rid: Optional[int] = None,
-        dirty: bool = False,
-        version: int = 0,
-    ):
+    def __init__(self, line: int, pbit: bool = False):
         self.line = line
         self.pbit = pbit
-        self.dirty = dirty
-        #: bumped on every write; diagnostic only (CLPtr slots carry their
-        #: own per-slot data version for DPO staleness checks).
-        self.version = version
-        self._store: Optional["TagStore"] = None
-        self._lock_count = lock_count
-        self._owner_rid = owner_rid
+        self.dirty = False
+        self.owner_rid: Optional[int] = None
+        self._lock_count = 0
+        #: the owning store's ``locked`` index; None while unowned
+        self._locked: Optional[Dict[int, "LineMeta"]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"LineMeta(line={self.line:#x}, pbit={self.pbit}, "
-            f"lock_count={self._lock_count}, owner_rid={self._owner_rid}, "
-            f"dirty={self.dirty}, version={self.version})"
+            f"lock_count={self._lock_count}, owner_rid={self.owner_rid}, "
+            f"dirty={self.dirty})"
         )
 
     @property
@@ -77,32 +64,12 @@ class LineMeta:
     def lock_count(self, value: int) -> None:
         was_locked = self._lock_count > 0
         self._lock_count = value
-        store = self._store
-        if store is not None and was_locked != (value > 0):
+        locked = self._locked
+        if locked is not None and was_locked != (value > 0):
             if value > 0:
-                store._locked[self.line] = self
+                locked[self.line] = self
             else:
-                store._locked.pop(self.line, None)
-
-    @property
-    def owner_rid(self) -> Optional[int]:
-        return self._owner_rid
-
-    @owner_rid.setter
-    def owner_rid(self, rid: Optional[int]) -> None:
-        old = self._owner_rid
-        self._owner_rid = rid
-        store = self._store
-        if store is None or old == rid:
-            return
-        if old is not None:
-            lines = store._owners.get(old)
-            if lines is not None:
-                lines.pop(self.line, None)
-                if not lines:
-                    del store._owners[old]
-        if rid is not None:
-            store._owners.setdefault(rid, {})[self.line] = self
+                locked.pop(self.line, None)
 
     @property
     def lock_bit(self) -> bool:
@@ -110,61 +77,28 @@ class LineMeta:
         return self._lock_count > 0
 
 
-class TagStore:
-    """All :class:`LineMeta` for currently cached lines."""
+class TagStore(dict):
+    """Line -> :class:`LineMeta` for every currently cached line, plus
+    ``locked``, the lines whose LockBit is set."""
+
+    __slots__ = ("locked",)
 
     def __init__(self):
-        self._meta: Dict[int, LineMeta] = {}
-        #: lines whose LockBit is set, kept current by the LineMeta setters
-        self._locked: Dict[int, LineMeta] = {}
-        #: owner rid -> {line: meta}, kept current by the LineMeta setters
-        self._owners: Dict[int, Dict[int, LineMeta]] = {}
-
-    def __len__(self) -> int:
-        return len(self._meta)
-
-    def get(self, line: int) -> Optional[LineMeta]:
-        """Return the metadata for ``line`` or None when not cached."""
-        return self._meta.get(line)
+        super().__init__()
+        self.locked: Dict[int, LineMeta] = {}
 
     def ensure(self, line: int, pbit: bool) -> LineMeta:
         """Return metadata for ``line``, creating it on first caching."""
-        meta = self._meta.get(line)
+        meta = self.get(line)
         if meta is None:
-            meta = LineMeta(line=line, pbit=pbit)
-            meta._store = self
-            self._meta[line] = meta
+            meta = self[line] = LineMeta(line, pbit)
+            meta._locked = self.locked
         return meta
 
     def drop(self, line: int) -> Optional[LineMeta]:
         """Remove and return metadata when a line leaves the hierarchy."""
-        meta = self._meta.pop(line, None)
+        meta = self.pop(line, None)
         if meta is not None:
-            self._locked.pop(line, None)
-            if meta._owner_rid is not None:
-                lines = self._owners.get(meta._owner_rid)
-                if lines is not None:
-                    lines.pop(line, None)
-                    if not lines:
-                        del self._owners[meta._owner_rid]
-            meta._store = None
+            self.locked.pop(line, None)
+            meta._locked = None
         return meta
-
-    def locked_lines(self) -> List[LineMeta]:
-        """Lines whose LockBit is currently set, in line-address order.
-
-        Served from the locked index - O(locked), not a scan of every
-        cached line.
-        """
-        return [self._locked[line] for line in sorted(self._locked)]
-
-    def owned_by(self, rid: int) -> List[LineMeta]:
-        """Lines currently owned by region ``rid``, in line-address order.
-
-        Served from the per-owner index - O(owned), not a scan of every
-        cached line.
-        """
-        lines = self._owners.get(rid)
-        if not lines:
-            return []
-        return [lines[line] for line in sorted(lines)]

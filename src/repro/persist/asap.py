@@ -17,7 +17,7 @@ to the cache hierarchy and memory controllers, implementing:
   Bloom filter (Sec. 5.3),
 * log management with the LH-WPQ (Sec. 5.5),
 * the per-line log-persist ordering rule recovery relies on
-  (:meth:`AsapScheme._submit_lpo_ordered`; docs/RECOVERY.md).
+  (:class:`~repro.persist.base.LineChainGate`; docs/RECOVERY.md).
 
 Everything is continuation-passing: an operation's ``done`` callback fires
 when the instruction may retire, so structural stalls (full CL List, full
@@ -34,9 +34,8 @@ in program order, and nothing here assumes cross-core completion order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.core.bloom import OwnerSpillBuffer
@@ -49,6 +48,7 @@ from repro.mem.image import MemoryImage
 from repro.mem.tagstore import LineMeta
 from repro.mem.wpq import DPO, LPO, PersistOp
 from repro.persist.async_commit import AsyncCommitScheme, AsyncThread
+from repro.persist.base import LineChainGate
 
 
 @dataclass
@@ -118,17 +118,13 @@ class AsapScheme(AsyncCommitScheme):
         self.spill = OwnerSpillBuffer(
             num_channels, params.bloom_filter_bits, params.bloom_hashes
         )
-        #: per-line LPO ordering (:meth:`_submit_lpo_ordered`): for each
-        #: line with LPOs submitted but not yet accepted/dropped, a
-        #: ``[channel_index, count]`` token, plus the FIFO of later same-line
-        #: LPOs held back. Submission order equals dependence-chain order
-        #: (first writes take ownership under dependence capture), so
-        #: releasing waiters oldest-first persists each line's log entries
-        #: chain-oldest-first. Same-channel followers ride the in-flight
-        #: token (count > 1) instead of waiting: one channel's FIFO already
-        #: orders their acceptance.
-        self._line_lpo_inflight: Dict[int, List[int]] = {}
-        self._line_lpo_waiters: Dict[int, Deque] = {}
+        #: per-line LPO ordering at acceptance granularity. Submission
+        #: order equals dependence-chain order (first writes take ownership
+        #: under dependence capture), so releasing held LPOs oldest-first
+        #: persists each line's log entries chain-oldest-first. A held LPO
+        #: keeps its line's LockBit, so its region's DPO, and hence its
+        #: commit, stays behind it.
+        self.lpo_gate = LineChainGate(machine.memory, ride_same_channel=True)
         #: line -> {entry rid: (core, entry seq, entry, slot)} for every
         #: live CLPtr slot tracking that line, so
         #: ``_try_issue_dpos_for_line`` avoids scanning every core's CL
@@ -137,7 +133,6 @@ class AsapScheme(AsyncCommitScheme):
         #: :mod:`repro.core.cl_list`).
         self._slots_by_line: Dict[int, Dict[int, tuple]] = {}
         self._dpo_distance = params.dpo_distance
-        self._quiescent_waiters: List[Callable[[], None]] = []
 
         machine.hierarchy.evict_hook = self._on_llc_evict
         machine.hierarchy.reload_hook = self._on_pm_reload
@@ -482,7 +477,7 @@ class AsapScheme(AsyncCommitScheme):
                 if self.observer is not None:
                     self.observer.lpo_logged(self, rid, line)
                 self._lpo_accepted(op, thread)
-                self._lpo_chain_advance(line)
+                self.lpo_gate.advance(line)
 
             op = PersistOp(
                 kind=LPO,
@@ -495,7 +490,10 @@ class AsapScheme(AsyncCommitScheme):
             self.stats.lpos_initiated += 1
             if self.observer is not None:
                 self.observer.lpo_initiated(self, rid, line, entry_addr)
-            self._submit_lpo_ordered(op, line)
+            if self.lpo_gate.submit(op, line):
+                self.stats.lpo_order_delays += 1
+                if self.observer is not None:
+                    self.observer.lpo_deferred(self, rid, line)
             # Instruction execution proceeds while the LPO is in flight.
             then()
 
@@ -505,64 +503,6 @@ class AsapScheme(AsyncCommitScheme):
             self.lh_wpq_for(record.header_addr).acquire(record, issue)
         else:
             issue()
-
-    def _submit_lpo_ordered(self, op: PersistOp, line: int) -> None:
-        """Submit an LPO under the per-line chain-ordering rule.
-
-        Same-line log entries of chained uncommitted writers may live in
-        *different* records on *different* channels, so nothing in the
-        memory system orders their durability - yet recovery's correctness
-        depends on it: if a dependent's entry for L is durable while its
-        predecessor's is not, the dependent's logged "old value" is data
-        that never existed durably, and restoring it corrupts committed
-        state. The rule: at most one LPO per line is in flight; later ones
-        wait at the controller until it is accepted (durable) or dropped
-        (its region committed). Execution never stalls - only the log
-        write's durability is deferred, and the LockBit it holds keeps the
-        region's own DPO (and hence its commit) behind it.
-
-        One refinement keeps the common case free: when the in-flight
-        entry sits on the *same channel*, the channel itself already orders their acceptance - equal MC hop,
-        FIFO scheduler ties, FIFO admission - so the dependent issues
-        immediately and merely rides the in-flight token. Only chains
-        whose entries interleave across channels (the actual hazard) pay
-        a deferral.
-        """
-        channel = self.memory.channel_for_line(op.target_line)
-        inflight = self._line_lpo_inflight.get(line)
-        if inflight is not None:
-            if inflight[0] == channel.index and not self._line_lpo_waiters.get(line):
-                inflight[1] += 1
-                self.memory.issue_persist(op)
-                return
-            self.stats.lpo_order_delays += 1
-            if self.observer is not None:
-                self.observer.lpo_deferred(self, op.rid, line)
-            self._line_lpo_waiters.setdefault(line, deque()).append(op)
-            return
-        self._line_lpo_inflight[line] = [channel.index, 1]
-        self.memory.issue_persist(op)
-
-    def _lpo_chain_advance(self, line: int) -> None:
-        """One of a line's in-flight LPOs resolved; when the whole in-flight
-        group has (all its entries durable or superseded), release the next
-        waiter."""
-        inflight = self._line_lpo_inflight.get(line)
-        if inflight is None:
-            return
-        inflight[1] -= 1
-        if inflight[1] > 0:
-            return
-        waiters = self._line_lpo_waiters.get(line)
-        if waiters:
-            nxt = waiters.popleft()
-            if not waiters:
-                del self._line_lpo_waiters[line]
-            channel = self.memory.channel_for_line(nxt.target_line)
-            self._line_lpo_inflight[line] = [channel.index, 1]
-            self.memory.issue_persist(nxt)
-        else:
-            self._line_lpo_inflight.pop(line, None)
 
     def _seal_record(self, record: LogRecord, rid: int) -> None:
         """A filled record's header moves from the LH-WPQ to the WPQ."""
@@ -791,9 +731,6 @@ class AsapScheme(AsyncCommitScheme):
             # Safe point to clear the Bloom filters (Sec. 5.3).
             for ch in range(len(self.dep_lists)):
                 self.spill.clear_channel(ch)
-            waiters, self._quiescent_waiters = self._quiescent_waiters, []
-            for resume in waiters:
-                self.scheduler.after(0, resume)
 
     def _commit_if_still_ready(self, rid: int) -> None:
         entry = self.dep_list_for(rid).entry(rid)
@@ -808,13 +745,6 @@ class AsapScheme(AsyncCommitScheme):
         if thread.rid in thread.commit_signals:
             self.stats.fence_waits += 1
         super().fence(thread, done)
-
-    def when_quiescent(self, done: Callable[[], None]) -> None:
-        """Run ``done`` once no uncommitted region remains (test harness)."""
-        if self.uncommitted_count() == 0:
-            self.scheduler.after(0, done)
-        else:
-            self._quiescent_waiters.append(done)
 
     # ------------------------------------------------------------------
     # context switching (Sec. 5.7)

@@ -408,13 +408,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             wb_op.dropped = True
             self.wbs_suppressed += 1
 
-    # -- quiescence / recovery --------------------------------------------------
-
-    def when_quiescent(self, done: Callable[[], None]) -> None:
-        if not self.regions:
-            done()
-            return
-        self.machine.scheduler.after(100, lambda: self.when_quiescent(done))
+    # -- recovery ----------------------------------------------------------------
 
     def marker_directory(self) -> Dict[int, List[tuple]]:
         """thread id -> [(marker base, slots, stride)] for recovery."""

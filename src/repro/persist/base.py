@@ -18,7 +18,8 @@ PM, and declare the recovery procedure their crash images need in
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, FrozenSet, List, Optional, TYPE_CHECKING
+from collections import deque
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import SimulationError
 from repro.core.rid import pack_rid
@@ -26,6 +27,7 @@ from repro.mem.wpq import LOGHDR, PersistOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.log import LogRecord, UndoLog
+    from repro.mem.controller import MemorySystem
     from repro.mem.image import MemoryImage
     from repro.sim.machine import Machine
 
@@ -63,6 +65,72 @@ REDO_DPO_DELAY = 1500
 #: region has already logged: redo logging redirects such reads to the
 #: log (Sec. 2.3), adding an indirection on the load path.
 READ_REDIRECT_PENALTY = 12
+
+
+class LineChainGate:
+    """The ``"line-chain"`` edge: at most one log persist per line in flight.
+
+    Two regions that write the same line may log it in different records,
+    possibly on different channels, so nothing in the memory system orders
+    the two log entries' durability. If the later entry became durable
+    alone, its logged "old value" would be data that was never durable,
+    and undo recovery would restore it (docs/RECOVERY.md). So a later
+    same-line op waits here until the in-flight one resolves. The scheme calls :meth:`advance` from
+    the op's durability callback (acceptance for asap, drain for hwundo),
+    which also fires for dropped ops, so the chain always moves on. Only
+    the log write waits; execution never stalls.
+
+    With ``ride_same_channel`` a follower on the in-flight op's channel
+    issues at once and joins the in-flight group: one channel's FIFO
+    admission (equal MC hop, FIFO scheduler ties) already orders their
+    acceptance. Only chains whose entries cross channels wait.
+    """
+
+    def __init__(self, memory: "MemorySystem", ride_same_channel: bool):
+        self.memory = memory
+        self.ride_same_channel = ride_same_channel
+        #: line -> [target line of the group's first op, ops in flight]
+        self._inflight: Dict[int, list] = {}
+        #: line -> FIFO of held ops, released oldest first
+        self._waiters: Dict[int, Deque[PersistOp]] = {}
+
+    def submit(self, op: PersistOp, line: int) -> bool:
+        """Issue ``op`` for ``line``, or hold it behind the in-flight op;
+        returns whether it was held."""
+        inflight = self._inflight.get(line)
+        if inflight is None:
+            self._inflight[line] = [op.target_line, 1]
+        elif (
+            self.ride_same_channel
+            and line not in self._waiters
+            and self.memory.channel_for_line(inflight[0])
+            is self.memory.channel_for_line(op.target_line)
+        ):
+            inflight[1] += 1
+        else:
+            self._waiters.setdefault(line, deque()).append(op)
+            return True
+        self.memory.issue_persist(op)
+        return False
+
+    def advance(self, line: int) -> None:
+        """One of ``line``'s in-flight ops is durable or dropped; once the
+        whole group is, issue the oldest held op."""
+        inflight = self._inflight.get(line)
+        if inflight is None:
+            return
+        inflight[1] -= 1
+        if inflight[1] > 0:
+            return
+        waiters = self._waiters.get(line)
+        if waiters:
+            nxt = waiters.popleft()
+            if not waiters:
+                del self._waiters[line]
+            self._inflight[line] = [nxt.target_line, 1]
+            self.memory.issue_persist(nxt)
+        else:
+            del self._inflight[line]
 
 
 class SchemeThread:
@@ -111,10 +179,9 @@ class PersistenceScheme(abc.ABC):
 
     A scheme overrides :meth:`write` and the top-level region hooks
     :meth:`begin_region`/:meth:`end_region`; :meth:`read`, :meth:`fence`,
-    :meth:`migrate`, :meth:`when_quiescent` and :meth:`crash_flush` have
-    plain defaults. It declares ``ORDERING_EDGES``, ``OBSERVED`` and
-    ``RECOVERY``, and overrides :meth:`hook_points` when other structures
-    fire its events.
+    :meth:`migrate` and :meth:`crash_flush` have plain defaults. It
+    declares ``ORDERING_EDGES``, ``OBSERVED`` and ``RECOVERY``, and
+    overrides :meth:`hook_points` when other structures fire its events.
     """
 
     #: evaluation name ("np", "sw", "hwundo", "hwredo", "asap")
@@ -228,15 +295,7 @@ class PersistenceScheme(abc.ABC):
         thread.core_id = new_core
         done()
 
-    # -- quiescence and crash ----------------------------------------------------
-
-    def when_quiescent(self, done: Callable[[], None]) -> None:
-        """Run ``done`` once no region's persistence work is outstanding.
-
-        The default assumes synchronous commit (nothing outstanding after
-        the last ``end`` retires).
-        """
-        done()
+    # -- crash and recovery --------------------------------------------------------
 
     def crash_flush(self, image: MemoryImage) -> None:
         """Flush scheme-private persistence-domain state into ``image``,

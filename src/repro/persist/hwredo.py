@@ -56,8 +56,6 @@ class HardwareRedoLogging(PersistenceScheme):
         #: line -> rid of the latest region to log it (the DPO filter)
         self._last_writer: Dict[int, int] = {}
         self.dpos_filtered = 0
-        self._outstanding_async = 0
-        self._quiescent_waiters = []
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         log = UndoLog.allocate(
@@ -93,7 +91,6 @@ class HardwareRedoLogging(PersistenceScheme):
         # anyway. The lazy window is what gives redo logging its DPO
         # filtering: a later region that re-logs a line before the window
         # expires supersedes the pending DPO entirely.
-        self._outstanding_async += 1
         self.machine.scheduler.after(
             REDO_DPO_DELAY,
             lambda: self._issue_post_commit_dpos(rid, lines, thread),
@@ -110,11 +107,6 @@ class HardwareRedoLogging(PersistenceScheme):
             meta = self.machine.hierarchy.tags.get(line)
             if meta is not None:
                 meta.dirty = False
-
-            def dpo_accepted(_op) -> None:
-                self._async_done()
-
-            self._outstanding_async += 1
             self.machine.memory.issue_persist(
                 PersistOp(
                     kind=DPO,
@@ -122,26 +114,11 @@ class HardwareRedoLogging(PersistenceScheme):
                     data_line=line,
                     payload=payload,
                     rid=rid,
-                    on_complete=dpo_accepted,
                 )
             )
         # The log is reclaimed once the data is safely in the persistence
         # domain; modelled as reclamation at writeback-issue time.
         thread.log.free(rid)
-        self._async_done()
-
-    def _async_done(self) -> None:
-        self._outstanding_async -= 1
-        if self._outstanding_async == 0:
-            waiters, self._quiescent_waiters = self._quiescent_waiters, []
-            for resume in waiters:
-                self.machine.scheduler.after(0, resume)
-
-    def when_quiescent(self, done: Callable[[], None]) -> None:
-        if self._outstanding_async == 0:
-            done()
-        else:
-            self._quiescent_waiters.append(done)
 
     # -- accesses -----------------------------------------------------------------
 

@@ -22,9 +22,9 @@ Modelled on Proteus [61] as described in Secs. 2.3 and 6.3:
 * same-line log persists are ordered: two concurrently-executing
   regions that write the same line place their log entries in different
   records - potentially on different channels - so nothing else orders
-  the entries' drains. The scheme holds a later LPO
-  for a line at the controller until the earlier one has drained (or was
-  dropped), the drain-granularity analogue of the asap scheme's
+  the entries' drains. The scheme's :class:`LineChainGate` holds a later
+  LPO for a line at the controller until the earlier one has drained (or
+  was dropped), the drain-granularity analogue of the asap scheme's
   acceptance-granularity rule (docs/RECOVERY.md). HWUndo tracks no
   cross-region ownership, so the gate applies to *all* same-line LPO
   pairs, a conservative superset of the uncommitted-writer chains.
@@ -32,13 +32,12 @@ Modelled on Proteus [61] as described in Secs. 2.3 and 6.3:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
 from repro.mem.wpq import DPO, LPO, PersistOp
-from repro.persist.base import PersistenceScheme, SchemeThread
+from repro.persist.base import LineChainGate, PersistenceScheme, SchemeThread
 
 #: per-line persistence state within the current region
 _WAIT_LPO = "wait_lpo"  # undo log write still draining
@@ -74,13 +73,15 @@ class HardwareUndoLogging(PersistenceScheme):
 
     def __init__(self):
         super().__init__()
-        #: per-line LPO ordering at drain granularity (the scheme's
-        #: durability point): line -> an LPO is submitted but not drained
-        self._line_lpo_inflight: Dict[int, bool] = {}
-        #: line -> FIFO of held-back (op, issue) submissions
-        self._line_lpo_waiters: Dict[int, Deque[PersistOp]] = {}
         #: LPOs held behind an earlier same-line LPO's drain
         self.lpo_order_delays = 0
+
+    def attach(self, machine) -> None:
+        super().attach(machine)
+        #: per-line LPO ordering at drain granularity (the scheme's
+        #: durability point): every later same-line LPO waits for the
+        #: earlier one's drain
+        self.lpo_gate = LineChainGate(machine.memory, ride_same_channel=False)
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         log = UndoLog.allocate(
@@ -154,45 +155,18 @@ class HardwareUndoLogging(PersistenceScheme):
                 if ls is not None and ls.state == _WAIT_LPO:
                     self._issue_dpo(thread, line, ls)
             self._maybe_commit(thread)
-            self._lpo_chain_advance(line)
+            self.lpo_gate.advance(line)
 
-        self._submit_lpo_ordered(
-            PersistOp(
-                kind=LPO,
-                target_line=entry_addr,
-                data_line=line,
-                payload=payload,
-                rid=thread.rid,
-                on_drain=lpo_drained,
-            ),
-            line,
+        op = PersistOp(
+            kind=LPO,
+            target_line=entry_addr,
+            data_line=line,
+            payload=payload,
+            rid=thread.rid,
+            on_drain=lpo_drained,
         )
-
-    def _submit_lpo_ordered(self, op: PersistOp, line: int) -> None:
-        """At most one LPO per line between submission and drain.
-
-        Drain is HWUndo's durability point, so this is the per-line
-        chain-ordering rule at drain granularity: a later region's log
-        entry for a line can never be durable while an earlier region's
-        entry for the same line is still in flight. ``on_drain`` also
-        fires for dropped ops, so the chain always advances.
-        """
-        if self._line_lpo_inflight.get(line):
+        if self.lpo_gate.submit(op, line):
             self.lpo_order_delays += 1
-            self._line_lpo_waiters.setdefault(line, deque()).append(op)
-            return
-        self._line_lpo_inflight[line] = True
-        self.machine.memory.issue_persist(op)
-
-    def _lpo_chain_advance(self, line: int) -> None:
-        waiters = self._line_lpo_waiters.get(line)
-        if waiters:
-            nxt = waiters.popleft()
-            if not waiters:
-                del self._line_lpo_waiters[line]
-            self.machine.memory.issue_persist(nxt)  # line stays in flight
-        else:
-            self._line_lpo_inflight.pop(line, None)
 
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT

@@ -45,7 +45,6 @@ class _BumpHeap:
         self._brk = base
         self._free: DefaultDict[int, List[int]] = defaultdict(list)
         self.allocated_bytes = 0
-        self.freed_bytes = 0
         self._sizes: Dict[int, int] = {}
 
     @staticmethod
@@ -74,7 +73,6 @@ class _BumpHeap:
         size = self._sizes.pop(addr, None)
         if size is None:
             raise SimulationError(f"{self.name}: free of unallocated {addr:#x}")
-        self.freed_bytes += size
         self._free[size].append(addr)
 
 

@@ -26,8 +26,7 @@ import pytest
 from repro.engine import WaitQueue
 from repro.mem.wpq import WritePendingQueue
 from repro.persist import PersistenceScheme
-from repro.persist.asap import AsapScheme
-from repro.persist.hwundo import HardwareUndoLogging
+from repro.persist.base import LineChainGate
 
 
 def _parked(wpq) -> WaitQueue:
@@ -70,13 +69,12 @@ def _reopen_wpq_fifo(mp) -> None:
 
 
 def _reopen_line_chain(mp) -> None:
-    for cls in (AsapScheme, HardwareUndoLogging):
-        mp.setattr(
-            cls,
-            "_submit_lpo_ordered",
-            lambda self, op, line: self.machine.memory.issue_persist(op),
-        )
-        mp.setattr(cls, "_lpo_chain_advance", lambda self, line: None)
+    def submit(self, op, line):
+        self.memory.issue_persist(op)
+        return False  # never held
+
+    mp.setattr(LineChainGate, "submit", submit)
+    mp.setattr(LineChainGate, "advance", lambda self, line: None)
 
 
 _HOOKS = {"wpq-fifo": _reopen_wpq_fifo, "line-chain": _reopen_line_chain}

@@ -47,6 +47,7 @@ def test_end_retires_before_commit():
     m.run()
     assert t["commits_at_end"] == 0  # not yet committed when End retired
     assert eng.stats.commits == 1  # but committed by quiescence
+    assert eng.uncommitted_count() == 0
 
 
 def test_control_dependence_orders_same_thread_commits():
@@ -255,22 +256,6 @@ def test_stale_owner_lookup_clears_tag():
     m.run()
     assert eng.stats.stale_owner_lookups >= 1
     assert eng.stats.commits == 2
-
-
-def test_quiescence_callback():
-    m, eng = make()
-    a = m.heap.alloc(64)
-    seen = []
-
-    def worker(env):
-        yield Begin()
-        yield Write(a, [1])
-        yield End()
-        eng.when_quiescent(lambda: seen.append(m.scheduler.now))
-
-    m.spawn(worker)
-    m.run()
-    assert seen and eng.uncommitted_count() == 0
 
 
 def test_log_freed_after_commit():

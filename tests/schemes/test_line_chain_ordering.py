@@ -168,7 +168,8 @@ def hwundo_machine():
 
 
 def submit_pair(m, issued):
-    """Push two same-line LPOs through the scheme's ordering gate.
+    """Push two same-line LPOs through the scheme's ordering gate and
+    return whether the gate held each.
 
     End-to-end, HWUndo's gate almost never engages on the small config:
     cross-core accesses to one line serialise through memory by a full PM
@@ -188,23 +189,20 @@ def submit_pair(m, issued):
             data_line=line,
             payload=((0x1000_1000_0000 + i * 0x1000, (i + 1,)),),
             rid=i + 1,
-            on_drain=lambda _op, line=line: scheme._lpo_chain_advance(line),
+            on_drain=lambda _op, line=line: scheme.lpo_gate.advance(line),
         )
         for i in range(2)
     ]
     orig = m.memory.issue_persist
     m.memory.issue_persist = lambda op: (issued.append(op.rid), orig(op))
-    scheme._submit_lpo_ordered(ops[0], line)
-    scheme._submit_lpo_ordered(ops[1], line)
-    return line
+    return [scheme.lpo_gate.submit(op, line) for op in ops]
 
 
 def test_hwundo_holds_second_same_line_lpo_until_drain():
     m = hwundo_machine()
     issued = []
-    submit_pair(m, issued)
+    assert submit_pair(m, issued) == [False, True]
     assert issued == [1]  # op 2 held at the controller
-    assert m.scheme.lpo_order_delays == 1
     m.run()  # drains op 1; its on_drain advances the chain
     assert issued == [1, 2]
 
@@ -213,9 +211,9 @@ def test_hwundo_legacy_flag_disables_gate():
     m = hwundo_machine()
     issued = []
     with reopen_edge("line-chain"):
-        submit_pair(m, issued)
+        held = submit_pair(m, issued)
+    assert held == [False, False]
     assert issued == [1, 2]  # both in flight at once: the pre-fix model
-    assert m.scheme.lpo_order_delays == 0
 
 
 def test_hwundo_concurrent_same_line_regions_still_commit():

@@ -45,13 +45,12 @@ def test_miss_then_hit_latencies():
     assert t_hit == cfg.l1.latency
 
 
-def test_write_sets_dirty_and_bumps_version():
+def test_write_sets_dirty():
     _, s, vol, pm, mem, h = build()
-    meta, _ = access(h, s, 0, PM_BASE, True)
-    assert meta.dirty
-    assert meta.version == 1
-    meta2, _ = access(h, s, 0, PM_BASE, True)
-    assert meta2.version == 2
+    meta, _ = access(h, s, 0, PM_BASE, False)
+    assert not meta.dirty
+    meta, _ = access(h, s, 0, PM_BASE, True)  # an L1 hit
+    assert meta.dirty and h.tags.get(PM_BASE) is meta
 
 
 def test_pbit_set_from_page_table():

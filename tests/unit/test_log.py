@@ -30,7 +30,7 @@ def test_record_fills_then_seals():
     assert r1b is r1 and not opened and sealed is None
     assert r1.full
     _, _, r2, opened, sealed = log.append(1, DATA + 128)
-    assert opened and sealed is r1 and r1.sealed
+    assert opened and sealed is r1
     assert r2 is not r1
 
 

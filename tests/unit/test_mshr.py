@@ -108,7 +108,6 @@ def test_merged_write_applies_effects_at_classification():
     merged = start_access(h, s, 1, PM_BASE, is_write=True)
     # write effects land when the access is classified, not at fill time
     assert h.tags.get(PM_BASE).dirty
-    assert h.tags.get(PM_BASE).version == 1
     s.run()
     assert merged["meta"].dirty
 

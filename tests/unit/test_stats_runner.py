@@ -116,11 +116,10 @@ def test_scheme_base_defaults():
     thread = scheme.register_thread(0, 0)
     scheme.fence(thread, lambda: calls.append("fence"))
     scheme.migrate(thread, 3, lambda: calls.append("migrate"))
-    scheme.when_quiescent(lambda: calls.append("quiescent"))
     image = MemoryImage("pm")
     scheme.crash_flush(image)  # default no-op
     assert list(image.items()) == []
-    assert calls == ["fence", "migrate", "quiescent"]
+    assert calls == ["fence", "migrate"]
     assert thread.core_id == 3
     tracer = Tracer(Machine(SystemConfig.small(), scheme))
     scheme.commits.fire(42)
