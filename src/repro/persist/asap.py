@@ -223,14 +223,10 @@ class AsapScheme(AsyncCommitScheme):
         """A store by ``thread``; ``values`` are the words to write.
 
         The functional write applies immediately; persistence machinery may
-        delay retirement (``done``) on structural stalls only.
-
-        One frame covers the happy path of a region write (owner in {None,
-        this region}, a free or existing CLPtr slot). A cross-region owner
-        or a slot stall takes the general pipeline
-        (:meth:`_region_write` -> :meth:`_capture_dependence` ->
-        :meth:`_ensure_slot` -> :meth:`_after_slot`), which makes the same
-        decisions step by step.
+        delay retirement (``done``) on structural stalls only. A region
+        write to a line another region owns first captures the dependence
+        (:meth:`_capture_dependence`); every region write is then tracked
+        by :meth:`_track_write`.
         """
         line = addr & ~63
         hierarchy = self.hierarchy
@@ -244,37 +240,15 @@ class AsapScheme(AsyncCommitScheme):
 
         def after_access(meta: LineMeta) -> None:
             owner = meta.owner_rid
-            if owner is not None and owner != rid:
-                # Cross-region owner: dependence capture (possibly a stall
-                # or a stale-tag cleanup).
-                self._region_write(thread, rid, meta, old_snapshot, done)
-                return
-            entry = self.cl_lists[thread.core_id]._entries.get(rid)
-            if entry is None:
-                raise SimulationError(f"no CL entry for active region {rid}")
-            slots = entry.slots
-            slot = slots.get(line)
-            if slot is None:
-                if len(slots) >= entry.max_slots:
-                    # Slot stall: parks, applies pressure, rescans.
-                    self._ensure_slot(thread, rid, meta, old_snapshot, done)
-                    return
-                slot = self._open_slot(thread, entry, line)
-            entry.write_counter += 1
-            slot.last_write_stamp = entry.write_counter
-            slot.data_version += 1
-            slot.pending = True
-            slot.eager_backlog += 1
-            if owner is None:  # first write by this region
-
-                def finish() -> None:
-                    self._coalescing_scan(entry, thread)
-                    done()
-
-                self._initiate_lpo(thread, rid, meta, old_snapshot, finish)
+            if owner is None or owner == rid:
+                self._track_write(thread, rid, meta, old_snapshot, done)
             else:
-                self._coalescing_scan(entry, thread)
-                done()
+                self._capture_dependence(
+                    thread,
+                    rid,
+                    meta,
+                    lambda: self._track_write(thread, rid, meta, old_snapshot, done),
+                )
 
         hierarchy.access(thread.core_id, addr, True, after_access)
 
@@ -308,19 +282,6 @@ class AsapScheme(AsyncCommitScheme):
         hierarchy.access(thread.core_id, addr, False, after_access)
 
     # -- the region-write pipeline ----------------------------------------
-
-    def _region_write(
-        self,
-        thread: AsyncThread,
-        rid: int,
-        meta: LineMeta,
-        old_snapshot: tuple,
-        done: Callable[[], None],
-    ) -> None:
-        def after_dep() -> None:
-            self._ensure_slot(thread, rid, meta, old_snapshot, done)
-
-        self._capture_dependence(thread, rid, meta, after_dep)
 
     def _capture_dependence(
         self,
@@ -362,7 +323,7 @@ class AsapScheme(AsyncCommitScheme):
             self.observer.dep_captured(self, rid, owner)
         then()
 
-    def _ensure_slot(
+    def _track_write(
         self,
         thread: AsyncThread,
         rid: int,
@@ -370,12 +331,15 @@ class AsapScheme(AsyncCommitScheme):
         old_snapshot: tuple,
         done: Callable[[], None],
     ) -> None:
-        """Sec. 4.6.2: track the modified line in a CLPtr slot."""
+        """Sec. 4.6.2: track the written line in a CLPtr slot, stalling
+        while every slot is taken; on the region's first write to the line,
+        lock it and log the old value (Sec. 4.6.1)."""
         cl = self.cl_lists[thread.core_id]
         entry = cl.entry(rid)
         if entry is None:
             raise SimulationError(f"no CL entry for active region {rid}")
-        slot = entry.slot_for(meta.line)
+        line = meta.line
+        slot = entry.slots.get(line)
         if slot is None:
             if entry.slots_full:
                 cl.slot_stalls += 1
@@ -384,11 +348,25 @@ class AsapScheme(AsyncCommitScheme):
                 entry.pressure = True
                 self._coalescing_scan(entry, thread)
                 cl.slot_waiters.park(
-                    lambda: self._ensure_slot(thread, rid, meta, old_snapshot, done)
+                    lambda: self._track_write(thread, rid, meta, old_snapshot, done)
                 )
                 return
-            slot = self._open_slot(thread, entry, meta.line)
-        self._after_slot(thread, rid, entry, slot, meta, old_snapshot, done)
+            slot = self._open_slot(thread, entry, line)
+        # Per-write bookkeeping (drives coalescing and DPO staleness).
+        entry.write_counter += 1
+        slot.last_write_stamp = entry.write_counter
+        slot.data_version += 1
+        slot.pending = True
+        slot.eager_backlog += 1
+
+        def finish() -> None:
+            self._coalescing_scan(entry, thread)
+            done()
+
+        if meta.owner_rid != rid:  # the region's first write to the line
+            self._initiate_lpo(thread, rid, meta, old_snapshot, finish)
+        else:
+            finish()
 
     def _open_slot(self, thread: AsyncThread, entry: CLEntry, line: int) -> CLSlot:
         """Track ``line`` in a free CLPtr slot (the caller checked one is
@@ -404,33 +382,6 @@ class AsapScheme(AsyncCommitScheme):
         if self.observer is not None:
             self.observer.slot_opened(self, entry, line)
         return slot
-
-    def _after_slot(
-        self,
-        thread: AsyncThread,
-        rid: int,
-        entry: CLEntry,
-        slot: CLSlot,
-        meta: LineMeta,
-        old_snapshot: tuple,
-        done: Callable[[], None],
-    ) -> None:
-        first_write = meta.owner_rid != rid
-        # Per-write bookkeeping (drives coalescing and DPO staleness).
-        entry.write_counter += 1
-        slot.last_write_stamp = entry.write_counter
-        slot.data_version += 1
-        slot.pending = True
-        slot.eager_backlog += 1
-
-        def finish() -> None:
-            self._coalescing_scan(entry, thread)
-            done()
-
-        if first_write:
-            self._initiate_lpo(thread, rid, meta, old_snapshot, finish)
-        else:
-            finish()
 
     # -- LPO path -----------------------------------------------------------
 
@@ -552,54 +503,31 @@ class AsapScheme(AsyncCommitScheme):
         Without coalescing (the Fig. 9a ``No-Opt`` ablation) a DPO is
         initiated for every write, even while an earlier DPO for the same
         line is still in flight - that redundancy is exactly what the
-        distance-4 policy exists to remove.
+        distance-4 policy exists to remove. The tests are pure reads, so
+        the cheap ones run first and the tag lookup last.
         """
         if not slot.pending:
             return False
+        if self.params.dpo_coalescing:
+            if slot.dpo_inflight:
+                return False
+            # A Done region drains every slot, and so does one with a write
+            # stalled on a slot; otherwise wait out the coalescing distance.
+            if not (entry.state is RegionState.DONE or entry.pressure) and (
+                entry.write_counter - slot.last_write_stamp < self._dpo_distance
+            ):
+                return False
         meta = self.hierarchy.tags.get(slot.line)
-        if meta is not None and meta.lock_bit:
-            return False  # LPO still in flight
-        if not self.params.dpo_coalescing:
-            return True  # ablation: eager DPO on every write
-        if slot.dpo_inflight:
-            return False
-        if entry.state is RegionState.DONE:
-            return True  # region ended: drain everything
-        if entry.pressure:
-            return True  # a write is stalled on a slot: drain eagerly
-        distance = entry.write_counter - slot.last_write_stamp
-        return distance >= self._dpo_distance
+        return meta is None or not meta.lock_bit  # else its LPO is in flight
 
     def _coalescing_scan(self, entry: CLEntry, thread: AsyncThread) -> None:
         """Initiate a DPO for every slot :meth:`_dpo_ready` accepts (at
         ``asap_end``, when the entry is Done, that is every slot whose LPO
-        has completed).
-
-        With coalescing on, the per-slot test is :meth:`_dpo_ready`
-        flattened, cheap rejections first and the tag lookup last; the
-        tests are pure reads, so their order cannot change the outcome.
-        Initiating a DPO only schedules its submission, so the slot dict
-        cannot change under the loop.
-        """
-        if not self.params.dpo_coalescing:
-            # No-Opt ablation: eager DPO on every write.
-            for slot in entry.slots.values():
-                if self._dpo_ready(entry, slot):
-                    self._initiate_dpo(entry, slot, thread)
-            return
-        done_state = entry.state is RegionState.DONE
-        pressure = entry.pressure
-        threshold = entry.write_counter - self._dpo_distance
-        tags_get = self.hierarchy.tags.get
+        has completed). Initiating a DPO only schedules its submission, so
+        the slot dict cannot change under the loop."""
         for slot in entry.slots.values():
-            if not slot.pending or slot.dpo_inflight:
-                continue
-            if not (done_state or pressure) and slot.last_write_stamp > threshold:
-                continue
-            meta = tags_get(slot.line)
-            if meta is not None and meta.lock_count > 0:
-                continue  # LPO still in flight
-            self._initiate_dpo(entry, slot, thread)
+            if self._dpo_ready(entry, slot):
+                self._initiate_dpo(entry, slot, thread)
 
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         line = slot.line
@@ -654,20 +582,16 @@ class AsapScheme(AsyncCommitScheme):
     def _retry_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         """Re-issue a DPO once the slot is ready; polls on the rare path
         where the line is transiently locked by a successor region's LPO."""
-        if entry.slot_for(slot.line) is not slot or slot.dpo_inflight:
-            return
-        if not slot.pending:
-            return
-        if self._dpo_ready(entry, slot) or (
-            entry.state is RegionState.DONE and not self._line_locked(slot.line)
+        if (
+            entry.slot_for(slot.line) is not slot
+            or slot.dpo_inflight
+            or not slot.pending
         ):
+            return  # the slot cleared, or a DPO already carries its data
+        if self._dpo_ready(entry, slot):
             self._initiate_dpo(entry, slot, thread)
         else:
             self.scheduler.after(50, lambda: self._retry_dpo(entry, slot, thread))
-
-    def _line_locked(self, line: int) -> bool:
-        meta = self.hierarchy.tags.get(line)
-        return bool(meta and meta.lock_bit)
 
     def _clear_slot(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         entry.clear_slot(slot.line)

@@ -120,8 +120,6 @@ class AsapRedoLogging(AsyncCommitScheme):
         self.regions: Dict[int, _RedoRegion] = {}
         self._commit_seq = 0
         self._last_writer: Dict[int, int] = {}
-        self.dpos_filtered = 0
-        self.wbs_suppressed = 0
         self.reads_redirected = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -258,7 +256,6 @@ class AsapRedoLogging(AsyncCommitScheme):
             if writer != region.rid and not self.dep_list_for(writer).contains(writer):
                 # A *committed* later region re-logged this line: its log
                 # (and replay order via commit_seq) covers it.
-                self.dpos_filtered += 1
                 continue
             payload = region.values[line]
             meta = self.machine.hierarchy.tags.get(line)
@@ -406,7 +403,6 @@ class AsapRedoLogging(AsyncCommitScheme):
             # Uncommitted data must not reach its home address; its bytes
             # are already safe in the redo log.
             wb_op.dropped = True
-            self.wbs_suppressed += 1
 
     # -- recovery ----------------------------------------------------------------
 

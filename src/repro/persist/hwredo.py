@@ -55,7 +55,6 @@ class HardwareRedoLogging(PersistenceScheme):
         super().__init__()
         #: line -> rid of the latest region to log it (the DPO filter)
         self._last_writer: Dict[int, int] = {}
-        self.dpos_filtered = 0
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
         log = UndoLog.allocate(
@@ -101,7 +100,6 @@ class HardwareRedoLogging(PersistenceScheme):
         for line in lines:
             if self._last_writer.get(line) != rid:
                 # A later region re-logged the line: its DPO supersedes ours.
-                self.dpos_filtered += 1
                 continue
             payload = ((line, self.machine.volatile.line(line)),)
             meta = self.machine.hierarchy.tags.get(line)

@@ -71,11 +71,6 @@ class HardwareUndoLogging(PersistenceScheme):
     #: per-line drain gate orders same-line LPOs within a region
     ORDERING_EDGES = frozenset({"sync-commit", "line-chain"})
 
-    def __init__(self):
-        super().__init__()
-        #: LPOs held behind an earlier same-line LPO's drain
-        self.lpo_order_delays = 0
-
     def attach(self, machine) -> None:
         super().attach(machine)
         #: per-line LPO ordering at drain granularity (the scheme's
@@ -165,8 +160,7 @@ class HardwareUndoLogging(PersistenceScheme):
             rid=thread.rid,
             on_drain=lpo_drained,
         )
-        if self.lpo_gate.submit(op, line):
-            self.lpo_order_delays += 1
+        self.lpo_gate.submit(op, line)
 
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT

@@ -144,7 +144,10 @@ class ThreadExecutor:
                 self.scheme_thread, base, values, self._charge_and_step
             )
             return
-        chunks = _split_by_line(addr, values)
+        chunks = [
+            (start, values[lo:hi])
+            for start, lo, hi in _split_by_line(addr, len(values))
+        ]
 
         def issue(index: int) -> None:
             if index >= len(chunks):
@@ -168,7 +171,7 @@ class ThreadExecutor:
                 self.scheme_thread, base, nwords, self._charge_and_step
             )
             return
-        chunks = _split_read_by_line(addr, nwords)
+        chunks = [(start, hi - lo) for start, lo, hi in _split_by_line(addr, nwords)]
         collected: list = []
 
         def issue(index: int) -> None:
@@ -222,28 +225,16 @@ def _fits_line(base: int, nwords: int) -> bool:
     return (base & (CACHE_LINE_BYTES - 1)) + nwords * WORD_BYTES <= CACHE_LINE_BYTES
 
 
-def _split_by_line(addr: int, values):
-    """Split a word run into (addr, values) chunks within one line each."""
-    chunks = []
+def _split_by_line(addr: int, nwords: int):
+    """Split the run of ``nwords`` words from ``addr`` at line boundaries
+    into ``(start address, first word, end word)`` spans, one per line."""
+    spans = []
     base = addr & ~(WORD_BYTES - 1)
-    i = 0
-    while i < len(values):
-        start = base + i * WORD_BYTES
+    lo = 0
+    while lo < nwords:
+        start = base + lo * WORD_BYTES
         line_end = line_base(start) + CACHE_LINE_BYTES
-        words_here = min(len(values) - i, (line_end - start) // WORD_BYTES)
-        chunks.append((start, values[i : i + words_here]))
-        i += words_here
-    return chunks
-
-
-def _split_read_by_line(addr: int, nwords: int):
-    chunks = []
-    base = addr & ~(WORD_BYTES - 1)
-    i = 0
-    while i < nwords:
-        start = base + i * WORD_BYTES
-        line_end = line_base(start) + CACHE_LINE_BYTES
-        words_here = min(nwords - i, (line_end - start) // WORD_BYTES)
-        chunks.append((start, words_here))
-        i += words_here
-    return chunks
+        hi = min(nwords, lo + (line_end - start) // WORD_BYTES)
+        spans.append((start, lo, hi))
+        lo = hi
+    return spans

@@ -10,26 +10,25 @@ from repro.core.rid import pack_rid
 from repro.harness.runner import build_machine, default_params
 from repro.mem.image import MemoryImage
 from repro.persist import make_scheme
-from repro.sim.executor import _split_by_line, _split_read_by_line
+from repro.sim.executor import _split_by_line
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, Compute, End, Fence, Lock, Read, Unlock, Write
 from repro.sim.oracle import CommitOracle
 
 
 def test_split_by_line_within_one_line():
-    chunks = _split_by_line(0x1000, [1, 2, 3])
-    assert chunks == [(0x1000, [1, 2, 3])]
+    assert _split_by_line(0x1000, 3) == [(0x1000, 0, 3)]
 
 
 def test_split_by_line_across_lines():
-    chunks = _split_by_line(0x1000 + 48, [1, 2, 3, 4])
-    assert chunks[0] == (0x1030, [1, 2])
-    assert chunks[1] == (0x1040, [3, 4])
+    # an unaligned address starts at its word
+    assert _split_by_line(0x1000 + 51, 4) == [(0x1030, 0, 2), (0x1040, 2, 4)]
 
 
 def test_split_read_by_line():
-    chunks = _split_read_by_line(0x1030, 4)
-    assert chunks == [(0x1030, 2), (0x1040, 2)]
+    # a read of a full line plus a word on either side spans three lines
+    spans = _split_by_line(0x1038, 10)
+    assert spans == [(0x1038, 0, 1), (0x1040, 1, 9), (0x1080, 9, 10)]
 
 
 def make_machine(scheme="np"):
