@@ -7,7 +7,7 @@ cycle. Callbacks scheduled for the same cycle run in scheduling order
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.common.errors import SimulationError
@@ -52,24 +52,30 @@ class Scheduler:
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [fn]
-            heapq.heappush(self._times, time)
+            heappush(self._times, time)
         else:
             bucket.append(fn)
         return time
 
     def after(self, delay: int, fn: Callable[[], Any]) -> int:
         """Schedule ``fn`` to run ``delay`` cycles from now; returns the
-        cycle it fires at."""
+        cycle it fires at.
+
+        ``delay`` must be an int: the simulator coerces where a non-int
+        can enter from outside it (``Compute.cycles`` in the executor, the
+        config-derived latencies and costs read once at construction), so
+        this per-event path does not.
+        """
         # Full body instead of delegating to at(): after() runs once per
         # event and the extra frame is measurable. delay >= 0 implies the
         # no-scheduling-in-the-past invariant.
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        time = self.now + int(delay)
+        time = self.now + delay
         bucket = self._buckets.get(time)
         if bucket is None:
             self._buckets[time] = [fn]
-            heapq.heappush(self._times, time)
+            heappush(self._times, time)
         else:
             bucket.append(fn)
         return time
@@ -95,7 +101,7 @@ class Scheduler:
             if any(fn is not None for fn in self._buckets[t]):
                 return t
             del self._buckets[t]
-            heapq.heappop(self._times)
+            heappop(self._times)
         return None
 
     def step(self) -> bool:
@@ -157,7 +163,7 @@ class Scheduler:
                     n = len(bucket)
                 i += 1
             del buckets[t]
-            heapq.heappop(times)
+            heappop(times)
         if until is not None and self.now < until:
             # Idle until the bound (the next event, if any, is beyond it).
             self.now = until

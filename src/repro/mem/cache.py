@@ -104,24 +104,21 @@ class CacheArray:
             return None
         if s is EMPTY_SET:
             s = self._sets[index] = OrderedDict()
-        victim = None
-        if len(s) >= self._assoc:
-            victim = self._pick_victim(s)
-            if victim is None:
-                raise SimulationError(
-                    f"{self.name}: all ways locked in set of line {line:#x}"
-                )
-            del s[victim]
-            self.evictions += 1
+        if len(s) < self._assoc:
+            s[line] = True
+            return None
+        locked = self._locked
+        for victim in s:  # iteration order = LRU -> MRU
+            if victim not in locked:
+                break
+        else:
+            raise SimulationError(
+                f"{self.name}: all ways locked in set of line {line:#x}"
+            )
+        del s[victim]
+        self.evictions += 1
         s[line] = True
         return victim
-
-    def _pick_victim(self, s: OrderedDict) -> Optional[int]:
-        locked = self._locked
-        for candidate in s:  # iteration order = LRU -> MRU
-            if candidate not in locked:
-                return candidate
-        return None
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns whether it was."""

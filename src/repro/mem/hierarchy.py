@@ -19,7 +19,7 @@ per-level replicated metadata.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.observe import SimObserver
@@ -87,11 +87,15 @@ class CacheHierarchy:
         self.llc_mshrs = MSHRFile("MSHR-LLC", config.memory.mshrs_per_cache)
         self.mshr_waiters = WaitQueue(scheduler)
 
-        #: line -> set of private-level CacheArrays holding it, so an LLC
+        #: the private arrays, every L1 then every L2: array ``k`` (core
+        #: ``c``'s L1 is ``c``, its L2 ``num_cores + c``) owns bit ``1 << k``
+        self._private: List[CacheArray] = self.l1 + self.l2
+        self._num_cores = config.num_cores
+        #: line -> bit mask of the private arrays holding it, so an LLC
         #: eviction invalidates just those instead of probing all
-        #: 2 x num_cores arrays. Invalidations on distinct arrays commute,
-        #: so the set's iteration order is irrelevant to the outcome.
-        self._private_holders: dict = {}
+        #: 2 x num_cores arrays. Keyed by line: presence belongs to the
+        #: arrays, not to the line's tag-store entry.
+        self._private_holders: Dict[int, int] = {}
         # Latencies are constant for the machine's lifetime (the
         # TimingModel precomputes them from the frozen config), so the
         # access path reads plain attributes.
@@ -198,35 +202,40 @@ class CacheHierarchy:
             meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
-        self._fill_and_finish(level, core_id, line, latency, meta, done)
+        self._fill_and_finish(level, core_id, line, is_write, latency, meta, done)
 
     def _fill_and_finish(
         self,
         level: int,
         core_id: int,
         line: int,
+        is_write: bool,
         latency: int,
         meta: LineMeta,
         done: Callable[[LineMeta], None],
     ) -> None:
         """Install ``line`` at every level it missed in, then schedule the
         completion. The access was already classified and counted, and
-        fills are the only step a fully LPO-locked set can stall - so only
-        the fills retry (inserts are idempotent), never the accounting."""
+        fills are the only step a fully LPO-locked set can stall.
+
+        A stalled fill installs at no level and re-probes shortly, never
+        re-counting: the lock clears as soon as the in-flight LPO is
+        accepted by the WPQ, and meanwhile the line may move or leave the
+        LLC, taking ``meta`` out of the tag store with it."""
+        l2k = self._num_cores + core_id
         try:
             if level >= _LLC:
-                self._fill(self.l2[core_id], line)
+                self._fill(l2k, line)
             if level >= _L2:
-                self._fill(self.l1[core_id], line)
+                self._fill(core_id, line)
         except SimulationError:
-            # Every way of some set is LPO-locked; retry shortly - the lock
-            # clears as soon as the in-flight LPO is accepted by the WPQ.
+            if level >= _LLC:
+                # the L2 missed this very probe: take back its copy
+                self._invalidate_private(line, 1 << l2k)
             self.locked_set_stalls += 1
             self.scheduler.after(
                 _LOCKED_SET_RETRY,
-                partial(
-                    self._fill_and_finish, level, core_id, line, latency, meta, done
-                ),
+                partial(self._reprobe, core_id, line, is_write, done),
             )
             return
         self.scheduler.after(latency, partial(done, meta))
@@ -292,21 +301,22 @@ class CacheHierarchy:
         if self.observer is not None:
             self.observer.mshr_stalled(self, line, core_id)
         self.mshr_waiters.park(
-            partial(self._mshr_retry, core_id, line, is_write, done)
+            partial(self._reprobe, core_id, line, is_write, done)
         )
 
-    def _mshr_retry(
+    def _reprobe(
         self,
         core_id: int,
         line: int,
         is_write: bool,
         done: Callable[[LineMeta], None],
     ) -> None:
-        """Woken after a fill freed registers. The world may have moved on
-        while the access was parked: the line may have landed (late hit),
-        still be in flight (merge), or need a fresh fetch. Re-probe
-        silently - the access was classified and counted when it first
-        entered the hierarchy."""
+        """Replay a stalled access: woken after a fill freed registers, or
+        after a locked-set stall. The world may have moved on while the
+        access waited: the line may have landed (late hit), still be in
+        flight (merge), or need a fresh fetch. Re-probe silently - the
+        access was classified and counted when it first entered the
+        hierarchy."""
         if self.l1[core_id].contains(line):
             self.l1[core_id].touch(line)
             level, latency = _L1, self._lat_l1
@@ -324,24 +334,31 @@ class CacheHierarchy:
             meta = self.tags.ensure(line, self.is_persistent(line))
         if is_write:
             meta.dirty = True
-        self._fill_and_finish(level, core_id, line, latency, meta, done)
+        self._fill_and_finish(level, core_id, line, is_write, latency, meta, done)
 
     def _complete_fill(self, line: int, meta: LineMeta) -> None:
         """The memory fetch for ``line`` arrived: install the line at the
         LLC and in every waiter's private levels, release the LLC MSHR, and
-        replay the queued completions in arrival order. A fully LPO-locked
-        set retries the whole installation (inserts are idempotent),
-        exactly like the synchronous fill path."""
+        replay the queued completions in arrival order.
+
+        A fully LPO-locked set retries the whole installation shortly. The
+        stalled attempt installs at no level: the line was cached nowhere
+        before it, so everything it installed is taken back. Left in the
+        LLC, the line could be evicted before the retry, which would drop
+        ``meta`` from the tag store while the waiters still hold it."""
         fetches = self.llc_mshrs.entries
         waiters = fetches[line]
+        l2_base = self._num_cores
         try:
             victim = self.llc.insert(line)
             if victim is not None:
                 self._evict_from_llc(victim)
             for core_id, _done in waiters:
-                self._fill(self.l2[core_id], line)
-                self._fill(self.l1[core_id], line)
+                self._fill(l2_base + core_id, line)
+                self._fill(core_id, line)
         except SimulationError:
+            self.llc.invalidate(line)
+            self._invalidate_private(line)
             self.locked_set_stalls += 1
             self.scheduler.after(
                 _LOCKED_SET_RETRY, partial(self._complete_fill, line, meta)
@@ -360,26 +377,38 @@ class CacheHierarchy:
 
     # -- fills and evictions ---------------------------------------------------
 
-    def _fill(self, array: CacheArray, line: int) -> None:
-        """Insert into a private level; victims just lose presence there."""
-        victim = array.insert(line)
+    def _fill(self, k: int, line: int) -> None:
+        """Insert into private array ``k``; victims just lose presence
+        there."""
+        victim = self._private[k].insert(line)
         holders = self._private_holders
+        bit = 1 << k
         if victim is not None:
-            vset = holders.get(victim)
-            if vset is not None:
-                vset.discard(array)
-                if not vset:
-                    del holders[victim]
-        lset = holders.get(line)
-        if lset is None:
-            holders[line] = {array}
-        else:
-            lset.add(array)
+            rest = holders[victim] & ~bit
+            if rest:
+                holders[victim] = rest
+            else:
+                del holders[victim]
+        holders[line] = holders.get(line, 0) | bit
+
+    def _invalidate_private(self, line: int, bits: int = -1) -> None:
+        """Drop ``line`` from the private arrays among ``bits`` (all, by
+        default) that hold it. Invalidations on distinct arrays commute,
+        so the order the bits are visited in cannot change an outcome."""
+        holders = self._private_holders
+        held = holders.pop(line, 0)
+        if held & ~bits:
+            holders[line] = held & ~bits
+        mask = held & bits
+        private = self._private
+        while mask:
+            low = mask & -mask
+            private[low.bit_length() - 1].invalidate(line)
+            mask ^= low
 
     def _evict_from_llc(self, victim: int) -> None:
         """A line leaves the hierarchy: enforce inclusion, write back, spill."""
-        for array in self._private_holders.pop(victim, ()):
-            array.invalidate(victim)
+        self._invalidate_private(victim)
         meta = self.tags.drop(victim)
         if meta is None:
             return
@@ -399,4 +428,4 @@ class CacheHierarchy:
     def _writeback(self, line: int, rid: Optional[int]) -> PersistOp:
         """A WB persist op carrying ``line``'s current value."""
         payload = ((line, self.volatile.line(line)),)
-        return PersistOp(kind=WB, target_line=line, data_line=line, payload=payload, rid=rid)
+        return PersistOp(WB, line, line, payload, rid)

@@ -17,17 +17,19 @@ class TimingModel:
     number is computed once here and the methods are table lookups - the
     persist path asks for ``mc_hop``/``pm_write_service`` on every single
     persist op, which made the repeated round()/multiplier arithmetic a
-    measurable slice of the profile (docs/PERF.md).
+    measurable slice of the profile (docs/PERF.md). Every number is an
+    int, whatever numeric type the config holds: ``Scheduler.after`` does
+    not coerce its delays.
     """
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.mem: MemoryParams = config.memory
-        self._l1 = config.l1.latency
-        self._l2 = self._l1 + config.l2.latency
-        self._llc = self._l2 + config.l3.latency
+        self._l1 = int(config.l1.latency)
+        self._l2 = self._l1 + int(config.l2.latency)
+        self._llc = self._l2 + int(config.l3.latency)
         self._mem_read = (
-            self._llc + self.mem.dram_read_latency,  # [False] DRAM
+            self._llc + int(self.mem.dram_read_latency),  # [False] DRAM
             self._llc + self.mem.effective_pm_read_latency,  # [True] PM
         )
         nch = self.mem.num_channels

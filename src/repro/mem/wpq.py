@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.common.errors import SimulationError
@@ -45,9 +44,14 @@ WB = "wb"  # plain eviction writeback of a dirty persistent line
 LOGHDR = "loghdr"  # a filled log-record header moving from the LH-WPQ
 
 
-@dataclass(slots=True)
 class PersistOp:
     """One pending 64-byte write to persistent memory.
+
+    A plain ``__slots__`` class whose constructor draws ``op_id`` from the
+    module-level counter itself: one is built per LPO, DPO, writeback and
+    log header, hundreds of thousands per run, and a generated dataclass
+    ``__init__`` costs a default-factory frame per op. Construction sites
+    pass the arguments positionally, which is cheaper than by keyword.
 
     Attributes:
         kind: LPO / DPO / WB / LOGHDR.
@@ -69,22 +73,46 @@ class PersistOp:
             medium (or is dropped as superseded). The pre-ADR durability
             point the SW/HWUndo/HWRedo baselines wait on: their designs
             treat the NVM write itself as the persist's completion.
+        op_id: unique, in construction order; the WPQ keys its entries by it.
+        submitted_at: cycle the op first reached a WPQ, None before.
+        dropped: removed before reaching PM (superseded or no longer
+            needed).
+        backpressured: the op waited in the submission queue before
+            acceptance - i.e. acceptance was NOT immediate.
     """
 
-    kind: str
-    target_line: int
-    data_line: int
-    payload: object
-    rid: Optional[int] = None
-    on_complete: Optional[Callable[["PersistOp"], None]] = None
-    on_drain: Optional[Callable[["PersistOp"], None]] = None
-    op_id: int = field(default_factory=lambda: next(_op_ids))
-    submitted_at: Optional[int] = None
-    accepted_at: Optional[int] = None
-    dropped: bool = False
-    #: True when the op waited in the submission queue before acceptance -
-    #: i.e. acceptance was NOT immediate
-    backpressured: bool = False
+    __slots__ = (
+        "kind", "target_line", "data_line", "payload", "rid", "on_complete",
+        "on_drain", "op_id", "submitted_at", "dropped", "backpressured",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        target_line: int,
+        data_line: int,
+        payload: object,
+        rid: Optional[int] = None,
+        on_complete: Optional[Callable[["PersistOp"], None]] = None,
+        on_drain: Optional[Callable[["PersistOp"], None]] = None,
+    ):
+        self.kind = kind
+        self.target_line = target_line
+        self.data_line = data_line
+        self.payload = payload
+        self.rid = rid
+        self.on_complete = on_complete
+        self.on_drain = on_drain
+        self.op_id = next(_op_ids)
+        self.submitted_at = None
+        self.dropped = False
+        self.backpressured = False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"PersistOp({self.kind}, op_id={self.op_id}, "
+            f"target_line={self.target_line:#x}, rid={self.rid})"
+        )
 
     def materialized_payload(self) -> tuple:
         """The runs this write carries, as of right now."""
@@ -165,10 +193,11 @@ class WritePendingQueue:
         self.name = name
         self._scheduler = scheduler
         self.capacity = capacity
-        self._write_service = write_service
+        # drain delays are ints, as Scheduler.after expects
+        self._write_service = int(write_service)
         self._pm_image = pm_image
         self._drain_watermark = max(0, min(drain_watermark, capacity - 1))
-        self._lazy_interval = write_service * max(1, lazy_drain_multiplier)
+        self._lazy_interval = int(write_service * max(1, lazy_drain_multiplier))
         #: victim indexes, so the targeted drops
         #: (:meth:`drop_data_ops_for_line`, :meth:`drop_log_ops_for_rid`)
         #: find their victims without scanning the whole queue; None until
@@ -273,7 +302,6 @@ class WritePendingQueue:
             del index[key]
 
     def _accept(self, op: PersistOp) -> None:
-        op.accepted_at = self._scheduler.now
         self._entries[op.op_id] = op
         if self._data_by_line is not None:
             self._index_add(op)

@@ -430,14 +430,7 @@ class AsapScheme(AsyncCommitScheme):
                 self._lpo_accepted(op, thread)
                 self.lpo_gate.advance(line)
 
-            op = PersistOp(
-                kind=LPO,
-                target_line=entry_addr,
-                data_line=line,
-                payload=payload,
-                rid=rid,
-                on_complete=accepted,
-            )
+            op = PersistOp(LPO, entry_addr, line, payload, rid, accepted)
             self.stats.lpos_initiated += 1
             if self.observer is not None:
                 self.observer.lpo_initiated(self, rid, line, entry_addr)
@@ -541,13 +534,7 @@ class AsapScheme(AsyncCommitScheme):
             for _ in range(slot.eager_backlog - 1):
                 self.stats.dpos_initiated += 1
                 self.memory.issue_persist(
-                    PersistOp(
-                        kind=DPO,
-                        target_line=line,
-                        data_line=line,
-                        payload=payload,
-                        rid=entry.rid,
-                    )
+                    PersistOp(DPO, line, line, payload, entry.rid)
                 )
         slot.eager_backlog = 0
         slot.dpo_inflight = True
@@ -555,12 +542,8 @@ class AsapScheme(AsyncCommitScheme):
         if meta is not None:
             meta.dirty = False  # the writeback is on its way
         op = PersistOp(
-            kind=DPO,
-            target_line=line,
-            data_line=line,
-            payload=payload,
-            rid=entry.rid,
-            on_complete=lambda op: self._dpo_accepted(entry, slot, version, thread),
+            DPO, line, line, payload, entry.rid,
+            lambda op: self._dpo_accepted(entry, slot, version, thread),
         )
         self.stats.dpos_initiated += 1
         if self.observer is not None:

@@ -227,12 +227,8 @@ class AsapRedoLogging(AsyncCommitScheme):
             )
 
         marker_op = PersistOp(
-            kind=MARKER,
-            target_line=marker_addr,
-            data_line=marker_addr,
-            payload=((marker_addr, (rid, seq)),),
-            rid=rid,
-            on_complete=marker_accepted,
+            MARKER, marker_addr, marker_addr, ((marker_addr, (rid, seq)),),
+            rid, marker_accepted,
         )
         if self.observer is not None:
             self.observer.marker_issued(self, rid, seq, marker_op)
@@ -265,14 +261,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             if self.observer is not None:
                 self.observer.dpo_initiated(self, region.rid, line)
             self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=DPO,
-                    target_line=line,
-                    data_line=line,
-                    payload=payload,
-                    rid=region.rid,
-                    on_complete=one_done,
-                )
+                PersistOp(DPO, line, line, payload, region.rid, one_done)
             )
         one_done()
 
@@ -383,14 +372,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             self._try_commit(region, self.threads[thread_id_of(region.rid)])
 
         self.machine.memory.issue_persist(
-            PersistOp(
-                kind=LPO,
-                target_line=entry_addr,
-                data_line=line,
-                payload=payload,
-                rid=region.rid,
-                on_complete=accepted,
-            )
+            PersistOp(LPO, entry_addr, line, payload, region.rid, accepted)
         )
 
     # -- eviction (redo's no-force rule) ------------------------------------------------

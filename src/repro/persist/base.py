@@ -326,10 +326,6 @@ class PersistenceScheme(abc.ABC):
         ``header_payload`` to read the header when the op is flushed."""
         self.machine.memory.issue_persist(
             PersistOp(
-                kind=LOGHDR,
-                target_line=sealed.header_addr,
-                data_line=sealed.header_addr,
-                payload=payload,
-                rid=rid,
+                LOGHDR, sealed.header_addr, sealed.header_addr, payload, rid
             )
         )

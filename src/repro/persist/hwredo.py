@@ -106,13 +106,7 @@ class HardwareRedoLogging(PersistenceScheme):
             if meta is not None:
                 meta.dirty = False
             self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=DPO,
-                    target_line=line,
-                    data_line=line,
-                    payload=payload,
-                    rid=rid,
-                )
+                PersistOp(DPO, line, line, payload, rid)
             )
         # The log is reclaimed once the data is safely in the persistence
         # domain; modelled as reclamation at writeback-issue time.
@@ -156,12 +150,7 @@ class HardwareRedoLogging(PersistenceScheme):
         # commit wait is for the drain, not the accept.
         self.machine.memory.issue_persist(
             PersistOp(
-                kind=LPO,
-                target_line=entry_addr,
-                data_line=line,
-                payload=payload,
-                rid=thread.rid,
-                on_drain=lpo_drained,
+                LPO, entry_addr, line, payload, thread.rid, None, lpo_drained
             )
         )
 

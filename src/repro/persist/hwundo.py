@@ -153,12 +153,7 @@ class HardwareUndoLogging(PersistenceScheme):
             self.lpo_gate.advance(line)
 
         op = PersistOp(
-            kind=LPO,
-            target_line=entry_addr,
-            data_line=line,
-            payload=payload,
-            rid=thread.rid,
-            on_drain=lpo_drained,
+            LPO, entry_addr, line, payload, thread.rid, None, lpo_drained
         )
         self.lpo_gate.submit(op, line)
 
@@ -181,12 +176,5 @@ class HardwareUndoLogging(PersistenceScheme):
             self._maybe_commit(thread)
 
         self.machine.memory.issue_persist(
-            PersistOp(
-                kind=DPO,
-                target_line=line,
-                data_line=line,
-                payload=payload,
-                rid=thread.rid,
-                on_drain=dpo_drained,
-            )
+            PersistOp(DPO, line, line, payload, thread.rid, None, dpo_drained)
         )

@@ -94,14 +94,7 @@ class SoftwareLogging(PersistenceScheme):
             if meta is not None:
                 meta.dirty = False
             self.machine.memory.issue_persist(
-                PersistOp(
-                    kind=DPO,
-                    target_line=line,
-                    data_line=line,
-                    payload=payload,
-                    rid=rid,
-                    on_drain=one_accepted,
-                )
+                PersistOp(DPO, line, line, payload, rid, None, one_accepted)
             )
 
     def _write_commit_record(self, thread: _SwThread, done: Callable[[], None]) -> None:
@@ -114,12 +107,8 @@ class SoftwareLogging(PersistenceScheme):
         target = line_base(payload[0][0])
         self.machine.memory.issue_persist(
             PersistOp(
-                kind=LOGHDR,
-                target_line=target,
-                data_line=target,
-                payload=payload,
-                rid=thread.rid,
-                on_drain=lambda op: self._commit(thread, done),
+                LOGHDR, target, target, payload, thread.rid, None,
+                lambda op: self._commit(thread, done),
             )
         )
 
@@ -164,12 +153,8 @@ class SoftwareLogging(PersistenceScheme):
                 _LOG_CONSTRUCT_COST,
                 lambda: self.machine.memory.issue_persist(
                     PersistOp(
-                        kind=LPO,
-                        target_line=entry_addr,
-                        data_line=line,
-                        payload=payload,
-                        rid=thread.rid,
-                        on_drain=log_persisted,
+                        LPO, entry_addr, line, payload, thread.rid, None,
+                        log_persisted,
                     )
                 ),
             )

@@ -37,7 +37,8 @@ class ThreadExecutor:
         self._gen_fn = gen_fn
         self._gen: Optional[Iterator] = None
         self._scheduler = machine.scheduler
-        self._op_cost = machine.config.core.base_op_cost
+        # ints, as Scheduler.after expects, whatever the config holds
+        self._op_cost = int(machine.config.core.base_op_cost)
         self.scheme_thread = machine.scheme.register_thread(thread_id, core_id)
         self.finished = False
         self.observer = None  # wired by Machine.observe
@@ -100,7 +101,7 @@ class ThreadExecutor:
         elif isinstance(op, op_types.Read):
             self._do_read(op.addr, op.nwords)
         elif isinstance(op, op_types.Compute):
-            self._scheduler.after(max(0, op.cycles), partial(self._step, None))
+            self._scheduler.after(max(0, int(op.cycles)), partial(self._step, None))
         elif isinstance(op, op_types.Begin):
             self._do_begin()
         elif isinstance(op, op_types.End):

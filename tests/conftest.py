@@ -1,5 +1,7 @@
 """Shared fixtures: small machines, scheme factories, mini-workloads."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.params import SystemConfig
@@ -39,6 +41,24 @@ def counter_worker(machine, addr, iterations, lock=None, lines=1):
                 yield Unlock(lock)
 
     return gen
+
+
+def locked_set_config() -> SystemConfig:
+    """A machine whose fills keep hitting fully LPO-locked sets.
+
+    Tiny associativity plus slow PM keeps LPO LockBits set long enough
+    that fills find every way of a set locked: HM under ``asap`` with the
+    differential gate's small workload stalls on locked sets about ten
+    thousand times. Only the undo scheme locks lines."""
+    config = SystemConfig.small(
+        num_cores=4, wpq_entries=4, pm_latency_multiplier=16.0
+    )
+    return replace(
+        config,
+        l1=replace(config.l1, size_bytes=1024, assoc=1),
+        l2=replace(config.l2, size_bytes=2048, assoc=1),
+        l3=replace(config.l3, size_bytes=4096, assoc=2),
+    )
 
 
 ALL_SCHEMES = scheme_names()

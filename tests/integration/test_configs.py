@@ -2,6 +2,7 @@
 crash on baseline schemes, CLI output formats, determinism."""
 
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -102,3 +103,27 @@ def test_scheme_determinism(scheme):
         return (res.cycles, res.pm_writes, sorted(machine.oracle.committed_rids))
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("scheme", ["asap", "hwundo", "sw", "asap_redo"])
+def test_integral_float_latencies_run_like_ints(scheme):
+    # Scheduler.after does not coerce its delays; the config-derived ones
+    # are made ints once, where the machine reads them. A config that
+    # spells its cache latencies and op cost as floats must run the same
+    # cycles, as ints.
+    ints = SystemConfig.small()
+    floats = replace(
+        ints,
+        l1=replace(ints.l1, latency=float(ints.l1.latency)),
+        l2=replace(ints.l2, latency=float(ints.l2.latency)),
+        l3=replace(ints.l3, latency=float(ints.l3.latency)),
+        core=replace(ints.core, base_op_cost=float(ints.core.base_op_cost)),
+    )
+    results = []
+    for config in (ints, floats):
+        machine = Machine(config, make_scheme(scheme))
+        machine.install(get_workload("HM", PARAMS))
+        results.append(machine.run())
+    assert asdict(results[1]) == asdict(results[0])
+    assert type(results[1].cycles) is int
+    assert type(results[1].region_cycles_total) is int

@@ -50,6 +50,7 @@ from repro.workloads import (
     service_workload_names,
     workload_names,
 )
+from tests.conftest import locked_set_config
 
 CORPUS_DIR = os.path.join(
     os.path.dirname(__file__), "..", "property", "corpus"
@@ -154,20 +155,10 @@ def test_fast_matches_reference_serialized_drains(workload, scheme):
 
 @pytest.mark.parametrize("scheme,expect_stalls", [("asap", True), ("asap_redo", False)])
 def test_fast_matches_reference_locked_set_contention(scheme, expect_stalls):
-    # Tiny associativity plus slow PM keeps LPO LockBits set long enough
-    # that fills hit fully locked sets - the retry path whose double
-    # counting this PR fixed. Only the undo scheme locks lines (redo logs
+    # Fills hit fully locked sets - the retry path that once counted an
+    # access again per retry. Only the undo scheme locks lines (redo logs
     # never set the LockBit), so only its cell must actually stall.
-    config = SystemConfig.small(
-        num_cores=4, wpq_entries=4, pm_latency_multiplier=16.0
-    )
-    config = dc_replace(
-        config,
-        l1=dc_replace(config.l1, size_bytes=1024, assoc=1),
-        l2=dc_replace(config.l2, size_bytes=2048, assoc=1),
-        l3=dc_replace(config.l3, size_bytes=4096, assoc=2),
-    )
-    ref, fast = _pair("HM", scheme, config, _params())
+    ref, fast = _pair("HM", scheme, locked_set_config(), _params())
     if expect_stalls:
         assert ref["stall_breakdown"]["locked_set"] > 0
     assert fast == ref

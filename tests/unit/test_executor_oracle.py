@@ -46,6 +46,24 @@ def test_compute_advances_clock():
     assert res.cycles >= 500
 
 
+def test_compute_cycles_are_truncated_to_whole_nonnegative_cycles():
+    # the executor coerces Compute.cycles; Scheduler.after does not
+    m = make_machine()
+    took = []
+
+    def worker(env):
+        clock = env.machine.scheduler
+        for cycles in (2.5, -3, 0.5, -2.5, 7):
+            start = clock.now
+            yield Compute(cycles)
+            took.append(clock.now - start)
+
+    m.spawn(worker)
+    res = m.run()
+    assert took == [2, 0, 0, 0, 7]
+    assert all(type(t) is int for t in took) and type(res.cycles) is int
+
+
 def test_read_returns_written_values_across_lines():
     m = make_machine()
     a = m.heap.alloc(256)

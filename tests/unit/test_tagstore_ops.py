@@ -1,7 +1,7 @@
 """Unit tests for the tag store, op dataclasses, and error types."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import (
@@ -18,6 +18,7 @@ from repro.persist import make_scheme
 from repro.sim import ops
 from repro.sim.machine import Machine
 from repro.workloads import WorkloadParams, get_workload, workload_names
+from tests.conftest import locked_set_config
 
 
 # -- tag store ---------------------------------------------------------------
@@ -117,6 +118,46 @@ def test_index_consistency_under_workloads(workload, scheme, seed):
         if events % 64 == 0:
             assert_locked_index_matches(machine.hierarchy.tags)
     assert_locked_index_matches(machine.hierarchy.tags)
+
+
+def assert_presence_masks_match(hierarchy) -> None:
+    """Each line's presence mask must have exactly the bits of the private
+    arrays holding it, and no mask may outlive the line's last copy."""
+    expected = {}
+    for k, array in enumerate(hierarchy._private):
+        for line in array.lines():
+            expected[line] = expected.get(line, 0) | 1 << k
+    assert hierarchy._private_holders == expected
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    workload=st.sampled_from(workload_names()),
+    scheme=st.sampled_from(["asap", "asap_redo", "hwundo"]),
+    seed=st.integers(0, 20),
+    locked_sets=st.booleans(),
+)
+@example(workload="HM", scheme="asap", seed=0, locked_sets=True)
+def test_presence_masks_under_workloads(workload, scheme, seed, locked_sets):
+    """The private-presence masks agree with a scan of the private arrays
+    throughout real simulations, including fills that stall on fully
+    locked sets and take back what they installed."""
+    params = WorkloadParams(num_threads=2, ops_per_thread=8, setup_items=12, seed=seed)
+    config = locked_set_config() if locked_sets else SystemConfig.small()
+    machine = Machine(config, make_scheme(scheme))
+    machine.install(get_workload(workload, params))
+    for executor in machine.executors:
+        executor.start()
+    events = 0
+    while machine.scheduler.step():
+        events += 1
+        if events % 64 == 0:
+            assert_presence_masks_match(machine.hierarchy)
+    assert_presence_masks_match(machine.hierarchy)
 
 
 @settings(
