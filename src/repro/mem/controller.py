@@ -115,7 +115,7 @@ class MemorySystem:
 
     # -- persist path ------------------------------------------------------
 
-    def issue_persist(self, op: PersistOp, extra_delay: int = 0) -> None:
+    def issue_persist(self, op: PersistOp) -> None:
         """Send a persist op from the L1 toward its channel's WPQ.
 
         The op completes (``on_complete``) when the WPQ accepts it, one MC
@@ -124,7 +124,7 @@ class MemorySystem:
         """
         routes = self._persist_routes
         submit, hop = routes[(op.target_line >> 6) % len(routes)]
-        self.scheduler.after(hop + extra_delay, partial(submit, op))
+        self.scheduler.after(hop, partial(submit, op))
 
     def issue_dram_write(self, line: int) -> None:
         """Account a dirty volatile line written back to DRAM."""

@@ -46,7 +46,7 @@ from repro.core.rid import thread_id_of
 from repro.core.states import RegionState
 from repro.mem.image import MemoryImage
 from repro.mem.tagstore import LineMeta
-from repro.mem.wpq import DPO, LPO, PersistOp
+from repro.mem.wpq import LPO, PersistOp
 from repro.persist.async_commit import AsyncCommitScheme, AsyncThread
 from repro.persist.base import LineChainGate
 
@@ -175,19 +175,13 @@ class AsapScheme(AsyncCommitScheme):
             cl.entry_stalls += 1
             cl.entry_waiters.park(lambda: self.begin_region(thread, done))
             return
-        rid = thread.rid
-        dl = self.dep_list_for(rid)
-        if dl.full:
-            dl.entry_stalls += 1
-            dl.entry_waiters.park(lambda: self.begin_region(thread, done))
+        if not self._open_region(thread, lambda: self.begin_region(thread, done)):
             return
+        rid = thread.rid
         cl.open_entry(rid)
-        prev = self._open_region(thread, dl)
         self.stats.regions_begun += 1
         if self.observer is not None:
             self.observer.region_begun(self, thread, rid)
-            if prev is not None:
-                self.observer.dep_captured(self, rid, prev)
         done()
 
     # ------------------------------------------------------------------
@@ -244,10 +238,7 @@ class AsapScheme(AsyncCommitScheme):
                 self._track_write(thread, rid, meta, old_snapshot, done)
             else:
                 self._capture_dependence(
-                    thread,
-                    rid,
-                    meta,
-                    lambda: self._track_write(thread, rid, meta, old_snapshot, done),
+                    rid, meta, lambda: self._track_write(thread, rid, meta, old_snapshot, done)
                 )
 
         hierarchy.access(thread.core_id, addr, True, after_access)
@@ -271,10 +262,7 @@ class AsapScheme(AsyncCommitScheme):
                 if owner is not None and owner != rid:
                     # Sec. 4.6.3: reads also capture data dependences.
                     self._capture_dependence(
-                        thread,
-                        rid,
-                        meta,
-                        lambda: done(volatile.read_words(addr, nwords)),
+                        rid, meta, lambda: done(volatile.read_words(addr, nwords))
                     )
                     return
             done(volatile.read_words(addr, nwords))
@@ -283,45 +271,14 @@ class AsapScheme(AsyncCommitScheme):
 
     # -- the region-write pipeline ----------------------------------------
 
-    def _capture_dependence(
-        self,
-        thread: AsyncThread,
-        rid: int,
-        meta: LineMeta,
-        then: Callable[[], None],
-    ) -> None:
-        """Sec. 4.6.3: if the line is owned by another region, add a Dep."""
-        owner = meta.owner_rid
-        if owner is None or owner == rid:
-            then()
-            return
-        owner_dl = self.dep_list_for(owner)
-        if not owner_dl.contains(owner):
-            # The owner already committed; the tag is stale (Sec. 5.8).
-            self.stats.stale_owner_lookups += 1
-            meta.owner_rid = None
-            self.spill.discard(meta.line)
-            then()
-            return
-        my_dl = self.dep_list_for(rid)
-        entry = my_dl.entry(rid)
-        if entry is None:
-            raise SimulationError(f"no Dependence entry for active region {rid}")
-        if owner in entry.deps:
-            then()
-            return
-        if entry.deps_full:
-            # Stall until a Dep slot frees (a dependency commits).
-            my_dl.dep_stalls += 1
-            my_dl.dep_waiters.park(
-                lambda: self._capture_dependence(thread, rid, meta, then)
-            )
-            return
-        entry.deps.add(owner)
+    def _stale_owner(self, meta: LineMeta) -> None:
+        self.stats.stale_owner_lookups += 1
+        super()._stale_owner(meta)
+        self.spill.discard(meta.line)
+
+    def _dep_captured(self, rid: int, owner: int) -> None:
         self.stats.dep_captures += 1
-        if self.observer is not None:
-            self.observer.dep_captured(self, rid, owner)
-        then()
+        super()._dep_captured(rid, owner)
 
     def _track_write(
         self,
@@ -524,31 +481,31 @@ class AsapScheme(AsyncCommitScheme):
 
     def _initiate_dpo(self, entry: CLEntry, slot: CLSlot, thread: AsyncThread) -> None:
         line = slot.line
-        meta = self.hierarchy.tags.get(line)
-        payload = ((line, self.volatile.line(line)),)
-        version = slot.data_version
-        if not self.params.dpo_coalescing and slot.eager_backlog > 1:
+        rid = entry.rid
+        if not self.params.dpo_coalescing:
             # No-Opt ablation: one DPO per write. All but the newest are
             # redundant same-data writebacks; only the newest clears the
             # slot, so they carry no completion callback.
             for _ in range(slot.eager_backlog - 1):
                 self.stats.dpos_initiated += 1
-                self.memory.issue_persist(
-                    PersistOp(DPO, line, line, payload, entry.rid)
-                )
+                self._persist_line(line, rid)
         slot.eager_backlog = 0
-        slot.dpo_inflight = True
-        slot.pending = False
-        if meta is not None:
-            meta.dirty = False  # the writeback is on its way
-        op = PersistOp(
-            DPO, line, line, payload, entry.rid,
-            lambda op: self._dpo_accepted(entry, slot, version, thread),
-        )
+        accepted = self._claim_slot(entry, slot, thread)
         self.stats.dpos_initiated += 1
         if self.observer is not None:
-            self.observer.dpo_initiated(self, entry.rid, line)
-        self.memory.issue_persist(op)
+            self.observer.dpo_initiated(self, rid, line)
+        self._persist_line(line, rid, accepted)
+
+    def _claim_slot(
+        self, entry: CLEntry, slot: CLSlot, thread: AsyncThread
+    ) -> Callable[[PersistOp], None]:
+        """A persist now carries ``slot``'s data: mark it in flight and
+        return the op's acceptance callback, which clears the slot unless
+        the line was rewritten meanwhile."""
+        version = slot.data_version
+        slot.dpo_inflight = True
+        slot.pending = False
+        return lambda op: self._dpo_accepted(entry, slot, version, thread)
 
     def _dpo_accepted(
         self, entry: CLEntry, slot: CLSlot, version: int, thread: AsyncThread
@@ -626,11 +583,7 @@ class AsapScheme(AsyncCommitScheme):
             # written out like any sealed record's.
             self._write_header(open_record, rid)
         self.stats.commits += 1
-        # Broadcast completion to every Dependence List (Sec. 4.8).
-        for other_dl in self.dep_lists:
-            for ready in other_dl.clear_dependency(rid):
-                ready_rid = ready.rid
-                self.scheduler.after(0, lambda r=ready_rid: self._commit_if_still_ready(r))
+        self._release_dependents(rid, self._commit_if_still_ready)
         signal = thread.commit_signals.pop(rid, None)
         if signal is not None:
             signal.fire()
@@ -722,12 +675,7 @@ class AsapScheme(AsyncCommitScheme):
                 if entry is not None:
                     slot = entry.slot_for(meta.line)
                     if slot is not None and wb_op is not None and not slot.dpo_inflight:
-                        version = slot.data_version
-                        slot.dpo_inflight = True
-                        slot.pending = False
-                        wb_op.on_complete = (
-                            lambda op: self._dpo_accepted(entry, slot, version, thread)
-                        )
+                        wb_op.on_complete = self._claim_slot(entry, slot, thread)
 
     def _on_pm_reload(self, line: int):
         """LLC miss on a persistent line: recover a spilled OwnerRID."""

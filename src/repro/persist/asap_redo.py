@@ -137,15 +137,9 @@ class AsapRedoLogging(AsyncCommitScheme):
     # -- regions -----------------------------------------------------------------
 
     def begin_region(self, thread: _RedoThread, done: Callable[[], None]) -> None:
-        rid = thread.rid
-        dl = self.dep_list_for(rid)
-        if dl.full:
-            dl.entry_stalls += 1
-            dl.entry_waiters.park(lambda: self.begin_region(thread, done))
+        if not self._open_region(thread, lambda: self.begin_region(thread, done)):
             return
-        prev = self._open_region(thread, dl)
-        if prev is not None and self.observer is not None:
-            self.observer.dep_captured(self, rid, prev)
+        rid = thread.rid
         region = _RedoRegion(rid)
         self.regions[rid] = region
         thread.active = region
@@ -165,23 +159,24 @@ class AsapRedoLogging(AsyncCommitScheme):
         region.state = RegionState.DONE
         if self.observer is not None:
             self.observer.region_ended(self, thread, region.rid)
-        self._try_commit(region, thread)
+        self._try_commit(region.rid)
         done()  # asynchronous commit: retire immediately
 
     # -- commit machinery -----------------------------------------------------------
 
-    def _try_commit(self, region: _RedoRegion, thread: _RedoThread) -> None:
+    def _try_commit(self, rid: int) -> None:
+        region = self.regions[rid]
         if region.state is not RegionState.DONE or region.outstanding_lpos > 0:
             return
         if region.committing:
             return  # marker already in flight
-        entry = self.dep_list_for(region.rid).entry(region.rid)
+        entry = self.dep_list_for(rid).entry(rid)
         if entry is None:
             return  # already committed
         entry.state = RegionState.DONE
         if entry.deps:
             return  # Fig. 2c: wait for earlier regions' logs to persist
-        self._commit(region, thread)
+        self._commit(region, self.threads[thread_id_of(rid)])
 
     def _commit(self, region: _RedoRegion, thread: _RedoThread) -> None:
         rid = region.rid
@@ -212,14 +207,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             # Only now may dependents commit: broadcasting earlier would
             # let a dependent's marker persist while this one is still in
             # flight - the Fig. 2a ordering violation all over again.
-            for dl in self.dep_lists:
-                for ready in dl.clear_dependency(rid):
-                    ready_region = self.regions.get(ready.rid)
-                    if ready_region is not None:
-                        owner = self.threads[thread_id_of(ready.rid)]
-                        self.machine.scheduler.after(
-                            0, lambda r=ready_region, t=owner: self._try_commit(r, t)
-                        )
+            self._release_dependents(rid, self._try_commit)
             # Lazy in-place updates, then log reclamation.
             self.machine.scheduler.after(
                 REDO_DPO_DELAY,
@@ -287,7 +275,7 @@ class AsapRedoLogging(AsyncCommitScheme):
                     region.rewritten.add(line)
                 done()
 
-            self._capture_dependence(region, meta, after_dep)
+            self._capture_dependence(region.rid, meta, after_dep)
 
         self.machine.hierarchy.access(thread.core_id, addr, True, after_access)
 
@@ -310,47 +298,11 @@ class AsapRedoLogging(AsyncCommitScheme):
                     done(values)
 
             if region is not None and self.machine.page_table.is_persistent(addr):
-                self._capture_dependence(region, meta, deliver)
+                self._capture_dependence(region.rid, meta, deliver)
             else:
                 deliver()
 
         self.machine.hierarchy.access(thread.core_id, addr, False, after_access)
-
-    def _capture_dependence(
-        self, region: _RedoRegion, meta, then: Callable[[], None]
-    ) -> None:
-        """Record a data dependence on the line's owner before proceeding.
-
-        Mirrors the undo scheme: when every Dep slot is taken the access
-        *stalls* until a dependency commits and frees one. The pre-fix code
-        silently skipped the dependence instead - an unordered commit
-        waiting to happen whenever a region accumulated more than
-        ``dep_slots`` cross-region dependencies.
-        """
-        owner = meta.owner_rid
-        if owner is None or owner == region.rid:
-            then()
-            return
-        owner_dl = self.dep_list_for(owner)
-        if not owner_dl.contains(owner):
-            meta.owner_rid = None
-            then()
-            return
-        my_dl = self.dep_list_for(region.rid)
-        entry = my_dl.entry(region.rid)
-        if entry is None or owner in entry.deps:
-            then()
-            return
-        if entry.deps_full:
-            my_dl.dep_stalls += 1
-            my_dl.dep_waiters.park(
-                lambda: self._capture_dependence(region, meta, then)
-            )
-            return
-        entry.deps.add(owner)
-        if self.observer is not None:
-            self.observer.dep_captured(self, region.rid, owner)
-        then()
 
     def _issue_lpo(self, thread: _RedoThread, region: _RedoRegion, line: int) -> None:
         slot, entry_addr, record, _opened, sealed = thread.log.append(region.rid, line)
@@ -369,7 +321,7 @@ class AsapRedoLogging(AsyncCommitScheme):
             region.outstanding_lpos -= 1
             if self.observer is not None:
                 self.observer.lpo_logged(self, region.rid, line)
-            self._try_commit(region, self.threads[thread_id_of(region.rid)])
+            self._try_commit(region.rid)
 
         self.machine.memory.issue_persist(
             PersistOp(LPO, entry_addr, line, payload, region.rid, accepted)

@@ -22,11 +22,12 @@ from collections import deque
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import SimulationError
+from repro.core.log import UndoLog
 from repro.core.rid import pack_rid
-from repro.mem.wpq import LOGHDR, PersistOp
+from repro.mem.wpq import DPO, LOGHDR, PersistOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.log import LogRecord, UndoLog
+    from repro.core.log import LogRecord
     from repro.mem.controller import MemorySystem
     from repro.mem.image import MemoryImage
     from repro.sim.machine import Machine
@@ -306,7 +307,7 @@ class PersistenceScheme(abc.ABC):
         """The persisted Dependence List entries recovery orders by."""
         return []
 
-    def thread_logs(self) -> Dict[int, "UndoLog"]:
+    def thread_logs(self) -> Dict[int, UndoLog]:
         """Thread id -> the log whose record slots recovery scans."""
         return {}
 
@@ -319,6 +320,27 @@ class PersistenceScheme(abc.ABC):
         return {}
 
     # -- helpers -----------------------------------------------------------------
+
+    def _new_log(self, thread_id: int) -> UndoLog:
+        """``asap_init``'s log area for ``thread_id``, from the PM heap."""
+        return UndoLog.allocate(
+            thread_id, self.machine.config.asap, self.machine.heap.alloc
+        )
+
+    def _persist_line(
+        self, line: int, rid: int, on_complete=None, on_drain=None
+    ) -> None:
+        """Write ``line``'s current value in place (a DPO, no wait) with the
+        op's callbacks. The cached copy is clean from here on: the
+        writeback is on its way."""
+        machine = self.machine
+        meta = machine.hierarchy.tags.get(line)
+        if meta is not None:
+            meta.dirty = False
+        payload = ((line, machine.volatile.line(line)),)
+        machine.memory.issue_persist(
+            PersistOp(DPO, line, line, payload, rid, on_complete, on_drain)
+        )
 
     def _persist_header(self, sealed: "LogRecord", rid: int, payload) -> None:
         """Persist a sealed log record's header line (no wait). ``payload``

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.wpq import DPO, LPO, PersistOp
+from repro.mem.wpq import LPO, PersistOp
 from repro.persist.base import (
     READ_REDIRECT_PENALTY,
     REDO_DPO_DELAY,
@@ -57,10 +57,7 @@ class HardwareRedoLogging(PersistenceScheme):
         self._last_writer: Dict[int, int] = {}
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        log = UndoLog.allocate(
-            thread_id, self.machine.config.asap, self.machine.heap.alloc
-        )
-        return _HwRedoThread(thread_id, core_id, log)
+        return _HwRedoThread(thread_id, core_id, self._new_log(thread_id))
 
     # -- regions ---------------------------------------------------------------
 
@@ -101,13 +98,7 @@ class HardwareRedoLogging(PersistenceScheme):
             if self._last_writer.get(line) != rid:
                 # A later region re-logged the line: its DPO supersedes ours.
                 continue
-            payload = ((line, self.machine.volatile.line(line)),)
-            meta = self.machine.hierarchy.tags.get(line)
-            if meta is not None:
-                meta.dirty = False
-            self.machine.memory.issue_persist(
-                PersistOp(DPO, line, line, payload, rid)
-            )
+            self._persist_line(line, rid)
         # The log is reclaimed once the data is safely in the persistence
         # domain; modelled as reclamation at writeback-issue time.
         thread.log.free(rid)

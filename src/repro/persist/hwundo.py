@@ -36,7 +36,7 @@ from typing import Callable, Dict, Optional
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.wpq import DPO, LPO, PersistOp
+from repro.mem.wpq import LPO, PersistOp
 from repro.persist.base import LineChainGate, PersistenceScheme, SchemeThread
 
 #: per-line persistence state within the current region
@@ -79,10 +79,7 @@ class HardwareUndoLogging(PersistenceScheme):
         self.lpo_gate = LineChainGate(machine.memory, ride_same_channel=False)
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        log = UndoLog.allocate(
-            thread_id, self.machine.config.asap, self.machine.heap.alloc
-        )
-        return _HwUndoThread(thread_id, core_id, log)
+        return _HwUndoThread(thread_id, core_id, self._new_log(thread_id))
 
     # -- regions ---------------------------------------------------------------
 
@@ -160,10 +157,6 @@ class HardwareUndoLogging(PersistenceScheme):
     def _issue_dpo(self, thread: _HwUndoThread, line: int, ls: _LineState) -> None:
         ls.state = _DPO_INFLIGHT
         ls.dirty = False
-        payload = ((line, self.machine.volatile.line(line)),)
-        meta = self.machine.hierarchy.tags.get(line)
-        if meta is not None:
-            meta.dirty = False
         thread.outstanding += 1
 
         def dpo_drained(_op, rid=thread.rid) -> None:
@@ -175,6 +168,4 @@ class HardwareUndoLogging(PersistenceScheme):
                     ls.state = _CLEAN
             self._maybe_commit(thread)
 
-        self.machine.memory.issue_persist(
-            PersistOp(DPO, line, line, payload, thread.rid, None, dpo_drained)
-        )
+        self._persist_line(line, thread.rid, None, dpo_drained)

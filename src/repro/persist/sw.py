@@ -19,7 +19,7 @@ from typing import Callable, Optional, Set
 
 from repro.common.address import line_base
 from repro.core.log import UndoLog
-from repro.mem.wpq import DPO, LOGHDR, LPO, PersistOp
+from repro.mem.wpq import LOGHDR, LPO, PersistOp
 from repro.persist.base import PersistenceScheme, SchemeThread
 
 #: cycles of instruction work to construct one log entry in software
@@ -49,11 +49,7 @@ class SoftwareLogging(PersistenceScheme):
         self.name = "sw_dpo_only" if dpo_only else "sw"
 
     def register_thread(self, thread_id: int, core_id: int) -> SchemeThread:
-        log = None
-        if not self.dpo_only:
-            log = UndoLog.allocate(
-                thread_id, self.machine.config.asap, self.machine.heap.alloc
-            )
+        log = None if self.dpo_only else self._new_log(thread_id)
         return _SwThread(thread_id, core_id, log)
 
     # -- regions ---------------------------------------------------------------
@@ -89,13 +85,7 @@ class SoftwareLogging(PersistenceScheme):
                 after_fence()
 
         for line in lines:
-            payload = ((line, self.machine.volatile.line(line)),)
-            meta = self.machine.hierarchy.tags.get(line)
-            if meta is not None:
-                meta.dirty = False
-            self.machine.memory.issue_persist(
-                PersistOp(DPO, line, line, payload, rid, None, one_accepted)
-            )
+            self._persist_line(line, rid, None, one_accepted)
 
     def _write_commit_record(self, thread: _SwThread, done: Callable[[], None]) -> None:
         """Persist the commit record (the final record header), then free."""

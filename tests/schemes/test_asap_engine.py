@@ -3,12 +3,13 @@ asynchronous commit, and structural stalls."""
 
 import pytest
 
+from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
 from repro.core.rid import pack_rid
 from repro.core.states import RegionState
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
-from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
+from repro.sim.ops import Begin, Compute, End, Fence, Lock, Read, Unlock, Write
 from repro.sim.trace import COMMIT, Tracer
 
 
@@ -177,34 +178,38 @@ def test_cl_list_full_stalls_begin():
     assert eng.cl_lists[0].entry_stalls >= 1
 
 
-def test_dep_slots_stall_then_resolve():
-    # 1 Dep slot: a region depending on two others stalls on the second
-    # capture until the first dependency commits.
-    m, eng = make(dep_slots=1)
+@pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
+def test_dep_slots_stall_then_resolve(scheme):
+    # 1 Dep slot: the reader touches the lines of two still-uncommitted
+    # writers, so its second capture stalls until the first writer
+    # commits and frees the slot.
+    m = Machine(SystemConfig.small(dep_slots=1), make_scheme(scheme))
     a = m.heap.alloc(192)
-    lock = m.new_lock()
+    tracer = Tracer(m)
 
-    def writer(env, off):
-        yield Lock(lock)
+    def writer(env, off, cycles):
         yield Begin()
-        yield Write(a + off, [off])
+        yield Write(a + off, [off + 1])
+        yield Compute(cycles)  # keeps the region open past the reader's reads
         yield End()
-        yield Unlock(lock)
 
     def reader(env):
-        yield Lock(lock)
+        yield Compute(300)
         yield Begin()
         yield Read(a, 1)
         yield Read(a + 64, 1)
         yield Write(a + 128, [1])
         yield End()
-        yield Unlock(lock)
 
-    m.spawn(lambda env: writer(env, 0), core_id=0)
-    m.spawn(lambda env: writer(env, 64), core_id=1)
+    m.spawn(lambda env: writer(env, 0, 1000), core_id=0)
+    m.spawn(lambda env: writer(env, 64, 3000), core_id=1)
     m.spawn(reader, core_id=2)
     m.run()
-    assert eng.stats.commits == 3
+    assert sum(dl.dep_stalls for dl in m.scheme.dep_lists) >= 1
+    order = [e.rid for e in tracer.of_kind(COMMIT)]
+    first, second, reader_rid = pack_rid(0, 1), pack_rid(1, 1), pack_rid(2, 1)
+    assert sorted(order) == [first, second, reader_rid]
+    assert order.index(reader_rid) > max(order.index(first), order.index(second))
 
 
 def test_fence_blocks_until_commit():
@@ -238,9 +243,19 @@ def test_fence_without_regions_is_noop():
     assert eng.stats.fence_waits == 0
 
 
-def test_stale_owner_lookup_clears_tag():
-    m, eng = make()
+class _DepCaptures(SimObserver):
+    def __init__(self):
+        self.captured = []
+
+    def dep_captured(self, scheme, rid, owner) -> None:
+        self.captured.append((rid, owner))
+
+
+@pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
+def test_stale_owner_lookup_clears_tag(scheme):
+    m = Machine(SystemConfig.small(), make_scheme(scheme))
     a = m.heap.alloc(64)
+    deps = m.observe(_DepCaptures())
 
     def worker(env):
         yield Begin()
@@ -249,13 +264,15 @@ def test_stale_owner_lookup_clears_tag():
         yield Fence()  # region 1 fully committed
         yield Begin()
         yield Read(a, 1)  # owner tag stale: rid 1 already committed
-        yield Write(a + 8, [2])
         yield End()
 
     m.spawn(worker)
     m.run()
-    assert eng.stats.stale_owner_lookups >= 1
-    assert eng.stats.commits == 2
+    assert m.hierarchy.tags.get(a).owner_rid is None
+    assert deps.captured == []
+    if scheme == "asap":
+        assert m.scheme.stats.stale_owner_lookups >= 1
+        assert m.scheme.stats.commits == 2
 
 
 def test_log_freed_after_commit():
