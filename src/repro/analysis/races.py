@@ -236,19 +236,86 @@ class RaceTracer(SimObserver):
             (thread_id, self._now())
         )
 
-    # -- trace-level helpers ----------------------------------------------
-
-    def first_lpo(self, rid: int, line: int) -> Optional[PersistNode]:
-        """The first accepted LPO logging ``line`` for region ``rid``."""
-        for node in self.nodes:
-            if node.kind == LPO and node.rid == rid and node.data_line == line:
-                return node
-        return None
-
 
 # ---------------------------------------------------------------------------
 # the happens-before graph
 # ---------------------------------------------------------------------------
+
+
+Pair = Tuple[PersistNode, PersistNode]
+
+#: the pair tables of :func:`ordering_pairs` an edge kind adds to the
+#: graph, where not just its own: ``marker-gate`` also gates a region's
+#: post-commit in-place updates
+_EDGE_TABLES: Dict[str, Tuple[str, ...]] = {
+    "marker-gate": ("marker-gate", "marker-data"),
+}
+
+
+def _successive(nodes: List[PersistNode], key) -> List[Pair]:
+    """``(previous, node)`` for each node after the first with its ``key``."""
+    last: Dict[object, PersistNode] = {}
+    pairs: List[Pair] = []
+    for node in nodes:
+        k = key(node)
+        if k in last:
+            pairs.append((last[k], node))
+        last[k] = node
+    return pairs
+
+
+def ordering_pairs(tracer: RaceTracer) -> Dict[str, List[Pair]]:
+    """The ``(pred, succ)`` pairs of every ordering-edge kind in a trace.
+
+    * ``wpq-fifo``: consecutive acceptances on one channel;
+    * ``line-chain``: the first log persists of a same-line undo chain's
+      previous and dependent writer, once per recorded chain (duplicates
+      kept: the graph counts every edge it adds);
+    * ``lockbit-gate``: a region's first log persist of a line before its
+      data persists to that line;
+    * ``marker-gate``: a Dependence-List predecessor's commit marker
+      before the dependent's, sorted by (region, predecessor);
+    * ``marker-data``: a region's marker before its in-place updates;
+    * ``sync-commit``: consecutive persists of one thread.
+    """
+    nodes = tracer.nodes
+    first_lpo: Dict[Tuple[int, int], PersistNode] = {}
+    marker_of: Dict[int, PersistNode] = {}
+    for node in nodes:
+        if node.kind == LPO and node.rid is not None:
+            first_lpo.setdefault((node.rid, node.data_line), node)
+        if node.marker is not None:
+            marker_of[node.marker[0]] = node
+    lockbit: List[Pair] = []
+    marker_data: List[Pair] = []
+    for node in nodes:
+        if node.kind not in _DATA_KINDS or node.rid is None:
+            continue
+        gate = first_lpo.get((node.rid, node.target_line))
+        if gate is not None:
+            lockbit.append((gate, node))
+        gate = marker_of.get(node.rid)
+        if gate is not None:
+            marker_data.append((gate, node))
+    chains = [
+        (first_lpo.get((prev_rid, line)), first_lpo.get((dep_rid, line)))
+        for prev_rid, dep_rid, line in tracer.chains
+    ]
+    return {
+        "wpq-fifo": _successive(nodes, lambda n: n.channel),
+        "line-chain": [(a, b) for a, b in chains if a is not None and b is not None],
+        "lockbit-gate": lockbit,
+        "marker-gate": [
+            (marker_of[owner], marker)
+            for rid, marker in sorted(marker_of.items())
+            for owner in sorted(tracer.deps.get(rid, ()))
+            if owner in marker_of
+        ],
+        "marker-data": marker_data,
+        "sync-commit": _successive(
+            [n for n in nodes if n.rid is not None], lambda n: n.thread
+        ),
+    }
 
 
 class RaceGraph:
@@ -270,7 +337,13 @@ class RaceGraph:
         self.nodes = tracer.nodes
         self.edge_preds: List[Set[int]] = [set() for _ in self.nodes]
         self.edge_count = 0
-        self._build_edges()
+        #: every edge kind's pairs, in force or not: the R002-R004 checks
+        #: read the same tables the graph is built from
+        self.pairs = ordering_pairs(tracer)
+        for kind in edges_in_force:
+            for table in _EDGE_TABLES.get(kind, (kind,)):
+                for pred, succ in self.pairs.get(table, ()):
+                    self._add_edge(pred, succ)
         self._ancestors = self._close()
 
     # -- construction ------------------------------------------------------
@@ -286,59 +359,6 @@ class RaceGraph:
         if pred.index == lo:
             self.edge_preds[hi].add(lo)
             self.edge_count += 1
-
-    def _build_edges(self) -> None:
-        nodes = self.nodes
-        if "wpq-fifo" in self.edges_in_force:
-            last_on_channel: Dict[int, PersistNode] = {}
-            for node in nodes:
-                prev = last_on_channel.get(node.channel)
-                if prev is not None:
-                    self._add_edge(prev, node)
-                last_on_channel[node.channel] = node
-        if "line-chain" in self.edges_in_force:
-            for prev_rid, dep_rid, line in self.tracer.chains:
-                a = self.tracer.first_lpo(prev_rid, line)
-                b = self.tracer.first_lpo(dep_rid, line)
-                if a is not None and b is not None:
-                    self._add_edge(a, b)
-        if "lockbit-gate" in self.edges_in_force:
-            lpo_of: Dict[Tuple[int, int], PersistNode] = {}
-            for node in nodes:
-                if node.kind == LPO and node.rid is not None:
-                    lpo_of.setdefault((node.rid, node.data_line), node)
-            for node in nodes:
-                if node.kind in _DATA_KINDS and node.rid is not None:
-                    gate = lpo_of.get((node.rid, node.target_line))
-                    if gate is not None:
-                        self._add_edge(gate, node)
-        if "marker-gate" in self.edges_in_force:
-            marker_of: Dict[int, PersistNode] = {}
-            for node in nodes:
-                if node.marker is not None:
-                    marker_of[node.marker[0]] = node
-            for rid, marker in marker_of.items():
-                for owner in self.tracer.deps.get(rid, ()):
-                    pred = marker_of.get(owner)
-                    if pred is not None:
-                        self._add_edge(pred, marker)
-            # post-commit in-place updates are issued only after the
-            # region's own marker is durable
-            for node in nodes:
-                if node.kind in _DATA_KINDS and node.rid is not None:
-                    gate = marker_of.get(node.rid)
-                    if gate is not None:
-                        self._add_edge(gate, node)
-        if "sync-commit" in self.edges_in_force:
-            last_of_thread: Dict[int, PersistNode] = {}
-            for node in nodes:
-                thread = node.thread
-                if thread is None:
-                    continue
-                prev = last_of_thread.get(thread)
-                if prev is not None:
-                    self._add_edge(prev, node)
-                last_of_thread[thread] = node
 
     def _close(self) -> List[int]:
         """Ancestor bitmask per node (bit ``j`` set: ``j`` before ``i``)."""
@@ -542,22 +562,19 @@ def analyze_trace(
                 )
 
     # R002: chained same-line log persists out of chain order
-    seen_chains: Set[Tuple[int, int, int]] = set()
-    for prev_rid, dep_rid, line in tracer.chains:
-        key = (prev_rid, dep_rid, line)
-        if key in seen_chains:
+    seen_chains: Set[Tuple[int, int]] = set()
+    for a, b in graph.pairs["line-chain"]:
+        if (a.index, b.index) in seen_chains:
             continue
-        seen_chains.add(key)
-        a = tracer.first_lpo(prev_rid, line)
-        b = tracer.first_lpo(dep_rid, line)
-        if a is None or b is None or graph.ordered(a, b):
+        seen_chains.add((a.index, b.index))
+        if graph.ordered(a, b):
             continue
         report(
             "ASAP-R002",
             a,
             b,
-            f"log entries for line {line:#x} form an undo chain "
-            f"(region {dep_rid:#x} logs region {prev_rid:#x}'s "
+            f"log entries for line {a.data_line:#x} form an undo chain "
+            f"(region {b.rid:#x} logs region {a.rid:#x}'s "
             "uncommitted data) but nothing orders their durability; a "
             "crash with only the dependent's entry durable breaks the "
             "chain",
@@ -565,15 +582,8 @@ def analyze_trace(
         )
 
     # R003: a region's data persist unordered w.r.t. its own log entry
-    lpo_of: Dict[Tuple[int, int], PersistNode] = {}
-    for node in tracer.nodes:
-        if node.kind == LPO and node.rid is not None:
-            lpo_of.setdefault((node.rid, node.data_line), node)
-    for node in tracer.nodes:
-        if node.kind not in _DATA_KINDS or node.rid is None:
-            continue
-        gate = lpo_of.get((node.rid, node.target_line))
-        if gate is None or graph.ordered(gate, node):
+    for gate, node in graph.pairs["lockbit-gate"]:
+        if graph.ordered(gate, node):
             continue
         report(
             "ASAP-R003",
@@ -587,24 +597,18 @@ def analyze_trace(
         )
 
     # R004: commit markers unordered w.r.t. dependence predecessors
-    marker_of: Dict[int, PersistNode] = {}
-    for node in tracer.nodes:
-        if node.marker is not None:
-            marker_of[node.marker[0]] = node
-    for rid, marker in sorted(marker_of.items()):
-        for owner in sorted(tracer.deps.get(rid, ())):
-            pred = marker_of.get(owner)
-            if pred is None or graph.ordered(pred, marker):
-                continue
-            report(
-                "ASAP-R004",
-                pred,
-                marker,
-                f"commit marker of region {rid:#x} is not ordered after "
-                f"its Dependence-List predecessor {owner:#x}'s; recovery "
-                "could replay an effect without its cause",
-                inverted=marker.accepted_at < pred.accepted_at,
-            )
+    for pred, marker in graph.pairs["marker-gate"]:
+        if graph.ordered(pred, marker):
+            continue
+        report(
+            "ASAP-R004",
+            pred,
+            marker,
+            f"commit marker of region {marker.rid:#x} is not ordered "
+            f"after its Dependence-List predecessor {pred.rid:#x}'s; "
+            "recovery could replay an effect without its cause",
+            inverted=marker.accepted_at < pred.accepted_at,
+        )
 
     return result
 

@@ -13,9 +13,13 @@ event breaks one of the S-rules:
 * ASAP-S002 commit-order: a region commits before a recorded Dependence
   List predecessor,
 * ASAP-S003 capacity: CL List / CLPtr / Dependence List / Dep slot /
-  LH-WPQ / WPQ occupancy exceeds its configured capacity,
+  LH-WPQ / WPQ / MSHR occupancy exceeds its configured capacity,
 * ASAP-S004 freed-log-use: a log persist operation is issued for a region
-  whose log records were already freed by commit.
+  whose log records were already freed by commit,
+* ASAP-S005 mshr-consistency: the non-blocking hierarchy's miss tracking
+  breaks its contract - a second fetch is allocated for a line already
+  in flight, a merge or fill finds no in-flight fetch, or a fetch
+  completes with no queued requester.
 
 Attach with :meth:`Sanitizer.attach`; enable on harness runs with the
 ``--sanitize`` flag (see :mod:`repro.harness.cli`) or

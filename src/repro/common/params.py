@@ -258,6 +258,12 @@ class SystemConfig:
         """Return a copy with different ASAP structure parameters."""
         return replace(self, asap=asap)
 
+    def cache_hierarchy_bytes(self) -> int:
+        """SRAM of the whole cache hierarchy (private L1 and L2 per core,
+        the shared L3): what an eADR battery must be able to flush."""
+        private = self.l1.size_bytes + self.l2.size_bytes
+        return self.num_cores * private + self.l3.size_bytes
+
 
 # -- sweepable axes ----------------------------------------------------------
 #

@@ -32,7 +32,11 @@ from repro.explore.drivers import DRIVERS, make_driver
 from repro.explore.engine import OBJECTIVES, explore
 from repro.explore.report import to_csv, to_json, to_markdown
 from repro.explore.space import SweepSpace
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import (
+    add_execution_flags,
+    cache_from_args,
+    progress_from_args,
+)
 
 
 def _parse_value(text: str):
@@ -130,31 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="random driver: RNG seed"
     )
     execu = parser.add_argument_group("execution")
-    execu.add_argument(
-        "--full",
-        action="store_true",
-        help="use the full Table 2 machine and workload sizes (slow)",
-    )
-    execu.add_argument(
-        "--jobs", "-j", type=int, default=1, metavar="N",
-        help="run cells across N worker processes (default 1)",
-    )
-    execu.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="result-cache directory (default: $ASAP_CACHE_DIR, else "
-        "~/.cache/asap-repro)",
-    )
-    execu.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    execu.add_argument(
-        "--sanitize", action="store_true",
-        help="attach the runtime invariant sanitizer to every cell",
-    )
-    execu.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-cell progress lines on stderr",
-    )
+    add_execution_flags(execu)
     execu.add_argument(
         "--require-cache-rate", type=float, default=None, metavar="R",
         help="exit 1 unless at least R (0..1) of the cells were served "
@@ -185,21 +165,6 @@ def _list_axes() -> str:
         "bare field names (e.g. lh_wpq_entries) resolve when unambiguous"
     )
     return "\n".join(lines)
-
-
-def _progress(enabled: bool):
-    if not enabled:
-        return None
-
-    def progress(done, total, spec, cell):
-        status = "cached" if cell.cached else f"{cell.wall_seconds:.2f}s"
-        print(
-            f"  [explore {done}/{total}] {spec.describe()} ({status})",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return progress
 
 
 def main(argv=None) -> int:
@@ -235,18 +200,14 @@ def main(argv=None) -> int:
             driver_kwargs = dict(rounds=args.rounds)
         driver = make_driver(args.driver, **driver_kwargs)
 
-        cache = None
-        if not args.no_cache:
-            cache = ResultCache(args.cache_dir or ResultCache.default_dir())
-
         result = explore(
             space,
             driver,
             objective=args.objective,
             quick=not args.full,
             jobs=max(1, args.jobs),
-            cache=cache,
-            progress=_progress(not args.no_progress),
+            cache=cache_from_args(args),
+            progress=progress_from_args(args, "explore"),
             sanitize=args.sanitize,
         )
     except ReproError as exc:

@@ -25,7 +25,11 @@ import time
 
 from repro.common.params import SystemConfig
 from repro.harness.experiments import REGISTRY
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import (
+    add_execution_flags,
+    cache_from_args,
+    progress_from_args,
+)
 from repro.workloads import WorkloadParams, get_workload, workload_names
 
 
@@ -74,22 +78,6 @@ def _ratio(numerator: float, denominator: float, suffix: str = "x") -> str:
     return f"{numerator / denominator:.2f}{suffix}"
 
 
-def _make_progress(exp_name: str, enabled: bool):
-    """Per-cell progress/timing printer (stderr keeps tables clean)."""
-    if not enabled:
-        return None
-
-    def progress(done, total, spec, cell):
-        status = "cached" if cell.cached else f"{cell.wall_seconds:.2f}s"
-        print(
-            f"  [{exp_name} {done}/{total}] {spec.describe()} ({status})",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return progress
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -128,41 +116,10 @@ def main(argv=None) -> int:
         "(see 'recover --help'), or 'analyze' (see 'analyze --help')",
     )
     parser.add_argument(
-        "--full",
-        action="store_true",
-        help="use the full Table 2 machine and workload sizes (slow)",
-    )
-    parser.add_argument(
         "--workloads",
         nargs="*",
         default=None,
         help="restrict to these Table 3 workloads",
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run independent simulation cells across N worker processes "
-        "(default 1: serial, bit-identical rows either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="result-cache directory (default: $ASAP_CACHE_DIR, else "
-        "~/.cache/asap-repro)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache (every cell re-runs)",
-    )
-    parser.add_argument(
-        "--no-progress",
-        action="store_true",
-        help="suppress per-cell progress/timing lines on stderr",
     )
     parser.add_argument(
         "--json",
@@ -176,19 +133,11 @@ def main(argv=None) -> int:
         default=None,
         help="also write one CSV per experiment into DIR",
     )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run every simulation with the runtime invariant sanitizer "
-        "attached (raises on the first WAL-contract violation; see "
-        "python -m repro.analysis rules)",
-    )
+    add_execution_flags(parser)
     args = parser.parse_args(argv)
 
     jobs = max(1, args.jobs)
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or ResultCache.default_dir())
+    cache = cache_from_args(args)
 
     if args.experiment == "config":
         print(_dump_config())
@@ -242,7 +191,7 @@ def main(argv=None) -> int:
         result = plan.execute(
             jobs=jobs,
             cache=cache,
-            progress=_make_progress(name, not args.no_progress),
+            progress=progress_from_args(args, name),
             sanitize=args.sanitize,
         )
         results = result if isinstance(result, list) else [result]

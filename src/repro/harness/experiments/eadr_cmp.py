@@ -62,10 +62,7 @@ def plan(quick: bool = True, workloads=None) -> Plan:
             )
         result.geomean_row()
         cfg = SystemConfig()  # the Table 2 machine for the battery comparison
-        eadr_bytes = (
-            cfg.num_cores * (cfg.l1.size_bytes + cfg.l2.size_bytes)
-            + cfg.l3.size_bytes
-        )
+        eadr_bytes = cfg.cache_hierarchy_bytes()
         asap_bytes = asap_persistence_domain_bytes(cfg)
         battery_note = (
             f"battery-backed SRAM on the Table 2 machine: eADR needs the whole "

@@ -28,6 +28,7 @@ import hashlib
 import importlib
 import os
 import pickle
+import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -406,3 +407,74 @@ def cell_matrix(
         for prefix, workload, config, params in rows
         for label, scheme in schemes
     ]
+
+
+# -- the execution flags of ``asap-repro`` and ``asap-repro explore`` ---------
+
+
+def add_execution_flags(parser) -> None:
+    """Add the flags that choose how cells execute (``--full``,
+    ``--jobs/-j``, ``--cache-dir``, ``--no-cache``, ``--sanitize``,
+    ``--no-progress``) to an argparse parser or argument group."""
+    parser.add_argument(
+        "--full",
+        action="store_true",
+        help="use the full Table 2 machine and workload sizes (slow)",
+    )
+    parser.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=1,
+        metavar="N",
+        help="run independent simulation cells across N worker processes "
+        "(default 1: serial, bit-identical results either way)",
+    )
+    parser.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        default=None,
+        help="result-cache directory (default: $ASAP_CACHE_DIR, else "
+        "~/.cache/asap-repro)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache (every cell re-runs)",
+    )
+    parser.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="run every simulation with the runtime invariant sanitizer "
+        "attached (raises on the first WAL-contract violation; see "
+        "python -m repro.analysis rules)",
+    )
+    parser.add_argument(
+        "--no-progress",
+        action="store_true",
+        help="suppress per-cell progress/timing lines on stderr",
+    )
+
+
+def cache_from_args(args) -> Optional[ResultCache]:
+    """The result cache the execution flags select (None: ``--no-cache``)."""
+    if args.no_cache:
+        return None
+    return ResultCache(args.cache_dir or ResultCache.default_dir())
+
+
+def progress_from_args(args, label: str) -> Optional[ProgressFn]:
+    """A per-cell progress/timing printer tagged ``label`` (stderr keeps
+    the tables on stdout clean), or None under ``--no-progress``."""
+    if args.no_progress:
+        return None
+
+    def progress(done, total, spec, cell):
+        status = "cached" if cell.cached else f"{cell.wall_seconds:.2f}s"
+        print(
+            f"  [{label} {done}/{total}] {spec.describe()} ({status})",
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return progress

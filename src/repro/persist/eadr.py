@@ -52,11 +52,7 @@ class EadrLogging(PersistenceScheme):
 
     def battery_backed_bytes(self) -> int:
         """SRAM the battery must be able to flush on power failure."""
-        cfg = self.machine.config
-        return (
-            cfg.num_cores * (cfg.l1.size_bytes + cfg.l2.size_bytes)
-            + cfg.l3.size_bytes
-        )
+        return self.machine.config.cache_hierarchy_bytes()
 
     # -- regions -------------------------------------------------------------
 

@@ -16,23 +16,22 @@ oracle: atomicity (no partial regions), durability (committed regions
 survive), and ordering (no dependent region survives its dependency's
 rollback).
 
-:mod:`repro.recovery.explain` replays recovery with every decision point
-observed (``asap-repro recover --explain``): the scan, the derived undo
-order, and each restore applied - as a narrative and a schema-validated
-JSON trace (docs/RECOVERY.md).
+:mod:`repro.recovery.explain` renders what one recovery decided
+(``asap-repro recover --explain``): the persisted Dependence List, the
+matched log records, the undo (or replay) order, and each restore
+applied, all read back from the :class:`RecoveryReport` - as a narrative
+and a schema-validated JSON trace (docs/RECOVERY.md).
 """
 
 from repro.recovery.crash import CrashState, crash_machine
-from repro.recovery.explain import ExplainObserver, explain_recovery, validate_trace
-from repro.recovery.recover import RecoveryObserver, RecoveryReport, recover
+from repro.recovery.explain import explain_recovery, validate_trace
+from repro.recovery.recover import RecoveryReport, recover
 from repro.recovery.verify import verify_recovery
 
 __all__ = [
     "CrashState",
     "crash_machine",
-    "ExplainObserver",
     "explain_recovery",
-    "RecoveryObserver",
     "RecoveryReport",
     "recover",
     "validate_trace",

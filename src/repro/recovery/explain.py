@@ -2,12 +2,12 @@
 
 Recovery is the one phase of the model with no execution trace to read -
 it runs over a dead machine's PM image and either produces a consistent
-image or it does not. This module makes its reasoning inspectable: an
-:class:`ExplainObserver` (the recovery-side twin of the simulator's
-``SimObserver`` hook idiom) records every decision point of
-:func:`repro.recovery.recover.recover` - the scan, the derived undo
-order, and every restore applied - into a structured, deterministic JSON
-trace, plus a human narrative rendered from the same data.
+image or it does not. This module makes its reasoning inspectable: it
+runs :func:`repro.recovery.recover.recover` once and turns the crash
+state plus the :class:`~repro.recovery.recover.RecoveryReport` - the
+matched records, the undo (or replay) order, the durable markers - into
+a structured, deterministic JSON trace with every restore numbered, plus
+a human narrative rendered from the same data.
 
 The trace format is versioned (:data:`SCHEMA_VERSION`) and validated by
 :func:`validate_trace` against :data:`TRACE_SCHEMA` (with the shape
@@ -19,12 +19,12 @@ field description: docs/RECOVERY.md.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Tuple
 
 from repro.common.schema import Schema, check_fields
 from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
-from repro.recovery.recover import RecoveryObserver, RecoveryReport, recover
+from repro.recovery.recover import RecoveryReport, recover
 
 SCHEMA_VERSION = 2
 
@@ -88,25 +88,27 @@ def validate_trace(trace: dict) -> List[str]:
     return problems
 
 
-class ExplainObserver(RecoveryObserver):
-    """Records every recovery decision point into a JSON-able trace."""
-
-    def __init__(self):
-        self.records: List[dict] = []
-        self.decisions: List[dict] = []
-        self.order: List[int] = []
-        self.dependence_entries: List[dict] = []
-        self.uncommitted: List[int] = []
-        self.markers: List[dict] = []
-        self._step = 0
-
-    # -- RecoveryObserver events ------------------------------------------
-
-    def scan_started(self, state: CrashState, uncommitted: Set[int]) -> None:
-        self.uncommitted = sorted(uncommitted)
-
-    def record_matched(self, rid: int, header_addr: int, entries) -> None:
-        self.records.append(
+def _trace(state: CrashState, report: RecoveryReport) -> dict:
+    """The crash state and what recovery decided, as a JSON-able trace."""
+    logs: Dict[int, list] = {}
+    for rid, _header, entries in report.records:
+        logs.setdefault(rid, []).extend(entries)
+    restores = [
+        (rid, line, entry_addr)
+        for rid in report.undone_rids
+        for line, entry_addr, _chained in logs.get(rid, ())
+    ]
+    out = {
+        "schema_version": SCHEMA_VERSION,
+        "log_kind": state.log_kind,
+        "crash_cycle": state.crash_cycle,
+        "uncommitted": sorted(e["rid"] for e in state.dependence_entries),
+        "dependence_entries": [
+            {"rid": e["rid"], "deps": sorted(e["deps"])}
+            for e in state.dependence_entries
+        ],
+        "order": list(report.undone_rids),
+        "records": [
             {
                 "rid": rid,
                 "header_addr": header_addr,
@@ -115,68 +117,38 @@ class ExplainObserver(RecoveryObserver):
                     for line, addr, chained in entries
                 ],
             }
-        )
-
-    def order_computed(self, order: List[int], entries: List[dict]) -> None:
-        self.order = list(order)
-        self.dependence_entries = [
-            {"rid": e["rid"], "deps": sorted(e["deps"])} for e in entries
-        ]
-
-    def restore_applied(self, rid: int, line: int, entry_addr: int) -> None:
-        self._step += 1
-        self.decisions.append(
+            for rid, header_addr, entries in report.records
+        ],
+        "decisions": [
             {
-                "step": self._step,
+                "step": step,
                 "action": "restore",
                 "rid": rid,
                 "line": line,
                 "entry_addr": entry_addr,
             }
-        )
-
-    def marker_found(self, rid: int, seq: int) -> None:
-        self.markers.append({"rid": rid, "seq": seq})
-
-    # -- trace assembly ----------------------------------------------------
-
-    def trace(self, state: CrashState, report: RecoveryReport) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "log_kind": state.log_kind,
-            "crash_cycle": state.crash_cycle,
-            "uncommitted": self.uncommitted
-            or sorted(e["rid"] for e in state.dependence_entries),
-            "dependence_entries": self.dependence_entries
-            or [
-                {"rid": e["rid"], "deps": sorted(e["deps"])}
-                for e in state.dependence_entries
-            ],
-            "order": self.order,
-            "records": self.records,
-            "decisions": self.decisions,
-            "summary": {
-                "undone_rids": list(report.undone_rids),
-                "restored_lines": report.restored_lines,
-                "records_scanned": report.records_scanned,
-                "records_matched": report.records_matched,
-                "estimated_cycles": report.estimated_cycles,
-            },
-        }
-        if self.markers:
-            out["markers"] = self.markers
-        return out
+            for step, (rid, line, entry_addr) in enumerate(restores, 1)
+        ],
+        "summary": {
+            "undone_rids": list(report.undone_rids),
+            "restored_lines": report.restored_lines,
+            "records_scanned": report.records_scanned,
+            "records_matched": report.records_matched,
+            "estimated_cycles": report.estimated_cycles,
+        },
+    }
+    if report.markers:
+        out["markers"] = [{"rid": rid, "seq": seq} for seq, rid in report.markers]
+    return out
 
 
 def explain_recovery(
     state: CrashState,
 ) -> Tuple[MemoryImage, RecoveryReport, dict]:
-    """Run :func:`~repro.recovery.recover.recover` with an
-    :class:`ExplainObserver` attached; returns the recovered image, the
-    report, and the (schema-valid, deterministic) trace."""
-    observer = ExplainObserver()
-    image, report = recover(state, observer=observer)
-    return image, report, observer.trace(state, report)
+    """Run :func:`~repro.recovery.recover.recover`; returns the recovered
+    image, the report, and the (schema-valid, deterministic) trace."""
+    image, report = recover(state)
+    return image, report, _trace(state, report)
 
 
 def render_narrative(trace: dict) -> str:

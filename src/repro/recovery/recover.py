@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.common.errors import RecoveryError
 from repro.common.units import CACHE_LINE_BYTES
@@ -38,43 +38,23 @@ from repro.mem.image import MemoryImage
 from repro.recovery.crash import CrashState
 
 
-class RecoveryObserver:
-    """No-op observer of the recovery procedure's decision points.
-
-    The recovery-side mirror of :class:`repro.common.observe.SimObserver`:
-    subclass and override the events of interest; handlers must not mutate
-    what they are handed. The explainable-recovery layer
-    (:mod:`repro.recovery.explain`) is the primary consumer.
-    """
-
-    def scan_started(self, state: "CrashState", uncommitted: Set[int]) -> None:
-        """Log scanning begins over the crash image's log directory."""
-
-    def record_matched(self, rid: int, header_addr: int, entries) -> None:
-        """A durable record header of an in-scope region was found;
-        ``entries`` is its [(data_line, entry_addr, chained)] list."""
-
-    def order_computed(self, order: List[int], entries: List[dict]) -> None:
-        """The undo (or replay) order was derived from the crash state."""
-
-    def restore_applied(self, rid: int, line: int, entry_addr: int) -> None:
-        """A logged old value was installed over ``line``."""
-
-    def region_processed(self, rid: int) -> None:
-        """All of ``rid``'s records were handled (undone or replayed)."""
-
-    def marker_found(self, rid: int, seq: int) -> None:
-        """Redo: a durable commit marker was found."""
-
-
 @dataclass
 class RecoveryReport:
-    """What recovery did (asserted on by the test suite)."""
+    """What recovery decided and did (asserted on by the test suite, and
+    read back by :mod:`repro.recovery.explain` to build its trace)."""
 
+    #: regions processed, in undo (or redo replay) order
     undone_rids: List[int] = field(default_factory=list)
     restored_lines: int = 0
     records_scanned: int = 0
-    records_matched: int = 0
+    #: every matched log record, in scan order:
+    #: ``(rid, header_addr, [(data_line, entry_addr, chained), ...])``
+    records: List[Tuple[int, int, List[Tuple[int, int, bool]]]] = field(
+        default_factory=list
+    )
+    #: redo only: the durable commit markers, ``(commit_seq, rid)`` in
+    #: replay order
+    markers: List[Tuple[int, int]] = field(default_factory=list)
 
     #: simple cost model for the software recovery pass (cycles): one PM
     #: line read per scanned record header, one read + one write per
@@ -82,6 +62,10 @@ class RecoveryReport:
     #: work (Anubis et al.) makes it a standard reporting axis.
     HEADER_READ_COST = 150
     LINE_RESTORE_COST = 150 + 60
+
+    @property
+    def records_matched(self) -> int:
+        return len(self.records)
 
     @property
     def undone_count(self) -> int:
@@ -130,12 +114,7 @@ def _undo_order(entries: List[dict]) -> List[int]:
     return order
 
 
-def _scan_logs(
-    state: CrashState,
-    uncommitted: Set[int],
-    report: RecoveryReport,
-    observer: Optional[RecoveryObserver] = None,
-):
+def _scan_logs(state: CrashState, uncommitted: Set[int], report: RecoveryReport):
     """Find every uncommitted region's log records in the PM image.
 
     Returns {rid: [(data_line, entry_addr, chained), ...]} in record-slot
@@ -146,8 +125,6 @@ def _scan_logs(
     """
     found: Dict[int, List[Tuple[int, int, bool]]] = {rid: [] for rid in uncommitted}
     pm = state.pm_image
-    if observer is not None:
-        observer.scan_started(state, set(uncommitted))
     entry_words = slice(1, 1 + state.entries_per_record)
     for segments in state.log_directory.values():
         for base, num_records, stride in segments:
@@ -159,7 +136,6 @@ def _scan_logs(
                 rid = words[0]
                 if rid not in uncommitted:
                     continue
-                report.records_matched += 1
                 entries: List[Tuple[int, int, bool]] = []
                 for slot, word in enumerate(words[entry_words]):
                     if word == 0:
@@ -172,17 +148,12 @@ def _scan_logs(
                     entry_addr = header + (1 + slot) * CACHE_LINE_BYTES
                     entries.append((data_line, entry_addr, chained))
                 found[rid].extend(entries)
-                if observer is not None:
-                    observer.record_matched(rid, header, entries)
+                report.records.append((rid, header, entries))
     return found
 
 
 def _restore_region(
-    image: MemoryImage,
-    rid: int,
-    entries,
-    report: RecoveryReport,
-    observer: Optional[RecoveryObserver],
+    image: MemoryImage, rid: int, entries, report: RecoveryReport
 ) -> None:
     """Install each of ``rid``'s logged lines in place (the old values
     for undo, the new ones for redo) and count the region as processed
@@ -190,17 +161,10 @@ def _restore_region(
     for data_line, entry_addr, _chained in entries:
         image.apply(((data_line, image.line(entry_addr)),))
         report.restored_lines += 1
-        if observer is not None:
-            observer.restore_applied(rid, data_line, entry_addr)
     report.undone_rids.append(rid)
-    if observer is not None:
-        observer.region_processed(rid)
 
 
-def recover(
-    state: CrashState,
-    observer: Optional[RecoveryObserver] = None,
-) -> Tuple[MemoryImage, RecoveryReport]:
+def recover(state: CrashState) -> Tuple[MemoryImage, RecoveryReport]:
     """Run recovery; returns the repaired PM image and a report.
 
     Dispatches on the crash state's log kind: the paper's undo procedure
@@ -209,28 +173,23 @@ def recover(
     implementation would only write whole restored lines.
     """
     if state.log_kind == "redo":
-        return recover_redo(state, observer=observer)
+        return recover_redo(state)
     report = RecoveryReport()
     image = state.pm_image.copy()
     if not state.dependence_entries:
         return image, report
     uncommitted = {e["rid"] for e in state.dependence_entries}
     order = _undo_order(state.dependence_entries)
-    if observer is not None:
-        observer.order_computed(order, state.dependence_entries)
-    logs = _scan_logs(state, uncommitted, report, observer=observer)
+    logs = _scan_logs(state, uncommitted, report)
     for rid in order:
         # Undo this region: restore each logged line's old value. Within a
         # region a line is logged at most once (first write), so record
         # order is irrelevant.
-        _restore_region(image, rid, logs.get(rid, ()), report, observer)
+        _restore_region(image, rid, logs.get(rid, ()), report)
     return image, report
 
 
-def recover_redo(
-    state: CrashState,
-    observer: Optional[RecoveryObserver] = None,
-) -> Tuple[MemoryImage, RecoveryReport]:
+def recover_redo(state: CrashState) -> Tuple[MemoryImage, RecoveryReport]:
     """Recovery for asynchronous-commit *redo* logging (the Fig. 2c
     extension implemented by ``asap_redo``).
 
@@ -251,7 +210,7 @@ def recover_redo(
     image = state.pm_image.copy()
     uncommitted = {e["rid"] for e in state.dependence_entries}
     # 1. Collect durable commit markers, newest-last.
-    markers: List[Tuple[int, int]] = []  # (commit_seq, rid)
+    markers = report.markers
     for areas in state.marker_directory.values():
         for base, slots, stride in areas:
             # an unwritten marker slot reads [0, 0]: skipping it is exact
@@ -261,15 +220,9 @@ def recover_redo(
                     markers.append((seq, rid))
     markers.sort()
     committed = {rid for _seq, rid in markers}
-    if observer is not None:
-        for seq, rid in markers:
-            observer.marker_found(rid, seq)
-        observer.order_computed(
-            [rid for _seq, rid in markers], state.dependence_entries
-        )
     # 2. Locate surviving log records of the marked regions.
-    logs = _scan_logs(state, committed, report, observer=observer)
+    logs = _scan_logs(state, committed, report)
     # 3. Replay in commit order: later regions' values overwrite earlier.
     for _seq, rid in markers:
-        _restore_region(image, rid, logs.get(rid, ()), report, observer)
+        _restore_region(image, rid, logs.get(rid, ()), report)
     return image, report

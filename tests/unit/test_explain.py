@@ -1,17 +1,20 @@
 """Unit tests for the explainable-recovery layer (recovery/explain.py)."""
 
+import glob
+import hashlib
 import json
 import os
 
-from repro.harness.fuzz import build_machine, load_corpus_entry
+import pytest
+
+from repro.harness.fuzz import build_machine, crash_cycles, load_corpus_entry
 from repro.recovery import crash_machine, explain_recovery, validate_trace, verify_recovery
 from repro.recovery.explain import SCHEMA_VERSION, render_narrative
 from tests.faults import reopen_edge
 
-CORPUS = os.path.join(
-    os.path.dirname(__file__), "..", "property", "corpus",
-    "undo-incomplete-line-chain-wpq1.json",
-)
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "property", "corpus")
+CORPUS = os.path.join(CORPUS_DIR, "undo-incomplete-line-chain-wpq1.json")
+REDO_CORPUS = os.path.join(CORPUS_DIR, "redo-premature-dep-clear-wpq4.json")
 
 
 def crash_corpus_case():
@@ -37,7 +40,7 @@ def test_trace_is_deterministic_and_json_safe():
 
 
 def test_explain_matches_plain_recovery():
-    """The observer must not perturb recovery's result."""
+    """Explaining recovery must not change what recovery produces."""
     from repro.recovery import recover
 
     m, state = crash_corpus_case()
@@ -91,3 +94,63 @@ def test_recover_cli_reports_legacy_corruption(capsys):
         rc = main(["--case", CORPUS])
     assert rc == 1
     assert "INCONSISTENT" in capsys.readouterr().out
+
+
+def crash_at(path, frac=None):
+    """Crash a corpus case where ``asap-repro recover`` does: at ``frac``,
+    else the case's first pinned crash fraction, else 0.5."""
+    case, _meta = load_corpus_entry(path)
+    if frac is None:
+        frac = case.crash_fracs[0] if case.crash_fracs else 0.5
+    total = build_machine(case).run().cycles
+    (at_cycle,) = crash_cycles(total, fracs=[frac])
+    return crash_machine(build_machine(case), at_cycle=at_cycle)
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.7, 0.9])
+def test_redo_trace_names_the_dependence_list(frac):
+    """Under redo the replayed regions are the *committed* ones; the
+    trace's ``uncommitted`` field and the narrative's dependence-list
+    line must still name the persisted Dependence List."""
+    state = crash_at(REDO_CORPUS, frac)
+    _image, _report, trace = explain_recovery(state)
+    assert trace["log_kind"] == "redo"
+    rids = sorted(e["rid"] for e in state.dependence_entries)
+    assert trace["uncommitted"] == rids
+    text = render_narrative(trace)
+    listed = [ln for ln in text.splitlines() if ln.startswith("  region ")]
+    assert f"dependence list: {len(listed)} uncommitted region(s)" in text
+    assert len(listed) == len(rids)
+
+
+#: sha256 of ``json.dumps(trace, sort_keys=True)`` for every corpus case
+#: at its pinned crash point; a change here is a change in what
+#: ``asap-repro recover --json`` reports
+TRACE_DIGESTS = {
+    "redo-premature-dep-clear-wpq4.json": (
+        "7c770bcd907e34e3cf804622dedb683cc6083093b711ec4735a12a1ce0f52fcf"
+    ),
+    "service-svc-midburst-wpq4.json": (
+        "81225ddbdf3175cd2d6bb9ffdddf59713a876c862516c017caf05764a14ded06"
+    ),
+    "undo-cross-thread-rmw-wpq4.json": (
+        "f02d513aedba9e2095a391cac9131290c50616904787ff86f02953da9aeb8c9f"
+    ),
+    "undo-incomplete-line-chain-wpq1.json": (
+        "70ffb4b724073746b4e496632cf95a42528527fdf671a0f1f33e0b37ea321f36"
+    ),
+    "undo-miss-in-flight-mshr1.json": (
+        "aa7e292c38738fa39cdf250303d0d684a67eb795e2a8dfb5b3b73e1262d37a34"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(os.path.basename(p) for p in glob.glob(os.path.join(CORPUS_DIR, "*.json"))),
+)
+def test_trace_is_pinned(name):
+    state = crash_at(os.path.join(CORPUS_DIR, name))
+    _image, _report, trace = explain_recovery(state)
+    digest = hashlib.sha256(json.dumps(trace, sort_keys=True).encode()).hexdigest()
+    assert digest == TRACE_DIGESTS.get(name)
