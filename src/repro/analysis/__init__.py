@@ -1,6 +1,6 @@
 """Persistency-correctness analysis for the ASAP reproduction.
 
-Two cooperating passes over the same rule namespace:
+Three cooperating passes over the same rule namespace:
 
 * the **static workload linter** (:mod:`repro.analysis.linter`) walks a
   workload's op streams functionally - no timing, no caches - and flags
@@ -40,7 +40,6 @@ from repro.analysis.linter import (
     LintMachine,
     LintResult,
     WorkloadLinter,
-    lint_all_workloads,
     lint_machine,
     lint_threads,
     lint_workload,
@@ -58,10 +57,8 @@ from repro.analysis.races import (
 )
 from repro.analysis.report import (
     ANALYSIS_SCHEMA_VERSION,
-    lint_report,
-    races_report,
+    build_report,
     render_text,
-    sanitize_report,
     validate_report,
     write_json,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "LintMachine",
     "LintResult",
     "WorkloadLinter",
-    "lint_all_workloads",
     "lint_machine",
     "lint_threads",
     "lint_workload",
@@ -92,10 +88,8 @@ __all__ = [
     "detect_in_workload",
     "verify_finding",
     "ANALYSIS_SCHEMA_VERSION",
-    "lint_report",
-    "races_report",
+    "build_report",
     "render_text",
-    "sanitize_report",
     "validate_report",
     "write_json",
 ]

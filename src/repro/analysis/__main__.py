@@ -21,12 +21,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.linter import lint_workload
-from repro.analysis.report import (
-    lint_report,
-    render_text,
-    sanitize_report,
-    write_json,
-)
+from repro.analysis.report import build_report, render_text, write_json
 from repro.analysis.rules import all_rules
 from repro.analysis.sanitizer import Sanitizer
 from repro.common.errors import ReproError
@@ -42,11 +37,10 @@ def _lint_params(args) -> WorkloadParams:
     )
 
 
-def _cmd_lint(args) -> int:
-    names = args.workloads or workload_names()
-    params = _lint_params(args)
-    results = {name: lint_workload(name, params) for name in names}
-    report = lint_report(results)
+def _finish(report: dict, args) -> int:
+    """Print ``report``, write it under ``--json``, and return the exit
+    status: 1 on an error-severity finding (on any finding under
+    ``--strict``), else 0."""
     print(render_text(report))
     if args.json:
         write_json(args.json, report)
@@ -57,11 +51,18 @@ def _cmd_lint(args) -> int:
     return 1 if failed else 0
 
 
+def _cmd_lint(args) -> int:
+    names = sorted(set(args.workloads or workload_names()))
+    params = _lint_params(args)
+    targets = [lint_workload(name, params).to_dict() for name in names]
+    return _finish(build_report("lint", targets), args)
+
+
 def _cmd_sanitize(args) -> int:
     from repro.harness.runner import default_config, default_params, run_once
 
     names = args.workloads or ["Q", "HM", "BN"]
-    runs = []
+    targets = []
     for name in names:
         sanitizer = Sanitizer(raise_on_violation=False)
         result = run_once(
@@ -71,33 +72,24 @@ def _cmd_sanitize(args) -> int:
             params=default_params(quick=not args.full),
             sanitize=sanitizer,
         )
-        runs.append(
+        targets.append(
             {
                 "source": name,
                 "workload": name,
                 "scheme": args.scheme,
                 "cycles": result.cycles,
                 "events_checked": sanitizer.events_checked,
-                "violations": list(sanitizer.violations),
+                "violations": [v.to_dict() for v in sanitizer.violations],
             }
         )
-    report = sanitize_report(runs)
-    print(render_text(report))
-    if args.json:
-        write_json(args.json, report)
-        print(f"wrote {args.json}")
-    failed = not report["summary"]["ok"] or (
-        args.strict and report["summary"]["warnings"] > 0
-    )
-    return 1 if failed else 0
+    return _finish(build_report("sanitize", targets), args)
 
 
 def _cmd_races(args) -> int:
     from repro.analysis.races import detect_in_case, detect_in_workload
-    from repro.analysis.report import races_report
     from repro.harness.runner import default_config, default_params
 
-    results = []
+    targets = []
     if args.corpus or args.case:
         from repro.harness.fuzz import load_corpus_entry
 
@@ -111,26 +103,17 @@ def _cmd_races(args) -> int:
             )
         for path in paths:
             case, _meta = load_corpus_entry(path)
-            results.append(detect_in_case(case, source=path))
+            targets.append(detect_in_case(case, source=path).to_target_dict())
     else:
         names = args.workloads or workload_names()
         config = default_config(quick=not args.full)
         params = default_params(quick=not args.full)
         for name in names:
-            results.append(
-                detect_in_workload(
-                    name, args.scheme, config=config, params=params
-                )
+            result = detect_in_workload(
+                name, args.scheme, config=config, params=params
             )
-    report = races_report(results)
-    print(render_text(report))
-    if args.json:
-        write_json(args.json, report)
-        print(f"wrote {args.json}")
-    failed = not report["summary"]["ok"] or (
-        args.strict and report["summary"]["warnings"] > 0
-    )
-    return 1 if failed else 0
+            targets.append(result.to_target_dict())
+    return _finish(build_report("races", targets), args)
 
 
 def _cmd_rules(args) -> int:

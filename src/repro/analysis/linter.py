@@ -401,10 +401,3 @@ def lint_workload(name: str, params=None, config: Optional[SystemConfig] = None)
     machine = LintMachine(config)
     machine.install(get_workload(name, params))
     return lint_machine(machine, source=name)
-
-
-def lint_all_workloads(params=None) -> Dict[str, LintResult]:
-    """Lint every bundled Table 3 workload; returns name -> result."""
-    from repro.workloads import workload_names
-
-    return {name: lint_workload(name, params) for name in workload_names()}

@@ -17,7 +17,7 @@ How it works:
    events that define conflicts and orderings: same-line undo chains
    (``lpo_chained``), Dependence-List captures, redo commit markers, and
    lock hand-offs.
-2. :func:`build_graph` turns the trace into a happens-before DAG whose
+2. :class:`RaceGraph` turns the trace into a happens-before DAG whose
    nodes are accepted persist ops and whose edges are only the orderings
    the scheme *guarantees* - as declared by
    :attr:`~repro.persist.base.PersistenceScheme.ORDERING_EDGES` (the

@@ -8,8 +8,12 @@ One report schema covers all three tools::
       "pass": "lint" | "sanitize" | "races",
       "rules": [ {id, name, severity, summary, paper_ref}, ... ],
       "targets": [ per-target result dicts ],
-      "summary": {"targets": N, "errors": N, "warnings": N, "ok": bool}
+      "summary": {"targets": N, <the pass's counters>,
+                  "errors": N, "warnings": N, "ok": bool}
     }
+
+:func:`build_report` is the one builder; the passes differ only in their
+rule catalog and the summary's counters (``_PASSES``).
 
 ``schema_version`` is bumped on any incompatible shape change (the
 recovery trace's ``TRACE_SCHEMA`` set the precedent;
@@ -22,9 +26,9 @@ lists.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis.rules import LINT_RULES, RACE_RULES, SANITIZER_RULES, Violation
+from repro.analysis.rules import LINT_RULES, RACE_RULES, SANITIZER_RULES, Rule
 from repro.common.schema import Schema, check_fields
 
 #: bump on incompatible changes to the report shape below
@@ -47,95 +51,39 @@ _SUMMARY_SCHEMA: Schema = {
     "ok": (bool, True),
 }
 
-_PASSES = ("lint", "sanitize", "races")
+
+#: pass -> (rule catalog, per-target counters its summary adds up, and
+#: whether the summary also counts CONFIRMED findings: an observed
+#: inversion or a directed-replay divergence)
+_PASSES: Dict[str, Tuple[Mapping[str, Rule], Tuple[str, ...], bool]] = {
+    "lint": (LINT_RULES, ("ops_checked",), False),
+    "sanitize": (SANITIZER_RULES, ("events_checked",), False),
+    "races": (RACE_RULES, ("nodes", "events_checked"), True),
+}
 
 
-def _summarise(violations: List[dict]) -> Dict[str, int]:
-    errors = sum(1 for v in violations if v.get("severity") == "error")
-    warnings = sum(1 for v in violations if v.get("severity") == "warning")
-    return {"errors": errors, "warnings": warnings}
-
-
-def lint_report(results: Mapping[str, object]) -> dict:
-    """Build the report dict for a set of lint results (name -> LintResult)."""
-    targets = [results[name].to_dict() for name in sorted(results)]
-    all_violations = [v for t in targets for v in t["violations"]]
-    counts = _summarise(all_violations)
+def build_report(pass_name: str, targets: Sequence[dict]) -> dict:
+    """The report of pass ``pass_name`` over its per-target result dicts
+    (``LintResult.to_dict()``, ``RacesResult.to_target_dict()``, or a
+    sanitized run), each carrying a ``violations`` list of dicts."""
+    rules, counters, counts_confirmed = _PASSES[pass_name]
+    violations = [v for t in targets for v in t["violations"]]
+    summary = {"targets": len(targets)}
+    for key in counters:
+        summary[key] = sum(t.get(key, 0) for t in targets)
+    if counts_confirmed:
+        summary["confirmed"] = sum(v.get("status") == "CONFIRMED" for v in violations)
+    errors = sum(v.get("severity") == "error" for v in violations)
+    summary["errors"] = errors
+    summary["warnings"] = sum(v.get("severity") == "warning" for v in violations)
+    summary["ok"] = errors == 0
     return {
         "schema_version": ANALYSIS_SCHEMA_VERSION,
         "tool": "repro.analysis",
-        "pass": "lint",
-        "rules": [rule.to_dict() for _, rule in sorted(LINT_RULES.items())],
-        "targets": targets,
-        "summary": {
-            "targets": len(targets),
-            "ops_checked": sum(t["ops_checked"] for t in targets),
-            **counts,
-            "ok": counts["errors"] == 0,
-        },
-    }
-
-
-def sanitize_report(runs: List[dict]) -> dict:
-    """Build the report dict for sanitized runs.
-
-    Each entry of ``runs`` is ``{"workload", "scheme", "cycles",
-    "violations": [Violation, ...], "events_checked"}``.
-    """
-    targets = []
-    for run in runs:
-        violations = [
-            v.to_dict() if isinstance(v, Violation) else v
-            for v in run.get("violations", [])
-        ]
-        targets.append({**run, "violations": violations})
-    all_violations = [v for t in targets for v in t["violations"]]
-    counts = _summarise(all_violations)
-    return {
-        "schema_version": ANALYSIS_SCHEMA_VERSION,
-        "tool": "repro.analysis",
-        "pass": "sanitize",
-        "rules": [rule.to_dict() for _, rule in sorted(SANITIZER_RULES.items())],
-        "targets": targets,
-        "summary": {
-            "targets": len(targets),
-            "events_checked": sum(t.get("events_checked", 0) for t in targets),
-            **counts,
-            "ok": counts["errors"] == 0,
-        },
-    }
-
-
-def races_report(results: List[object]) -> dict:
-    """Build the report dict for race-detector passes.
-
-    Each entry of ``results`` is a
-    :class:`~repro.analysis.races.RacesResult` (or its
-    ``to_target_dict()`` output). A finding's report severity follows its
-    rule; ``summary.confirmed`` separately counts findings whose witness
-    was confirmed (observed inversion or directed-replay divergence).
-    """
-    targets = [
-        r if isinstance(r, dict) else r.to_target_dict() for r in results
-    ]
-    all_violations = [v for t in targets for v in t["violations"]]
-    counts = _summarise(all_violations)
-    return {
-        "schema_version": ANALYSIS_SCHEMA_VERSION,
-        "tool": "repro.analysis",
-        "pass": "races",
-        "rules": [rule.to_dict() for _, rule in sorted(RACE_RULES.items())],
-        "targets": targets,
-        "summary": {
-            "targets": len(targets),
-            "nodes": sum(t.get("nodes", 0) for t in targets),
-            "events_checked": sum(t.get("events_checked", 0) for t in targets),
-            "confirmed": sum(
-                1 for v in all_violations if v.get("status") == "CONFIRMED"
-            ),
-            **counts,
-            "ok": counts["errors"] == 0,
-        },
+        "pass": pass_name,
+        "rules": [rule.to_dict() for _, rule in sorted(rules.items())],
+        "targets": list(targets),
+        "summary": summary,
     }
 
 

@@ -140,9 +140,9 @@ SANITIZER_RULES = {
             "capacity-exceeded",
             ERROR,
             "A finite hardware structure (CL List entries/CLPtr slots, "
-            "Dependence List entries/Dep slots, LH-WPQ, WPQ) holds more "
-            "items than its configured capacity: a structural stall was "
-            "bypassed.",
+            "Dependence List entries/Dep slots, LH-WPQ, WPQ, MSHR file) "
+            "holds more items than its configured capacity: a structural "
+            "stall was bypassed.",
             "Table 2, Secs. 4.6.2, 7.4 (structure sizes and stalls)",
         ),
         Rule(
@@ -161,7 +161,7 @@ SANITIZER_RULES = {
             "The non-blocking hierarchy's outstanding-miss tracking broke "
             "its contract: a second fetch was allocated for a line already "
             "in flight, a merge or fill targeted a line with no in-flight "
-            "fetch, or an MSHR file held more entries than its capacity.",
+            "fetch, or a fetch completed with no queued requester.",
             "docs/MEMORY.md (MSHR allocate/merge/replay rules)",
         ),
     )

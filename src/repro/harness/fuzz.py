@@ -47,7 +47,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from repro.common.errors import ConfigError
 from repro.common.params import MemoryParams, SystemConfig
 from repro.persist import make_scheme, recoverable_schemes
-from repro.recovery import RecoveryReport, crash_machine, recover, verify_recovery
+from repro.recovery import (
+    CrashState,
+    RecoveryReport,
+    crash_machine,
+    recover,
+    verify_recovery,
+)
 from repro.recovery.verify import VerificationResult
 from repro.sim.machine import Machine
 from repro.sim.ops import Begin, Compute, End, Lock, Read, Unlock, Write
@@ -321,6 +327,8 @@ class CrashCheck:
     """One crash point: what recovery did and what it got wrong."""
 
     cycle: int
+    #: what the crash left for recovery to read
+    state: CrashState
     verdict: VerificationResult
     report: RecoveryReport
     #: what failed, unprefixed (empty = the point recovered correctly)
@@ -360,7 +368,7 @@ def check_crash(
             problems.append(f"structure invalid: {errors[:3]}")
     if image.lines() != image2.lines():  # set-like: order-free, O(lines)
         problems.append("recovery nondeterministic")
-    return CrashCheck(at_cycle, verdict, report, problems)
+    return CrashCheck(at_cycle, state, verdict, report, problems)
 
 
 def crash_sweep(case: FuzzCase, cycles: Sequence[int]) -> Iterator[CrashCheck]:

@@ -201,6 +201,8 @@ def render_narrative(trace: dict) -> str:
 
 
 # -- CLI (the ``asap-repro recover`` subcommand) ----------------------------
+# The verdict is the fuzzer's: :func:`repro.harness.fuzz.check_crash` (the
+# oracle comparison, the determinism probe and the workload validators).
 
 
 def main(argv=None) -> int:
@@ -239,22 +241,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.harness.fuzz import build_machine, crash_cycles, load_corpus_entry
-    from repro.recovery.crash import crash_machine
-    from repro.recovery.verify import verify_recovery
+    from repro.harness.fuzz import (
+        clean_run,
+        crash_cycles,
+        crash_sweep,
+        load_corpus_entry,
+    )
 
     case, _meta = load_corpus_entry(args.case)
     frac = args.crash_frac
     if frac is None:
         frac = case.crash_fracs[0] if case.crash_fracs else 0.5
 
-    total = build_machine(case).run().cycles
-    (at_cycle,) = crash_cycles(total, fracs=[frac])
-    machine = build_machine(case)
-    state = crash_machine(machine, at_cycle=at_cycle)
-    image, report, trace = explain_recovery(state)
-    verdict = verify_recovery(machine, image)
-    trace["summary"]["consistent"] = verdict.ok
+    _failures, total = clean_run(case)
+    (check,) = crash_sweep(case, crash_cycles(total, fracs=[frac]))
+    trace = _trace(check.state, check.report)
+    trace["summary"]["consistent"] = not check.problems
 
     problems = validate_trace(trace)
     if args.explain:
@@ -269,10 +271,14 @@ def main(argv=None) -> int:
             print(f"wrote {args.json}")
     if not args.explain and not args.json:
         print(render_narrative(trace))
-    print(verdict.explain())
+    verdict = check.verdict.explain()
+    print(verdict)
+    for p in check.problems:
+        if p != verdict:
+            print(p)
     for p in problems:
         print(f"trace schema problem: {p}", file=sys.stderr)
-    return 0 if verdict.ok and not problems else 1
+    return 0 if not check.problems and not problems else 1
 
 
 if __name__ == "__main__":

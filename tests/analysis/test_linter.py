@@ -5,8 +5,8 @@ import pytest
 from repro.analysis import (
     LINT_RULES,
     LintMachine,
+    build_report,
     lint_machine,
-    lint_report,
     lint_threads,
     lint_workload,
 )
@@ -38,8 +38,7 @@ def test_bundled_workload_lints_clean(name):
 
 
 def test_lint_report_shape():
-    results = {"Q": lint_workload("Q", SMALL)}
-    report = lint_report(results)
+    report = build_report("lint", [lint_workload("Q", SMALL).to_dict()])
     assert report["pass"] == "lint"
     assert report["summary"]["ok"] is True
     assert report["summary"]["targets"] == 1

@@ -6,9 +6,7 @@ from repro.analysis.linter import lint_workload
 from repro.analysis.races import detect_in_workload
 from repro.analysis.report import (
     ANALYSIS_SCHEMA_VERSION,
-    lint_report,
-    races_report,
-    sanitize_report,
+    build_report,
     validate_report,
 )
 from repro.workloads import WorkloadParams
@@ -17,8 +15,9 @@ from repro.workloads import WorkloadParams
 @pytest.fixture(scope="module")
 def reports():
     params = WorkloadParams(num_threads=2, ops_per_thread=12, setup_items=8)
-    lint = lint_report({"Q": lint_workload("Q", params)})
-    sanitize = sanitize_report(
+    lint = build_report("lint", [lint_workload("Q", params).to_dict()])
+    sanitize = build_report(
+        "sanitize",
         [
             {
                 "source": "Q",
@@ -28,9 +27,9 @@ def reports():
                 "events_checked": 5,
                 "violations": [],
             }
-        ]
+        ],
     )
-    races = races_report([detect_in_workload("Q")])
+    races = build_report("races", [detect_in_workload("Q").to_target_dict()])
     return {"lint": lint, "sanitize": sanitize, "races": races}
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Sanitizer, sanitize_report
+from repro.analysis import Sanitizer, build_report
 from repro.common.errors import SanitizerError, SimulationError
 from repro.persist.asap import AsapScheme
 from repro.harness.runner import default_config, default_params, run_once
@@ -313,16 +313,17 @@ def test_skipped_lpo_is_caught_end_to_end(monkeypatch):
 def test_sanitize_report_shape():
     san = collecting()
     result = small_run(san)
-    report = sanitize_report(
+    report = build_report(
+        "sanitize",
         [
             {
                 "workload": "Q",
                 "scheme": "asap",
                 "cycles": result.cycles,
-                "violations": san.violations,
+                "violations": [v.to_dict() for v in san.violations],
                 "events_checked": san.events_checked,
             }
-        ]
+        ],
     )
     assert report["pass"] == "sanitize"
     assert report["summary"]["ok"] is True

@@ -3,15 +3,21 @@
 A committed report (``FIG10_OVERLAP.json``) is a paper number the docs
 quote; a change to cycle counts must not leave it stale. This pins the
 cheap part: the quick-mode ``fig10_overlap`` rows of HM and Q, run with
-no result cache, must equal the committed rows exactly.
+no result cache, must equal the committed rows exactly. The committed
+analysis reports (``lint-report.json``, ``races-report.json``) must
+rebuild from their own targets, with no run, to the same document.
 """
 
 import json
 import os
 
+import pytest
+
+from repro.analysis import build_report
 from repro.harness.experiments import fig10_overlap
 
-REPORT = os.path.join(os.path.dirname(__file__), "..", "..", "FIG10_OVERLAP.json")
+REPO = os.path.join(os.path.dirname(__file__), "..", "..")
+REPORT = os.path.join(REPO, "FIG10_OVERLAP.json")
 WORKLOADS = ["HM", "Q"]
 
 
@@ -22,3 +28,14 @@ def test_fig10_overlap_rows_match_committed_report():
     assert {name: result.rows[name] for name in WORKLOADS} == {
         name: committed[name] for name in WORKLOADS
     }
+
+
+@pytest.mark.parametrize("filename", ["lint-report.json", "races-report.json"])
+def test_analysis_report_rebuilds_from_its_targets(filename):
+    with open(os.path.join(REPO, filename)) as f:
+        committed = json.load(f)
+    rebuilt = build_report(committed["pass"], committed["targets"])
+    assert rebuilt["summary"] == committed["summary"]
+    assert list(rebuilt["summary"]) == list(committed["summary"])
+    assert rebuilt["rules"] == committed["rules"]
+    assert rebuilt == committed

@@ -96,6 +96,21 @@ def test_recover_cli_reports_legacy_corruption(capsys):
     assert "INCONSISTENT" in capsys.readouterr().out
 
 
+def test_recover_cli_runs_the_workload_validators(tmp_path, capsys, monkeypatch):
+    """``recover --case`` reaches the fuzzer's verdict: an image that
+    matches the oracle but fails its workload's validator is a failure."""
+    from repro.recovery.explain import main
+    from repro.workloads.hashmap import HashMap
+
+    monkeypatch.setattr(HashMap, "validate_image", lambda self, image: ["forced"])
+    out = tmp_path / "trace.json"
+    service = os.path.join(CORPUS_DIR, "service-svc-midburst-wpq4.json")
+    rc = main(["--case", service, "--json", str(out)])
+    assert rc == 1
+    assert "structure invalid: ['forced']" in capsys.readouterr().out
+    assert json.loads(out.read_text())["summary"]["consistent"] is False
+
+
 def crash_at(path, frac=None):
     """Crash a corpus case where ``asap-repro recover`` does: at ``frac``,
     else the case's first pinned crash fraction, else 0.5."""
