@@ -16,15 +16,17 @@ from repro.workloads import WorkloadParams, get_workload
 PARAMS = WorkloadParams(num_threads=4, ops_per_thread=30, value_bytes=64, setup_items=32)
 
 
-def build():
+def build(inspect=True):
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
+    if inspect:  # attach the PM image and commit oracle a crash reads
+        machine.inspect()
     machine.install(get_workload("EO", PARAMS))
     return machine
 
 
 def main():
     # dry run to learn the total length, then crash at a third of it
-    total = build().run().cycles
+    total = build(inspect=False).run().cycles
     crash_cycle = total // 3
     print(f"full run: {total} cycles; crashing a fresh run at {crash_cycle}")
 

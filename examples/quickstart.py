@@ -26,7 +26,8 @@ class CommitLog(SimObserver):
 
 
 def main():
-    machine = Machine(SystemConfig.small(), make_scheme("asap"))
+    # inspect(): keep the PM image and the commit oracle, checked below
+    machine = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
 
     # asap_malloc: allocate persistent data (page-table bit set -> PBit)
     account_a = machine.heap.alloc(64)

@@ -16,8 +16,10 @@ from repro.workloads import WorkloadParams, get_workload
 PARAMS = WorkloadParams(num_threads=4, ops_per_thread=25, value_bytes=256, setup_items=32)
 
 
-def build():
+def build(inspect=True):
     machine = Machine(SystemConfig.small(), make_scheme("asap"))
+    if inspect:  # attach the PM image and commit oracle a crash reads
+        machine.inspect()
     workload = get_workload("SS", PARAMS)
     machine.install(workload)
     return machine, workload
@@ -25,7 +27,7 @@ def build():
 
 def main():
     # Phase 1: run until the lights go out.
-    total = build()[0].run().cycles
+    total = build(inspect=False)[0].run().cycles
     machine, workload = build()
     state = crash_machine(machine, at_cycle=total // 2)
     print(

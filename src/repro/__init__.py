@@ -25,6 +25,9 @@ Quickstart::
     result = machine.run()
     print(result.throughput, result.pm_writes)
 
+A crash or a recovery check needs the PM image and the commit oracle:
+attach them first, ``Machine(...).inspect()``.
+
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """

@@ -148,6 +148,10 @@ class SimObserver:
         """A top-level ``End`` retired: execution proceeds past region
         ``rid``, which under an asynchronous scheme is not yet durable."""
 
+    def region_stored(self, executor, rid, addr, values) -> None:
+        """Region ``rid`` stored ``values`` to the PM words from ``addr``
+        (the commit oracle's write-sets)."""
+
 
 #: every event a hook point may fire
 EVENTS = frozenset(name for name in vars(SimObserver) if not name.startswith("_"))

@@ -276,9 +276,9 @@ def _case_config(wpq_entries: int, mshrs_per_cache: Optional[int]) -> SystemConf
 
 
 def build_machine(case: FuzzCase) -> Machine:
-    """Instantiate the case's program on the case's machine config."""
+    """Instantiate the case's program on an inspected machine."""
     config = _case_config(case.wpq_entries, case.mshrs_per_cache)
-    m = Machine(config, make_scheme(case.scheme))
+    m = Machine(config, make_scheme(case.scheme)).inspect()
     install_case(m, case)
     return m
 

@@ -74,10 +74,9 @@ class RunSpec:
     config: Optional[SystemConfig] = None
     params: Optional[WorkloadParams] = None
     sanitize: bool = False
-    #: run the payload-free machine, without PM image or commit oracle
-    #: (``Machine(fast_path=True)``); a sanitized cell sees the same
-    #: events on it
-    fast: bool = False
+    #: attach no inspectors (no PM image, no commit oracle); results are
+    #: the same either way, so it is not part of :meth:`cache_token`
+    fast: bool = True
     builder: str = ""
     builder_kwargs: Tuple[Tuple[str, object], ...] = ()
     extras: Tuple[Tuple[str, str], ...] = ()
@@ -110,7 +109,6 @@ class RunSpec:
             repr(self.config),
             repr(self.params),
             self.sanitize,
-            self.fast,
             self.builder,
             repr(self.builder_kwargs),
             repr(self.extras),

@@ -74,10 +74,13 @@ def build_machine(
 ) -> Machine:
     """Build a machine with one scheme and one (or several co-run)
     workloads installed. Accepts a single Table 3 name or a sequence of
-    names (co-run experiments install several on disjoint heaps)."""
+    names (co-run experiments install several on disjoint heaps).
+    Inspected (:meth:`Machine.inspect`) unless ``fast``."""
     config = config or default_config()
     params = params or default_params()
-    machine = Machine(config, make_scheme(scheme), fast_path=fast)
+    machine = Machine(config, make_scheme(scheme))
+    if not fast:
+        machine.inspect()
     names = (workload,) if isinstance(workload, str) else tuple(workload)
     for name in names:
         machine.install(get_workload(name, params))
@@ -99,11 +102,8 @@ def run_once(
             :class:`~repro.analysis.Sanitizer`; a ``Sanitizer`` instance is
             attached as-is (so callers can collect violations instead of
             raising).
-        fast: run the payload-free machine, without PM image or commit
-            oracle (``Machine(fast_path=True)``). Subscribers, the
-            sanitizer included, see the same events and payloads on
-            either machine; only crash and verify need the reference
-            one (docs/PERF.md).
+        fast: attach no inspectors (no PM image, no commit oracle); the
+            sanitizer sees the same events either way (docs/PERF.md).
     """
     machine = build_machine(workload, scheme, config, params, fast=fast)
     if sanitize:

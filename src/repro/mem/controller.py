@@ -52,7 +52,6 @@ class Channel:
         index: int,
         scheduler: Scheduler,
         timing: TimingModel,
-        pm_image: Optional[MemoryImage],
         wpq_entries: int,
         drain_gate: Optional[DrainArbiter] = None,
     ):
@@ -62,7 +61,6 @@ class Channel:
             scheduler=scheduler,
             capacity=wpq_entries,
             write_service=timing.pm_write_service(index),
-            pm_image=pm_image,
             drain_watermark=timing.mem.wpq_drain_watermark,
             lazy_drain_multiplier=timing.mem.wpq_lazy_drain_multiplier,
             drain_gate=drain_gate,
@@ -73,14 +71,7 @@ class Channel:
 class MemorySystem:
     """All channels plus the address-interleaving policy."""
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        scheduler: Scheduler,
-        pm_image: Optional[MemoryImage],
-    ):
-        """``pm_image`` receives every channel's drained payloads; None
-        (the payload-free machine) drops them."""
+    def __init__(self, config: SystemConfig, scheduler: Scheduler):
         self.config = config
         self.scheduler = scheduler
         self.timing = TimingModel(config)
@@ -95,7 +86,6 @@ class MemorySystem:
                 i,
                 scheduler,
                 self.timing,
-                pm_image,
                 config.memory.wpq_entries,
                 drain_gate=self.drain_arbiter,
             )

@@ -120,6 +120,17 @@ class PersistOp:
         return payload() if callable(payload) else payload
 
 
+class DrainToImage(SimObserver):
+    """Keeps a PM image: applies each op's payload as of its drain."""
+
+    def __init__(self, image: MemoryImage):
+        self._apply = image.apply
+
+    def wpq_drained(self, wpq, op) -> None:
+        payload = op.payload  # PersistOp.materialized_payload, inline
+        self._apply(payload() if callable(payload) else payload)
+
+
 class DrainArbiter:
     """A single write-bus token shared by every channel's WPQ.
 
@@ -165,7 +176,6 @@ class WritePendingQueue:
         scheduler: Scheduler,
         capacity: int,
         write_service: int,
-        pm_image: Optional[MemoryImage],
         drain_watermark: int = 0,
         lazy_drain_multiplier: int = 1,
         drain_gate: Optional[DrainArbiter] = None,
@@ -175,8 +185,6 @@ class WritePendingQueue:
             capacity: WPQ entries (128/channel in Table 2).
             write_service: cycles per drained entry (fixed for the
                 machine's lifetime by its :class:`TimingModel`).
-            pm_image: drained payloads are applied here; None (the
-                payload-free machine, which never crashes) drops them.
             drain_watermark: below this occupancy the controller defers
                 writes behind reads - entries drain lazily (every
                 ``write_service * lazy_drain_multiplier`` cycles) and thus
@@ -195,7 +203,6 @@ class WritePendingQueue:
         self.capacity = capacity
         # drain delays are ints, as Scheduler.after expects
         self._write_service = int(write_service)
-        self._pm_image = pm_image
         self._drain_watermark = max(0, min(drain_watermark, capacity - 1))
         self._lazy_interval = int(write_service * max(1, lazy_drain_multiplier))
         #: victim indexes, so the targeted drops
@@ -395,9 +402,6 @@ class WritePendingQueue:
         _, op = entries.popitem(last=False)
         if self._data_by_line is not None:
             self._index_remove(op)
-        if self._pm_image is not None:
-            payload = op.payload  # PersistOp.materialized_payload, inline
-            self._pm_image.apply(payload() if callable(payload) else payload)
         self.drained_by_kind[op.kind] += 1
         if self.observer is not None:
             self.observer.wpq_drained(self, op)

@@ -51,14 +51,14 @@ class CrashState:
     marker_directory: Dict[int, List[tuple]] = field(default_factory=dict)
 
 
-def require_reference_machine(machine: Machine, action: str) -> None:
-    """Refuse to ``action`` a payload-free machine: it keeps neither the
+def require_inspected(machine: Machine, action: str) -> None:
+    """Refuse to ``action`` an uninspected machine: it keeps neither the
     PM image a crash flushes into nor the oracle recovery is checked by."""
-    if machine.pm_image is None or machine.oracle is None:
+    if machine.oracle is None:
         raise SimulationError(
             f"cannot {action} this machine: it has no PM image or commit "
-            "oracle (built with fast_path=True); crash and verify need the "
-            "reference machine"
+            "oracle; call machine.inspect() before the first "
+            "bootstrap_write, observe and run"
         )
 
 
@@ -71,7 +71,7 @@ def crash_machine(machine: Machine, at_cycle: Optional[int] = None) -> CrashStat
     in FIFO order, then the scheme's own flush. The machine itself is not
     modified, so it can be resumed to a later crash point or to the end.
     """
-    require_reference_machine(machine, "crash")
+    require_inspected(machine, "crash")
     if at_cycle is not None:
         if at_cycle < machine.scheduler.now:
             raise SimulationError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.mem.image import MemoryImage
-from repro.recovery.crash import require_reference_machine
+from repro.recovery.crash import require_inspected
 from repro.sim.machine import Machine
 
 
@@ -41,7 +41,7 @@ class VerificationResult:
 
 def verify_recovery(machine: Machine, recovered: MemoryImage) -> VerificationResult:
     """Compare a recovered PM image with the machine's commit oracle."""
-    require_reference_machine(machine, "verify")
+    require_inspected(machine, "verify")
     oracle = machine.oracle
     mismatches = oracle.mismatches(recovered, limit=25)
     return VerificationResult(

@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class ThreadExecutor:
     """Drives one generator of ops through the machine."""
 
-    OBSERVED = ("begin_retired", "end_retired")
+    OBSERVED = ("begin_retired", "end_retired", "region_stored")
 
     def __init__(self, machine: "Machine", thread_id: int, core_id: int, gen_fn):
         self.machine = machine
@@ -96,7 +96,7 @@ class ThreadExecutor:
     def _dispatch(self, op) -> None:
         scheme = self.machine.scheme
         if isinstance(op, op_types.Write):
-            # one copy: the volatile image and the oracle keep this tuple
+            # one copy: the volatile image and subscribers keep this tuple
             self._do_write(op.addr, tuple(op.values))
         elif isinstance(op, op_types.Read):
             self._do_read(op.addr, op.nwords)
@@ -130,14 +130,11 @@ class ThreadExecutor:
     # -- memory ops (split per cache line) -----------------------------------------
 
     def _do_write(self, addr: int, values) -> None:
-        rid = self.current_rid
-        oracle = self.machine.oracle  # None on the payload-free machine
-        if (
-            rid is not None
-            and oracle is not None
-            and self.machine.page_table.is_persistent(addr)
-        ):
-            oracle.record_write(rid, addr, values)
+        observer = self.observer
+        if observer is not None:
+            rid = self.current_rid
+            if rid is not None and self.machine.page_table.is_persistent(addr):
+                observer.region_stored(self, rid, addr, values)
         base = addr & ~(WORD_BYTES - 1)
         if values and _fits_line(base, len(values)):
             # one line: the scheme's completion steps the thread directly

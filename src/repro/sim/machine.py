@@ -11,6 +11,7 @@ from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.image import MemoryImage
+from repro.mem.wpq import DrainToImage
 from repro.persist.base import PersistenceScheme
 from repro.runtime.heap import PageTable, PersistentHeap, VolatileHeap
 from repro.runtime.locks import SimLock
@@ -30,34 +31,16 @@ class Machine:
     whole run is driven by :meth:`run`.
     """
 
-    def __init__(
-        self,
-        config: SystemConfig,
-        scheme: PersistenceScheme,
-        fast_path: bool = False,
-    ):
-        """
-        Args:
-            fast_path: build the payload-free machine - the reference
-                machine minus what only inspection reads: no PM image
-                (``pm_image`` is None, drained payloads are dropped) and
-                no commit oracle (``oracle`` is None). Every structure,
-                payload and event is shared, so RunResult stats and every
-                subscriber's view are identical to the reference machine
-                (the differential-identity gate enforces this); crash
-                injection and verification need the reference machine
-                (docs/PERF.md). This module is the only one that reads
-                the flag.
-        """
+    def __init__(self, config: SystemConfig, scheme: PersistenceScheme):
+        """``pm_image`` and ``oracle`` stay None until :meth:`inspect`."""
         self.config = config
-        self.fast_path = fast_path
         self.scheduler = Scheduler()
         self.volatile = MemoryImage("volatile")
-        self.pm_image = None if fast_path else MemoryImage("pm")
+        self.pm_image: Optional[MemoryImage] = None
         self.page_table = PageTable()
         self.heap = PersistentHeap(config.address_space, self.page_table)
         self.dram_heap = VolatileHeap(config.address_space)
-        self.memory = MemorySystem(config, self.scheduler, self.pm_image)
+        self.memory = MemorySystem(config, self.scheduler)
         self.hierarchy = CacheHierarchy(
             config,
             self.scheduler,
@@ -66,7 +49,7 @@ class Machine:
             self.page_table.is_persistent,
         )
         self.scheme = scheme
-        self.oracle = None if fast_path else CommitOracle()
+        self.oracle: Optional[CommitOracle] = None
         scheme.attach(self)
         self.executors: List[ThreadExecutor] = []
         self.locks: List[SimLock] = []
@@ -76,12 +59,29 @@ class Machine:
         self._next_thread_id = 0
         self._started = False
         #: the images that hold the pre-run durable state beside the
-        #: volatile one (none on the payload-free machine); taken once,
-        #: as no commit is pending before the run
+        #: volatile one (none until :meth:`inspect`); taken once, as no
+        #: commit is pending before the run
         self._durable_images = ()
-        if self.oracle is not None:
-            self.observe(self.oracle)
-            self._durable_images = (self.pm_image, self.oracle.committed)
+
+    def inspect(self) -> "Machine":
+        """Attach the PM image and the commit oracle, which crash, verify
+        and explain read, as the first two subscribers, in one wiring
+        pass: the image first, so each payload (a log header's as of its
+        drain cycle) lands before anyone else sees the drain. Raises
+        :class:`SimulationError` after a bootstrap write, an adopted
+        image, a subscription or a run, so also when called twice."""
+        # every bootstrap write or adopted image lands in the volatile one
+        if self.observers or self._started or len(self.volatile):
+            raise SimulationError(
+                "inspect() must come once, before the first bootstrap_write, "
+                "adopt_image, observe and run"
+            )
+        self.pm_image = MemoryImage("pm")
+        self.oracle = CommitOracle()
+        self.observers.append(DrainToImage(self.pm_image))
+        self._durable_images = (self.pm_image, self.oracle.committed)
+        self.observe(self.oracle)
+        return self
 
     def observe(self, subscriber: SimObserver) -> SimObserver:
         """Subscribe ``subscriber`` to every hook point, now and later;
@@ -135,7 +135,7 @@ class Machine:
         image hold the same lines (modelling a data structure that was
         built and made durable before the measured and crash-injected
         phase begins), so the write is applied to the volatile image once
-        and, on the reference machine, the other two store the resulting
+        and, on an inspected machine, the other two store the resulting
         line tuples as they are.
         """
         if self._started:
@@ -151,7 +151,7 @@ class Machine:
     def adopt_image(self, image) -> None:
         """Resume from a recovered PM image (the restart-after-crash flow).
 
-        Overwrites the volatile view and, on the reference machine, the
+        Overwrites the volatile view and, on an inspected machine, the
         PM and oracle-committed views with the image's lines - call
         after installing the workload (so its address layout matches;
         heap allocation is deterministic) and before :meth:`run`. The

@@ -28,7 +28,7 @@ class CommitOracle(SimObserver):
     """Logs per-region write-sets and commits; folds them into the durable
     ("committed") image and the checked-word set when they are read.
 
-    The reference machine subscribes it to its own commit events."""
+    ``Machine.inspect`` subscribes it to the stores and commits."""
 
     def __init__(self):
         self._committed = MemoryImage("oracle-committed")
@@ -43,8 +43,8 @@ class CommitOracle(SimObserver):
         #: runs whose words are not yet in ``_tracked``
         self._untracked: List[tuple] = []
 
-    def record_write(self, rid: int, addr: int, values) -> None:
-        """Called by the executor for every in-region PM store."""
+    def region_stored(self, executor, rid: int, addr: int, values) -> None:
+        """Log one in-region PM store into ``rid``'s write-set."""
         run = (addr & ~7, tuple(values))
         self._region_writes.setdefault(rid, []).append(run)
         self._untracked.append(run)

@@ -26,7 +26,7 @@ This module adds that regime on top of the existing PM-backed stores:
 * **Fixed-bucket histogram**: latencies land in log-spaced buckets (8
   sub-buckets per octave, <= 12.5% relative error) so percentiles are
   pure-integer functions of the counts: byte-identical across ``--jobs``
-  values, cache state, and the reference and payload-free machines.
+  values, cache state, and inspected and uninspected machines.
 
 Determinism: every random choice (arrivals, key ranks, read/write mix,
 TPC-C item baskets) comes from ``random.Random`` instances seeded from
@@ -194,7 +194,7 @@ class ServiceRecorder(SimObserver):
     PUT requests register their upcoming region id before yielding it;
     the durable-commit event resolves the id back to the arrival cycle.
     GET latencies are recorded inline by the worker. The commit event
-    fires identically on the reference and payload-free machines, so the
+    fires identically whether or not the machine is inspected, so the
     filled-in ``RunResult`` fields pass the differential-identity gate.
     """
 

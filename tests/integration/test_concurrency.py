@@ -14,7 +14,7 @@ from repro.sim.ops import Begin, End, Lock, Read, Unlock, Write
 
 
 def contended_run(scheme, threads=6, regions=12):
-    m = Machine(SystemConfig.small(num_cores=8), make_scheme(scheme))
+    m = Machine(SystemConfig.small(num_cores=8), make_scheme(scheme)).inspect()
     a = m.heap.alloc(64 * 4)
     lock = m.new_lock("hot")
 
@@ -60,7 +60,7 @@ def test_asap_critical_section_excludes_persist_wait():
         m = Machine(
             SystemConfig.small(num_cores=4, pm_latency_multiplier=mult),
             make_scheme(scheme),
-        )
+        ).inspect()
         a = m.heap.alloc(64)
         lock = m.new_lock()
         stamps = []
@@ -97,7 +97,7 @@ def test_volatile_data_dependences_are_not_tracked():
     """Sec. 5.4: writes to non-persistent memory carry no OwnerRID, so a
     region reading another region's volatile output records no dependence
     - the documented (and justified) non-feature."""
-    m = Machine(SystemConfig.small(), make_scheme("asap"))
+    m = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
     eng = m.scheme
     scratch = m.dram_heap.alloc(64)  # volatile
     pm = m.heap.alloc(64)
@@ -135,7 +135,7 @@ def test_fence_per_region_degenerates_toward_synchronous():
     from repro.sim.ops import Fence
 
     def run(scheme, fence_each):
-        m = Machine(SystemConfig.small(num_cores=2), make_scheme(scheme))
+        m = Machine(SystemConfig.small(num_cores=2), make_scheme(scheme)).inspect()
         a = m.heap.alloc(64 * 4)
 
         def worker(env):

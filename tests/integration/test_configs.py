@@ -18,7 +18,7 @@ PARAMS = WorkloadParams(num_threads=4, ops_per_thread=8, setup_items=16)
 
 def test_full_table2_machine_runs():
     """The unscaled 18-core / 4-channel / 128-WPQ configuration."""
-    machine = Machine(SystemConfig(), make_scheme("asap"))
+    machine = Machine(SystemConfig(), make_scheme("asap")).inspect()
     params = WorkloadParams(num_threads=8, ops_per_thread=6, setup_items=16)
     machine.install(get_workload("HM", params))
     res = machine.run()
@@ -28,7 +28,7 @@ def test_full_table2_machine_runs():
 
 def test_full_table2_crash_recovery():
     def build():
-        machine = Machine(SystemConfig(), make_scheme("asap"))
+        machine = Machine(SystemConfig(), make_scheme("asap")).inspect()
         machine.install(get_workload("Q", PARAMS))
         return machine
 
@@ -46,7 +46,7 @@ def test_single_channel_machine():
     cfg = replace(
         cfg, memory=replace(cfg.memory, num_controllers=1, channels_per_controller=1)
     )
-    machine = Machine(cfg, make_scheme("asap"))
+    machine = Machine(cfg, make_scheme("asap")).inspect()
     machine.install(get_workload("BN", PARAMS))
     res = machine.run()
     assert res.regions_completed == 32
@@ -60,7 +60,7 @@ def test_eight_channel_machine():
     cfg = replace(
         cfg, memory=replace(cfg.memory, num_controllers=4, channels_per_controller=2)
     )
-    machine = Machine(cfg, make_scheme("asap"))
+    machine = Machine(cfg, make_scheme("asap")).inspect()
     machine.install(get_workload("HM", PARAMS))
     res = machine.run()
     assert res.regions_completed == 32
@@ -72,7 +72,7 @@ def test_crash_on_non_asap_schemes_is_benign(scheme):
     """crash_machine works on every scheme; recovery is a no-op where the
     scheme exposes no dependence snapshot (everything durable was already
     in place or in the flushed WPQ)."""
-    machine = Machine(SystemConfig.small(), make_scheme(scheme))
+    machine = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     machine.install(get_workload("SS", PARAMS))
     state = crash_machine(machine, at_cycle=2000)
     image, report = recover(state)
@@ -97,7 +97,7 @@ def test_cli_csv_output(tmp_path, capsys):
 @pytest.mark.parametrize("scheme", ["asap", "hwundo", "sw", "asap_redo"])
 def test_scheme_determinism(scheme):
     def run():
-        machine = Machine(SystemConfig.small(), make_scheme(scheme))
+        machine = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
         machine.install(get_workload("EO", PARAMS))
         res = machine.run()
         return (res.cycles, res.pm_writes, sorted(machine.oracle.committed_rids))
@@ -121,7 +121,7 @@ def test_integral_float_latencies_run_like_ints(scheme):
     )
     results = []
     for config in (ints, floats):
-        machine = Machine(config, make_scheme(scheme))
+        machine = Machine(config, make_scheme(scheme)).inspect()
         machine.install(get_workload("HM", PARAMS))
         results.append(machine.run())
     assert asdict(results[1]) == asdict(results[0])

@@ -11,7 +11,7 @@ from repro.sim.ops import Begin, End, Migrate, Read, Write
 
 
 def make(scheme="asap", **kwargs):
-    m = Machine(SystemConfig.small(**kwargs), make_scheme(scheme))
+    m = Machine(SystemConfig.small(**kwargs), make_scheme(scheme)).inspect()
     return m, m.heap.alloc(64 * 8)
 
 
@@ -107,7 +107,7 @@ def test_migrate_preserves_thread_state_registers():
 
 def test_crash_recovery_with_migrations():
     def build():
-        m = Machine(SystemConfig.small(), make_scheme("asap"))
+        m = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
         a = m.heap.alloc(64 * 16)
 
         def worker(env, tid):

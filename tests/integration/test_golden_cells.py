@@ -11,7 +11,9 @@ Cells: every Fig. 7 scheme on HM with 64 B values and ASAP on RB with
 64 B values (on both simulation cores), one 2 KB cell, and one open-loop
 service cell at its top load (WPQ backpressure), all at the benchmark's
 seed 42. RB/64/ASAP pins a second 64 B ASAP cell, whose write mix
-differs from HM's.
+differs from HM's. Each cell also runs as the harness runs it, through
+:func:`~repro.harness.parallel.run_cell` on its plan spec with the
+default ``RunSpec.fast`` (no inspectors), and must give the same digest.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness import runner
+from repro.harness.parallel import RunSpec, run_cell
 from repro.harness.experiments import fig7, serve_bench
 
 GOLDEN = Path(__file__).resolve().parents[2] / "bench" / "golden.json"
@@ -105,3 +108,15 @@ def test_cell_matches_golden(golden, table, label, spec, overrides):
         result, events, now = _run(spec, overrides, fast)
         assert _digest(result) == golden[table][label], (label, fast)
         assert (events, now) == SCHEDULES[label], (label, fast)
+
+
+@pytest.mark.parametrize(
+    "table, label, spec, overrides",
+    CELLS,
+    ids=[label for _table, label, _spec, _over in CELLS],
+)
+def test_harness_cell_matches_golden(golden, table, label, spec, overrides):
+    assert spec.fast is RunSpec.fast is True
+    params = dataclasses.replace(spec.params, seed=SEED, **overrides)
+    cell = run_cell(dataclasses.replace(spec, params=params))
+    assert _digest(cell.result) == golden[table][label], label

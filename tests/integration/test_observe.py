@@ -107,22 +107,31 @@ def test_observed_declarations_match_the_code():
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo", "hwundo"])
 @pytest.mark.parametrize("fast", [False, True])
 def test_commit_only_subscribers_leave_hot_slots_empty(scheme, fast):
-    # The reference machine subscribes the commit oracle; the service
-    # workload subscribes its recorder on both kinds of machine.
-    workload = "SVC" if fast else "HM"
+    # The service workload subscribes its commits-only recorder whether
+    # or not the machine is inspected; the inspectors take the WPQ drain
+    # slot (the PM image) and the executors' store slot (the oracle).
     machine = build_machine(
-        workload, scheme, default_config(), default_params(), fast=fast
+        "SVC", scheme, default_config(), default_params(), fast=fast
     )
     scheme = machine.scheme
-    hot = [ch.wpq for ch in machine.memory.channels] + [machine.hierarchy]
-    hot += [scheme, *getattr(scheme, "dep_lists", ()), *machine.locks]
-    hot += machine.executors
+    wpqs = [ch.wpq for ch in machine.memory.channels]
+    hot = [machine.hierarchy, scheme, *getattr(scheme, "dep_lists", ())]
+    hot += machine.locks
+    if fast:
+        hot += wpqs + machine.executors
     assert machine.locks and machine.executors
     for point in hot:
         assert point.observer is None, type(point).__name__
-    sub = machine.service_recorder if fast else machine.oracle
-    assert machine.observers == [sub]
-    assert scheme.commits.observer is sub
+    recorder = machine.service_recorder
+    if fast:
+        assert machine.observers == [recorder]
+        assert scheme.commits.observer is recorder
+        return
+    writer, oracle, last = machine.observers
+    assert oracle is machine.oracle and last is recorder
+    assert all(wpq.observer is writer for wpq in wpqs)
+    assert all(e.observer is oracle for e in machine.executors)
+    assert scheme.commits.observer not in (None, oracle, recorder)
 
 
 def test_locks_made_after_attach_are_wired():

@@ -20,7 +20,7 @@ from repro.sim.trace import COMMIT, Tracer
 def build():
     # a single-entry WPQ keeps persist ops outstanding long enough for the
     # dependence to be captured, like the figure's timeline
-    m = Machine(SystemConfig.small(wpq_entries=1), make_scheme("asap"))
+    m = Machine(SystemConfig.small(wpq_entries=1), make_scheme("asap")).inspect()
     eng = m.scheme
     return m, eng
 

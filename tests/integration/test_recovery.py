@@ -81,7 +81,7 @@ def test_recovery_with_tiny_wpq_and_log():
         m = Machine(
             SystemConfig.small(wpq_entries=1, initial_log_entries=16),
             make_scheme("asap"),
-        )
+        ).inspect()
         m.install(case_workload(case))
         return m
 
@@ -104,7 +104,7 @@ def test_crash_check_validates_workloads_of_any_machine():
 def test_crash_check_refuses_a_machine_that_recorded_no_workload():
     # a workload-backed case on a machine with no recorded workload would
     # skip the validators; the check fails loudly instead
-    machine = Machine(SystemConfig.small(), make_scheme("asap"))
+    machine = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
     with pytest.raises(ConfigError, match="machine.install"):
         check_crash(workload_case("Q"), 500, machine)
 
@@ -114,7 +114,7 @@ def test_recovery_undoes_dependent_chain_in_order():
     all are uncommitted; recovery must unwind to the bootstrap value."""
 
     def build():
-        m = Machine(SystemConfig.small(wpq_entries=1), make_scheme("asap"))
+        m = Machine(SystemConfig.small(wpq_entries=1), make_scheme("asap")).inspect()
         a = m.heap.alloc(64 * 8)
         m.bootstrap_write(a, [1000])
         lock = m.new_lock()

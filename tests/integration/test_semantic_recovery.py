@@ -24,7 +24,7 @@ PARAMS = dict(num_threads=3, ops_per_thread=15, setup_items=24)
 
 
 def fresh(name, **small_kwargs):
-    machine = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
+    machine = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap")).inspect()
     workload = get_workload(name, WorkloadParams(**PARAMS))
     machine.install(workload)
     return machine, workload
@@ -59,7 +59,7 @@ def test_unrecovered_crash_image_is_sometimes_invalid():
     params = WorkloadParams(num_threads=2, ops_per_thread=8, setup_items=8)
 
     def build():
-        machine = Machine(SystemConfig.small(), make_scheme("asap"))
+        machine = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
         workload = get_workload("Q", params)
         machine.install(workload)
         return machine

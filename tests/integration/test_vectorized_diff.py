@@ -1,22 +1,23 @@
-"""The differential-identity gate for the payload-free mode.
+"""The differential-identity gate for inspection.
 
-Both machines are one simulator: the same scheduler, memory image,
-indexes, hot paths and persist payloads. ``fast_path=True`` only leaves
-out what inspection reads - the PM image and the commit oracle - and
-must be *indistinguishable* from the reference machine in every
-:class:`~repro.sim.stats.RunResult` field and to every subscriber. This
-suite pins that contract:
+There is one kind of machine. :meth:`~repro.sim.machine.Machine.inspect`
+attaches what crash and verify read - the PM image and the commit
+oracle - as subscribers, and an inspected run must be
+*indistinguishable* from an uninspected one in every
+:class:`~repro.sim.stats.RunResult` field and to every other subscriber.
+The harness switch is ``fast`` (attach no inspectors). This suite pins
+that contract:
 
 * every Table 3 workload under every registered scheme (contended small
   machine, so stalls/backpressure/dropping all fire),
 * the Fig. 7 schemes on HM and Q at the harness's default quick scale,
 * every fuzz-corpus regression schedule,
 * the sanitizer's and the race tracer's reports, payloads included,
-* the wiring: ``fast`` leaves out the PM image and the oracle and
-  nothing else, and crash and verify refuse the machine without them,
-* and the routing rules: the explain/race tooling builds the reference
-  machine, while the ``fast`` flag on
-  :class:`~repro.harness.parallel.RunSpec` reaches
+* the wiring: the inspectors take only the WPQ drain, region store and
+  commit slots, and crash and verify refuse a machine without them,
+* and the routing rules: the explain/race tooling builds inspected
+  machines, while the ``fast`` flag on
+  :class:`~repro.harness.parallel.RunSpec` (default True) reaches
   :func:`~repro.harness.runner.build_machine`, sanitized or not.
 
 Any divergence here is a bug, never an accepted delta - see
@@ -40,6 +41,7 @@ from repro.harness.fuzz import build_machine as fuzz_build_machine
 from repro.harness.fuzz import install_case, load_corpus_entry
 from repro.harness.parallel import RunSpec, run_cell
 from repro.mem import wpq
+from repro.mem.wpq import DrainToImage
 from repro.mem.image import MemoryImage
 from repro.persist import make_scheme, scheme_names
 from repro.recovery import crash_machine, recover, verify_recovery
@@ -181,7 +183,9 @@ def test_corpus_case_matches_reference(path):
                     config.memory, mshrs_per_cache=case.mshrs_per_cache
                 ),
             )
-        machine = Machine(config, make_scheme(case.scheme), fast_path=fast)
+        machine = Machine(config, make_scheme(case.scheme))
+        if not fast:
+            machine.inspect()
         install_case(machine, case)
         results.append(asdict(machine.run()))
     assert results[1] == results[0]
@@ -200,7 +204,7 @@ PARITY_MATRIX = [
 def test_subscribers_report_the_same_on_both_machines(
     workload, scheme, monkeypatch
 ):
-    # Payloads are built on both machines, so every subscriber sees the
+    # Payloads are built either way, so every subscriber sees the
     # same events carrying the same payloads: the race tracer's recorded
     # nodes (payloads and op ids, numbered from 0 per run) and findings
     # and the sanitizer's violations must be equal.
@@ -229,20 +233,23 @@ def test_subscribers_report_the_same_on_both_machines(
 
 
 def test_fast_machine_wiring():
-    # One core: both machines build the same structures ...
+    # One kind of machine: both builds have the same structures ...
     fast = runner.build_machine("Q", "asap", _config(), _params(), fast=True)
     ref = runner.build_machine("Q", "asap", _config(), _params(), fast=False)
-    assert fast.fast_path and not ref.fast_path
     for machine in (fast, ref):
         assert type(machine.scheduler) is Scheduler
         assert type(machine.volatile) is MemoryImage
-    # ... and the flag leaves out only the PM image and the oracle.
+    # ... and inspection adds only the PM image and the oracle, as
+    # subscribers: the image's writer first, then the oracle.
     assert fast.pm_image is None and fast.oracle is None
     assert fast.observers == []
-    assert all(ch.wpq._pm_image is None for ch in fast.memory.channels)
+    assert all(ch.wpq.observer is None for ch in fast.memory.channels)
     assert type(ref.pm_image) is MemoryImage
-    assert ref.observers == [ref.oracle]
-    assert all(ch.wpq._pm_image is ref.pm_image for ch in ref.memory.channels)
+    writer, oracle = ref.observers
+    assert type(writer) is DrainToImage and oracle is ref.oracle
+    assert all(ch.wpq.observer is writer for ch in ref.memory.channels)
+    assert all(e.observer is oracle for e in ref.executors)
+    assert ref.scheme.commits.observer is oracle
     fast_result, ref_result = fast.run(), ref.run()
     assert asdict(fast_result) == asdict(ref_result)
     assert len(ref.pm_image) > 0 and ref.oracle.committed_rids
@@ -250,11 +257,11 @@ def test_fast_machine_wiring():
 
 def test_crash_and_verify_refuse_the_payload_free_machine():
     fast = runner.build_machine("Q", "asap", _config(), _params(), fast=True)
-    with pytest.raises(SimulationError, match="no PM image or commit oracle"):
+    with pytest.raises(SimulationError, match=r"machine\.inspect\(\)"):
         crash_machine(fast, at_cycle=400)
     ref = runner.build_machine("Q", "asap", _config(), _params())
     image, _report = recover(crash_machine(ref, at_cycle=400))
-    with pytest.raises(SimulationError, match="need the reference machine"):
+    with pytest.raises(SimulationError, match=r"no PM image or commit oracle"):
         verify_recovery(fast, image)
     assert verify_recovery(ref, image).ok
 
@@ -271,8 +278,8 @@ def test_sanitize_runs_on_the_requested_machine(monkeypatch):
     monkeypatch.setattr(runner, "build_machine", spy)
     runner.run_once("Q", "asap", _config(), _params(), sanitize=True, fast=True)
     machine = built["machine"]
-    assert machine.fast_path is True
-    # The sanitizer did attach, to the payload-free machine.
+    assert machine.oracle is None
+    # The sanitizer did attach, to the uninspected machine.
     assert machine.hierarchy.observer is not None
     assert machine.scheme.observer is not None
 
@@ -291,31 +298,32 @@ def test_runspec_fast_flag_routing(monkeypatch):
         key=("Q",), workload="Q", scheme="asap",
         config=_config(), params=_params(),
     )
-    run_cell(RunSpec(fast=True, **base))
-    assert built["machine"].fast_path is True
-    run_cell(RunSpec(fast=True, sanitize=True, **base))
-    assert built["machine"].fast_path is True
-    run_cell(RunSpec(**base))
-    assert built["machine"].fast_path is False
+    run_cell(RunSpec(**base))  # harness cells run uninspected by default
+    assert built["machine"].oracle is None
+    run_cell(RunSpec(sanitize=True, **base))
+    assert built["machine"].oracle is None
+    run_cell(RunSpec(fast=False, **base))
+    assert built["machine"].oracle is not None
 
 
-def test_runspec_fast_flag_changes_cache_token():
+def test_runspec_fast_flag_leaves_cache_token_alone():
+    # Inspection changes no result, so both builds share a cache entry.
     base = dict(
         key=("Q",), workload="Q", scheme="asap",
         config=_config(), params=_params(),
     )
+    assert RunSpec.fast is True
     assert (
-        RunSpec(fast=True, **base).cache_token()
-        != RunSpec(**base).cache_token()
+        RunSpec(fast=False, **base).cache_token()
+        == RunSpec(**base).cache_token()
     )
 
 
 def test_explain_tooling_stays_on_reference_machine():
     # The recovery replayer and race tracer build through the fuzz
-    # harness's machine factory, which never opts into the fast core.
+    # harness's machine factory, which always inspects.
     case, _ = load_corpus_entry(CORPUS_FILES[0])
     case.fifo_backpressure = True
     case.ordered_line_log_persists = True
     machine = fuzz_build_machine(case)
-    assert machine.fast_path is False
     assert machine.pm_image is not None and machine.oracle is not None

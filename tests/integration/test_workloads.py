@@ -12,7 +12,7 @@ PARAMS = WorkloadParams(num_threads=3, ops_per_thread=12, value_bytes=64, setup_
 
 
 def run(workload, scheme, params=PARAMS, **small_kwargs):
-    m = Machine(SystemConfig.small(**small_kwargs), make_scheme(scheme))
+    m = Machine(SystemConfig.small(**small_kwargs), make_scheme(scheme)).inspect()
     m.install(get_workload(workload, params))
     return m, m.run()
 
@@ -29,7 +29,7 @@ def test_workload_completes_and_commits(workload, scheme):
 def test_bootstrap_state_is_the_same_in_all_three_images(workload):
     """Bootstrap writes land in the volatile image; before the run the PM
     image and the oracle's committed image hold the very same lines."""
-    m = Machine(SystemConfig.small(), make_scheme("asap"))
+    m = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
     m.install(get_workload(workload, PARAMS))
     volatile = dict(m.volatile.lines())
     assert volatile
@@ -38,7 +38,7 @@ def test_bootstrap_state_is_the_same_in_all_three_images(workload):
 
 
 def test_bootstrap_write_after_the_run_started_raises():
-    m = Machine(SystemConfig.small(), make_scheme("asap"))
+    m = Machine(SystemConfig.small(), make_scheme("asap")).inspect()
     m.install(get_workload("Q", PARAMS))
     addr = m.heap.alloc(64)
     m.bootstrap_write(addr, [1])  # before the run: allowed

@@ -113,7 +113,7 @@ def test_oracle_matches_eager_model(setup, ops):
             _, region, word, values = op
             rid = _rid(region)
             if rid not in model.committed:
-                oracle.record_write(rid, _addr(word), values)
+                oracle.region_stored(None, rid, _addr(word), values)
                 model.record(rid, _addr(word), values)
         elif kind == "commit":
             rid = _rid(op[1])

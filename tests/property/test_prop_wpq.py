@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.common.observe import SimObserver
 from repro.common.params import SystemConfig
 from repro.engine import Scheduler
-from repro.mem.image import MemoryImage
 from repro.mem.wpq import DPO, LOGHDR, LPO, WB, PersistOp, WritePendingQueue
 from repro.persist import make_scheme
 from repro.sim.machine import Machine
@@ -43,9 +42,8 @@ def wpq_scripts(draw):
 )
 def test_wpq_invariants_under_random_schedules(script, capacity, watermark, lazy):
     s = Scheduler()
-    img = MemoryImage("pm")
     q = WritePendingQueue(
-        "q", s, capacity, 10, img,
+        "q", s, capacity, 10,
         drain_watermark=watermark, lazy_drain_multiplier=lazy,
     )
     drained = []
@@ -148,7 +146,7 @@ def test_targeted_drops_match_drop_where(script, capacity, watermark, lazy):
     for _ in range(2):
         s = Scheduler()
         q = WritePendingQueue(
-            "q", s, capacity, 10, MemoryImage("pm"),
+            "q", s, capacity, 10,
             drain_watermark=watermark, lazy_drain_multiplier=lazy,
         )
         q.observer = ledger = _Ledger()

@@ -13,7 +13,7 @@ from repro.sim.ops import Begin, End, Fence, Lock, Read, Unlock, Write
 
 
 def make(**small_kwargs):
-    m = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap"))
+    m = Machine(SystemConfig.small(**small_kwargs), make_scheme("asap")).inspect()
     return m, m.scheme
 
 
@@ -41,7 +41,7 @@ def test_log_overflow_then_crash_recovers():
     def build():
         m = Machine(
             SystemConfig.small(initial_log_entries=4), make_scheme("asap")
-        )
+        ).inspect()
         a = m.heap.alloc(64 * 64)
 
         def worker(env):
@@ -119,7 +119,7 @@ def test_owner_spill_and_reload_detects_dependence():
     thread, and still capture the data dependence."""
     cfg = SystemConfig.small(num_cores=2, wpq_entries=1)
     cfg = replace(cfg, l3=CacheParams(4 * 1024, 4, 42))
-    m = Machine(cfg, make_scheme("asap"))
+    m = Machine(cfg, make_scheme("asap")).inspect()
     eng = m.scheme
     a = m.heap.alloc(64 * 8)
     filler = m.heap.alloc(64 * 2048)

@@ -14,7 +14,7 @@ from repro.sim.ops import Begin, Compute, End, Read, Write
 def run_with(ablation, regions=40, hot_lines=2, **small_kwargs):
     cfg = SystemConfig.small(**small_kwargs)
     cfg = cfg.with_asap(cfg.asap.ablation(ablation))
-    m = Machine(cfg, make_scheme("asap"))
+    m = Machine(cfg, make_scheme("asap")).inspect()
     a = m.heap.alloc(64 * hot_lines)
 
     def worker(env):
@@ -115,7 +115,7 @@ def rewrite_while_dpo_in_flight(ablation, successor_gap):
     region 1 ends. Every line is warmed first, so each write is an L1 hit."""
     cfg = SystemConfig.small()
     cfg = cfg.with_asap(cfg.asap.ablation(ablation))
-    m = Machine(cfg, make_scheme("asap"))
+    m = Machine(cfg, make_scheme("asap")).inspect()
     base = m.heap.alloc(64 * 5)
     lines = [base + 64 * i for i in range(5)]
 

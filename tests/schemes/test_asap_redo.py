@@ -14,7 +14,7 @@ from repro.workloads import WorkloadParams, get_workload, workload_names
 
 
 def make(**kwargs):
-    m = Machine(SystemConfig.small(**kwargs), make_scheme("asap_redo"))
+    m = Machine(SystemConfig.small(**kwargs), make_scheme("asap_redo")).inspect()
     return m, m.heap.alloc(64 * 16)
 
 
@@ -180,7 +180,7 @@ def test_workloads_run_and_recover(workload):
     params = WorkloadParams(num_threads=3, ops_per_thread=10, setup_items=16)
 
     def build():
-        machine = Machine(SystemConfig.small(), make_scheme("asap_redo"))
+        machine = Machine(SystemConfig.small(), make_scheme("asap_redo")).inspect()
         machine.install(get_workload(workload, params))
         return machine
 
@@ -197,7 +197,7 @@ def test_redo_recovery_dense_crash_scan():
     params = WorkloadParams(num_threads=2, ops_per_thread=10, setup_items=8)
 
     def build():
-        machine = Machine(SystemConfig.small(wpq_entries=2), make_scheme("asap_redo"))
+        machine = Machine(SystemConfig.small(wpq_entries=2), make_scheme("asap_redo")).inspect()
         machine.install(get_workload("Q", params))
         return machine
 

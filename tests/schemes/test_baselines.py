@@ -7,7 +7,7 @@ from repro.sim.ops import Begin, End, Read, Write
 
 
 def run(scheme, body, **small_kwargs):
-    m = Machine(SystemConfig.small(**small_kwargs), make_scheme(scheme))
+    m = Machine(SystemConfig.small(**small_kwargs), make_scheme(scheme)).inspect()
     a = m.heap.alloc(512)
     m.spawn(lambda env: body(m, a))
     res = m.run()

@@ -23,7 +23,7 @@ NUM_LINES = 12
 def run_rmw_pair(scheme, wpq_entries, filler_lines=4, jitter=0):
     """Thread A fills the WPQ then writes the victim line; thread B RMWs
     the victim. Returns (machine, victim address)."""
-    m = Machine(SystemConfig.small(wpq_entries=wpq_entries), make_scheme(scheme))
+    m = Machine(SystemConfig.small(wpq_entries=wpq_entries), make_scheme(scheme)).inspect()
     base = m.heap.alloc(64 * NUM_LINES)
     victim = base + 64 * 4
     lock = m.new_lock()

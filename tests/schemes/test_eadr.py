@@ -9,13 +9,13 @@ from repro.workloads import WorkloadParams, get_workload
 
 
 def make():
-    m = Machine(SystemConfig.small(), make_scheme("eadr"))
+    m = Machine(SystemConfig.small(), make_scheme("eadr")).inspect()
     return m, m.heap.alloc(64 * 8)
 
 
 def test_eadr_matches_np_performance():
     def run(scheme):
-        m = Machine(SystemConfig.small(), make_scheme(scheme))
+        m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
         a = m.heap.alloc(64 * 4)
 
         def worker(env):
@@ -82,7 +82,7 @@ def test_eadr_battery_requirement_quantified():
 
 def test_eadr_workload_run():
     params = WorkloadParams(num_threads=3, ops_per_thread=10, setup_items=16)
-    m = Machine(SystemConfig.small(), make_scheme("eadr"))
+    m = Machine(SystemConfig.small(), make_scheme("eadr")).inspect()
     wl = get_workload("HM", params)
     m.install(wl)
     res = m.run()

@@ -162,7 +162,7 @@ def test_same_line_chains_recover_consistently(length, num_threads, wpq_entries)
 
 
 def hwundo_machine():
-    m = Machine(SystemConfig.small(wpq_entries=4), make_scheme("hwundo"))
+    m = Machine(SystemConfig.small(wpq_entries=4), make_scheme("hwundo")).inspect()
     m.heap.alloc(512)
     return m
 
@@ -222,7 +222,7 @@ def test_hwundo_concurrent_same_line_regions_still_commit():
     m = Machine(
         SystemConfig.small(wpq_entries=1),
         make_scheme("hwundo"),
-    )
+    ).inspect()
     a = m.heap.alloc(512)
 
     def body(env, value):

@@ -12,7 +12,7 @@ SCHEMES = scheme_names()
 
 
 def run_nested(scheme, depth=3):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     a = m.heap.alloc(64 * depth)
 
     def worker(env):
@@ -47,7 +47,7 @@ def test_nested_region_is_atomic_as_a_whole(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_inner_end_does_not_trigger_commit(scheme):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     a = m.heap.alloc(128)
     seen = {}
     tracer = Tracer(m)

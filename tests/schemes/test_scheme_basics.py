@@ -12,7 +12,7 @@ SCHEMES = scheme_names()
 
 
 def run_counter(scheme, regions=10, lines=2):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     a = m.heap.alloc(64 * lines)
 
     def worker(env):
@@ -85,7 +85,7 @@ def test_region_latency_ordering_matches_fig8():
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_fence_after_region_completes(scheme):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     a = m.heap.alloc(64)
     marks = {}
 

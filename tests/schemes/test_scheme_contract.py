@@ -20,7 +20,7 @@ def test_recoverable_schemes_are_the_ones_declaring_recovery():
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_unbalanced_end_raises(scheme):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     thread = m.scheme.register_thread(0, 0)
     with pytest.raises(SimulationError):
         m.scheme.end(thread, lambda: None)
@@ -28,7 +28,7 @@ def test_unbalanced_end_raises(scheme):
 
 @pytest.mark.parametrize("scheme", scheme_names())
 def test_crash_log_kind_follows_declared_recovery(scheme):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     a = m.heap.alloc(64 * 4)
 
     def worker(env):
@@ -68,7 +68,7 @@ class _RegionLog(SimObserver):
 
 @pytest.mark.parametrize("scheme", ["asap", "asap_redo"])
 def test_async_commit_dependence_list_plumbing(scheme):
-    m = Machine(SystemConfig.small(), make_scheme(scheme))
+    m = Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
     assert m.scheme.hook_points() == [m.scheme, m.scheme.commits, *m.scheme.dep_lists]
     assert len(m.scheme.dep_lists) == m.config.memory.num_channels
     events = []

@@ -4,7 +4,7 @@ from repro.common.params import SystemConfig
 from repro.engine import Scheduler
 from repro.mem.controller import MemorySystem
 from repro.mem.image import MemoryImage
-from repro.mem.wpq import DPO, LPO, PersistOp
+from repro.mem.wpq import DPO, LPO, DrainToImage, PersistOp
 
 PM = 0x1000_0000_0000
 
@@ -13,7 +13,10 @@ def build(channels=2):
     cfg = SystemConfig.small()
     s = Scheduler()
     pm = MemoryImage("pm")
-    return cfg, s, pm, MemorySystem(cfg, s, pm)
+    mem = MemorySystem(cfg, s)
+    for ch in mem.channels:
+        ch.wpq.observer = DrainToImage(pm)
+    return cfg, s, pm, mem
 
 
 def test_line_interleaving_covers_all_channels():

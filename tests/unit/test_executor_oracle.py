@@ -32,7 +32,7 @@ def test_split_read_by_line():
 
 
 def make_machine(scheme="np"):
-    return Machine(SystemConfig.small(), make_scheme(scheme))
+    return Machine(SystemConfig.small(), make_scheme(scheme)).inspect()
 
 
 def test_compute_advances_clock():
@@ -176,8 +176,8 @@ def test_fence_is_dispatchable_on_all_schemes():
 def test_oracle_tracks_commit_order():
     oracle = CommitOracle()
     r1, r2 = pack_rid(0, 1), pack_rid(0, 2)
-    oracle.record_write(r1, 0x1000, [10])
-    oracle.record_write(r2, 0x1000, [20])
+    oracle.region_stored(None, r1, 0x1000, [10])
+    oracle.region_stored(None, r2, 0x1000, [20])
     oracle.region_committed(None, r1)
     assert oracle.committed.read_word(0x1000) == 10
     assert oracle.uncommitted_rids() == [r2]
@@ -188,7 +188,7 @@ def test_oracle_tracks_commit_order():
 def test_oracle_mismatches():
     oracle = CommitOracle()
     r = pack_rid(0, 1)
-    oracle.record_write(r, 0x1000, [5])
+    oracle.region_stored(None, r, 0x1000, [5])
     oracle.region_committed(None, r)
     img = MemoryImage()
     diffs = oracle.mismatches(img)
@@ -263,23 +263,23 @@ def test_uninspected_run_folds_nothing_until_read(monkeypatch):
     image = machine.oracle.committed  # nothing is pending before the run
     folded, runs_of, commit_order = [], {}, []
     original_apply = MemoryImage.apply
-    original_record = CommitOracle.record_write
+    original_record = CommitOracle.region_stored
 
     def apply(self, runs):
         if self is image:
             folded.append(list(runs))
         original_apply(self, runs)
 
-    def record_write(self, rid, addr, values):
+    def region_stored(self, executor, rid, addr, values):
         runs_of.setdefault(rid, []).append((addr & ~7, tuple(values)))
-        original_record(self, rid, addr, values)
+        original_record(self, executor, rid, addr, values)
 
     class CommitOrder(SimObserver):
         def region_committed(self, source, rid):
             commit_order.append(rid)
 
     monkeypatch.setattr(MemoryImage, "apply", apply)
-    monkeypatch.setattr(CommitOracle, "record_write", record_write)
+    monkeypatch.setattr(CommitOracle, "region_stored", region_stored)
     machine.observe(CommitOrder())
     result = machine.run()
     assert folded == [] and len(commit_order) == result.regions_completed > 0

@@ -10,6 +10,7 @@ from repro.harness.runner import build_machine
 from repro.mem.controller import MemorySystem
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.image import MemoryImage
+from repro.mem.wpq import DrainToImage
 from repro.workloads import WorkloadParams
 from tests.conftest import locked_set_config
 
@@ -19,7 +20,9 @@ def build(num_lines_pm=True, cfg=None):
     s = Scheduler()
     pm = MemoryImage("pm")
     vol = MemoryImage("vol")
-    mem = MemorySystem(cfg, s, pm)
+    mem = MemorySystem(cfg, s)
+    for ch in mem.channels:
+        ch.wpq.observer = DrainToImage(pm)
     persistent = set()
     h = CacheHierarchy(cfg, s, mem, vol, lambda a: (a in persistent) or num_lines_pm)
     return cfg, s, vol, pm, mem, h

@@ -35,9 +35,8 @@ def build(mshrs=None, overlapped=None, assoc1=False):
             l3=dc_replace(cfg.l3, assoc=1),
         )
     s = Scheduler()
-    pm = MemoryImage("pm")
     vol = MemoryImage("vol")
-    mem = MemorySystem(cfg, s, pm)
+    mem = MemorySystem(cfg, s)
     h = CacheHierarchy(cfg, s, mem, vol, lambda a: True)
     return cfg, s, mem, h
 

@@ -42,12 +42,11 @@ def test_numa_composes_with_pm_multiplier():
 def test_remote_persist_takes_longer_end_to_end():
     from repro.engine import Scheduler
     from repro.mem.controller import MemorySystem
-    from repro.mem.image import MemoryImage
     from repro.mem.wpq import DPO, PersistOp
 
     cfg = numa_config(remote=(1,), mult=4.0)
     s = Scheduler()
-    mem = MemorySystem(cfg, s, MemoryImage("pm"))
+    mem = MemorySystem(cfg, s)
     pm = cfg.address_space.pm_base
     # find one line per channel
     local_line = next(pm + i * 64 for i in range(8) if mem.channel_for_line(pm + i * 64).index == 0)

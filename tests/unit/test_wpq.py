@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.engine import Scheduler
 from repro.mem.image import MemoryImage
-from repro.mem.wpq import DPO, LPO, PersistOp, WritePendingQueue
+from repro.mem.wpq import DPO, LPO, DrainToImage, PersistOp, WritePendingQueue
 from tests.faults import reopen_edge
 
 PM = 0x1000_0000_0000
@@ -15,9 +15,10 @@ def make_wpq(capacity=4, service=10, watermark=0, lazy=1):
     s = Scheduler()
     img = MemoryImage("pm")
     q = WritePendingQueue(
-        "q", s, capacity, service, img,
+        "q", s, capacity, service,
         drain_watermark=watermark, lazy_drain_multiplier=lazy,
     )
+    q.observer = DrainToImage(img)
     return s, img, q
 
 
@@ -179,7 +180,7 @@ def test_callable_payload_materialised_at_drain():
 def test_zero_capacity_rejected():
     s = Scheduler()
     with pytest.raises(SimulationError):
-        WritePendingQueue("q", s, 0, 1, MemoryImage())
+        WritePendingQueue("q", s, 0, 1)
 
 
 # -- FIFO backpressure and pending-aware dropping (the ordering fix) --------
